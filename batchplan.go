@@ -6,7 +6,6 @@ import (
 
 	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
-	"spiralfft/internal/metrics"
 )
 
 // BatchPlan transforms many independent equal-length signals in one call.
@@ -25,11 +24,10 @@ type BatchPlan struct {
 	n, count int
 	workers  int
 	planCore
-	// tree is the per-signal factorization; seqExe its single-worker
-	// program, kept as the fallback when no backend is owned (workers == 1,
-	// or after Close).
-	tree   *exec.Tree
-	seqExe *ir.Executor
+	// tree is the per-signal factorization (planCore.seqExe runs its
+	// single-worker batch program when no backend is owned: workers == 1, or
+	// after Close).
+	tree *exec.Tree
 }
 
 // NewBatchPlan prepares a plan for count signals of length n each.
@@ -97,26 +95,12 @@ func (b *BatchPlan) Workers() int { return b.workers }
 
 // Program returns the lowered IR program the plan executes. The program is
 // shared — callers must not mutate it.
-func (b *BatchPlan) Program() *ir.Program {
-	if e := b.exe; e != nil {
-		return e.Program()
-	}
-	return b.seqExe.Program()
-}
+func (b *BatchPlan) Program() *ir.Program { return b.program() }
 
 // Forward transforms all signals: for each s < Count(),
 // dst[s·n : (s+1)·n] = DFT_n(src[s·n : (s+1)·n]). dst == src is allowed.
 // Forward is safe for concurrent use.
-func (b *BatchPlan) Forward(dst, src []complex128) error {
-	if err := b.check(dst, src); err != nil {
-		return err
-	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	b.run(dst, src)
-	b.record(start)
-	return nil
-}
+func (b *BatchPlan) Forward(dst, src []complex128) error { return b.ForwardCtx(nil, dst, src) }
 
 // ForwardCtx is Forward under a context: cancellation is observed before
 // the batch starts and at region boundaries; on cancellation the error is
@@ -125,37 +109,12 @@ func (b *BatchPlan) ForwardCtx(ctx context.Context, dst, src []complex128) error
 	if err := b.check(dst, src); err != nil {
 		return err
 	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	if err := b.runCtx(ctx, dst, src); err != nil {
-		return err
-	}
-	b.record(start)
-	return nil
+	return b.forward(ctx, dst, src)
 }
 
 // Inverse applies the unitary inverse to all signals. dst == src is allowed.
 // Inverse is safe for concurrent use.
-func (b *BatchPlan) Inverse(dst, src []complex128) error {
-	if err := b.check(dst, src); err != nil {
-		return err
-	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	// conj → forward → conj/scale, batched.
-	buf := b.getInv()
-	defer b.putInv(buf)
-	for i, v := range src {
-		buf.v[i] = complex(real(v), -imag(v))
-	}
-	b.run(dst, buf.v)
-	scale := 1 / float64(b.n)
-	for i, v := range dst {
-		dst[i] = complex(real(v)*scale, -imag(v)*scale)
-	}
-	b.record(start)
-	return nil
-}
+func (b *BatchPlan) Inverse(dst, src []complex128) error { return b.InverseCtx(nil, dst, src) }
 
 // InverseCtx is Inverse under a context, with the same cancellation
 // contract as ForwardCtx.
@@ -163,22 +122,7 @@ func (b *BatchPlan) InverseCtx(ctx context.Context, dst, src []complex128) error
 	if err := b.check(dst, src); err != nil {
 		return err
 	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	buf := b.getInv()
-	defer b.putInv(buf)
-	for i, v := range src {
-		buf.v[i] = complex(real(v), -imag(v))
-	}
-	if err := b.runCtx(ctx, dst, buf.v); err != nil {
-		return err
-	}
-	scale := 1 / float64(b.n)
-	for i, v := range dst {
-		dst[i] = complex(real(v)*scale, -imag(v)*scale)
-	}
-	b.record(start)
-	return nil
+	return b.inverse(ctx, dst, src, 1/float64(b.n))
 }
 
 func (b *BatchPlan) check(dst, src []complex128) error {
@@ -188,21 +132,6 @@ func (b *BatchPlan) check(dst, src []complex128) error {
 			ErrLengthMismatch, want, b.count, b.n, len(dst), len(src))
 	}
 	return nil
-}
-
-func (b *BatchPlan) run(dst, src []complex128) {
-	if e := b.exe; e != nil {
-		e.Transform(dst, src)
-		return
-	}
-	b.seqExe.Transform(dst, src)
-}
-
-func (b *BatchPlan) runCtx(ctx context.Context, dst, src []complex128) error {
-	if e := b.exe; e != nil {
-		return e.TransformCtx(ctx, dst, src)
-	}
-	return b.seqExe.TransformCtx(ctx, dst, src)
 }
 
 // Close releases the worker pool (if any). Idempotent; the plan's

@@ -28,6 +28,7 @@ import (
 	"spiralfft/internal/bench"
 	"spiralfft/internal/complexvec"
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/search"
 	"spiralfft/internal/smp"
 )
@@ -36,6 +37,21 @@ import (
 var fig3LogNs = []int{6, 8, 10, 12, 14, 16}
 
 const benchP = 2 // parallel worker count for the host benchmarks
+
+// multicoreCT compiles the formula (14) program for split n = m·(n/m) on bk
+// — the executor a parallel Plan runs.
+func multicoreCT(b *testing.B, n, m int, sched ir.Schedule, bk smp.Backend) *ir.Executor {
+	b.Helper()
+	prog, err := ir.LowerCT(n, m, ir.CTConfig{P: benchP, Mu: 4, Schedule: sched})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := ir.NewExecutor(prog, bk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
 
 // reportPseudo attaches the paper's metric to a benchmark result.
 func reportPseudo(b *testing.B, n int) {
@@ -79,10 +95,7 @@ func BenchmarkFig3(b *testing.B) {
 					bk = smp.NewSpawn(benchP)
 				}
 				defer bk.Close()
-				pl, err := exec.NewParallel(n, m, exec.ParallelConfig{P: benchP, Mu: 4, Backend: bk})
-				if err != nil {
-					b.Fatal(err)
-				}
+				pl := multicoreCT(b, n, m, ir.ScheduleBlock, bk)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					pl.Transform(y, x)
@@ -140,10 +153,7 @@ func BenchmarkAblationBackend(b *testing.B) {
 					bk = smp.NewSpawn(benchP)
 				}
 				defer bk.Close()
-				pl, err := exec.NewParallel(n, m, exec.ParallelConfig{P: benchP, Mu: 4, Backend: bk})
-				if err != nil {
-					b.Fatal(err)
-				}
+				pl := multicoreCT(b, n, m, ir.ScheduleBlock, bk)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					pl.Transform(y, x)
@@ -167,16 +177,11 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		}
 		x := complexvec.Random(n, 9)
 		y := make([]complex128, n)
-		for _, sched := range []exec.Schedule{exec.ScheduleBlock, exec.ScheduleCyclic} {
+		for _, sched := range []ir.Schedule{ir.ScheduleBlock, ir.ScheduleCyclic} {
 			b.Run(fmt.Sprintf("%s/logN=%d", sched, logN), func(b *testing.B) {
 				pool := smp.NewPool(benchP)
 				defer pool.Close()
-				pl, err := exec.NewParallel(n, m, exec.ParallelConfig{
-					P: benchP, Mu: 4, Backend: pool, Schedule: sched,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				pl := multicoreCT(b, n, m, sched, pool)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					pl.Transform(y, x)
@@ -229,10 +234,7 @@ func BenchmarkSixStepVsMulticoreCT(b *testing.B) {
 		b.Run(fmt.Sprintf("multicoreCT/logN=%d", logN), func(b *testing.B) {
 			pool := smp.NewPool(benchP)
 			defer pool.Close()
-			pl, err := exec.NewParallel(n, m, exec.ParallelConfig{P: benchP, Mu: 4, Backend: pool})
-			if err != nil {
-				b.Fatal(err)
-			}
+			pl := multicoreCT(b, n, m, ir.ScheduleBlock, pool)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pl.Transform(y, x)
@@ -470,10 +472,7 @@ func BenchmarkBarrierStructure(b *testing.B) {
 			}
 			pool := smp.NewPool(benchP)
 			defer pool.Close()
-			pl, err := exec.NewParallel(n, m, exec.ParallelConfig{P: benchP, Mu: 4, Backend: pool})
-			if err != nil {
-				b.Fatal(err)
-			}
+			pl := multicoreCT(b, n, m, ir.ScheduleBlock, pool)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pl.Transform(y, x)

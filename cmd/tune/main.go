@@ -78,8 +78,8 @@ func main() {
 			os.Exit(1)
 		}
 		if choice.UsedParallel() {
-			m, k := choice.Parallel.Split()
-			fmt.Printf("parallel       : YES, p=%d split %d·%d\n", *p, m, k)
+			fmt.Printf("parallel       : YES, p=%d split %d·%d (left=%s, right=%s)\n",
+				*p, choice.Split, *n/choice.Split, choice.Left, choice.Right)
 			fmt.Printf("par runtime    : %v  (%.0f pseudo-Mflop/s, speedup %.2fx)\n",
 				choice.ParTime, bench.PseudoMflops(*n, choice.ParTime),
 				float64(choice.SeqTime)/float64(choice.ParTime))

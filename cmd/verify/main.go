@@ -16,7 +16,6 @@ import (
 	"spiralfft/internal/cachesim"
 	"spiralfft/internal/codelet"
 	"spiralfft/internal/complexvec"
-	"spiralfft/internal/exec"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/spl"
 )
@@ -121,19 +120,16 @@ func main() {
 		}
 	}
 
-	// Definition-1 guarantees on traces: the derived schedule must be
-	// false-sharing free and perfectly balanced for every config.
+	// Definition-1 guarantees on traces: the program a parallel plan runs
+	// must be false-sharing free and perfectly balanced for every config.
 	for _, c := range []struct{ n, p, mu int }{{256, 2, 4}, {1024, 2, 4}, {4096, 4, 4}} {
-		m, ok := exec.SplitFor(c.n, c.p, c.mu)
-		if !ok {
+		plan, err := spiralfft.NewPlan(c.n, &spiralfft.Options{Workers: c.p, CacheLineComplex: c.mu})
+		if err != nil || !plan.IsParallel() {
+			check(fmt.Sprintf("parallel plan n=%d p=%d", c.n, c.p), false, fmt.Sprintf("err=%v", err))
 			continue
 		}
-		pl, err := exec.NewParallel(c.n, m, exec.ParallelConfig{P: c.p, Mu: c.mu, TraceOnly: true})
-		if err != nil {
-			check(fmt.Sprintf("trace n=%d p=%d", c.n, c.p), false, err.Error())
-			continue
-		}
-		rep := cachesim.AnalyzeParallel(pl, c.mu)
+		rep := cachesim.AnalyzeProgram(plan.Program(), c.mu)
+		plan.Close()
 		check(fmt.Sprintf("no false sharing n=%d p=%d µ=%d", c.n, c.p, c.mu),
 			rep.FalseSharingFree(), fmt.Sprintf("%d lines", rep.TotalFalseSharedLines()))
 		check(fmt.Sprintf("perfect balance n=%d p=%d", c.n, c.p),

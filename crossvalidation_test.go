@@ -9,7 +9,7 @@ import (
 	"spiralfft/internal/baseline"
 	"spiralfft/internal/complexvec"
 	"spiralfft/internal/exec"
-	"spiralfft/internal/fusion"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/smp"
 	"spiralfft/internal/spl"
@@ -17,9 +17,10 @@ import (
 
 // TestCrossValidation is the grand agreement check: for randomly drawn
 // configurations, every implementation in the repository — public plans
-// (all planners/backends), the raw executors, the three baselines, the
-// formula interpreter, and the fusion stage plans — must produce the same
-// DFT, with the O(n²) definition as the anchor.
+// (all planners/backends), the raw executors and IR programs, the three
+// baselines, the formula interpreter, and the expanded formula lowered to
+// the IR — must produce the same DFT, with the O(n²) definition as the
+// anchor.
 func TestCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
 	logNs := []int{6, 8, 10, 12}
@@ -58,7 +59,7 @@ func TestCrossValidation(t *testing.T) {
 			})
 		}
 
-		// Raw executors.
+		// Raw executors and IR programs.
 		run("seq-radix", func(dst []complex128) error {
 			exec.MustNewSeq(exec.RadixTree(n)).Transform(dst, x, nil)
 			return nil
@@ -69,16 +70,11 @@ func TestCrossValidation(t *testing.T) {
 		})
 		if m, ok := exec.SplitFor(n, 2, 4); ok {
 			run("parallel-cyclic", func(dst []complex128) error {
-				pool := smp.NewPool(2)
-				defer pool.Close()
-				pl, err := exec.NewParallel(n, m, exec.ParallelConfig{
-					P: 2, Mu: 4, Backend: pool, Schedule: exec.ScheduleCyclic,
-				})
+				prog, err := ir.LowerCT(n, m, ir.CTConfig{P: 2, Mu: 4, Schedule: ir.ScheduleCyclic})
 				if err != nil {
 					return err
 				}
-				pl.Transform(dst, x)
-				return nil
+				return runProgram(prog, dst, x)
 			})
 		}
 
@@ -123,17 +119,20 @@ func TestCrossValidation(t *testing.T) {
 				f.Apply(dst, x)
 				return nil
 			})
-			run("fusion-expanded", func(dst []complex128) error {
+			run("formula14-expanded-ir", func(dst []complex128) error {
 				f, _, err := rewrite.DeriveExpandedMulticoreCT(n, m, 2, 4)
 				if err != nil {
 					return err
 				}
-				plan, err := fusion.Compile(f, 2, 4)
+				raw, err := ir.FromFormula(f, 2, 4)
 				if err != nil {
 					return err
 				}
-				plan.Apply(dst, x)
-				return nil
+				prog, err := ir.Fold(raw)
+				if err != nil {
+					return err
+				}
+				return runProgram(prog, dst, x)
 			})
 		}
 
@@ -143,4 +142,20 @@ func TestCrossValidation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runProgram executes a lowered program on a pool sized to its worker count.
+func runProgram(prog *ir.Program, dst, src []complex128) error {
+	var b smp.Backend
+	if prog.P > 1 {
+		pool := smp.NewPool(prog.P)
+		defer pool.Close()
+		b = pool
+	}
+	e, err := ir.NewExecutor(prog, b)
+	if err != nil {
+		return err
+	}
+	e.Transform(dst, src)
+	return nil
 }

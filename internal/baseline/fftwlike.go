@@ -6,6 +6,7 @@ import (
 
 	"spiralfft/internal/complexvec"
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/smp"
 )
 
@@ -41,10 +42,9 @@ const DefaultParallelThreshold = 8192
 type FFTWLike struct {
 	n        int
 	seq      *exec.Seq
-	par      *exec.Parallel // nil when the planner chose 1 thread
-	spawn    smp.Backend
-	threads  int // threads actually used (1 when par == nil)
-	maxReq   int // threads requested
+	par      *ir.Executor // nil when the planner chose 1 thread
+	threads  int          // threads actually used (1 when par == nil)
+	maxReq   int          // threads requested
 	scratch  []complex128
 	planTime time.Duration
 }
@@ -95,25 +95,23 @@ func NewFFTWLike(n int, cfg FFTWConfig) (*FFTWLike, error) {
 	return p, nil
 }
 
-// buildParallel constructs the block-cyclic spawn-backed parallel plan FFTW's
-// strategy corresponds to. ok is false when no top-level split admits t-way
-// loop parallelism.
-func (p *FFTWLike) buildParallel(n, t int) (*exec.Parallel, bool) {
+// buildParallel constructs the cyclic spawn-backed parallel plan FFTW's
+// strategy corresponds to: the formula (14) program lowered with µ = 1 and
+// the cyclic schedule. ok is false when no top-level split admits t-way loop
+// parallelism.
+func (p *FFTWLike) buildParallel(n, t int) (*ir.Executor, bool) {
 	m, ok := exec.SplitFor(n, t, 1) // µ-oblivious: only p | m, p | k
 	if !ok {
 		return nil, false
 	}
-	spawn := smp.NewSpawn(t)
-	par, err := exec.NewParallel(n, m, exec.ParallelConfig{
-		P:        t,
-		Mu:       1,
-		Backend:  spawn,
-		Schedule: exec.ScheduleCyclic,
-	})
+	prog, err := ir.LowerCT(n, m, ir.CTConfig{P: t, Mu: 1, Schedule: ir.ScheduleCyclic})
 	if err != nil {
 		return nil, false
 	}
-	p.spawn = spawn
+	par, err := ir.NewExecutor(prog, smp.NewSpawn(t))
+	if err != nil {
+		return nil, false
+	}
 	return par, true
 }
 
@@ -172,7 +170,7 @@ func (p *FFTWLike) Transform(dst, src []complex128) {
 
 // Close releases the plan's backend resources.
 func (p *FFTWLike) Close() {
-	if p.spawn != nil {
-		p.spawn.Close()
+	if p.par != nil {
+		p.par.Backend().Close()
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"spiralfft/internal/baseline"
 	"spiralfft/internal/complexvec"
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/machine"
 	"spiralfft/internal/search"
 	"spiralfft/internal/smp"
@@ -178,10 +179,13 @@ func RunMeasured(cfg Config) Result {
 		}{{"Spiral pthreads", pool}, {"Spiral OpenMP", spawn}} {
 			mflops := 0.0
 			if m, ok := exec.SplitFor(n, cfg.P, cfg.Mu); ok {
-				pl, err := exec.NewParallel(n, m, exec.ParallelConfig{
-					P: cfg.P, Mu: cfg.Mu, Backend: bk.backend,
-					LeftTree: treeFor(m), RightTree: treeFor(n / m),
+				prog, err := ir.LowerCT(n, m, ir.CTConfig{
+					P: cfg.P, Mu: cfg.Mu, LeftTree: treeFor(m), RightTree: treeFor(n / m),
 				})
+				var pl *ir.Executor
+				if err == nil {
+					pl, err = ir.NewExecutor(prog, bk.backend)
+				}
 				if err == nil {
 					d := search.Measure(func() { pl.Transform(y, x) }, cfg.Timer)
 					mflops = PseudoMflops(n, d)

@@ -430,7 +430,7 @@ func Run(cfg RunConfig) (*Snapshot, error) {
 		// One read and one write of the whole matrix per transform.
 		gbs := 2 * float64(tn) * 16 / d.Seconds() / 1e9
 		s.Metrics = append(s.Metrics, Metric{
-			Key: fmt.Sprintf("bandwidth/transpose/rows=%d,cols=%d", rows, cols),
+			Key:  fmt.Sprintf("bandwidth/transpose/rows=%d,cols=%d", rows, cols),
 			Unit: "GB/s", Value: gbs, Better: HigherIsBetter, Trials: cfg.Trials,
 		})
 		cfg.Verbose("%-40s %8.2f GB/s (min of %d)", "bandwidth/transpose", gbs, cfg.Trials)
@@ -500,19 +500,32 @@ func Run(cfg RunConfig) (*Snapshot, error) {
 	// fftd serving latency: p50/p99 from the server core's request
 	// histogram.
 	{
-		n := 1024
-		if cfg.Quick {
-			n = 256
-		}
+		n := fftdSize(cfg.Quick)
 		p50, p99, err := serverQuantiles(cfg, n, cfg.ServerRequests)
 		if err != nil {
 			return nil, err
 		}
+		k50, k99 := fftdKeys(n)
 		s.Metrics = append(s.Metrics,
-			Metric{Key: "fftd/p50", Unit: "ns", Value: float64(p50.Nanoseconds()), Better: LowerIsBetter},
-			Metric{Key: "fftd/p99", Unit: "ns", Value: float64(p99.Nanoseconds()), Better: LowerIsBetter},
+			Metric{Key: k50, Unit: "ns", Value: float64(p50.Nanoseconds()), Better: LowerIsBetter},
+			Metric{Key: k99, Unit: "ns", Value: float64(p99.Nanoseconds()), Better: LowerIsBetter},
 		)
 		cfg.Verbose("%-40s p50 %v p99 %v (%d requests)", "fftd", p50, p99, cfg.ServerRequests)
 	}
 	return s, nil
+}
+
+// fftdSize is the dft request size of the fftd latency probe.
+func fftdSize(quick bool) int {
+	if quick {
+		return 256
+	}
+	return 1024
+}
+
+// fftdKeys names the fftd latency quantiles of n-point requests. Like every
+// grid key they carry the size, so the quick and full grids never share a
+// key for different shapes.
+func fftdKeys(n int) (p50, p99 string) {
+	return fmt.Sprintf("fftd/p50/n=%d", n), fmt.Sprintf("fftd/p99/n=%d", n)
 }

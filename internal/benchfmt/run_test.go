@@ -62,8 +62,9 @@ func TestRunQuickGridShape(t *testing.T) {
 		}
 	}
 	// p99 can never undercut p50 on one histogram.
-	p50, _ := s.Get("fftd/p50")
-	p99, _ := s.Get("fftd/p99")
+	k50, k99 := fftdKeys(fftdSize(true))
+	p50, _ := s.Get(k50)
+	p99, _ := s.Get(k99)
 	if p99.Value < p50.Value {
 		t.Errorf("fftd p99 %v < p50 %v", p99.Value, p50.Value)
 	}
@@ -72,6 +73,43 @@ func TestRunQuickGridShape(t *testing.T) {
 	r := Diff(s, s, 0)
 	if len(r.Regressions()) != 0 || len(r.Missing) != 0 || len(r.Added) != 0 {
 		t.Errorf("self-diff not clean: %+v", r)
+	}
+}
+
+// TestQuickAndFullGridsShareKeysOnlyForEqualShapes: Diff compares a quick
+// snapshot against a full one on their shared keys, so a key both grids
+// emit must name the same shape in both. The family probes' flop counts and
+// the fftd request size stand in for the shape.
+func TestQuickAndFullGridsShareKeysOnlyForEqualShapes(t *testing.T) {
+	shapes := func(quick bool) map[string]float64 {
+		probes, err := familyProbes(RunConfig{Quick: quick, Workers: 2}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[string]float64, len(probes)+2)
+		for _, p := range probes {
+			m[p.key] = p.flops
+			p.close()
+		}
+		n := fftdSize(quick)
+		k50, k99 := fftdKeys(n)
+		m[k50], m[k99] = float64(n), float64(n)
+		return m
+	}
+	quick, full := shapes(true), shapes(false)
+	shared := 0
+	for k, q := range quick {
+		f, ok := full[k]
+		if !ok {
+			continue
+		}
+		shared++
+		if f != q {
+			t.Errorf("%s: quick grid measures shape %v, full grid %v", k, q, f)
+		}
+	}
+	if shared == 0 {
+		t.Error("the grids share no keys: a quick-vs-full diff would compare nothing")
 	}
 }
 

@@ -9,17 +9,14 @@
 //
 // The paper proves that formulas produced by its rewriting system avoid
 // false sharing and are load balanced; this simulator verifies both claims
-// dynamically on the actual access patterns of the executors, and
-// demonstrates that the naive (block-cyclic) parallelization the paper
-// contrasts against does incur false sharing.
+// dynamically on the access patterns of the lowered IR programs the plans
+// execute (AnalyzeProgram), and demonstrates that the naive (cyclic)
+// parallelization the paper contrasts against does incur false sharing.
 package cachesim
 
 import (
 	"fmt"
 	"strings"
-
-	"spiralfft/internal/exec"
-	"spiralfft/internal/fusion"
 )
 
 // Tracer exposes the per-stage, per-worker shared-memory access pattern of a
@@ -36,22 +33,11 @@ type Tracer interface {
 	Trace(stage, worker int, visit func(buf, idx int, write bool))
 	// Work returns the arithmetic work of worker w in the stage (flops).
 	Work(stage, worker int) float64
-}
-
-// BufSizer is an optional Tracer extension: when implemented, Analyze uses
-// dense per-buffer line tables instead of a hash map, which matters for
-// multi-megabyte transforms.
-type BufSizer interface {
-	// NumBufs returns how many distinct buf ids Trace may emit.
+	// NumBufs returns how many distinct buf ids Trace may emit, and BufLen
+	// the element length of buffer b: Analyze keeps dense per-buffer line
+	// tables, which matters for multi-megabyte transforms.
 	NumBufs() int
-	// BufLen returns the element length of buffer b.
 	BufLen(b int) int
-}
-
-// lineKey identifies one cache line of one shared buffer.
-type lineKey struct {
-	buf  int
-	line int
 }
 
 // lineUse accumulates which workers touched a line and how.
@@ -129,50 +115,25 @@ func Analyze(t Tracer, mu int) Report {
 		panic("cachesim: more than 64 workers unsupported")
 	}
 	rep := Report{P: p, Mu: mu}
-	sizer, dense := t.(BufSizer)
+	// Dense tables: one contiguous slice per stage, buffers laid end to end.
+	lines := 0
+	offsets := make([]int, t.NumBufs())
+	for b := range offsets {
+		offsets[b] = lines
+		lines += (t.BufLen(b) + mu - 1) / mu
+	}
 	for s := 0; s < t.Stages(); s++ {
-		var uses []lineUse
-		if dense {
-			// Dense tables: one contiguous slice, buffers laid end to end.
-			total := 0
-			offsets := make([]int, sizer.NumBufs())
-			for b := range offsets {
-				offsets[b] = total
-				total += (sizer.BufLen(b) + mu - 1) / mu
-			}
-			uses = make([]lineUse, total)
-			for w := 0; w < p; w++ {
-				bit := uint64(1) << uint(w)
-				t.Trace(s, w, func(buf, idx int, write bool) {
-					u := &uses[offsets[buf]+idx/mu]
-					if write {
-						u.writers |= bit
-					} else {
-						u.readers |= bit
-					}
-				})
-			}
-		} else {
-			lines := make(map[lineKey]*lineUse)
-			for w := 0; w < p; w++ {
-				bit := uint64(1) << uint(w)
-				t.Trace(s, w, func(buf, idx int, write bool) {
-					k := lineKey{buf, idx / mu}
-					u := lines[k]
-					if u == nil {
-						u = &lineUse{}
-						lines[k] = u
-					}
-					if write {
-						u.writers |= bit
-					} else {
-						u.readers |= bit
-					}
-				})
-			}
-			for _, u := range lines {
-				uses = append(uses, *u)
-			}
+		uses := make([]lineUse, lines)
+		for w := 0; w < p; w++ {
+			bit := uint64(1) << uint(w)
+			t.Trace(s, w, func(buf, idx int, write bool) {
+				u := &uses[offsets[buf]+idx/mu]
+				if write {
+					u.writers |= bit
+				} else {
+					u.readers |= bit
+				}
+			})
 		}
 		sr := StageReport{Name: t.StageName(s), Work: make([]float64, p)}
 		for i := range uses {
@@ -214,57 +175,4 @@ func popcount(v uint64) int {
 		c++
 	}
 	return c
-}
-
-// ---------------------------------------------------------------------------
-// Adapters
-
-// parallelTracer adapts exec.Parallel.
-type parallelTracer struct{ pl *exec.Parallel }
-
-func (t parallelTracer) Workers() int { return t.pl.Workers() }
-func (t parallelTracer) Stages() int  { return t.pl.TraceStages() }
-func (t parallelTracer) StageName(s int) string {
-	if s == 0 {
-		return "stage1"
-	}
-	return "stage2"
-}
-func (t parallelTracer) Trace(stage, w int, visit func(buf, idx int, write bool)) {
-	t.pl.TraceAccesses(stage, w, func(b exec.TraceBuf, idx int, write bool) {
-		visit(int(b), idx, write)
-	})
-}
-func (t parallelTracer) Work(stage, w int) float64 { return t.pl.TraceWork(stage, w) }
-func (t parallelTracer) NumBufs() int              { return 3 }
-func (t parallelTracer) BufLen(int) int            { return t.pl.N() }
-
-// AnalyzeParallel analyzes a multicore Cooley-Tukey plan under line length mu.
-func AnalyzeParallel(pl *exec.Parallel, mu int) Report {
-	return Analyze(parallelTracer{pl}, mu)
-}
-
-// planTracer adapts fusion.Plan. Consecutive stages ping-pong buffers; we
-// give each stage its own buffer namespace (stage index disambiguates), with
-// the stage's input being the previous stage's output: buffer id = stage
-// index for input, stage index + 1 for output. Sharing is only assessed
-// within a stage, so the namespace choice only needs to be consistent there.
-type planTracer struct{ p *fusion.Plan }
-
-func (t planTracer) Workers() int           { return t.p.P }
-func (t planTracer) Stages() int            { return len(t.p.Stages) }
-func (t planTracer) StageName(s int) string { return fmt.Sprintf("s%d:%s", s, t.p.Stages[s].Kind) }
-func (t planTracer) Work(s, w int) float64  { return t.p.WorkPerWorker(t.p.Stages[s])[w] }
-func (t planTracer) Trace(stage, w int, visit func(buf, idx int, write bool)) {
-	t.p.TraceStage(t.p.Stages[stage], w, func(a fusion.Access) {
-		visit(int(a.Buf), a.Idx, a.Write)
-	})
-}
-
-func (t planTracer) NumBufs() int   { return 2 }
-func (t planTracer) BufLen(int) int { return t.p.N }
-
-// AnalyzePlan analyzes a compiled formula plan under line length mu.
-func AnalyzePlan(p *fusion.Plan, mu int) Report {
-	return Analyze(planTracer{p}, mu)
 }

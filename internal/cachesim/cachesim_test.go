@@ -4,36 +4,30 @@ import (
 	"strings"
 	"testing"
 
-	"spiralfft/internal/exec"
-	"spiralfft/internal/fusion"
 	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
-	"spiralfft/internal/smp"
 	"spiralfft/internal/spl"
 )
 
-// newParallel builds a plan without running it (Sequential backend works for
-// tracing because traces never execute the transform).
-func newParallel(t *testing.T, n, m, p, mu int, sched exec.Schedule) *exec.Parallel {
+// lowerCT lowers the formula (14) program of split n = m·(n/m) — the
+// program a parallel plan runs — for analysis.
+func lowerCT(t *testing.T, n, m, p, mu int, sched ir.Schedule) *ir.Program {
 	t.Helper()
-	pool := smp.NewPool(p)
-	t.Cleanup(pool.Close)
-	pl, err := exec.NewParallel(n, m, exec.ParallelConfig{P: p, Mu: mu, Backend: pool, Schedule: sched})
+	prog, err := ir.LowerCT(n, m, ir.CTConfig{P: p, Mu: mu, Schedule: sched})
 	if err != nil {
-		t.Fatalf("NewParallel(%d,%d,p=%d,µ=%d,%v): %v", n, m, p, mu, sched, err)
+		t.Fatalf("LowerCT(%d,%d,p=%d,µ=%d,%v): %v", n, m, p, mu, sched, err)
 	}
-	return pl
+	return prog
 }
 
 // TestMulticoreCTIsFalseSharingFree is experiment E9 (positive half): the
-// executor implementing formula (14) with block scheduling exhibits zero
+// program implementing formula (14) with block scheduling exhibits zero
 // false sharing and perfect load balance, exactly as Definition 1 promises.
 func TestMulticoreCTIsFalseSharingFree(t *testing.T) {
 	for _, c := range []struct{ n, m, p, mu int }{
 		{256, 16, 2, 4}, {1024, 32, 2, 4}, {256, 16, 4, 4}, {4096, 64, 4, 4}, {64, 8, 2, 4},
 	} {
-		pl := newParallel(t, c.n, c.m, c.p, c.mu, exec.ScheduleBlock)
-		rep := AnalyzeParallel(pl, c.mu)
+		rep := AnalyzeProgram(lowerCT(t, c.n, c.m, c.p, c.mu, ir.ScheduleBlock), c.mu)
 		if !rep.FalseSharingFree() {
 			t.Errorf("%+v: false sharing detected:\n%s", c, rep.String())
 		}
@@ -43,13 +37,12 @@ func TestMulticoreCTIsFalseSharingFree(t *testing.T) {
 	}
 }
 
-// TestCyclicScheduleFalseShares is experiment E9 (negative half): the naive
-// block-cyclic parallelization of the same loops — the strategy the paper
+// TestCyclicScheduleFalseShares is experiment E9 (negative half): the
+// naive cyclic parallelization of the same loops — the strategy the paper
 // attributes to FFTW — interleaves processors within cache lines and false
 // sharing appears as soon as µ > 1.
 func TestCyclicScheduleFalseShares(t *testing.T) {
-	pl := newParallel(t, 256, 16, 2, 4, exec.ScheduleCyclic)
-	rep := AnalyzeParallel(pl, 4)
+	rep := AnalyzeProgram(lowerCT(t, 256, 16, 2, 4, ir.ScheduleCyclic), 4)
 	if rep.FalseSharingFree() {
 		t.Fatalf("cyclic schedule reported false-sharing free:\n%s", rep.String())
 	}
@@ -64,35 +57,52 @@ func TestMuOneNeverFalseShares(t *testing.T) {
 	// With single-element lines there is nothing to falsely share — even the
 	// cyclic schedule is clean. (This is why the effect did not exist on
 	// machines without multi-word cache lines.)
-	pl := newParallel(t, 256, 16, 2, 1, exec.ScheduleCyclic)
-	rep := AnalyzeParallel(pl, 1)
+	rep := AnalyzeProgram(lowerCT(t, 256, 16, 2, 1, ir.ScheduleCyclic), 1)
 	if !rep.FalseSharingFree() {
 		t.Errorf("µ=1 cyclic plan false-shares:\n%s", rep.String())
 	}
 }
 
+// TestFalseSharingGrowsWithMu pins the E9/A2 ablation counts: a cyclic
+// program planned for µ = 1, analyzed under longer lines, false-shares every
+// line of the stage-2 output (stage 1 writes contiguous blocks), so the
+// count halves as the line doubles — n/µ lines, all of them shared.
 func TestFalseSharingGrowsWithMu(t *testing.T) {
-	// Analyzing the same cyclic plan under longer lines must not reduce the
-	// number of clean lines: conflicts only get worse.
-	pl := newParallel(t, 1024, 32, 2, 1, exec.ScheduleCyclic)
-	prev := -1
-	for _, mu := range []int{1, 2, 4, 8} {
-		rep := AnalyzeParallel(pl, mu)
-		fs := rep.TotalFalseSharedLines()
-		if mu == 1 && fs != 0 {
-			t.Fatalf("µ=1: %d false-shared lines", fs)
+	for _, c := range []struct {
+		n, m, p int
+		want    map[int]int // µ → false-shared lines
+	}{
+		{256, 16, 2, map[int]int{1: 0, 2: 128, 4: 64, 8: 32}},
+		{1024, 32, 2, map[int]int{1: 0, 2: 512, 4: 256, 8: 128}},
+		{4096, 64, 4, map[int]int{1: 0, 2: 2048, 4: 1024, 8: 512}},
+	} {
+		prog := lowerCT(t, c.n, c.m, c.p, 1, ir.ScheduleCyclic)
+		for _, mu := range []int{1, 2, 4, 8} {
+			rep := AnalyzeProgram(prog, mu)
+			if got := rep.TotalFalseSharedLines(); got != c.want[mu] {
+				t.Errorf("n=%d p=%d µ=%d: %d false-shared lines, want %d\n%s",
+					c.n, c.p, mu, got, c.want[mu], rep.String())
+			}
+			if rep.Stages[0].FalseSharedLines != 0 {
+				t.Errorf("n=%d p=%d µ=%d: stage 1 false-shares", c.n, c.p, mu)
+			}
 		}
-		if mu > 1 && fs == 0 {
-			t.Errorf("µ=%d: cyclic schedule reported clean", mu)
-		}
-		_ = prev
-		prev = fs
 	}
 }
 
-// TestDerivedFormulaPlanIsClean verifies E9 on the formula path: the fusion
-// plan compiled from the rewriting system's output is false-sharing free and
-// balanced, stage by stage — including the explicit ⊗̄ permutation stages.
+// TestCyclicImbalance: dealing m = 16 stage-1 iterations round-robin to
+// p = 3 workers gives 6/5/5 — max over mean = 6/(16/3) = 1.125.
+func TestCyclicImbalance(t *testing.T) {
+	rep := AnalyzeProgram(lowerCT(t, 256, 16, 3, 1, ir.ScheduleCyclic), 4)
+	if got := rep.MaxImbalance(); got != 1.125 {
+		t.Errorf("imbalance %v, want 1.125\n%s", got, rep.String())
+	}
+}
+
+// TestDerivedFormulaPlanIsClean verifies E9 on the formula path: the
+// program FromFormula renders from the rewriting system's output, stage by
+// stage and before any loop merging, is false-sharing free and balanced —
+// including the explicit ⊗̄ permutation stages.
 func TestDerivedFormulaPlanIsClean(t *testing.T) {
 	for _, c := range []struct{ m, n, p, mu int }{
 		{8, 8, 2, 2}, {8, 8, 2, 4}, {16, 16, 4, 4},
@@ -101,13 +111,13 @@ func TestDerivedFormulaPlanIsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := fusion.Compile(f, c.p, c.mu)
+		prog, err := ir.FromFormula(f, c.p, c.mu)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := AnalyzePlan(plan, c.mu)
+		rep := AnalyzeProgram(prog, c.mu)
 		if !rep.FalseSharingFree() {
-			t.Errorf("%+v: derived formula plan false-shares:\n%s", c, rep.String())
+			t.Errorf("%+v: derived formula program false-shares:\n%s", c, rep.String())
 		}
 		if rep.MaxImbalance() != 1.0 {
 			t.Errorf("%+v: imbalance %v", c, rep.MaxImbalance())
@@ -171,27 +181,28 @@ func TestFoldedFormulaIRIsClean(t *testing.T) {
 }
 
 func TestSequentialFallbackShowsImbalance(t *testing.T) {
-	// A non-optimized formula compiled for 2 workers runs on worker 0 only:
-	// the simulator must expose the imbalance (work ratio = p).
+	// A non-optimized formula lowered for 2 workers runs every factor on
+	// worker 0: the simulator must expose the imbalance (work ratio = p).
 	ct := spl.NewCompose(
 		spl.NewTensor(spl.NewDFT(4), spl.NewIdentity(4)),
 		spl.NewTwiddle(4, 4),
 		spl.NewTensor(spl.NewIdentity(4), spl.NewDFT(4)),
 		spl.NewStride(16, 4),
 	)
-	plan, err := fusion.Compile(ct, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := AnalyzePlan(plan, 4)
-	if rep.MaxImbalance() < 1.9 {
-		t.Errorf("sequential fallback imbalance %v, want ≈ p = 2\n%s", rep.MaxImbalance(), rep.String())
+	for _, p := range []int{2, 4} {
+		prog, err := ir.FromFormula(ct, p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := AnalyzeProgram(prog, 4)
+		if got := rep.MaxImbalance(); got < float64(p)-0.1 {
+			t.Errorf("p=%d: sequential fallback imbalance %v, want ≈ p\n%s", p, got, rep.String())
+		}
 	}
 }
 
 func TestReportString(t *testing.T) {
-	pl := newParallel(t, 256, 16, 2, 4, exec.ScheduleBlock)
-	rep := AnalyzeParallel(pl, 4)
+	rep := AnalyzeProgram(lowerCT(t, 256, 16, 2, 4, ir.ScheduleBlock), 4)
 	s := rep.String()
 	for _, want := range []string{"stage1", "stage2", "falseShared", "imbalance"} {
 		if !strings.Contains(s, want) {
@@ -201,19 +212,13 @@ func TestReportString(t *testing.T) {
 }
 
 func TestAnalyzePanics(t *testing.T) {
-	pl := newParallel(t, 256, 16, 2, 4, exec.ScheduleBlock)
+	prog := lowerCT(t, 256, 16, 2, 4, ir.ScheduleBlock)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for µ=0")
 		}
 	}()
-	AnalyzeParallel(pl, 0)
-}
-
-func TestTraceBufString(t *testing.T) {
-	if exec.TraceSrc.String() != "src" || exec.TraceTmp.String() != "tmp" || exec.TraceDst.String() != "dst" {
-		t.Error("TraceBuf.String wrong")
-	}
+	AnalyzeProgram(prog, 0)
 }
 
 func TestSharedReadsAreNotFalseSharing(t *testing.T) {
@@ -237,6 +242,8 @@ func (fakeTracer) Workers() int          { return 2 }
 func (fakeTracer) Stages() int           { return 1 }
 func (fakeTracer) StageName(int) string  { return "fake" }
 func (fakeTracer) Work(_, w int) float64 { return 1 }
+func (fakeTracer) NumBufs() int          { return 2 }
+func (fakeTracer) BufLen(int) int        { return 16 }
 func (fakeTracer) Trace(_, w int, visit func(buf, idx int, write bool)) {
 	visit(0, 0, false)  // both workers read line 0 of buf 0
 	visit(1, w*8, true) // each writes its own distant line of buf 1

@@ -5,10 +5,10 @@ import (
 )
 
 // programTracer adapts an ir.Program: every barrier-separated region is one
-// stage, and buffer ids are the program's own (src, dst, temps), so the
-// dense table path applies. This is the adapter that lets the Definition-1
-// audits run against the production plans — the root plan families all
-// execute lowered ir.Programs, and the very same programs trace here.
+// stage, and buffer ids are the program's own (src, dst, temps). This is the
+// adapter that lets the Definition-1 audits run against the production
+// plans — the root plan families all execute lowered ir.Programs, and the
+// very same programs trace here.
 type programTracer struct{ p *ir.Program }
 
 func (t programTracer) Workers() int           { return t.p.P }

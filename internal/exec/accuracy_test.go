@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"spiralfft/internal/complexvec"
-	"spiralfft/internal/smp"
 )
 
 // TestAccuracyGrowsSlowly documents the numerical behaviour of the fast
@@ -27,28 +26,5 @@ func TestAccuracyGrowsSlowly(t *testing.T) {
 		if e > bound {
 			t.Errorf("n=%d: rel error %.3g exceeds bound %.3g", n, e, bound)
 		}
-	}
-}
-
-// TestParallelAccuracyMatchesSequential: parallelization must not change
-// the rounding behaviour (same operations, same order per element).
-func TestParallelAccuracyMatchesSequential(t *testing.T) {
-	n := 4096
-	pool := smp.NewPool(2)
-	defer pool.Close()
-	m, _ := SplitFor(n, 2, 4)
-	pl, err := NewParallel(n, m, ParallelConfig{P: 2, Mu: 4, Backend: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, rt := pl.Trees()
-	seq := MustNewSeq(SplitTree(lt, rt))
-	x := complexvec.Random(n, 99)
-	a := make([]complex128, n)
-	b := make([]complex128, n)
-	pl.Transform(a, x)
-	seq.Transform(b, x, nil)
-	if complexvec.MaxError(a, b) != 0 {
-		t.Error("parallel plan rounds differently from sequential")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"spiralfft/internal/codelet"
 	"spiralfft/internal/complexvec"
-	"spiralfft/internal/smp"
 )
 
 const tol = 1e-10
@@ -238,142 +237,6 @@ func TestQuickRandomTreesComputeDFT(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParallelMatchesSequentialBitForBit(t *testing.T) {
-	// Same trees, same kernels, same per-element operation order: the
-	// parallel plan must be deterministic and bit-identical to the
-	// sequential execution of the same factorization.
-	n, m := 256, 16
-	for _, p := range []int{2, 4} {
-		pool := smp.NewPool(p)
-		pp, err := NewParallel(n, m, ParallelConfig{P: p, Mu: 4, Backend: pool})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		lt, rt := pp.Trees()
-		seq := MustNewSeq(SplitTree(lt, rt))
-		x := complexvec.Random(n, 77)
-		got := make([]complex128, n)
-		want := make([]complex128, n)
-		pp.Transform(got, x)
-		seq.Transform(want, x, nil)
-		if complexvec.MaxError(got, want) != 0 {
-			t.Errorf("p=%d: parallel result differs from sequential (max err %g)",
-				p, complexvec.MaxError(got, want))
-		}
-		// Determinism across repeated runs.
-		again := make([]complex128, n)
-		pp.Transform(again, x)
-		if complexvec.MaxError(got, again) != 0 {
-			t.Errorf("p=%d: parallel plan not deterministic", p)
-		}
-		pool.Close()
-	}
-}
-
-func TestParallelCorrectAcrossConfigs(t *testing.T) {
-	for _, n := range []int{64, 256, 1024, 4096} {
-		for _, p := range []int{1, 2, 4} {
-			for _, mu := range []int{1, 2, 4} {
-				m, ok := SplitFor(n, p, mu)
-				if !ok {
-					continue
-				}
-				for _, sched := range []Schedule{ScheduleBlock, ScheduleCyclic} {
-					for _, mk := range []string{"pool", "spawn"} {
-						var b smp.Backend
-						if mk == "pool" {
-							b = smp.NewPool(p)
-						} else {
-							b = smp.NewSpawn(p)
-						}
-						pp, err := NewParallel(n, m, ParallelConfig{P: p, Mu: mu, Backend: b, Schedule: sched})
-						if err != nil {
-							t.Fatalf("n=%d p=%d mu=%d %s %s: %v", n, p, mu, sched, mk, err)
-						}
-						x := complexvec.Random(n, uint64(n+p+mu))
-						got := make([]complex128, n)
-						pp.Transform(got, x)
-						if e := complexvec.RelError(got, naiveDFT(x)); e > tol {
-							t.Errorf("n=%d p=%d mu=%d %s %s: rel error %g", n, p, mu, sched, mk, e)
-						}
-						b.Close()
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestParallelInPlace(t *testing.T) {
-	n := 256
-	pool := smp.NewPool(2)
-	defer pool.Close()
-	pp, err := NewParallel(n, 16, ParallelConfig{P: 2, Mu: 4, Backend: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := complexvec.Random(n, 13)
-	want := naiveDFT(x)
-	buf := complexvec.Clone(x)
-	pp.Transform(buf, buf)
-	if e := complexvec.RelError(buf, want); e > tol {
-		t.Errorf("parallel in-place: rel error %g", e)
-	}
-}
-
-func TestNewParallelErrors(t *testing.T) {
-	pool := smp.NewPool(2)
-	defer pool.Close()
-	cases := []struct {
-		name string
-		f    func() error
-	}{
-		{"bad P", func() error { _, err := NewParallel(256, 16, ParallelConfig{P: 0}); return err }},
-		{"bad split", func() error { _, err := NewParallel(256, 3, ParallelConfig{P: 2, Backend: pool}); return err }},
-		{"pµ violated", func() error {
-			_, err := NewParallel(64, 4, ParallelConfig{P: 2, Mu: 4, Backend: pool})
-			return err
-		}},
-		{"missing backend", func() error { _, err := NewParallel(256, 16, ParallelConfig{P: 2}); return err }},
-		{"worker mismatch", func() error {
-			_, err := NewParallel(256, 16, ParallelConfig{P: 4, Mu: 1, Backend: pool})
-			return err
-		}},
-		{"wrong subtree", func() error {
-			_, err := NewParallel(256, 16, ParallelConfig{P: 2, Mu: 2, Backend: pool, LeftTree: RadixTree(8)})
-			return err
-		}},
-	}
-	for _, c := range cases {
-		if c.f() == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
-	}
-}
-
-func TestParallelAccessors(t *testing.T) {
-	pool := smp.NewPool(2)
-	defer pool.Close()
-	pp, err := NewParallel(1024, 32, ParallelConfig{P: 2, Mu: 4, Backend: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp.N() != 1024 || pp.Workers() != 2 || pp.Schedule() != ScheduleBlock {
-		t.Error("accessors wrong")
-	}
-	m, k := pp.Split()
-	if m != 32 || k != 32 {
-		t.Errorf("Split = %d,%d", m, k)
-	}
-	lt, rt := pp.Trees()
-	if lt.N != 32 || rt.N != 32 {
-		t.Error("Trees sizes wrong")
-	}
-	if ScheduleBlock.String() != "block" || ScheduleCyclic.String() != "cyclic" {
-		t.Error("Schedule.String wrong")
 	}
 }
 

@@ -1,18 +1,17 @@
-// Package exec contains the fast execution engines for DFT plans:
+// Package exec contains the sequential execution engines the IR schedules
+// run:
 //
 //   - Seq: a recursive strided Cooley-Tukey executor over unrolled codelets,
 //     equivalent to the loop code Spiral generates for a sequential
 //     factorization tree (permutations and twiddle diagonals folded into
 //     strides and kernels, never executed as separate passes);
+//   - NewBluesteinKernel: the chirp-z kernel for large prime leaves;
+//   - WHTInPlace: the Walsh-Hadamard radix-2 butterflies.
 //
-//   - Parallel: the multicore Cooley-Tukey FFT of the paper (formula (14)):
-//     a top-level split N = m·k with pµ | m and pµ | k, two compute stages
-//     separated by a spin barrier, contiguous per-processor iteration blocks
-//     and cache-line-aligned chunk boundaries.
-//
-// Plans are immutable after construction and safe for concurrent use as long
-// as each concurrent caller uses its own scratch (Seq) or its own plan
-// instance (Parallel, which owns a backend and internal buffers).
+// The multicore Cooley-Tukey FFT of the paper (formula (14)) is not here: it
+// is lowered by ir.LowerCT and runs on ir.Executor, whose worker ops call
+// Seq sub-plans. Plans are immutable after construction and safe for
+// concurrent use as long as each concurrent caller uses its own scratch.
 package exec
 
 import (

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"spiralfft/internal/complexvec"
-	"spiralfft/internal/smp"
 )
 
 // refWHT computes the Walsh-Hadamard transform from the Hadamard matrix
@@ -36,101 +35,24 @@ func popcountInt(v int) int {
 
 func TestWHTSequentialMatchesDefinition(t *testing.T) {
 	for _, k := range []int{1, 3, 6, 10} {
-		pl, err := NewWHT(k, 1, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := 1 << uint(k)
-		if pl.N() != n || pl.IsParallel() {
-			t.Fatalf("k=%d: plan shape wrong", k)
-		}
 		x := complexvec.Random(n, uint64(k))
-		got := make([]complex128, n)
-		pl.Transform(got, x)
+		got := complexvec.Clone(x)
+		WHTInPlace(got)
 		if e := complexvec.RelError(got, refWHT(x)); e > 1e-12 {
 			t.Errorf("k=%d: rel error %g", k, e)
 		}
 	}
 }
 
-func TestWHTParallelMatchesSequential(t *testing.T) {
-	for _, c := range []struct{ k, p, mu int }{
-		{8, 2, 4}, {10, 2, 4}, {12, 4, 4}, {6, 2, 2},
-	} {
-		pool := smp.NewPool(c.p)
-		pl, err := NewWHT(c.k, c.p, c.mu, pool)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
-		if !pl.IsParallel() {
-			t.Fatalf("%+v: expected parallel plan", c)
-		}
-		n := 1 << uint(c.k)
-		x := complexvec.Random(n, uint64(n))
-		got := make([]complex128, n)
-		pl.Transform(got, x)
-		want := refWHT(x)
-		if e := complexvec.RelError(got, want); e > 1e-12 {
-			t.Errorf("%+v: rel error %g", c, e)
-		}
-		// In-place.
-		buf := complexvec.Clone(x)
-		pl.Transform(buf, buf)
-		if e := complexvec.RelError(buf, want); e > 1e-12 {
-			t.Errorf("%+v in-place: rel error %g", c, e)
-		}
-		pool.Close()
-	}
-}
-
-func TestWHTSmallSizeFallsBackSequential(t *testing.T) {
-	pool := smp.NewPool(2)
-	defer pool.Close()
-	// 2^4 has no split with both factors divisible by pµ = 8.
-	pl, err := NewWHT(4, 2, 4, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.IsParallel() {
-		t.Error("tiny WHT should fall back to sequential")
-	}
-	x := complexvec.Random(16, 3)
-	got := make([]complex128, 16)
-	pl.Transform(got, x)
-	if e := complexvec.RelError(got, refWHT(x)); e > 1e-12 {
-		t.Errorf("fallback: rel error %g", e)
-	}
-}
-
-func TestWHTErrors(t *testing.T) {
-	if _, err := NewWHT(0, 1, 4, nil); err == nil {
-		t.Error("accepted k=0")
-	}
-	if _, err := NewWHT(10, 2, 4, nil); err == nil {
-		t.Error("accepted missing backend")
-	}
-	pool := smp.NewPool(4)
-	defer pool.Close()
-	if _, err := NewWHT(10, 2, 4, pool); err == nil {
-		t.Error("accepted worker mismatch")
-	}
-}
-
 // Property: the WHT is self-inverse up to n: WHT(WHT(x)) = n·x.
 func TestQuickWHTInvolution(t *testing.T) {
-	pool := smp.NewPool(2)
-	defer pool.Close()
-	pl, err := NewWHT(8, 2, 4, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 256
 	f := func(seed uint64) bool {
 		x := complexvec.Random(n, seed)
-		y := make([]complex128, n)
-		z := make([]complex128, n)
-		pl.Transform(y, x)
-		pl.Transform(z, y)
+		z := complexvec.Clone(x)
+		WHTInPlace(z)
+		WHTInPlace(z)
 		for i := range z {
 			d := z[i] - complex(float64(n), 0)*x[i]
 			if real(d)*real(d)+imag(d)*imag(d) > 1e-16*float64(n*n) {
@@ -146,26 +68,11 @@ func TestQuickWHTInvolution(t *testing.T) {
 
 func BenchmarkWHT(b *testing.B) {
 	for _, k := range []int{10, 14} {
-		n := 1 << uint(k)
-		x := complexvec.Random(n, 1)
-		y := make([]complex128, n)
-		seq, _ := NewWHT(k, 1, 4, nil)
+		buf := complexvec.Random(1<<uint(k), 1)
 		b.Run(fmt.Sprintf("seq/logN=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				seq.Transform(y, x)
+				WHTInPlace(buf)
 			}
 		})
-		pool := smp.NewPool(2)
-		par, err := NewWHT(k, 2, 4, pool)
-		if err != nil || !par.IsParallel() {
-			pool.Close()
-			continue
-		}
-		b.Run(fmt.Sprintf("par2/logN=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				par.Transform(y, x)
-			}
-		})
-		pool.Close()
 	}
 }

@@ -12,9 +12,7 @@ import (
 // outside the typed op grammar). Executing it through spl.Apply would mean
 // O(n²) DFT leaves; this mini-compiler recognizes the constructs the
 // rewriting system emits and lowers them onto the fast strided executor,
-// falling back to reference semantics for anything else. It is the canonical
-// home of what used to be internal/fusion's block compiler — fusion now
-// delegates here.
+// falling back to reference semantics for anything else.
 //
 // Compiled blocks own captured scratch buffers, so a BlockFn must not be
 // invoked concurrently with itself; the Executor serializes programs
@@ -43,12 +41,9 @@ func compileBlock(f spl.Formula) BlockFn {
 			seq.Transform(dst, src, scratch)
 		}
 	case spl.WHT:
-		pl, err := exec.NewWHT(t.K, 1, 1, nil)
-		if err != nil {
-			break
-		}
 		return func(dst, src []complex128) {
-			pl.Transform(dst, src)
+			copy(dst, src)
+			exec.WHTInPlace(dst)
 		}
 	case spl.Identity:
 		return func(dst, src []complex128) {

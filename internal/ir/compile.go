@@ -44,7 +44,7 @@ type Executor struct {
 	// serial marks dispatches that must not overlap: non-concurrent backends,
 	// and any program with Generic ops (captured block buffers). regionMu
 	// serializes them; body/cur are the persistent region closure and its
-	// per-call context, mirroring exec.Parallel.
+	// per-call context (so a serialized dispatch allocates no closure).
 	serial   bool
 	regionMu sync.Mutex
 	body     func(w int)
@@ -95,14 +95,14 @@ type compiledOp struct {
 type opKind uint8
 
 const (
-	opBarrier    opKind = iota
-	opCodelet           // strided sub-DFT, Tw (if any) fused into the leaf kernel
-	opCodeletPre        // composite-root sub-DFT with Tw: pre-scale into scratch
-	opCodeletGen        // sub-DFT with runtime-generated twiddle row, fused
-	opCodeletGenPre     // same, composite root: generate + pre-scale in scratch
-	opWHT               // contiguous WHT: copy + in-place butterflies
-	opWHTStrided        // strided WHT: gather to scratch, transform, scatter
-	opTranspose         // cache-blocked tile transpose
+	opBarrier       opKind = iota
+	opCodelet              // strided sub-DFT, Tw (if any) fused into the leaf kernel
+	opCodeletPre           // composite-root sub-DFT with Tw: pre-scale into scratch
+	opCodeletGen           // sub-DFT with runtime-generated twiddle row, fused
+	opCodeletGenPre        // same, composite root: generate + pre-scale in scratch
+	opWHT                  // contiguous WHT: copy + in-place butterflies
+	opWHTStrided           // strided WHT: gather to scratch, transform, scatter
+	opTranspose            // cache-blocked tile transpose
 	opScale
 	opPermute
 	opCopy
@@ -383,7 +383,7 @@ func (e *Executor) run(cctx context.Context, dst, src []complex128) {
 
 // dispatch runs the whole program — all regions, one backend.Run — so the
 // inter-stage barriers are the cheap in-region spin barriers rather than
-// full region joins (the same single-region schedule exec.Parallel uses).
+// full region joins.
 // Serialization state is released via defer so a contained panic cannot
 // leave the executor wedged.
 func (e *Executor) dispatch(ctx *execCtx) {

@@ -11,10 +11,12 @@ import (
 )
 
 // Cross-validation: IR-executed output must be BIT-IDENTICAL to the
-// pre-refactor recursive executor path. The lowerings emit exactly the op
-// schedule exec.Seq / exec.Parallel / exec.WHTPlan run, through the same
-// codelets and shared twiddle tables, so not even the last ulp may differ.
-// This is the guard for the plan-family migration onto the IR.
+// sequential executors that stay outside the IR. Every lowering runs
+// exec.Seq sub-plans and exec.WHTInPlace butterflies in the same
+// per-element operation order as the sequential execution of the same
+// factorization (exec.Seq over SplitTree(left, right) for formula (14)),
+// through the same codelets and shared twiddle tables, so not even the last
+// ulp may differ — on any schedule, worker count or backend.
 
 func randVec(n int, rng *rand.Rand) []complex128 {
 	v := make([]complex128, n)
@@ -79,59 +81,81 @@ func TestLowerTreeBitIdenticalToSeq(t *testing.T) {
 	}
 }
 
-func TestLowerCTBitIdenticalToParallel(t *testing.T) {
+func TestLowerCTBitIdenticalToSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cases := []struct {
 		n, m, p int
-		sched   exec.Schedule
+		sched   Schedule
 	}{
-		{256, 16, 2, exec.ScheduleBlock},
-		{1024, 32, 2, exec.ScheduleBlock},
-		{1024, 64, 4, exec.ScheduleBlock},
-		{4096, 64, 4, exec.ScheduleBlock},
-		{256, 16, 3, exec.ScheduleCyclic},
-		{1024, 32, 2, exec.ScheduleCyclic},
+		{256, 16, 2, ScheduleBlock},
+		{1024, 32, 2, ScheduleBlock},
+		{1024, 64, 4, ScheduleBlock},
+		{4096, 64, 4, ScheduleBlock},
+		{256, 16, 3, ScheduleCyclic},
+		{1024, 32, 2, ScheduleCyclic},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("n%d_m%d_p%d_%s", tc.n, tc.m, tc.p, tc.sched), func(t *testing.T) {
-			for trial := 0; trial < 4; trial++ {
+			backend := smp.NewPool(tc.p)
+			defer backend.Close()
+			for trial := 0; trial < 8; trial++ {
 				lt := randTree(tc.m, rng)
 				rt := randTree(tc.n/tc.m, rng)
-				backend := smp.NewPool(tc.p)
-				ref, err := exec.NewParallel(tc.n, tc.m, exec.ParallelConfig{
-					P: tc.p, Backend: backend, Schedule: tc.sched,
-					LeftTree: lt, RightTree: rt,
-				})
-				if err != nil {
-					backend.Close()
-					t.Fatalf("NewParallel: %v", err)
-				}
 				prog, err := LowerCT(tc.n, tc.m, CTConfig{
 					P: tc.p, Schedule: tc.sched, LeftTree: lt, RightTree: rt,
 				})
 				if err != nil {
-					backend.Close()
 					t.Fatalf("LowerCT: %v", err)
 				}
 				if err := prog.Validate(); err != nil {
-					backend.Close()
 					t.Fatalf("Validate: %v", err)
 				}
 				e, err := NewExecutor(prog, backend)
 				if err != nil {
-					backend.Close()
 					t.Fatalf("NewExecutor: %v", err)
 				}
 				src := randVec(tc.n, rng)
 				want := make([]complex128, tc.n)
 				got := make([]complex128, tc.n)
-				ref.Transform(want, src)
+				exec.MustNewSeq(exec.SplitTree(lt, rt)).Transform(want, src, nil)
 				e.Transform(got, src)
 				requireIdentical(t, want, got, fmt.Sprintf("lt=%s rt=%s", lt, rt))
-				backend.Close()
 			}
 		})
+	}
+}
+
+func TestLowerCTErrors(t *testing.T) {
+	pool := smp.NewPool(2)
+	defer pool.Close()
+	lower := func(n, m int, cfg CTConfig) error { _, err := LowerCT(n, m, cfg); return err }
+	compile := func(n, m int, cfg CTConfig, b smp.Backend) error {
+		prog, err := LowerCT(n, m, cfg)
+		if err != nil {
+			t.Fatalf("LowerCT(%d, %d): %v", n, m, err)
+		}
+		_, err = NewExecutor(prog, b)
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"bad P", lower(256, 16, CTConfig{P: 0})},
+		{"bad split", lower(256, 3, CTConfig{P: 2})},
+		{"pµ violated", lower(64, 4, CTConfig{P: 2, Mu: 4})},
+		{"cyclic split too small", lower(64, 2, CTConfig{P: 3, Schedule: ScheduleCyclic})},
+		{"wrong subtree", lower(256, 16, CTConfig{P: 2, Mu: 2, LeftTree: exec.RadixTree(8)})},
+		{"missing backend", compile(256, 16, CTConfig{P: 2}, nil)},
+		{"worker mismatch", compile(256, 16, CTConfig{P: 4, Mu: 1}, pool)},
+	} {
+		if c.err == nil {
+			t.Errorf("%s: expected error", c.name)
+		}
+	}
+	if ScheduleBlock.String() != "block" || ScheduleCyclic.String() != "cyclic" {
+		t.Error("Schedule.String wrong")
 	}
 }
 
@@ -155,39 +179,30 @@ func TestLowerCTInPlace(t *testing.T) {
 	requireIdentical(t, want, buf, "in-place")
 }
 
-func TestLowerWHTBitIdenticalToWHTPlan(t *testing.T) {
+func TestLowerWHTBitIdenticalToWHTInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, tc := range []struct{ k, p int }{{4, 1}, {8, 1}, {8, 2}, {10, 4}, {5, 2}} {
+	for _, tc := range []struct{ k, p int }{{4, 1}, {8, 1}, {8, 2}, {10, 4}, {5, 2}, {12, 2}} {
 		n := 1 << uint(tc.k)
-		var backend smp.Backend
-		if tc.p > 1 {
-			if _, ok := exec.SplitFor(n, tc.p, 4); ok {
-				backend = smp.NewPool(tc.p)
-			}
-		}
-		ref, err := exec.NewWHT(tc.k, tc.p, 4, backend)
-		if err != nil {
-			t.Fatalf("NewWHT(k=%d,p=%d): %v", tc.k, tc.p, err)
-		}
 		prog, err := LowerWHT(n, tc.p, 4)
 		if err != nil {
 			t.Fatalf("LowerWHT: %v", err)
 		}
-		if prog.P > 1 != ref.IsParallel() {
-			t.Fatalf("k=%d p=%d: program P=%d, exec parallel=%v", tc.k, tc.p, prog.P, ref.IsParallel())
+		_, split := exec.SplitFor(n, tc.p, 4)
+		if wantPar := tc.p > 1 && split; (prog.P > 1) != wantPar {
+			t.Fatalf("k=%d p=%d: program P=%d, want parallel=%v", tc.k, tc.p, prog.P, wantPar)
 		}
-		var eb smp.Backend
+		var backend smp.Backend
 		if prog.P > 1 {
-			eb = backend
+			backend = smp.NewPool(prog.P)
 		}
-		e, err := NewExecutor(prog, eb)
+		e, err := NewExecutor(prog, backend)
 		if err != nil {
 			t.Fatalf("NewExecutor: %v", err)
 		}
 		src := randVec(n, rng)
-		want := make([]complex128, n)
+		want := append([]complex128(nil), src...)
+		exec.WHTInPlace(want)
 		got := make([]complex128, n)
-		ref.Transform(want, src)
 		e.Transform(got, src)
 		requireIdentical(t, want, got, fmt.Sprintf("wht k=%d p=%d", tc.k, tc.p))
 		if backend != nil {

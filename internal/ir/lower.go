@@ -9,8 +9,10 @@ import (
 )
 
 // This file contains the lowerings of the public plan families onto the IR.
-// Every lowering mirrors the schedule the pre-IR executors used, op for op,
-// so the cross-validation tests can demand bit-identical output.
+// Every lowering runs the sequential executor's sub-plans (exec.Seq) in the
+// same per-element operation order as the sequential execution of the same
+// factorization, so the cross-validation tests can demand bit-identical
+// output.
 
 // LowerTree lowers a sequential DFT plan: one region, one worker, one
 // codelet call src → dst.
@@ -30,6 +32,31 @@ func LowerTree(t *exec.Tree) (*Program, error) {
 	}, nil
 }
 
+// Schedule selects how the loop iterations of a LowerCT stage are assigned
+// to processors.
+type Schedule int
+
+const (
+	// ScheduleBlock assigns each processor a contiguous block of
+	// iterations — the schedule the rewriting system derives (formula (14)),
+	// which aligns per-processor working sets to cache-line boundaries.
+	ScheduleBlock Schedule = iota
+	// ScheduleCyclic deals iterations round-robin, the way a naive
+	// parallelization of the Cooley-Tukey loops distributes them. With
+	// blocks smaller than a cache line, processors interleave within lines
+	// and false sharing appears. Provided for the ablation experiments and
+	// the FFTW-style baseline.
+	ScheduleCyclic
+)
+
+// String names the schedule.
+func (s Schedule) String() string {
+	if s == ScheduleCyclic {
+		return "cyclic"
+	}
+	return "block"
+}
+
 // CTConfig configures LowerCT.
 type CTConfig struct {
 	// P is the processor count (≥ 1).
@@ -39,8 +66,8 @@ type CTConfig struct {
 	// LeftTree and RightTree override the sub-plan factorizations
 	// (default RadixTree).
 	LeftTree, RightTree *exec.Tree
-	// Schedule selects iteration assignment; default exec.ScheduleBlock.
-	Schedule exec.Schedule
+	// Schedule selects iteration assignment; default ScheduleBlock.
+	Schedule Schedule
 }
 
 // LowerCT lowers the multicore Cooley-Tukey FFT (formula (14) of the paper)
@@ -71,10 +98,10 @@ func LowerCT(n, m int, cfg CTConfig) (*Program, error) {
 	}
 	k := n / m
 	q := cfg.P * cfg.Mu
-	if cfg.Schedule == exec.ScheduleBlock && (m%q != 0 || k%q != 0) {
+	if cfg.Schedule == ScheduleBlock && (m%q != 0 || k%q != 0) {
 		return nil, fmt.Errorf("ir: split %d·%d violates pµ-divisibility (pµ=%d): formula (14) not applicable", m, k, q)
 	}
-	if cfg.Schedule == exec.ScheduleCyclic && (m < cfg.P || k < cfg.P) {
+	if cfg.Schedule == ScheduleCyclic && (m < cfg.P || k < cfg.P) {
 		return nil, fmt.Errorf("ir: split %d·%d too small for p=%d", m, k, cfg.P)
 	}
 	lt := cfg.LeftTree
@@ -112,11 +139,10 @@ func LowerCT(n, m int, cfg CTConfig) (*Program, error) {
 	}, nil
 }
 
-// scheduleIters mirrors the iteration assignment of the recursive executor:
-// contiguous blocks (what the rewriting system derives) or block-cyclic
-// dealing (the ablation schedule).
-func scheduleIters(total, p, w int, sched exec.Schedule) []int {
-	if sched == exec.ScheduleCyclic {
+// scheduleIters assigns worker w its iterations: a contiguous block (what
+// the rewriting system derives) or cyclic dealing (the ablation schedule).
+func scheduleIters(total, p, w int, sched Schedule) []int {
+	if sched == ScheduleCyclic {
 		return smp.CyclicIndices(total, p, w, 1)
 	}
 	lo, hi := smp.BlockRange(total, p, w)

@@ -132,8 +132,7 @@ func opWork(op Op) float64 {
 
 // FormulaOps estimates flops for an SPL formula: the standard 5·n·log2(n)
 // for DFTs, adds only for WHTs, 6 flops per complex multiply for diagonals,
-// element moves for permutations. The canonical home of the work model the
-// fusion path used; internal/fusion delegates here.
+// element moves for permutations.
 func FormulaOps(f spl.Formula) float64 {
 	switch t := f.(type) {
 	case spl.DFT:

@@ -25,6 +25,7 @@ import (
 
 	"spiralfft/internal/cachesim"
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 )
 
 // Platform describes a shared-memory machine.
@@ -167,15 +168,15 @@ func (pl Platform) Predict(series Series, logN int) float64 {
 		// the missing per-size tuning.
 		return pl.Pseudo(n, pl.seqCycles(n, 1.0)*1.05)
 	case SpiralPool:
-		return pl.Pseudo(n, pl.bestParallel(n, pl.seqCycles(n, 1.0), pl.BarrierCycles, exec.ScheduleBlock))
+		return pl.Pseudo(n, pl.bestParallel(n, pl.seqCycles(n, 1.0), pl.BarrierCycles))
 	case SpiralSpawn:
-		return pl.Pseudo(n, pl.bestParallel(n, pl.seqCycles(n, 1.0), pl.SpawnCycles/4, exec.ScheduleBlock))
+		return pl.Pseudo(n, pl.bestParallel(n, pl.seqCycles(n, 1.0), pl.SpawnCycles/4))
 	case FFTWPar:
 		// Like FFTW's bench: the best of 1..P threads over FFTW's own
 		// sequential baseline. FFTW parallelizes its loops in contiguous
 		// µ-oblivious chunks with freshly created threads; its handicap is
 		// the per-transform overhead, which the spawn cost models.
-		return pl.Pseudo(n, pl.bestParallel(n, pl.seqCycles(n, 1.0)*1.05, pl.SpawnCycles, exec.ScheduleBlock))
+		return pl.Pseudo(n, pl.bestParallel(n, pl.seqCycles(n, 1.0)*1.05, pl.SpawnCycles))
 	}
 	panic(fmt.Sprintf("machine: unknown series %d", series))
 }
@@ -216,14 +217,14 @@ func (pl Platform) memFactor(n, p int) float64 {
 }
 
 // bestParallel models the parallel runtime in cycles for the given per-
-// region synchronization cost and schedule, trying thread counts 1..P like
+// region synchronization cost, trying thread counts 1..P like
 // FFTW's bench (and like the paper's measurement protocol, which plots the
 // best of 1, 2, 4 threads). seqBase is the library's own 1-thread runtime.
 // Returns the best cycle count.
-func (pl Platform) bestParallel(n int, seqBase, syncCycles float64, sched exec.Schedule) float64 {
+func (pl Platform) bestParallel(n int, seqBase, syncCycles float64) float64 {
 	best := seqBase
 	for p := 2; p <= pl.P; p *= 2 {
-		c, ok := pl.parallelCycles(n, p, syncCycles, sched)
+		c, ok := pl.parallelCycles(n, p, syncCycles)
 		if ok && c < best {
 			best = c
 		}
@@ -231,19 +232,19 @@ func (pl Platform) bestParallel(n int, seqBase, syncCycles float64, sched exec.S
 	return best
 }
 
-// parallelCycles models one parallel configuration.
-func (pl Platform) parallelCycles(n, p int, syncCycles float64, sched exec.Schedule) (float64, bool) {
+// parallelCycles models one parallel configuration: the split's formula
+// (14) program, lowered by ir.LowerCT with block scheduling, is the schedule
+// whose false sharing the line simulator counts.
+func (pl Platform) parallelCycles(n, p int, syncCycles float64) (float64, bool) {
 	mu := pl.Mu
-	if syncCycles >= pl.SpawnCycles || sched == exec.ScheduleCyclic {
-		mu = 1 // µ-oblivious planning (FFTW-style or explicitly cyclic)
+	if syncCycles >= pl.SpawnCycles {
+		mu = 1 // µ-oblivious planning (FFTW-style)
 	}
 	m, ok := exec.SplitFor(n, p, mu)
 	if !ok {
 		return 0, false
 	}
-	plan, err := exec.NewParallel(n, m, exec.ParallelConfig{
-		P: p, Mu: mu, Schedule: sched, TraceOnly: true,
-	})
+	prog, err := ir.LowerCT(n, m, ir.CTConfig{P: p, Mu: mu})
 	if err != nil {
 		return 0, false
 	}
@@ -260,7 +261,7 @@ func (pl Platform) parallelCycles(n, p int, syncCycles float64, sched exec.Sched
 	// False-sharing term from the trace-driven line simulator, evaluated at
 	// the true line length. Unlike true communication these lines bounce
 	// repeatedly while both writers work through them.
-	rep := cachesim.AnalyzeParallel(plan, pl.Mu)
+	rep := cachesim.AnalyzeProgram(prog, pl.Mu)
 	sharing := float64(rep.TotalFalseSharedLines()) * pl.LineTransferCycles
 	return compute + sync + comm + sharing, true
 }

@@ -11,6 +11,7 @@ import (
 	"spiralfft/internal/complexvec"
 	"spiralfft/internal/cost"
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/metrics"
 	"spiralfft/internal/smp"
 )
@@ -585,18 +586,22 @@ func (t *Tuner) BestCutoffCtx(ctx context.Context, n int) CutoffResult {
 // ParallelChoice is the outcome of tuning a size for a shared-memory target.
 type ParallelChoice struct {
 	N int
-	// Parallel is nil when the sequential plan won (or no valid split
-	// exists); then Tree holds the sequential choice.
-	Parallel *exec.Parallel
-	Tree     *exec.Tree
-	// Split is the chosen top-level m (0 for sequential).
-	Split int
+	// Exec is the winning split's formula (14) executor, compiled on the
+	// caller's backend — the very executor whose runtime is ParTime. It is
+	// nil when the sequential plan won (or no valid split exists); then Tree
+	// holds the sequential choice.
+	Exec *ir.Executor
+	Tree *exec.Tree
+	// Split is the chosen top-level m (0 for sequential), and Left and Right
+	// the sub-trees of DFT_m and DFT_{n/m} the winning executor runs.
+	Split       int
+	Left, Right *exec.Tree
 	// SeqTime and ParTime are the measured runtimes (ParTime 0 if untried).
 	SeqTime, ParTime time.Duration
 }
 
 // UsedParallel reports whether the tuned plan uses the parallel executor.
-func (c ParallelChoice) UsedParallel() bool { return c.Parallel != nil }
+func (c ParallelChoice) UsedParallel() bool { return c.Exec != nil }
 
 // Time returns the runtime of the winning plan.
 func (c ParallelChoice) Time() time.Duration {
@@ -609,7 +614,7 @@ func (c ParallelChoice) Time() time.Duration {
 // TuneParallel tunes DFT_n for p workers with cache-line length mu on the
 // given backend: it measures the tuned sequential plan and every admissible
 // multicore Cooley-Tukey split (subtrees from the sequential tuner) and
-// returns the fastest. The returned Parallel plan (if any) references the
+// returns the fastest. The returned executor (if any) references the
 // backend; the caller owns both.
 func (t *Tuner) TuneParallel(n, p, mu int, backend smp.Backend) (ParallelChoice, error) {
 	return t.TuneParallelCtx(context.Background(), n, p, mu, backend)
@@ -619,6 +624,11 @@ func (t *Tuner) TuneParallel(n, p, mu int, backend smp.Backend) (ParallelChoice,
 // Tuner.Budget, the earlier applies): when time runs out it stops trying
 // further splits and returns the best plan measured so far — at worst the
 // untuned sequential radix-tree plan, never an error from expiry alone.
+//
+// Both sides are timed as the IR executors a plan ships: the sequential
+// tree as its ir.LowerTree program, each split as its ir.LowerCT program
+// compiled on the backend. The winning parallel executor is returned as is,
+// so the plan runs exactly what was measured.
 func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.Backend) (ParallelChoice, error) {
 	if p < 1 {
 		return ParallelChoice{}, fmt.Errorf("search: TuneParallel p=%d", p)
@@ -627,19 +637,22 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 	defer t.endSearch()
 	t.stats.Searches++
 	seq := t.bestTree(n)
-	choice := ParallelChoice{N: n, Tree: seq.Tree, SeqTime: seq.Time}
-	if t.Strategy == StrategyEstimate {
-		// The cost model has no synchronization term; re-measure the
-		// sequential plan so the comparison against parallel candidates is
-		// apples to apples.
-		choice.SeqTime = t.measureTree(seq.Tree)
+	choice := ParallelChoice{N: n, Tree: seq.Tree}
+	x := complexvec.Random(n, 3)
+	y := make([]complex128, n)
+	prog, err := ir.LowerTree(seq.Tree)
+	if err != nil {
+		return ParallelChoice{}, err
 	}
+	seqExe, err := ir.NewExecutor(prog, nil)
+	if err != nil {
+		return ParallelChoice{}, err
+	}
+	choice.SeqTime = t.measureExecutor(seqExe, x, y)
+	t.trace("parallel-candidate", n, "sequential "+seq.Tree.String(), choice.SeqTime)
 	if p == 1 || backend == nil {
 		return choice, nil
 	}
-	x := complexvec.Random(n, 3)
-	y := make([]complex128, n)
-	bestPar := time.Duration(0)
 	splits := parallelSplits(n, p, mu)
 	// Stage one: rank the admissible splits analytically (radix subtrees —
 	// pure model, no measurement) and measure only the top-k. Without a
@@ -662,42 +675,42 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 		if t.expired() {
 			break
 		}
-		pl, err := exec.NewParallel(n, m, exec.ParallelConfig{
-			P:         p,
-			Mu:        mu,
-			Backend:   backend,
-			LeftTree:  t.bestTree(m).Tree,
-			RightTree: t.bestTree(n / m).Tree,
-		})
+		lt, rt := t.bestTree(m).Tree, t.bestTree(n/m).Tree
+		prog, err := ir.LowerCT(n, m, ir.CTConfig{P: p, Mu: mu, LeftTree: lt, RightTree: rt})
 		if err != nil {
 			continue
 		}
-		mctx, cancel := t.measureContext()
-		d := MeasureCtx(mctx, func() { pl.Transform(y, x) }, t.Timer)
-		cancel()
-		t.stats.Considered++
-		t.stats.Measured++
+		exe, err := ir.NewExecutor(prog, backend)
+		if err != nil {
+			continue
+		}
+		d := t.measureExecutor(exe, x, y)
 		t.trace("parallel-candidate", n, fmt.Sprintf("%d·%d", m, n/m), d)
-		if choice.Parallel == nil || d < bestPar {
-			choice.Parallel = pl
-			choice.Split = m
-			bestPar = d
+		if choice.Exec == nil || d < choice.ParTime {
+			choice.Exec, choice.Split, choice.Left, choice.Right = exe, m, lt, rt
+			choice.ParTime = d
 		}
 	}
-	if choice.Parallel != nil {
-		choice.ParTime = bestPar
-		if bestPar >= choice.SeqTime {
-			// Sequential wins: drop the parallel plan.
-			choice.Parallel = nil
-			choice.Split = 0
-		}
+	if choice.Exec != nil && choice.ParTime >= choice.SeqTime {
+		// Sequential wins: drop the parallel executor.
+		choice.Exec, choice.Split, choice.Left, choice.Right = nil, 0, nil, nil
 	}
-	if choice.Parallel != nil {
+	if choice.Exec != nil {
 		t.trace("parallel-winner", n, fmt.Sprintf("%d·%d", choice.Split, n/choice.Split), choice.ParTime)
 	} else {
 		t.trace("parallel-winner", n, "sequential", choice.SeqTime)
 	}
 	return choice, nil
+}
+
+// measureExecutor times one exe.Transform(y, x) under the tuner's timer and
+// deadline, counting it as a considered and measured candidate.
+func (t *Tuner) measureExecutor(exe *ir.Executor, x, y []complex128) time.Duration {
+	mctx, cancel := t.measureContext()
+	defer cancel()
+	t.stats.Considered++
+	t.stats.Measured++
+	return MeasureCtx(mctx, func() { exe.Transform(y, x) }, t.Timer)
 }
 
 // parallelSplits lists every m with pµ | m and pµ | n/m, most balanced first.

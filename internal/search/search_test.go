@@ -143,10 +143,13 @@ func TestTuneParallelPicksWinnerAndIsCorrect(t *testing.T) {
 	x := complexvec.Random(n, 5)
 	got := make([]complex128, n)
 	if c.UsedParallel() {
-		if c.Split == 0 || c.ParTime <= 0 {
+		if c.Split == 0 || c.ParTime <= 0 || c.Left.N != c.Split || c.Right.N != n/c.Split {
 			t.Error("inconsistent parallel choice")
 		}
-		c.Parallel.Transform(got, x)
+		if c.Exec.Backend() != pool || c.Exec.Workers() != 2 {
+			t.Error("winning executor not compiled on the caller's backend")
+		}
+		c.Exec.Transform(got, x)
 	} else {
 		s, _ := exec.NewSeq(c.Tree)
 		s.Transform(got, x, nil)

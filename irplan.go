@@ -1,6 +1,7 @@
 package spiralfft
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 // backend and the compiled IR executor bound to it, the pooled per-call
 // conjugation buffers used by the Inverse entry points, and the final
 // statistics preserved across Close. Families that carry their own
-// parallelism set exe/backend; wrapper families (RealPlan, DCTPlan,
-// STFTPlan) set inner to the plan that does.
+// parallelism set seqExe and, when parallel, exe/backend; wrapper families
+// (RealPlan, DCTPlan, STFTPlan) set inner to the plan that does.
 type planCore struct {
 	kind  transformKind
 	flops int64
@@ -24,6 +25,9 @@ type planCore struct {
 	// exe is the family's backend-bound executor (the lowered parallel
 	// program); nil for plans running their sequential fallback program.
 	exe *ir.Executor
+	// seqExe is the single-worker program: the execution path of sequential
+	// plans and the post-Close fallback of parallel ones.
+	seqExe *ir.Executor
 	// backend is the owned threading substrate behind exe; nil for
 	// sequential plans. Set and cleared together with exe.
 	backend smp.Backend
@@ -59,6 +63,59 @@ type invBuf struct{ v []complex128 }
 
 func (c *planCore) getInv() *invBuf  { return c.invs.Get().(*invBuf) }
 func (c *planCore) putInv(b *invBuf) { c.invs.Put(b) }
+
+// run executes the plan's program on dst/src: the backend-bound executor
+// while one is live, the sequential program otherwise. A nil ctx runs the
+// transform without cancellation checks.
+func (c *planCore) run(ctx context.Context, dst, src []complex128) error {
+	if e := c.exe; e != nil {
+		return e.TransformCtx(ctx, dst, src)
+	}
+	return c.seqExe.TransformCtx(ctx, dst, src)
+}
+
+// forward is the shared forward body of the complex families: run the
+// program, convert a contained region panic to *RegionPanicError, and record
+// the transform unless it was cancelled.
+func (c *planCore) forward(ctx context.Context, dst, src []complex128) error {
+	defer rethrowAsRegionPanic()
+	start := metrics.Now()
+	if err := c.run(ctx, dst, src); err != nil {
+		return err
+	}
+	c.record(start)
+	return nil
+}
+
+// inverse is the shared inverse body of the DFT families: the unitary
+// inverse by conjugation, dst = conj(F(conj(src)))·scale, with scale the
+// reciprocal of the transform length (per signal for batches). The
+// conjugated input goes through a pooled buffer, so dst == src is allowed.
+func (c *planCore) inverse(ctx context.Context, dst, src []complex128, scale float64) error {
+	defer rethrowAsRegionPanic()
+	start := metrics.Now()
+	b := c.getInv()
+	defer c.putInv(b)
+	for i, v := range src {
+		b.v[i] = complex(real(v), -imag(v))
+	}
+	if err := c.run(ctx, dst, b.v); err != nil {
+		return err
+	}
+	for i, v := range dst {
+		dst[i] = complex(real(v)*scale, -imag(v)*scale)
+	}
+	c.record(start)
+	return nil
+}
+
+// program returns the lowered IR program the plan executes.
+func (c *planCore) program() *ir.Program {
+	if e := c.exe; e != nil {
+		return e.Program()
+	}
+	return c.seqExe.Program()
+}
 
 // record logs one completed transform of the plan's nominal flop count.
 func (c *planCore) record(start time.Time) { recordTransform(&c.rec, c.kind, start, c.flops) }

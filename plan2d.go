@@ -3,11 +3,9 @@ package spiralfft
 import (
 	"context"
 	"fmt"
-	"math/cmplx"
 
 	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
-	"spiralfft/internal/metrics"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/search"
 )
@@ -28,9 +26,6 @@ type Plan2D struct {
 	p          int
 	opt        Options
 	planCore
-	// seqExe is the single-worker program: the execution path for
-	// sequential plans and the post-Close fallback for parallel ones.
-	seqExe *ir.Executor
 }
 
 // NewPlan2D prepares a rows×cols 2D DFT. For Workers > 1 the plan
@@ -100,12 +95,7 @@ func (p *Plan2D) IsParallel() bool { return p.p > 1 }
 
 // Program returns the lowered IR program the plan executes. The program is
 // shared — callers must not mutate it.
-func (p *Plan2D) Program() *ir.Program {
-	if e := p.exe; e != nil {
-		return e.Program()
-	}
-	return p.seqExe.Program()
-}
+func (p *Plan2D) Program() *ir.Program { return p.program() }
 
 // Formula returns the SPL formula of the parallel schedule (Derive2D's
 // output) or the plain tensor formula for sequential plans.
@@ -120,16 +110,7 @@ func (p *Plan2D) Formula() string {
 
 // Forward computes the 2D DFT of src into dst (both length rows·cols,
 // row-major). dst == src is allowed. Forward is safe for concurrent use.
-func (p *Plan2D) Forward(dst, src []complex128) error {
-	if len(dst) != p.Len() || len(src) != p.Len() {
-		return lengthError("Plan2D.Forward", p.Len(), len(dst), len(src))
-	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	p.transform(dst, src)
-	p.record(start)
-	return nil
-}
+func (p *Plan2D) Forward(dst, src []complex128) error { return p.ForwardCtx(nil, dst, src) }
 
 // ForwardCtx is Forward under a context: cancellation is observed before
 // the transform starts and at the row/column stage boundary (and any other
@@ -137,76 +118,22 @@ func (p *Plan2D) Forward(dst, src []complex128) error {
 // unspecified. A nil ctx behaves like Forward.
 func (p *Plan2D) ForwardCtx(ctx context.Context, dst, src []complex128) error {
 	if len(dst) != p.Len() || len(src) != p.Len() {
-		return lengthError("Plan2D.ForwardCtx", p.Len(), len(dst), len(src))
+		return lengthError("Plan2D.Forward", p.Len(), len(dst), len(src))
 	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	if err := p.transformCtx(ctx, dst, src); err != nil {
-		return err
-	}
-	p.record(start)
-	return nil
+	return p.forward(ctx, dst, src)
 }
 
 // Inverse computes the unitary 2D inverse: Inverse(Forward(x)) == x.
 // Inverse is safe for concurrent use.
-func (p *Plan2D) Inverse(dst, src []complex128) error {
-	if len(dst) != p.Len() || len(src) != p.Len() {
-		return lengthError("Plan2D.Inverse", p.Len(), len(dst), len(src))
-	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	b := p.getInv()
-	defer p.putInv(b)
-	for i, v := range src {
-		b.v[i] = cmplx.Conj(v)
-	}
-	p.transform(dst, b.v)
-	scale := complex(1/float64(p.Len()), 0)
-	for i, v := range dst {
-		dst[i] = cmplx.Conj(v) * scale
-	}
-	p.record(start)
-	return nil
-}
+func (p *Plan2D) Inverse(dst, src []complex128) error { return p.InverseCtx(nil, dst, src) }
 
 // InverseCtx is Inverse under a context, with the same cancellation
 // contract as ForwardCtx.
 func (p *Plan2D) InverseCtx(ctx context.Context, dst, src []complex128) error {
 	if len(dst) != p.Len() || len(src) != p.Len() {
-		return lengthError("Plan2D.InverseCtx", p.Len(), len(dst), len(src))
+		return lengthError("Plan2D.Inverse", p.Len(), len(dst), len(src))
 	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	b := p.getInv()
-	defer p.putInv(b)
-	for i, v := range src {
-		b.v[i] = cmplx.Conj(v)
-	}
-	if err := p.transformCtx(ctx, dst, b.v); err != nil {
-		return err
-	}
-	scale := complex(1/float64(p.Len()), 0)
-	for i, v := range dst {
-		dst[i] = cmplx.Conj(v) * scale
-	}
-	p.record(start)
-	return nil
-}
-
-func (p *Plan2D) transform(dst, src []complex128) {
-	if e := p.exe; e != nil {
-		e.Transform(dst, src)
-		return
-	}
-	p.seqExe.Transform(dst, src)
-}
-
-func (p *Plan2D) transformCtx(ctx context.Context, dst, src []complex128) error {
-	if e := p.exe; e != nil {
-		return e.TransformCtx(ctx, dst, src)
-	}
-	return p.seqExe.TransformCtx(ctx, dst, src)
+	return p.inverse(ctx, dst, src, 1/float64(p.Len()))
 }
 
 // Close releases the worker pool (if any). Idempotent; the plan's

@@ -48,12 +48,10 @@ package spiralfft
 import (
 	"context"
 	"fmt"
-	"math/cmplx"
 	"time"
 
 	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
-	"spiralfft/internal/metrics"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/search"
 	"spiralfft/internal/smp"
@@ -173,10 +171,9 @@ type Plan struct {
 	n   int
 	opt Options
 	planCore
-	// tree is the sequential factorization; seqExe its compiled program,
-	// kept even for parallel plans as the post-Close fallback.
-	tree   *exec.Tree
-	seqExe *ir.Executor
+	// tree is the sequential factorization (compiled into planCore.seqExe,
+	// which parallel plans keep as the post-Close fallback).
+	tree *exec.Tree
 	// m is the parallel top-level split factor (0 when sequential);
 	// ltree/rtree are the tuned sub-plan factorizations.
 	m            int
@@ -321,7 +318,7 @@ func (p *Plan) planParallel(tuner *search.Tuner) error {
 		return p.buildParallel(wm, lt, rt, backend)
 	}
 	if opt.Planner == PlannerMeasure {
-		choice, err := tuner.TuneParallel(p.n, opt.Workers, opt.CacheLineComplex, backend)
+		choice, err := tuneParallel(tuner, p.n, opt.Workers, opt.CacheLineComplex, backend)
 		if err != nil {
 			backend.Close()
 			return err
@@ -330,12 +327,14 @@ func (p *Plan) planParallel(tuner *search.Tuner) error {
 			backend.Close()
 			return nil
 		}
-		lt, rt := choice.Parallel.Trees()
 		if opt.Wisdom != nil {
 			opt.Wisdom.Record(WisdomKey{N: p.n, P: opt.Workers},
-				exec.SplitTree(lt, rt), choice.ParTime)
+				exec.SplitTree(choice.Left, choice.Right), choice.ParTime)
 		}
-		return p.buildParallel(choice.Split, lt, rt, backend)
+		// The tuner timed this very executor on this backend: adopt it.
+		p.exe, p.backend = choice.Exec, backend
+		p.m, p.ltree, p.rtree = choice.Split, choice.Left, choice.Right
+		return nil
 	}
 	var leftCost, rightCost time.Duration
 	lt, leftCost := p.treeFor(tuner, m)
@@ -347,6 +346,10 @@ func (p *Plan) planParallel(tuner *search.Tuner) error {
 	}
 	return p.buildParallel(m, lt, rt, backend)
 }
+
+// tuneParallel is the measuring planner's split search (a variable so tests
+// can observe the choice the plan adopts).
+var tuneParallel = (*search.Tuner).TuneParallel
 
 // buildParallel lowers formula (14) for the chosen split and compiles it on
 // the backend; on failure the backend is closed and the error returned.
@@ -415,12 +418,7 @@ func (p *Plan) Tree() string {
 // Program returns the lowered IR program the plan executes (the sequential
 // single-call program, or the two-stage multicore Cooley-Tukey program for
 // parallel plans). The program is shared — callers must not mutate it.
-func (p *Plan) Program() *ir.Program {
-	if e := p.exe; e != nil {
-		return e.Program()
-	}
-	return p.seqExe.Program()
-}
+func (p *Plan) Program() *ir.Program { return p.program() }
 
 // Formula returns the SPL formula the plan implements, in the paper's
 // notation: the multicore Cooley-Tukey FFT (formula (14)) for parallel
@@ -467,16 +465,7 @@ func (p *Plan) Derivation() string {
 // If a region body panics during the transform, the panic is contained by
 // the execution substrate (the worker pool and the plan survive) and
 // re-raised on the calling goroutine as a *RegionPanicError.
-func (p *Plan) Forward(dst, src []complex128) error {
-	if len(dst) != p.n || len(src) != p.n {
-		return lengthError("Forward", p.n, len(dst), len(src))
-	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	p.transform(dst, src)
-	p.record(start)
-	return nil
-}
+func (p *Plan) Forward(dst, src []complex128) error { return p.ForwardCtx(nil, dst, src) }
 
 // ForwardCtx is Forward under a context: cancellation is observed before
 // the transform starts and again at every region boundary (barrier), so the
@@ -485,78 +474,23 @@ func (p *Plan) Forward(dst, src []complex128) error {
 // unspecified (possibly partially written). A nil ctx behaves like Forward.
 func (p *Plan) ForwardCtx(ctx context.Context, dst, src []complex128) error {
 	if len(dst) != p.n || len(src) != p.n {
-		return lengthError("ForwardCtx", p.n, len(dst), len(src))
+		return lengthError("Forward", p.n, len(dst), len(src))
 	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	if err := p.transformCtx(ctx, dst, src); err != nil {
-		return err
-	}
-	p.record(start)
-	return nil
+	return p.forward(ctx, dst, src)
 }
 
 // Inverse computes the unitary inverse: dst = DFT_n^{-1}(src), so that
 // Inverse(Forward(x)) == x. dst == src is allowed.
 // Inverse is safe for concurrent use.
-func (p *Plan) Inverse(dst, src []complex128) error {
-	if len(dst) != p.n || len(src) != p.n {
-		return lengthError("Inverse", p.n, len(dst), len(src))
-	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	// IDFT(x) = conj(DFT(conj(x))) / n.
-	b := p.getInv()
-	defer p.putInv(b)
-	for i, v := range src {
-		b.v[i] = cmplx.Conj(v)
-	}
-	p.transform(dst, b.v)
-	scale := complex(1/float64(p.n), 0)
-	for i, v := range dst {
-		dst[i] = cmplx.Conj(v) * scale
-	}
-	p.record(start)
-	return nil
-}
+func (p *Plan) Inverse(dst, src []complex128) error { return p.InverseCtx(nil, dst, src) }
 
 // InverseCtx is Inverse under a context, with the same cancellation
 // contract as ForwardCtx.
 func (p *Plan) InverseCtx(ctx context.Context, dst, src []complex128) error {
 	if len(dst) != p.n || len(src) != p.n {
-		return lengthError("InverseCtx", p.n, len(dst), len(src))
+		return lengthError("Inverse", p.n, len(dst), len(src))
 	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	b := p.getInv()
-	defer p.putInv(b)
-	for i, v := range src {
-		b.v[i] = cmplx.Conj(v)
-	}
-	if err := p.transformCtx(ctx, dst, b.v); err != nil {
-		return err
-	}
-	scale := complex(1/float64(p.n), 0)
-	for i, v := range dst {
-		dst[i] = cmplx.Conj(v) * scale
-	}
-	p.record(start)
-	return nil
-}
-
-func (p *Plan) transform(dst, src []complex128) {
-	if e := p.exe; e != nil {
-		e.Transform(dst, src)
-		return
-	}
-	p.seqExe.Transform(dst, src)
-}
-
-func (p *Plan) transformCtx(ctx context.Context, dst, src []complex128) error {
-	if e := p.exe; e != nil {
-		return e.TransformCtx(ctx, dst, src)
-	}
-	return p.seqExe.TransformCtx(ctx, dst, src)
+	return p.inverse(ctx, dst, src, 1/float64(p.n))
 }
 
 // Close releases the plan. For a plan the caller constructed with NewPlan

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"spiralfft/internal/complexvec"
+	"spiralfft/internal/search"
+	"spiralfft/internal/smp"
 	"spiralfft/internal/twiddle"
 )
 
@@ -156,6 +158,50 @@ func TestPlannerMeasureDecidesParallelism(t *testing.T) {
 	if e := complexvec.RelError(got, refDFT(x)); e > 1e-9 {
 		t.Errorf("measured plan: rel error %g", e)
 	}
+}
+
+// TestPlannerMeasureAdoptsTimedExecutor: the measuring planner must run the
+// very executor TuneParallel timed on the plan's backend, never a rebuilt
+// twin of it. Whether parallel wins is up to the host, so the check runs at
+// the first size where it does.
+func TestPlannerMeasureAdoptsTimedExecutor(t *testing.T) {
+	var choice search.ParallelChoice
+	orig := tuneParallel
+	tuneParallel = func(tu *search.Tuner, n, p, mu int, b smp.Backend) (search.ParallelChoice, error) {
+		c, err := orig(tu, n, p, mu, b)
+		choice = c
+		return c, err
+	}
+	defer func() { tuneParallel = orig }()
+	for _, n := range []int{1 << 14, 1 << 15, 1 << 13} {
+		choice = search.ParallelChoice{}
+		p, err := NewPlan(n, &Options{Workers: 2, Planner: PlannerMeasure})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exe := p.exe; exe != choice.Exec {
+			p.Close()
+			t.Fatalf("n=%d: plan runs executor %p, TuneParallel timed %p", n, exe, choice.Exec)
+		}
+		if !choice.UsedParallel() {
+			p.Close()
+			continue
+		}
+		if m, _ := p.Split(); m != choice.Split || p.Program() != choice.Exec.Program() {
+			t.Errorf("n=%d: plan split %d, tuned split %d", n, m, choice.Split)
+		}
+		x := complexvec.Random(n, 11)
+		got := make([]complex128, n)
+		if err := p.Forward(got, x); err != nil {
+			t.Fatal(err)
+		}
+		if e := complexvec.RelError(got, refDFT(x)); e > 1e-9 {
+			t.Errorf("n=%d: adopted executor wrong by %g", n, e)
+		}
+		p.Close()
+		return
+	}
+	t.Skip("the sequential plan won at every size on this host; no parallel executor was adopted")
 }
 
 func TestInPlaceTransforms(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
-	"spiralfft/internal/metrics"
 	"spiralfft/internal/rewrite"
 )
 
@@ -24,9 +23,6 @@ type WHTPlan struct {
 	opt      Options
 	parallel bool
 	planCore
-	// seqExe is the single-call sequential program: the execution path for
-	// sequential plans and the post-Close fallback for parallel ones.
-	seqExe *ir.Executor
 }
 
 // NewWHTPlan prepares a WHT of size n (a power of two ≥ 2). Parallel plans
@@ -85,30 +81,12 @@ func (p *WHTPlan) IsParallel() bool { return p.parallel }
 
 // Program returns the lowered IR program the plan executes. The program is
 // shared — callers must not mutate it.
-func (p *WHTPlan) Program() *ir.Program {
-	if e := p.exe; e != nil {
-		return e.Program()
-	}
-	return p.seqExe.Program()
-}
+func (p *WHTPlan) Program() *ir.Program { return p.program() }
 
 // Transform computes dst = WHT_n(src); dst == src is allowed. The WHT is
 // self-inverse up to 1/n: Transform∘Transform = n·identity.
 // Transform is safe for concurrent use.
-func (p *WHTPlan) Transform(dst, src []complex128) error {
-	if len(dst) != p.n || len(src) != p.n {
-		return lengthError("WHT.Transform", p.n, len(dst), len(src))
-	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	if e := p.exe; e != nil {
-		e.Transform(dst, src)
-	} else {
-		p.seqExe.Transform(dst, src)
-	}
-	p.record(start)
-	return nil
-}
+func (p *WHTPlan) Transform(dst, src []complex128) error { return p.TransformCtx(nil, dst, src) }
 
 // TransformCtx is Transform under a context: cancellation is observed
 // before the transform starts and at region boundaries; on cancellation
@@ -116,26 +94,14 @@ func (p *WHTPlan) Transform(dst, src []complex128) error {
 // Transform.
 func (p *WHTPlan) TransformCtx(ctx context.Context, dst, src []complex128) error {
 	if len(dst) != p.n || len(src) != p.n {
-		return lengthError("WHT.TransformCtx", p.n, len(dst), len(src))
+		return lengthError("WHT.Transform", p.n, len(dst), len(src))
 	}
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	var err error
-	if e := p.exe; e != nil {
-		err = e.TransformCtx(ctx, dst, src)
-	} else {
-		err = p.seqExe.TransformCtx(ctx, dst, src)
-	}
-	if err != nil {
-		return err
-	}
-	p.record(start)
-	return nil
+	return p.forward(ctx, dst, src)
 }
 
 // Forward is Transform under the name the Transformer interface requires
 // (the WHT has no twiddle direction; "forward" is the plain transform).
-func (p *WHTPlan) Forward(dst, src []complex128) error { return p.Transform(dst, src) }
+func (p *WHTPlan) Forward(dst, src []complex128) error { return p.TransformCtx(nil, dst, src) }
 
 // ForwardCtx is TransformCtx under the ContextTransformer name.
 func (p *WHTPlan) ForwardCtx(ctx context.Context, dst, src []complex128) error {
@@ -144,16 +110,7 @@ func (p *WHTPlan) ForwardCtx(ctx context.Context, dst, src []complex128) error {
 
 // Inverse computes the inverse WHT: Transform scaled by 1/n.
 // Inverse is safe for concurrent use.
-func (p *WHTPlan) Inverse(dst, src []complex128) error {
-	if err := p.Transform(dst, src); err != nil {
-		return err
-	}
-	s := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= s
-	}
-	return nil
-}
+func (p *WHTPlan) Inverse(dst, src []complex128) error { return p.InverseCtx(nil, dst, src) }
 
 // InverseCtx is Inverse under a context, with the same cancellation
 // contract as TransformCtx.

@@ -44,38 +44,21 @@ func NewBatchPlan(n, count int, o *Options) (*BatchPlan, error) {
 	if workers > count {
 		workers = count
 	}
-	tree := exec.RadixTree(n)
-	if opt.Planner != PlannerFixed {
-		// Reuse the single-plan machinery for tree choice.
-		single, err := NewPlan(n, &Options{Planner: opt.Planner, Wisdom: opt.Wisdom})
-		if err != nil {
-			return nil, err
-		}
-		tree = single.tree
-		single.Close()
+	// The per-signal factorization comes from the same wisdom-then-planner
+	// selection as a sequential 1D plan of size n.
+	tree, cost := planTree(newTuner(opt), opt, n)
+	if opt.Wisdom != nil {
+		opt.Wisdom.record(tree, cost)
 	}
 	b := &BatchPlan{n: n, count: count, workers: workers, tree: tree}
 	b.init(tkBatch, int64(float64(count)*exec.FlopCount(n)), n*count)
 	b.initComplexLeases(n*count, n*count)
-	seqProg, err := ir.LowerBatch(tree, count, 1)
-	if err != nil {
-		return nil, err
-	}
-	if b.seqExe, err = ir.NewExecutor(seqProg, nil); err != nil {
-		return nil, err
-	}
+	var par buildStep
 	if workers > 1 {
-		prog, err := ir.LowerBatch(tree, count, workers)
-		if err != nil {
-			return nil, err
-		}
-		backend := newBackendFor(opt, workers)
-		exe, err := ir.NewExecutor(prog, backend)
-		if err != nil {
-			backend.Close()
-			return nil, err
-		}
-		b.exe, b.backend = exe, backend
+		par = compiled(ir.LowerBatch(tree, count, workers))
+	}
+	if err := b.compile(opt, workers, par, compiled(ir.LowerBatch(tree, count, 1))); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

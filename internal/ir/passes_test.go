@@ -1,8 +1,11 @@
 package ir
 
 import (
+	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spiralfft/internal/rewrite"
@@ -135,6 +138,81 @@ func TestFoldCollapsesFormula14ToProductionSchedule(t *testing.T) {
 			t.Fatalf("n=%d: folded program deviates by %g", tc.n, d)
 		}
 		backend.Close()
+	}
+}
+
+// sameProgram reports the first difference between two programs, ignoring
+// only the program and region names: shape, buffers, and every op field down
+// to the bits of each twiddle factor.
+func sameProgram(a, b *Program) error {
+	if a.N != b.N || a.P != b.P || a.Mu != b.Mu || !reflect.DeepEqual(a.Temps, b.Temps) || len(a.Nodes) != len(b.Nodes) {
+		return fmt.Errorf("header n=%d p=%d µ=%d temps=%v nodes=%d vs n=%d p=%d µ=%d temps=%v nodes=%d",
+			a.N, a.P, a.Mu, a.Temps, len(a.Nodes), b.N, b.P, b.Mu, b.Temps, len(b.Nodes))
+	}
+	for i := range a.Nodes {
+		ra, okA := a.Nodes[i].(*Region)
+		rb, okB := b.Nodes[i].(*Region)
+		if okA != okB {
+			return fmt.Errorf("node %d: region vs barrier", i)
+		}
+		if !okA {
+			continue
+		}
+		for w := range ra.Workers {
+			if len(ra.Workers[w]) != len(rb.Workers[w]) {
+				return fmt.Errorf("node %d worker %d: %d ops vs %d", i, w, len(ra.Workers[w]), len(rb.Workers[w]))
+			}
+			for j, opA := range ra.Workers[w] {
+				ca, okA := opA.(CodeletCall)
+				cb, okB := rb.Workers[w][j].(CodeletCall)
+				if !okA || !okB {
+					return fmt.Errorf("node %d worker %d op %d: %s vs %s", i, w, j, opA, rb.Workers[w][j])
+				}
+				if ca.Dst != cb.Dst || ca.Src != cb.Src || ca.DOff != cb.DOff || ca.DS != cb.DS ||
+					ca.SOff != cb.SOff || ca.SS != cb.SS || ca.Tree.String() != cb.Tree.String() ||
+					len(ca.Tw) != len(cb.Tw) || (ca.Tw == nil) != (cb.Tw == nil) {
+					return fmt.Errorf("node %d worker %d op %d: %s vs %s", i, w, j, ca, cb)
+				}
+				for k := range ca.Tw {
+					x, y := ca.Tw[k], cb.Tw[k]
+					if math.Float64bits(real(x)) != math.Float64bits(real(y)) ||
+						math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
+						return fmt.Errorf("node %d worker %d op %d twiddle %d: %v vs %v", i, w, j, k, x, y)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// The rewrite system's program for formula (14), folded, is op for op the
+// program the hand lowering ships: the precondition for routing plans
+// through the derivation instead of LowerCT.
+func TestFoldedDerivationEqualsLowerCT(t *testing.T) {
+	for _, c := range []struct{ n, m, p, mu int }{
+		{64, 8, 2, 2}, {256, 16, 2, 4}, {256, 16, 2, 2}, {1024, 32, 2, 4}, {1024, 32, 4, 4},
+		{1024, 64, 2, 2}, {4096, 64, 2, 4}, {4096, 64, 4, 4}, {16384, 128, 2, 8}, {65536, 256, 2, 4},
+	} {
+		f, _, err := rewrite.DeriveMulticoreCT(c.n, c.m, c.p, c.mu)
+		if err != nil {
+			t.Fatalf("%+v: derive: %v", c, err)
+		}
+		raw, err := FromFormula(f, c.p, c.mu)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		derived, err := Fold(raw)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		hand, err := LowerCT(c.n, c.m, CTConfig{P: c.p, Mu: c.mu})
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		if err := sameProgram(derived, hand); err != nil {
+			t.Errorf("%+v: derived program differs from LowerCT: %v", c, err)
+		}
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 
 // Four-step (large-N) tuning. Candidates are (n1, tile) pairs: the top-level
 // split n = n1·n2 of ir.LowerFourStep and the transpose tile edge. The
-// two-stage discipline is the same as everywhere else — the analytic model
-// (cost.Model.FourStep) ranks every pair, only the cheapest few are measured
-// — but the measurement shortlist is smaller than DefaultTopK because one
-// transform at the sizes this tier serves costs on the order of a second:
-// measuring four candidates would blow through any reasonable PlanBudget.
+// analytic model (cost.Model.FourStep) ranks every pair once, in
+// RankFourStep; model-only planners take the head of that list and
+// BestFourStepCtx measures a prefix of it. The measurement shortlist is
+// smaller than DefaultTopK because one transform at the sizes this tier
+// serves costs on the order of a second: measuring four candidates would
+// blow through any reasonable PlanBudget.
 
 // FourStepTopK caps how many ranked four-step candidates are measured per
 // search (Tuner.TopK applies when it is smaller).
@@ -30,6 +31,61 @@ const FourStepTopK = 2
 // tiles small enough to pay per-tile loop overhead, so the larger candidates
 // usually rank ahead and the smallest stays as insurance for tiny caches.
 var TransposeTiles = []int{16, 32, 64}
+
+// FourStepCandidate is one admissible (n1, tile) pair with its modeled cost.
+type FourStepCandidate struct {
+	N1, Tile int
+	// Score is the modeled runtime in nanoseconds (cost.Model.FourStep).
+	Score float64
+}
+
+// RankFourStep lists every admissible (n1, tile) pair of the four-step
+// schedule for DFT_n on p workers with cache-line length mu, cheapest first
+// under the model (nil means cost.Default()). A split n = n1·n2 is
+// admissible when both factors are at least 2 and, for p > 1, multiples of µ
+// and at least p. A model tie goes to the larger n1 — the row stage carries
+// the twiddle work and profits from longer contiguous sub-FFTs, an effect
+// below the model's resolution but consistent in measurement — and then to
+// the smaller tile. The list is empty when no split is admissible (n prime,
+// or no µ-aligned pair for p workers).
+func RankFourStep(model *cost.Model, n, p, mu int) []FourStepCandidate {
+	if model == nil {
+		model = cost.Default()
+	}
+	if mu < 1 {
+		mu = 4
+	}
+	var out []FourStepCandidate
+	add := func(n1 int) {
+		n2 := n / n1
+		if p > 1 && (n1%mu != 0 || n2%mu != 0 || n1 < p || n2 < p) {
+			return
+		}
+		for _, tile := range TransposeTiles {
+			out = append(out, FourStepCandidate{N1: n1, Tile: tile, Score: model.FourStep(n, n1, p, tile, nil, nil)})
+		}
+	}
+	for d := 2; d*d <= n; d++ {
+		if n%d != 0 {
+			continue
+		}
+		add(d)
+		if d*d != n {
+			add(n / d)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Score != b.Score {
+			return a.Score < b.Score
+		}
+		if a.N1 != b.N1 {
+			return a.N1 > b.N1
+		}
+		return a.Tile < b.Tile
+	})
+	return out
+}
 
 // FourStepChoice is the outcome of a four-step search.
 type FourStepChoice struct {
@@ -59,9 +115,11 @@ func (t *Tuner) BestFourStep(n, p, mu int, backend smp.Backend) (FourStepChoice,
 }
 
 // BestFourStepCtx is BestFourStep under a context deadline (composed with
-// Tuner.Budget, the earlier applies). When time runs out before any candidate
-// was measured, the model's top-ranked candidate is built and returned
-// unmeasured — the search never fails from expiry alone.
+// Tuner.Budget, the earlier applies). It measures the first FourStepTopK
+// entries of RankFourStep's list (fewer when Tuner.TopK is smaller). When
+// time runs out before any candidate was measured, the model's top-ranked
+// candidate is built and returned unmeasured — the search never fails from
+// expiry alone.
 func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.Backend) (FourStepChoice, error) {
 	if p < 1 {
 		return FourStepChoice{}, fmt.Errorf("search: BestFourStep p=%d", p)
@@ -72,42 +130,10 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 	t.beginSearch(ctx)
 	defer t.endSearch()
 	t.stats.Searches++
-	model := t.Model
-	if model == nil {
-		model = cost.Default()
-	}
-	type cand struct {
-		n1, tile int
-		score    float64
-	}
-	var cands []cand
-	for n1 := 2; n1*2 <= n; n1++ {
-		if n%n1 != 0 {
-			continue
-		}
-		n2 := n / n1
-		if p > 1 && (n1%mu != 0 || n2%mu != 0 || n1 < p || n2 < p) {
-			continue
-		}
-		for _, tile := range TransposeTiles {
-			cands = append(cands, cand{n1: n1, tile: tile, score: model.FourStep(n, n1, p, tile, nil, nil)})
-		}
-	}
+	cands := RankFourStep(t.Model, n, p, mu)
 	if len(cands) == 0 {
 		return FourStepChoice{}, fmt.Errorf("search: no admissible four-step split for n=%d p=%d µ=%d", n, p, mu)
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score < cands[j].score
-		}
-		// On a model tie prefer the larger n1: the row stage carries the
-		// twiddle work and profits from longer contiguous sub-FFTs, an effect
-		// below the model's resolution but consistent in measurement.
-		if cands[i].n1 != cands[j].n1 {
-			return cands[i].n1 > cands[j].n1
-		}
-		return cands[i].tile < cands[j].tile
-	})
 	k := t.TopK
 	if k <= 0 || k > FourStepTopK {
 		k = FourStepTopK
@@ -118,7 +144,7 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 	for _, c := range cands[k:] {
 		t.stats.Considered++
 		t.stats.Pruned++
-		t.trace("fourstep-pruned", n, fmt.Sprintf("%d·%d tile=%d", c.n1, n/c.n1, c.tile), time.Duration(c.score))
+		t.trace("fourstep-pruned", n, fmt.Sprintf("%d·%d tile=%d", c.N1, n/c.N1, c.Tile), time.Duration(c.Score))
 	}
 
 	type built struct {
@@ -126,15 +152,15 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 		exe      *ir.Executor
 		col, row *exec.Tree
 	}
-	build := func(c cand) (built, error) {
+	build := func(c FourStepCandidate) (built, error) {
 		var be smp.Backend
 		if p > 1 {
 			be = backend
 		}
-		col := t.bestTree(n / c.n1).Tree
-		row := t.bestTree(c.n1).Tree
-		prog, err := ir.LowerFourStep(n, c.n1, ir.FourStepConfig{
-			P: p, Mu: mu, Tile: c.tile, ColTree: col, RowTree: row,
+		col := t.bestTree(n / c.N1).Tree
+		row := t.bestTree(c.N1).Tree
+		prog, err := ir.LowerFourStep(n, c.N1, ir.FourStepConfig{
+			P: p, Mu: mu, Tile: c.Tile, ColTree: col, RowTree: row,
 		})
 		if err != nil {
 			return built{}, err
@@ -174,11 +200,11 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 		cancel()
 		t.stats.Considered++
 		t.stats.Measured++
-		t.trace("fourstep-candidate", n, fmt.Sprintf("%d·%d tile=%d", c.n1, n/c.n1, c.tile), d)
+		t.trace("fourstep-candidate", n, fmt.Sprintf("%d·%d tile=%d", c.N1, n/c.N1, c.Tile), d)
 		if best.Exe == nil || d < best.Time {
 			best.Prog, best.Exe = b.prog, b.exe
 			best.ColTree, best.RowTree = b.col, b.row
-			best.N1, best.Tile = c.n1, c.tile
+			best.N1, best.Tile = c.N1, c.Tile
 			best.Time, best.Measured = d, true
 		}
 	}
@@ -190,12 +216,12 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 		c := cands[0]
 		b, err := build(c)
 		if err != nil {
-			return FourStepChoice{}, fmt.Errorf("search: four-step fallback build n=%d n1=%d: %w", n, c.n1, err)
+			return FourStepChoice{}, fmt.Errorf("search: four-step fallback build n=%d n1=%d: %w", n, c.N1, err)
 		}
 		best.Prog, best.Exe = b.prog, b.exe
 		best.ColTree, best.RowTree = b.col, b.row
-		best.N1, best.Tile = c.n1, c.tile
-		best.Time = time.Duration(c.score)
+		best.N1, best.Tile = c.N1, c.Tile
+		best.Time = time.Duration(c.Score)
 	}
 	t.trace("fourstep-winner", n, fmt.Sprintf("%d·%d tile=%d", best.N1, n/best.N1, best.Tile), best.Time)
 	return best, nil

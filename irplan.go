@@ -167,6 +167,51 @@ func (c *planCore) Snapshot() PlanStats {
 	return st
 }
 
+// buildStep builds one of a plan's executors on the backend it is handed
+// (nil for the single-worker program). A parallel step may return a nil
+// executor to keep the plan sequential.
+type buildStep func(smp.Backend) (*ir.Executor, error)
+
+// compiled is the build step of a program lowered up front. A lowering error
+// passes through, so callers can write compiled(ir.LowerX(...)).
+func compiled(prog *ir.Program, err error) buildStep {
+	return func(b smp.Backend) (*ir.Executor, error) {
+		if err != nil {
+			return nil, err
+		}
+		return ir.NewExecutor(prog, b)
+	}
+}
+
+// compile installs a plan family's executors; every constructor takes this
+// one path. For workers > 1 and a non-nil par it opens the backend the
+// options select and adopts the executor par builds on it, which may be the
+// one a measuring planner timed there. seq then builds the single-worker
+// executor: the sequential plan's path and a parallel plan's post-Close
+// fallback. The backend is closed whenever the core does not adopt it, and
+// every failure fails the constructor.
+func (c *planCore) compile(opt Options, workers int, par, seq buildStep) error {
+	if workers > 1 && par != nil {
+		backend := newBackendFor(opt, workers)
+		exe, err := par(backend)
+		if err != nil || exe == nil {
+			backend.Close()
+			if err != nil {
+				return err
+			}
+		} else {
+			c.exe, c.backend = exe, backend
+		}
+	}
+	exe, err := seq(nil)
+	if err != nil {
+		c.release()
+		return err
+	}
+	c.seqExe = exe
+	return nil
+}
+
 // newBackendFor creates the threading substrate the options select.
 func newBackendFor(opt Options, workers int) smp.Backend {
 	if opt.Backend == BackendSpawn {

@@ -16,9 +16,10 @@ import (
 // Parseval (Σ|X|² = n·Σ|x|² for the unnormalized Forward), and the
 // Forward→Inverse round trip. Each test forces the tier via
 // Options.LargeNThreshold so the identities exercise the four-step schedule
-// specifically, and PlannerFixed keeps planning deterministic and fast.
+// specifically. The default PlannerFixed, like PlannerEstimate, plans
+// deterministically and runs no transform, so planning stays fast.
 
-// largeNPlan builds a fixed-planner plan with the four-step tier forced on
+// largeNPlan builds a default-planner plan with the four-step tier forced on
 // at size n, failing the test if the tier did not engage.
 func largeNPlan(t *testing.T, n int) *fft.Plan {
 	t.Helper()

@@ -7,7 +7,6 @@ import (
 	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
-	"spiralfft/internal/search"
 )
 
 // Plan2D computes two-dimensional DFTs of rows×cols arrays stored row-major
@@ -44,8 +43,7 @@ func NewPlan2D(rows, cols int, o *Options) (*Plan2D, error) {
 	// 1D plans (analytic ranking plus top-k measurement under PlannerMeasure)
 	// instead of a fixed radix split, and their picks are shared with 1D
 	// wisdom entries for the same sizes.
-	tuner := search.NewTuner(strategyFor(opt.Planner))
-	tuner.Budget = opt.PlanBudget
+	tuner := newTuner(opt)
 	rowTree, rowCost := planTree(tuner, opt, cols)
 	colTree, colCost := planTree(tuner, opt, rows)
 	if opt.Wisdom != nil {
@@ -55,27 +53,13 @@ func NewPlan2D(rows, cols int, o *Options) (*Plan2D, error) {
 	p := &Plan2D{rows: rows, cols: cols, p: 1, opt: opt}
 	p.init(tk2D, int64(float64(rows)*exec.FlopCount(cols)+float64(cols)*exec.FlopCount(rows)), rows*cols)
 	p.initComplexLeases(rows*cols, rows*cols)
-	seqProg, err := ir.Lower2D(rows, cols, 1, rowTree, colTree)
-	if err != nil {
-		return nil, err
-	}
-	if p.seqExe, err = ir.NewExecutor(seqProg, nil); err != nil {
-		return nil, err
-	}
 	workers := opt.Workers
+	var par buildStep
 	if workers > 1 && rewrite.Parallel2DOK(rows, cols, workers, opt.CacheLineComplex) {
-		prog, err := ir.Lower2D(rows, cols, workers, rowTree, colTree)
-		if err != nil {
-			return nil, err
-		}
-		backend := newBackendFor(opt, workers)
-		exe, err := ir.NewExecutor(prog, backend)
-		if err != nil {
-			backend.Close()
-			return nil, err
-		}
-		p.exe, p.backend = exe, backend
-		p.p = workers
+		par, p.p = compiled(ir.Lower2D(rows, cols, workers, rowTree, colTree)), workers
+	}
+	if err := p.compile(opt, workers, par, compiled(ir.Lower2D(rows, cols, 1, rowTree, colTree))); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -47,6 +47,7 @@ package spiralfft
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -78,21 +79,37 @@ func (b Backend) String() string {
 	return "pool"
 }
 
-// Planner selects how the factorization tree is chosen.
+// Planner selects how a plan's schedule is chosen. One policy holds on every
+// tier (sequential tree, parallel split, four-step) and in every family that
+// plans: the model-only planners (PlannerFixed, PlannerEstimate) never run a
+// transform while planning, and the measuring planners time candidates on
+// the plan's own backend and ship the executor that won. On the tree tier a
+// Wisdom store, when set, is consulted first under every planner.
 type Planner int
 
 const (
-	// PlannerFixed uses the deterministic greedy radix factorization
-	// (largest codelet first). No measurements; fast planning. Default.
+	// PlannerFixed plans deterministically and runs no transform. Default.
+	// Trees are the greedy radix factorization (largest codelet first), a
+	// parallel plan uses the balanced pµ-admissible split, and the four-step
+	// tier takes the head of the cost model's (n1, tile) ranking with radix
+	// sub-trees.
 	PlannerFixed Planner = iota
-	// PlannerEstimate searches with the analytic cost model (no timing).
+	// PlannerEstimate searches with the analytic cost model and runs no
+	// transform. Trees are the model's cheapest, a parallel plan uses the
+	// fixed planner's split with model-chosen sub-trees, and the four-step
+	// tier takes the head of the model's ranking with model-chosen
+	// sub-trees.
 	PlannerEstimate
-	// PlannerMeasure searches by dynamic programming over measured subtree
-	// runtimes, and additionally verifies that the parallel plan actually
-	// beats the sequential one, falling back if not — Spiral's full
-	// autotuning loop.
+	// PlannerMeasure is Spiral's full autotuning loop. Trees come from
+	// dynamic programming over measured subtree runtimes (model-shortlisted),
+	// a parallel plan times formula (14) splits against the sequential plan
+	// and drops to sequential when parallel loses, and the four-step tier
+	// times the top search.FourStepTopK entries of the model's ranking.
 	PlannerMeasure
-	// PlannerExhaustive measures every factorization tree (small sizes only).
+	// PlannerExhaustive measures every factorization tree (small sizes
+	// only). A parallel plan uses the fixed planner's split with
+	// exhaustively measured sub-trees; the four-step tier is timed as under
+	// PlannerMeasure.
 	PlannerExhaustive
 )
 
@@ -208,31 +225,37 @@ func NewPlan(n int, o *Options) (*Plan, error) {
 	p.init(tkDFT, int64(exec.FlopCount(n)), n)
 	p.initComplexLeases(n, n)
 
-	tuner := search.NewTuner(strategyFor(opt.Planner))
-	tuner.Budget = opt.PlanBudget
+	tuner := newTuner(opt)
 	if opt.LargeNThreshold > 0 && n >= opt.LargeNThreshold {
 		// The large-N tier serves the size without building the full-size
 		// tree schedule (whose root twiddle diagonal alone is an O(N)
-		// resident table). Sizes it cannot decompose fall through.
-		if err := p.planFourStep(tuner); err == nil {
+		// resident table). Sizes it cannot decompose fall through; any other
+		// failure fails the plan.
+		err := p.planFourStep(tuner)
+		if err == nil {
 			return p, nil
 		}
-	}
-	p.tree = p.sequentialTree(tuner)
-	prog, err := ir.LowerTree(p.tree)
-	if err != nil {
-		return nil, err
-	}
-	if p.seqExe, err = ir.NewExecutor(prog, nil); err != nil {
-		return nil, err
-	}
-
-	if opt.Workers > 1 {
-		if err := p.planParallel(tuner); err != nil {
+		if !errors.Is(err, errNoFourStepSplit) {
 			return nil, err
 		}
 	}
+	p.tree = p.sequentialTree(tuner)
+	var par buildStep
+	if opt.Workers > 1 {
+		par = p.parallelStep(tuner)
+	}
+	if err := p.compile(opt, opt.Workers, par, compiled(ir.LowerTree(p.tree))); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// newTuner returns the search a constructor plans with (a variable so tests
+// can inspect what planning measured).
+var newTuner = func(opt Options) *search.Tuner {
+	t := search.NewTuner(strategyFor(opt.Planner))
+	t.Budget = opt.PlanBudget
+	return t
 }
 
 func strategyFor(pl Planner) search.Strategy {
@@ -249,17 +272,11 @@ func strategyFor(pl Planner) search.Strategy {
 }
 
 func (p *Plan) sequentialTree(tuner *search.Tuner) *exec.Tree {
-	t, cost := p.treeFor(tuner, p.n)
+	t, cost := planTree(tuner, p.opt, p.n)
 	if p.opt.Wisdom != nil {
 		p.opt.Wisdom.record(t, cost)
 	}
 	return t
-}
-
-// treeFor picks a sequential factorization for size n: wisdom first, then
-// the planner (see planTree).
-func (p *Plan) treeFor(tuner *search.Tuner, n int) (*exec.Tree, time.Duration) {
-	return planTree(tuner, p.opt, n)
 }
 
 // planTree picks a sequential factorization for size n under the options:
@@ -304,71 +321,60 @@ func parallelWisdomTree(opt Options, n int) (m int, lt, rt *exec.Tree, ok bool) 
 	return m, t.Left, t.Right, true
 }
 
-func (p *Plan) planParallel(tuner *search.Tuner) error {
+// parallelStep returns the build step of the tree tier's parallel program,
+// formula (14) for the split the wisdom store, the measuring search or the
+// planner picks, or nil when n has no admissible split for the plan's
+// workers (the plan then stays sequential).
+func (p *Plan) parallelStep(tuner *search.Tuner) buildStep {
 	opt := p.opt
 	m, ok := exec.SplitFor(p.n, opt.Workers, opt.CacheLineComplex)
 	if !ok {
-		return nil // no admissible split: stay sequential
+		return nil
 	}
-	backend := newBackendFor(opt, opt.Workers)
 	// A prior tuning run may have stored the whole parallel factorization
 	// under the (n, p) wisdom slot; adopting it skips the split search
 	// entirely (the cold-start fast path).
 	if wm, lt, rt, ok := parallelWisdomTree(opt, p.n); ok {
-		return p.buildParallel(wm, lt, rt, backend)
+		return p.lowerCT(wm, lt, rt)
 	}
 	if opt.Planner == PlannerMeasure {
-		choice, err := tuneParallel(tuner, p.n, opt.Workers, opt.CacheLineComplex, backend)
-		if err != nil {
-			backend.Close()
-			return err
+		return func(backend smp.Backend) (*ir.Executor, error) {
+			choice, err := tuneParallel(tuner, p.n, opt.Workers, opt.CacheLineComplex, backend)
+			if err != nil || !choice.UsedParallel() {
+				return nil, err
+			}
+			if opt.Wisdom != nil {
+				opt.Wisdom.Record(WisdomKey{N: p.n, P: opt.Workers},
+					exec.SplitTree(choice.Left, choice.Right), choice.ParTime)
+			}
+			// The tuner timed this very executor on this backend: adopt it.
+			p.m, p.ltree, p.rtree = choice.Split, choice.Left, choice.Right
+			return choice.Exec, nil
 		}
-		if !choice.UsedParallel() {
-			backend.Close()
-			return nil
-		}
-		if opt.Wisdom != nil {
-			opt.Wisdom.Record(WisdomKey{N: p.n, P: opt.Workers},
-				exec.SplitTree(choice.Left, choice.Right), choice.ParTime)
-		}
-		// The tuner timed this very executor on this backend: adopt it.
-		p.exe, p.backend = choice.Exec, backend
-		p.m, p.ltree, p.rtree = choice.Split, choice.Left, choice.Right
-		return nil
 	}
-	var leftCost, rightCost time.Duration
-	lt, leftCost := p.treeFor(tuner, m)
-	rt, rightCost := p.treeFor(tuner, p.n/m)
+	lt, leftCost := planTree(tuner, opt, m)
+	rt, rightCost := planTree(tuner, opt, p.n/m)
 	if opt.Wisdom != nil {
 		opt.Wisdom.record(lt, leftCost)
 		opt.Wisdom.record(rt, rightCost)
 		opt.Wisdom.Record(WisdomKey{N: p.n, P: opt.Workers}, exec.SplitTree(lt, rt), 0)
 	}
-	return p.buildParallel(m, lt, rt, backend)
+	return p.lowerCT(m, lt, rt)
 }
 
 // tuneParallel is the measuring planner's split search (a variable so tests
 // can observe the choice the plan adopts).
 var tuneParallel = (*search.Tuner).TuneParallel
 
-// buildParallel lowers formula (14) for the chosen split and compiles it on
-// the backend; on failure the backend is closed and the error returned.
-func (p *Plan) buildParallel(m int, lt, rt *exec.Tree, backend smp.Backend) error {
-	prog, err := ir.LowerCT(p.n, m, ir.CTConfig{
+// lowerCT records the split and returns the build step of formula (14) for
+// it.
+func (p *Plan) lowerCT(m int, lt, rt *exec.Tree) buildStep {
+	p.m, p.ltree, p.rtree = m, lt, rt
+	return compiled(ir.LowerCT(p.n, m, ir.CTConfig{
 		P:        p.opt.Workers,
 		Mu:       p.opt.CacheLineComplex,
 		LeftTree: lt, RightTree: rt,
-	})
-	if err == nil {
-		var exe *ir.Executor
-		if exe, err = ir.NewExecutor(prog, backend); err == nil {
-			p.exe, p.backend = exe, backend
-			p.m, p.ltree, p.rtree = m, lt, rt
-			return nil
-		}
-	}
-	backend.Close()
-	return err
+	}))
 }
 
 // N returns the transform size.

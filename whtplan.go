@@ -43,28 +43,19 @@ func NewWHTPlan(n int, o *Options) (*WHTPlan, error) {
 	p := &WHTPlan{n: n, opt: opt}
 	p.init(tkWHT, int64(n)*int64(k), 0)
 	p.initComplexLeases(n, n)
-	seqProg, err := ir.LowerWHT(n, 1, opt.CacheLineComplex)
-	if err != nil {
-		return nil, err
-	}
-	if p.seqExe, err = ir.NewExecutor(seqProg, nil); err != nil {
-		return nil, err
-	}
+	workers := 1
+	var par buildStep
 	if opt.Workers > 1 {
 		prog, err := ir.LowerWHT(n, opt.Workers, opt.CacheLineComplex)
 		if err != nil {
 			return nil, err
 		}
 		if prog.P > 1 { // admissible split found: parallel two-stage schedule
-			backend := newBackendFor(opt, prog.P)
-			exe, err := ir.NewExecutor(prog, backend)
-			if err != nil {
-				backend.Close()
-				return nil, err
-			}
-			p.exe, p.backend = exe, backend
-			p.parallel = true
+			workers, par, p.parallel = prog.P, compiled(prog, nil), true
 		}
+	}
+	if err := p.compile(opt, workers, par, compiled(ir.LowerWHT(n, 1, opt.CacheLineComplex))); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

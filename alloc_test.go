@@ -53,16 +53,47 @@ func TestSteadyStateAllocations(t *testing.T) {
 		t.Errorf("batch Forward: %.1f allocs/op", got)
 	}
 
-	// Real plans.
-	rp, err := NewRealPlan(1024, nil)
+	if got := testing.AllocsPerRun(50, func() { b.Inverse(by, bx) }); got > 0 {
+		t.Errorf("batch Inverse: %.1f allocs/op", got)
+	}
+
+	// 2D and WHT inverses, parallel.
+	p2, err := NewPlan2D(32, 64, &Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rp.Close()
-	xr := randomReal(1024, 1)
-	spec := make([]complex128, 513)
-	rp.Forward(spec, xr)
-	if got := testing.AllocsPerRun(50, func() { rp.Forward(spec, xr) }); got > 0 {
-		t.Errorf("real Forward: %.1f allocs/op", got)
+	defer p2.Close()
+	x2 := complexvec.Random(32*64, 1)
+	y2 := make([]complex128, 32*64)
+	if got := testing.AllocsPerRun(50, func() { p2.Inverse(y2, x2) }); got > 0 {
+		t.Errorf("2D Inverse: %.1f allocs/op", got)
+	}
+	wp, err := NewWHTPlan(4096, &Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wp.Close()
+	xw := complexvec.Random(4096, 1)
+	yw := make([]complex128, 4096)
+	if got := testing.AllocsPerRun(50, func() { wp.Inverse(yw, xw) }); got > 0 {
+		t.Errorf("WHT Inverse: %.1f allocs/op", got)
+	}
+
+	// Real plans, sequential and parallel, both directions.
+	for _, opts := range []*Options{nil, {Workers: 2}} {
+		rp, err := NewRealPlan(1024, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xr := randomReal(1024, 1)
+		spec := make([]complex128, 513)
+		rp.Forward(spec, xr)
+		if got := testing.AllocsPerRun(50, func() { rp.Forward(spec, xr) }); got > 0 {
+			t.Errorf("real Forward %+v: %.1f allocs/op", opts, got)
+		}
+		if got := testing.AllocsPerRun(50, func() { rp.Inverse(xr, spec) }); got > 0 {
+			t.Errorf("real Inverse %+v: %.1f allocs/op", opts, got)
+		}
+		rp.Close()
 	}
 }

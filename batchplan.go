@@ -51,8 +51,9 @@ func NewBatchPlan(n, count int, o *Options) (*BatchPlan, error) {
 		opt.Wisdom.record(tree, cost)
 	}
 	b := &BatchPlan{n: n, count: count, workers: workers, tree: tree}
-	b.init(tkBatch, int64(float64(count)*exec.FlopCount(n)), n*count)
+	b.init(tkBatch, int64(float64(count)*exec.FlopCount(n)))
 	b.initComplexLeases(n*count, n*count)
+	b.lowerInverse = func(w int) (*ir.Program, error) { return ir.LowerBatchInverse(tree, count, w) }
 	var par buildStep
 	if workers > 1 {
 		par = compiled(ir.LowerBatch(tree, count, workers))
@@ -105,7 +106,7 @@ func (b *BatchPlan) InverseCtx(ctx context.Context, dst, src []complex128) error
 	if err := b.check(dst, src); err != nil {
 		return err
 	}
-	return b.inverse(ctx, dst, src, 1/float64(b.n))
+	return b.inverse(ctx, dst, src)
 }
 
 func (b *BatchPlan) check(dst, src []complex128) error {

@@ -72,7 +72,7 @@ func main() {
 	if *p > 1 {
 		pool := smp.NewPool(*p)
 		defer pool.Close()
-		choice, err := tuner.TuneParallel(*n, *p, *mu, pool)
+		choice, err := tuner.TuneParallel(*n, *p, *mu, pool, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

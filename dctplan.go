@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/cmplx"
+	"sync"
 
 	"spiralfft/internal/exec"
 	"spiralfft/internal/metrics"
@@ -25,11 +26,17 @@ type DCTPlan struct {
 	n     int
 	inner *Plan
 	w     []complex128 // e^{-iπk/(2n)}, k = 0..n-1
+	// work pools the per-call reordering workspace (*dctWork).
+	work sync.Pool
 	// planCore carries the transform recorder (the inner complex DFT
-	// dominates the flop count), the pooled reordering workspace, and
-	// delegates pool and barrier statistics to the inner plan.
+	// dominates the flop count) and delegates pool and barrier statistics
+	// to the inner plan.
 	planCore
 }
+
+// dctWork is one call's reordering workspace (pooling the pointer keeps the
+// steady state allocation-free).
+type dctWork struct{ v []complex128 }
 
 // NewDCTPlan prepares a DCT-II of size n ≥ 1.
 func NewDCTPlan(n int, o *Options) (*DCTPlan, error) {
@@ -45,7 +52,8 @@ func NewDCTPlan(n int, o *Options) (*DCTPlan, error) {
 		w[k] = twiddle.Omega(4*n, k) // e^{-2πik/(4n)} = e^{-iπk/(2n)}
 	}
 	p := &DCTPlan{n: n, inner: inner, w: w}
-	p.init(tkDCT, int64(exec.FlopCount(n)), n)
+	p.init(tkDCT, int64(exec.FlopCount(n)))
+	p.work.New = func() any { return &dctWork{v: make([]complex128, n)} }
 	p.initFloatLeases(n, n)
 	p.planCore.inner = inner
 	return p, nil
@@ -72,8 +80,8 @@ func (p *DCTPlan) ForwardCtx(ctx context.Context, dst, src []float64) error {
 		return fmt.Errorf("%w: DCT Forward: dst %d, src %d, want %d", ErrLengthMismatch, len(dst), len(src), p.n)
 	}
 	start := metrics.Now()
-	b := p.getInv()
-	defer p.putInv(b)
+	b := p.work.Get().(*dctWork)
+	defer p.work.Put(b)
 	v := b.v
 	n := p.n
 	// Makhoul reordering: evens ascending then odds descending.
@@ -107,8 +115,8 @@ func (p *DCTPlan) InverseCtx(ctx context.Context, dst, src []float64) error {
 		return fmt.Errorf("%w: DCT Inverse: dst %d, src %d, want %d", ErrLengthMismatch, len(dst), len(src), p.n)
 	}
 	start := metrics.Now()
-	b := p.getInv()
-	defer p.putInv(b)
+	b := p.work.Get().(*dctWork)
+	defer p.work.Put(b)
 	v := b.v
 	n := p.n
 	// Rebuild the DFT spectrum: V[k] = e^{iπk/(2n)}·(C[k] - i·C[n-k]),

@@ -141,7 +141,8 @@ func TestForwardCtxCancelMidTransform(t *testing.T) {
 }
 
 // TestInverseCtxCancelled covers the inverse path's cancellation plumbing
-// (it runs through a pooled conjugation workspace that must be returned).
+// (the inverse program's executor, built on first use, must come through a
+// cancelled call intact).
 func TestInverseCtxCancelled(t *testing.T) {
 	p, err := NewPlan(256, &Options{Workers: 1})
 	if err != nil {
@@ -154,7 +155,8 @@ func TestInverseCtxCancelled(t *testing.T) {
 	if err := p.InverseCtx(ctx, dst, make([]complex128, 256)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("InverseCtx = %v, want context.Canceled", err)
 	}
-	// The workspace went back to the pool; a plain Inverse still works.
+	// The inverse executor survives the cancelled call; a plain Inverse
+	// still works.
 	x := complexvec.Random(256, 10)
 	fwd := make([]complex128, 256)
 	if err := p.Forward(fwd, x); err != nil {

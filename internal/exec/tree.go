@@ -6,7 +6,7 @@
 //     factorization tree (permutations and twiddle diagonals folded into
 //     strides and kernels, never executed as separate passes);
 //   - NewBluesteinKernel: the chirp-z kernel for large prime leaves;
-//   - WHTInPlace: the Walsh-Hadamard radix-2 butterflies.
+//   - WHTInPlace: the Walsh-Hadamard butterflies (fused radix-4 passes).
 //
 // The multicore Cooley-Tukey FFT of the paper (formula (14)) is not here: it
 // is lowered by ir.LowerCT and runs on ir.Executor, whose worker ops call

@@ -66,12 +66,54 @@ func TestQuickWHTInvolution(t *testing.T) {
 	}
 }
 
+// whtRadix2 is the plain radix-2 butterfly loop, stage by stage.
+func whtRadix2(buf []complex128) {
+	n := len(buf)
+	for step := 1; step < n; step *= 2 {
+		for i := 0; i < n; i += 2 * step {
+			for j := i; j < i+step; j++ {
+				a, b := buf[j], buf[j+step]
+				buf[j], buf[j+step] = a+b, a-b
+			}
+		}
+	}
+}
+
+// The fused radix-4 passes perform the radix-2 additions in the same order,
+// so WHTInPlace equals the radix-2 loop bit for bit, for even and odd
+// log2 n; WHTInPlaceScaled by a power of two equals it times the scale.
+func TestWHTInPlaceBitIdenticalToRadix2(t *testing.T) {
+	for k := 0; k <= 12; k++ {
+		n := 1 << uint(k)
+		x := complexvec.Random(n, uint64(100+k))
+		want := complexvec.Clone(x)
+		whtRadix2(want)
+		got := complexvec.Clone(x)
+		WHTInPlace(got)
+		scaled := complexvec.Clone(x)
+		WHTInPlaceScaled(scaled, 1/float64(n))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: element %d = %v, radix-2 gives %v", n, i, got[i], want[i])
+			}
+			if w := want[i] * complex(1/float64(n), 0); scaled[i] != w {
+				t.Fatalf("n=%d scaled: element %d = %v, want %v", n, i, scaled[i], w)
+			}
+		}
+	}
+}
+
 func BenchmarkWHT(b *testing.B) {
 	for _, k := range []int{10, 14} {
 		buf := complexvec.Random(1<<uint(k), 1)
 		b.Run(fmt.Sprintf("seq/logN=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				WHTInPlace(buf)
+			}
+		})
+		b.Run(fmt.Sprintf("radix2/logN=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				whtRadix2(buf)
 			}
 		})
 	}

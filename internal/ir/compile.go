@@ -29,9 +29,11 @@ import (
 // regardless of backend (root plans never lower to Generic, so the
 // production paths are unaffected).
 type Executor struct {
-	prog    *Program
-	n, p    int
-	backend smp.Backend
+	prog *Program
+	n, p int
+	// srcLen and dstLen are the program's buffer lengths Transform checks.
+	srcLen, dstLen int
+	backend        smp.Backend
 	// workers[w] is worker w's fully compiled op sequence, with barrier
 	// markers inlined at the positions of the program's Barrier nodes (every
 	// worker carries the same barrier count — that is what makes the shared
@@ -89,7 +91,8 @@ type compiledOp struct {
 	// tile×tile cache blocking.
 	rows, cols     int
 	lo, hi, tile   int
-	den, row, roff int // opCodeletGen*: generated twiddle row parameters
+	den, row, roff int     // opCodeletGen*: generated twiddle row parameters
+	scale          float64 // opWHT*: output scale (1 when unscaled)
 }
 
 type opKind uint8
@@ -103,6 +106,8 @@ const (
 	opWHT                  // contiguous WHT: copy + in-place butterflies
 	opWHTStrided           // strided WHT: gather to scratch, transform, scatter
 	opTranspose            // cache-blocked tile transpose
+	opUntangle             // real-input spectrum untangling over bin pairs
+	opRetangle             // its inverse
 	opScale
 	opPermute
 	opCopy
@@ -134,6 +139,8 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 		prog:    prog,
 		n:       prog.N,
 		p:       prog.P,
+		srcLen:  prog.BufLen(BufSrc),
+		dstLen:  prog.BufLen(BufDst),
 		backend: backend,
 		workers: make([][]compiledOp, prog.P),
 	}
@@ -264,11 +271,24 @@ func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 			dst:  t.Dst, src: t.Src,
 			doff: t.DOff, ds: t.DS,
 			soff: t.SOff, ss: t.SS,
-			n: t.N,
+			n: t.N, scale: 1,
+		}
+		if t.Scale != 0 {
+			co.scale = t.Scale
 		}
 		if t.DS != 1 || t.SS != 1 {
 			co.kind = opWHTStrided
 			return co, t.N, nil
+		}
+		return co, 0, nil
+	case Untangle:
+		co := compiledOp{
+			kind: opUntangle,
+			dst:  t.Dst, src: t.Src,
+			n: t.H, lo: t.Lo, hi: t.Hi, tw: t.W,
+		}
+		if t.Inverse {
+			co.kind = opRetangle
 		}
 		return co, 0, nil
 	case Scale:
@@ -360,8 +380,9 @@ func (e *Executor) TransformCtx(ctx context.Context, dst, src []complex128) erro
 }
 
 func (e *Executor) run(cctx context.Context, dst, src []complex128) {
-	if len(dst) != e.n || len(src) != e.n {
-		panic(fmt.Sprintf("ir: Transform length mismatch: program %d, dst %d, src %d", e.n, len(dst), len(src)))
+	if len(dst) != e.dstLen || len(src) != e.srcLen {
+		panic(fmt.Sprintf("ir: Transform length mismatch: program dst %d, src %d; got dst %d, src %d",
+			e.dstLen, e.srcLen, len(dst), len(src)))
 	}
 	ctx := e.ctxs.Get().(*execCtx)
 	ctx.dst, ctx.src, ctx.cancel = dst, src, cctx
@@ -530,17 +551,21 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 			if &dst[0] != &src[0] {
 				copy(dst, src)
 			}
-			exec.WHTInPlace(dst)
+			exec.WHTInPlaceScaled(dst, op.scale)
 		case opWHTStrided:
 			dst, src := ctx.buf(op.dst), ctx.buf(op.src)
 			col := scratch[:op.n]
 			for i := 0; i < op.n; i++ {
 				col[i] = src[op.soff+i*op.ss]
 			}
-			exec.WHTInPlace(col)
+			exec.WHTInPlaceScaled(col, op.scale)
 			for i := 0; i < op.n; i++ {
 				dst[op.doff+i*op.ds] = col[i]
 			}
+		case opUntangle:
+			untangle(ctx.buf(op.dst), ctx.buf(op.src), op.n, op.lo, op.hi, op.tw)
+		case opRetangle:
+			retangle(ctx.buf(op.dst), ctx.buf(op.src), op.n, op.lo, op.hi, op.tw)
 		case opScale:
 			dst, src := ctx.buf(op.dst), ctx.buf(op.src)
 			for i, c := range op.tw {

@@ -35,6 +35,11 @@ type FourStepConfig struct {
 	// ColTree and RowTree override the sub-plan factorizations of the
 	// column (DFT_{n2}) and row (DFT_{n1}) stages (default RadixTree).
 	ColTree, RowTree *exec.Tree
+	// Inverse lowers the unitary inverse with the same four regions (see
+	// inverseScale in lower.go): the column FFTs scale their loads by
+	// ω_{n2}^r/n, row j's FFT generates twiddle row j+1 and writes row
+	// n2-1-j reversed; the transposes are unchanged.
+	Inverse bool
 }
 
 // LowerFourStep lowers DFT_n with split n = n1·n2 as the four-step schedule:
@@ -83,6 +88,16 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 	if ct.N != n2 || rt.N != n1 {
 		return nil, fmt.Errorf("ir: four-step sub-tree sizes %d/%d do not match split %d·%d", ct.N, rt.N, n1, n2)
 	}
+	// The inverse: input x[i + n1·r] carries ω_n^i·ω_{n2}^r/n. Column op i
+	// loads x[i::n1], so ω_{n2}^r/n is one shared scale; the constant ω_n^i
+	// passes through DFT_{n2} and the transpose into element i of every
+	// row, where the row twiddle ω_n^{j·i} becomes ω_n^{(j+1)·i}. Output
+	// t·n2 + j must land at n-1-(t·n2 + j), which is where the second
+	// transpose carries element n1-1-t of row n2-1-j.
+	var colScale []complex128
+	if cfg.Inverse {
+		colScale = inverseScale(n2, 1/float64(n))
+	}
 	t0 := TempBuf(0)
 	colFFT := &Region{Name: "col-fft", Workers: make([][]Op, cfg.P)}
 	transA := &Region{Name: "transpose", Workers: make([][]Op, cfg.P)}
@@ -94,7 +109,7 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 		lo, hi := smp.BlockRange(n1, cfg.P, w)
 		for i := lo; i < hi; i++ {
 			colFFT.Workers[w] = append(colFFT.Workers[w],
-				CodeletCall{Dst: t0, DOff: i * n2, DS: 1, Src: BufSrc, SOff: i, SS: n1, Tree: ct})
+				CodeletCall{Dst: t0, DOff: i * n2, DS: 1, Src: BufSrc, SOff: i, SS: n1, Tree: ct, Tw: colScale})
 		}
 		// Transpose t0 (n1×n2) into dst as n2×n1; workers own destination
 		// row bands [lo,hi) ⊆ [0,n2), so writes are contiguous.
@@ -106,9 +121,12 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 		// Row FFTs: row j is contiguous in dst; the twiddle row
 		// ω_n^{j·i} (i < n1) is generated into scratch, never tabulated.
 		for j := lo; j < hi; j++ {
-			rowFFT.Workers[w] = append(rowFFT.Workers[w],
-				CodeletGenCall{Dst: t0, DOff: j * n1, DS: 1, Src: BufDst, SOff: j * n1, SS: 1,
-					Tree: rt, TwDen: n, TwRow: j})
+			c := CodeletGenCall{Dst: t0, DOff: j * n1, DS: 1, Src: BufDst, SOff: j * n1, SS: 1,
+				Tree: rt, TwDen: n, TwRow: j}
+			if cfg.Inverse {
+				c.DOff, c.DS, c.TwRow = (n2-j)*n1-1, -1, j+1
+			}
+			rowFFT.Workers[w] = append(rowFFT.Workers[w], c)
 		}
 		// Transpose t0 (now n2×n1) into dst: dst[t·n2+j] = t0[j·n1+t].
 		lo, hi = smp.BlockRange(n1, cfg.P, w)
@@ -118,7 +136,7 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 		}
 	}
 	return &Program{
-		Name:  "four-step",
+		Name:  dirName("four-step", cfg.Inverse),
 		N:     n,
 		P:     cfg.P,
 		Mu:    cfg.Mu,

@@ -12,8 +12,8 @@
 // A Program is a sequence of parallel regions separated by barriers. Each
 // region assigns every worker an ordered list of typed ops: codelet calls
 // (strided sub-DFTs with optional fused twiddle scale), WHT calls, twiddle
-// scales, stride/explicit permutations, copies, and an opaque formula
-// fallback. The lowering pipeline is
+// scales, stride/explicit permutations, copies, the real-input untangle
+// pass, and an opaque formula fallback. The lowering pipeline is
 //
 //	spl formula → rewrite → ir.Lower* / ir.FromFormula → {exec, codegen, cachesim}
 //
@@ -36,9 +36,9 @@ import (
 type Buf int
 
 const (
-	// BufSrc is the transform input vector (length Program.N).
+	// BufSrc is the transform input vector (length Program.BufLen(BufSrc)).
 	BufSrc Buf = 0
-	// BufDst is the transform output vector (length Program.N).
+	// BufDst is the transform output vector (length Program.BufLen(BufDst)).
 	BufDst Buf = 1
 )
 
@@ -109,19 +109,64 @@ func (c CodeletCall) String() string {
 
 // WHTCall runs a 2^k-point Walsh-Hadamard transform with strided I/O:
 //
-//	dst[DOff + i·DS] = WHT_N(src[SOff + j·SS])
+//	dst[DOff + i·DS] = Scale·WHT_N(src[SOff + j·SS])
+//
+// Scale 0 means 1. The inverse WHT sets Scale = 1/n on its last stage's
+// calls, so the 1/n rides in the final butterfly pass.
 type WHTCall struct {
 	Dst, Src Buf
 	DOff, DS int
 	SOff, SS int
 	N        int
+	Scale    float64
 }
 
 func (WHTCall) isOp()         {}
 func (c WHTCall) DstBuf() Buf { return c.Dst }
 func (c WHTCall) SrcBuf() Buf { return c.Src }
 func (c WHTCall) String() string {
-	return fmt.Sprintf("wht%d %s[%d:%d] ← %s[%d:%d]", c.N, c.Dst, c.DOff, c.DS, c.Src, c.SOff, c.SS)
+	sc := ""
+	if c.Scale != 0 {
+		sc = fmt.Sprintf(" ·%g", c.Scale)
+	}
+	return fmt.Sprintf("wht%d %s[%d:%d] ← %s[%d:%d]%s", c.N, c.Dst, c.DOff, c.DS, c.Src, c.SOff, c.SS, sc)
+}
+
+// Untangle is the real-input DFT's pre/post pass over the bin pairs
+// (k, H-k), Lo ≤ k < Hi, of a packed half-size spectrum (H = N/2 complex
+// points for a real DFT_N; the pairs are k ∈ [0, H/2], and k = 0 pairs with
+// H). W[k] = ω_N^k for k ≤ H/2.
+//
+// Forward (Inverse false) turns the spectrum Z = DFT_H of the packed signal
+// z[j] = x[2j] + i·x[2j+1] into the half spectrum X[0..H] of x:
+//
+//	X[k] = Fe + W[k]·Fo,   X[H-k] = conj(Fe - W[k]·Fo),
+//	Fe = (Z[k] + conj Z[H-k])/2,   Fo = -i·(Z[k] - conj Z[H-k])/2,
+//
+// with X[0] = re Z[0] + im Z[0] and X[H] = re Z[0] - im Z[0]. dst holds H+1
+// elements and may be src (each pair is read before it is written).
+// Inverse is the exact reverse (retangling): it rebuilds Z from X[0..H],
+// ignoring the imaginary parts of X[0] and X[H]:
+//
+//	Z[k] = Fe + i·Fo,   Z[H-k] = conj(Fe - i·Fo),
+//	Fe = (X[k] + conj X[H-k])/2,   Fo = conj(W[k])·(X[k] - conj X[H-k])/2.
+type Untangle struct {
+	Dst, Src Buf
+	H        int
+	Lo, Hi   int
+	W        []complex128
+	Inverse  bool
+}
+
+func (Untangle) isOp()         {}
+func (c Untangle) DstBuf() Buf { return c.Dst }
+func (c Untangle) SrcBuf() Buf { return c.Src }
+func (c Untangle) String() string {
+	name := "untangle"
+	if c.Inverse {
+		name = "retangle"
+	}
+	return fmt.Sprintf("%s%d %s ← %s pairs[%d,%d)", name, 2*c.H, c.Dst, c.Src, c.Lo, c.Hi)
 }
 
 // Scale is a pointwise diagonal: dst[Off+i] = W[i]·src[Off+i] for i < len(W).
@@ -282,8 +327,13 @@ func (Barrier) isNode() {}
 type Program struct {
 	// Name labels the program (pprof region label, codegen comments).
 	Name string
-	// N is the transform size: the length of BufSrc and BufDst.
+	// N is the transform size: the length of BufSrc and BufDst unless
+	// SrcN or DstN says otherwise.
 	N int
+	// SrcN and DstN, when nonzero, are the lengths of BufSrc and BufDst
+	// (the real-input programs read n/2 and write n/2+1 elements, or the
+	// reverse).
+	SrcN, DstN int
 	// P is the worker count; every region carries exactly P op lists.
 	P int
 	// Mu is the cache-line length in complex128 elements the lowering
@@ -300,8 +350,13 @@ func (p *Program) NumBufs() int { return 2 + len(p.Temps) }
 
 // BufLen returns the element length of buffer b.
 func (p *Program) BufLen(b Buf) int {
-	if b.IsTemp() {
+	switch {
+	case b.IsTemp():
 		return p.Temps[b.TempIndex()]
+	case b == BufSrc && p.SrcN != 0:
+		return p.SrcN
+	case b == BufDst && p.DstN != 0:
+		return p.DstN
 	}
 	return p.N
 }
@@ -320,8 +375,8 @@ func (p *Program) Regions() []*Region {
 // Validate checks structural invariants: region shape, buffer ids, and op
 // spans within buffer bounds.
 func (p *Program) Validate() error {
-	if p.N < 1 || p.P < 1 {
-		return fmt.Errorf("ir: invalid program n=%d p=%d", p.N, p.P)
+	if p.N < 1 || p.P < 1 || p.SrcN < 0 || p.DstN < 0 {
+		return fmt.Errorf("ir: invalid program n=%d p=%d src=%d dst=%d", p.N, p.P, p.SrcN, p.DstN)
 	}
 	if len(p.Nodes) == 0 {
 		return fmt.Errorf("ir: empty program")
@@ -464,6 +519,22 @@ func (p *Program) validateOp(op Op, w int) error {
 			return err
 		}
 		return check(t.Src, t.SOff, t.SS, n)
+	case Untangle:
+		if t.H < 1 || len(t.W) != t.H/2+1 {
+			return fmt.Errorf("op %s: half size %d with %d weights, want %d", op, t.H, len(t.W), t.H/2+1)
+		}
+		if t.Lo < 0 || t.Lo >= t.Hi || t.Hi > t.H/2+1 {
+			return fmt.Errorf("op %s: pair range [%d,%d) outside [0,%d]", op, t.Lo, t.Hi, t.H/2)
+		}
+		// The packed side holds H elements, the spectrum side H+1.
+		in, out := t.H, t.H+1
+		if t.Inverse {
+			in, out = out, in
+		}
+		if err := check(t.Dst, 0, 1, out); err != nil {
+			return err
+		}
+		return check(t.Src, 0, 1, in)
 	case Generic:
 		if t.F == nil {
 			return fmt.Errorf("generic op without formula")
@@ -481,7 +552,11 @@ func (p *Program) validateOp(op Op, w int) error {
 // String renders the program as a readable stage listing.
 func (p *Program) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "program %q: n=%d p=%d µ=%d temps=%v\n", p.Name, p.N, p.P, p.Mu, p.Temps)
+	fmt.Fprintf(&b, "program %q: n=%d p=%d µ=%d temps=%v", p.Name, p.N, p.P, p.Mu, p.Temps)
+	if p.SrcN != 0 || p.DstN != 0 {
+		fmt.Fprintf(&b, " src=%d dst=%d", p.BufLen(BufSrc), p.BufLen(BufDst))
+	}
+	b.WriteString("\n")
 	for _, nd := range p.Nodes {
 		switch t := nd.(type) {
 		case Barrier:

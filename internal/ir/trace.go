@@ -57,6 +57,21 @@ func (p *Program) TraceAccesses(s, w int, visit func(buf Buf, idx int, write boo
 			for i := 0; i < t.N; i++ {
 				visit(t.Dst, t.DOff+i*t.DS, true)
 			}
+		case Untangle:
+			for k := t.Lo; k < t.Hi; k++ {
+				// Pair k covers elements k and H-k on both sides; for k = 0
+				// the packed side (src forward, dst inverse) has only 0.
+				for _, write := range [2]bool{false, true} {
+					b := t.Src
+					if write {
+						b = t.Dst
+					}
+					visit(b, k, write)
+					if packed := write == t.Inverse; k != t.H-k && !(k == 0 && packed) {
+						visit(b, t.H-k, write)
+					}
+				}
+			}
 		case Scale:
 			for i := range t.W {
 				visit(t.Src, t.Off+i, false)
@@ -118,6 +133,9 @@ func opWork(op Op) float64 {
 		return float64((t.Hi - t.Lo) * t.Rows) // element moves
 	case WHTCall:
 		return 2 * float64(t.N) * math.Log2(float64(t.N))
+	case Untangle:
+		// Per bin: one complex multiply (6) and four adds with halving.
+		return 10 * float64(2*(t.Hi-t.Lo))
 	case Scale:
 		return 6 * float64(len(t.W))
 	case Permute:

@@ -171,7 +171,7 @@ func TestTuneParallelCtxBudget(t *testing.T) {
 	b := smp.NewSpawn(2)
 	defer b.Close()
 	start := time.Now()
-	c, err := tu.TuneParallelCtx(context.Background(), 1<<12, 2, 4, b)
+	c, err := tu.TuneParallelCtx(context.Background(), 1<<12, 2, 4, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

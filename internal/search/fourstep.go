@@ -111,7 +111,7 @@ type FourStepChoice struct {
 // BestFourStep tunes the four-step schedule for DFT_n on p workers with
 // cache-line length mu, using the given backend (nil for p == 1).
 func (t *Tuner) BestFourStep(n, p, mu int, backend smp.Backend) (FourStepChoice, error) {
-	return t.BestFourStepCtx(context.Background(), n, p, mu, backend)
+	return t.BestFourStepCtx(context.Background(), n, p, mu, backend, nil)
 }
 
 // BestFourStepCtx is BestFourStep under a context deadline (composed with
@@ -119,8 +119,9 @@ func (t *Tuner) BestFourStep(n, p, mu int, backend smp.Backend) (FourStepChoice,
 // entries of RankFourStep's list (fewer when Tuner.TopK is smaller). When
 // time runs out before any candidate was measured, the model's top-ranked
 // candidate is built and returned unmeasured — the search never fails from
-// expiry alone.
-func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.Backend) (FourStepChoice, error) {
+// expiry alone. finish, when non-nil, completes each candidate program as
+// in TuneParallel, and the candidates are timed as finished.
+func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.Backend, finish Finish) (FourStepChoice, error) {
 	if p < 1 {
 		return FourStepChoice{}, fmt.Errorf("search: BestFourStep p=%d", p)
 	}
@@ -159,9 +160,9 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 		}
 		col := t.bestTree(n / c.N1).Tree
 		row := t.bestTree(c.N1).Tree
-		prog, err := ir.LowerFourStep(n, c.N1, ir.FourStepConfig{
+		prog, err := finish.Apply(ir.LowerFourStep(n, c.N1, ir.FourStepConfig{
 			P: p, Mu: mu, Tile: c.Tile, ColTree: col, RowTree: row,
-		})
+		}))
 		if err != nil {
 			return built{}, err
 		}
@@ -192,8 +193,8 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 			continue
 		}
 		if x == nil {
-			x = complexvec.Random(n, 5)
-			y = make([]complex128, n)
+			x = complexvec.Random(b.prog.BufLen(ir.BufSrc), 5)
+			y = make([]complex128, b.prog.BufLen(ir.BufDst))
 		}
 		mctx, cancel := t.measureContext()
 		d := MeasureCtx(mctx, func() { b.exe.Transform(y, x) }, cfg)

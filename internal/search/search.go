@@ -616,8 +616,24 @@ func (c ParallelChoice) Time() time.Duration {
 // multicore Cooley-Tukey split (subtrees from the sequential tuner) and
 // returns the fastest. The returned executor (if any) references the
 // backend; the caller owns both.
-func (t *Tuner) TuneParallel(n, p, mu int, backend smp.Backend) (ParallelChoice, error) {
-	return t.TuneParallelCtx(context.Background(), n, p, mu, backend)
+//
+// finish, when non-nil, completes each lowered DFT_n program into the
+// program the plan ships (the real-input family wraps its untangle region
+// around it, ir.RealForward), and the candidates are timed as finished.
+func (t *Tuner) TuneParallel(n, p, mu int, backend smp.Backend, finish Finish) (ParallelChoice, error) {
+	return t.TuneParallelCtx(context.Background(), n, p, mu, backend, finish)
+}
+
+// Finish completes a lowered DFT program into the program a plan ships; a
+// nil Finish ships the DFT program itself.
+type Finish func(*ir.Program) (*ir.Program, error)
+
+// Apply runs f on a lowering's result, passing a lowering error through.
+func (f Finish) Apply(prog *ir.Program, err error) (*ir.Program, error) {
+	if err != nil || f == nil {
+		return prog, err
+	}
+	return f(prog)
 }
 
 // TuneParallelCtx is TuneParallel under a context deadline (composed with
@@ -627,9 +643,9 @@ func (t *Tuner) TuneParallel(n, p, mu int, backend smp.Backend) (ParallelChoice,
 //
 // Both sides are timed as the IR executors a plan ships: the sequential
 // tree as its ir.LowerTree program, each split as its ir.LowerCT program
-// compiled on the backend. The winning parallel executor is returned as is,
-// so the plan runs exactly what was measured.
-func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.Backend) (ParallelChoice, error) {
+// compiled on the backend, each completed by finish. The winning parallel
+// executor is returned as is, so the plan runs exactly what was measured.
+func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.Backend, finish Finish) (ParallelChoice, error) {
 	if p < 1 {
 		return ParallelChoice{}, fmt.Errorf("search: TuneParallel p=%d", p)
 	}
@@ -638,9 +654,7 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 	t.stats.Searches++
 	seq := t.bestTree(n)
 	choice := ParallelChoice{N: n, Tree: seq.Tree}
-	x := complexvec.Random(n, 3)
-	y := make([]complex128, n)
-	prog, err := ir.LowerTree(seq.Tree)
+	prog, err := finish.Apply(ir.LowerTree(seq.Tree))
 	if err != nil {
 		return ParallelChoice{}, err
 	}
@@ -648,6 +662,8 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 	if err != nil {
 		return ParallelChoice{}, err
 	}
+	x := complexvec.Random(prog.BufLen(ir.BufSrc), 3)
+	y := make([]complex128, prog.BufLen(ir.BufDst))
 	choice.SeqTime = t.measureExecutor(seqExe, x, y)
 	t.trace("parallel-candidate", n, "sequential "+seq.Tree.String(), choice.SeqTime)
 	if p == 1 || backend == nil {
@@ -676,7 +692,7 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 			break
 		}
 		lt, rt := t.bestTree(m).Tree, t.bestTree(n/m).Tree
-		prog, err := ir.LowerCT(n, m, ir.CTConfig{P: p, Mu: mu, LeftTree: lt, RightTree: rt})
+		prog, err := finish.Apply(ir.LowerCT(n, m, ir.CTConfig{P: p, Mu: mu, LeftTree: lt, RightTree: rt}))
 		if err != nil {
 			continue
 		}

@@ -116,7 +116,7 @@ func TestTuneParallelSequentialFallback(t *testing.T) {
 	tu := NewTuner(StrategyEstimate)
 	tu.Timer = fastTimer
 	// p=1: always sequential.
-	c, err := tu.TuneParallel(256, 1, 4, nil)
+	c, err := tu.TuneParallel(256, 1, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTuneParallelPicksWinnerAndIsCorrect(t *testing.T) {
 	defer pool.Close()
 	// Large enough that either choice is plausible; whatever wins must be
 	// correct and consistent.
-	c, err := tu.TuneParallel(1<<14, 2, 4, pool)
+	c, err := tu.TuneParallel(1<<14, 2, 4, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTuneParallelPicksWinnerAndIsCorrect(t *testing.T) {
 
 func TestTuneParallelRejectsBadP(t *testing.T) {
 	tu := NewTuner(StrategyEstimate)
-	if _, err := tu.TuneParallel(64, 0, 4, nil); err == nil {
+	if _, err := tu.TuneParallel(64, 0, 4, nil, nil); err == nil {
 		t.Error("accepted p=0")
 	}
 }
@@ -329,7 +329,7 @@ func TestTuneParallelTraces(t *testing.T) {
 	tu.Trace = func(e metrics.TraceEvent) { events = append(events, e) }
 	b := smp.NewSpawn(2)
 	defer b.Close()
-	if _, err := tu.TuneParallel(256, 2, 4, b); err != nil {
+	if _, err := tu.TuneParallel(256, 2, 4, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	var winner bool

@@ -38,8 +38,8 @@ type Backend interface {
 	Workers() int
 	// Run executes fn(0), ..., fn(p-1) concurrently and returns when all
 	// calls have completed (an implicit join barrier). Run must not be
-	// called from inside fn, and — unless Concurrent reports true — must
-	// not be called concurrently with itself.
+	// called from inside fn. It may be called concurrently with itself;
+	// unless Concurrent reports true, such calls run one after another.
 	//
 	// A panic inside fn is contained: it is recovered on the worker that
 	// raised it (the join barrier still completes, and pooled workers keep
@@ -49,7 +49,7 @@ type Backend interface {
 	Run(fn func(worker int))
 	// Concurrent reports whether independent Run calls may proceed
 	// concurrently. Pooled backends dispatch through shared epoch state and
-	// return false (callers must serialize regions); stateless backends
+	// return false (their Run serializes regions); stateless backends
 	// (Spawn, Sequential) return true.
 	Concurrent() bool
 	// Close releases backend resources. The backend must not be used after.
@@ -164,16 +164,20 @@ func capturePanic(worker int, r any) *WorkerPanic {
 // reports which wakeup paths the workers actually took.
 type Pool struct {
 	workers int
-	noSpin  atomic.Bool // oversubscription policy, re-evaluated at every Run
-	fn      func(int)   // current region body; written before epoch bump
-	epoch   atomic.Uint32
-	done    atomic.Uint32
-	stop    atomic.Bool
-	closed  sync.Once
-	joined  sync.WaitGroup
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parked  int
+	// runMu serializes Run: one region occupies every worker, so regions
+	// dispatched concurrently (e.g. by the forward and inverse executors of
+	// one plan, which share its pool) take turns.
+	runMu  sync.Mutex
+	noSpin atomic.Bool // oversubscription policy, re-evaluated at every Run
+	fn     func(int)   // current region body; written before epoch bump
+	epoch  atomic.Uint32
+	done   atomic.Uint32
+	stop   atomic.Bool
+	closed sync.Once
+	joined sync.WaitGroup
+	mu     sync.Mutex
+	cond   *sync.Cond
+	parked int
 	// panicked holds the representative *WorkerPanic of the current region
 	// (first recovery wins); Run swaps it out and re-panics after the join.
 	panicked atomic.Pointer[WorkerPanic]
@@ -214,7 +218,7 @@ func NewPool(p int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Concurrent returns false: dispatch goes through the pool's single epoch
-// counter, so parallel regions must be serialized by the caller.
+// counter, so regions never overlap; Run serializes concurrent callers.
 func (p *Pool) Concurrent() bool { return false }
 
 func (p *Pool) workerLoop(id int) {
@@ -306,8 +310,11 @@ func (p *Pool) awaitEpoch(last uint32) uint32 {
 // Run dispatches fn to all workers and joins. The caller executes worker 0
 // itself, so a 1-worker pool runs fn inline with zero overhead. A panic in
 // any worker's fn is recovered (the join still completes) and re-panicked
-// here as a *WorkerPanic; the pool remains usable afterwards.
+// here as a *WorkerPanic; the pool remains usable afterwards. Concurrent
+// calls run one after another.
 func (p *Pool) Run(fn func(worker int)) {
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
 	p.ctr.regions.Inc()
 	beginRegion(p.workers)
 	defer endRegion(p.workers)

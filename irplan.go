@@ -13,11 +13,11 @@ import (
 // planCore is the shared execution core embedded by every root plan family.
 // It owns the pieces the seven plan types used to copy independently: the
 // transform recorder feeding Snapshot, the nominal flop count, the threading
-// backend and the compiled IR executor bound to it, the pooled per-call
-// conjugation buffers used by the Inverse entry points, and the final
+// backend and the compiled IR executors bound to it, and the final
 // statistics preserved across Close. Families that carry their own
-// parallelism set seqExe and, when parallel, exe/backend; wrapper families
-// (RealPlan, DCTPlan, STFTPlan) set inner to the plan that does.
+// parallelism set seqExe and, when parallel, exe/backend, plus
+// lowerInverse when they have an inverse program; wrapper families (DCTPlan,
+// STFTPlan) set inner to the plan that does.
 type planCore struct {
 	kind  transformKind
 	flops int64
@@ -31,12 +31,16 @@ type planCore struct {
 	// backend is the owned threading substrate behind exe; nil for
 	// sequential plans. Set and cleared together with exe.
 	backend smp.Backend
+	// lowerInverse lowers the family's inverse program for the given worker
+	// count: the forward program's stages with the inverse folded in.
+	// invExe and invSeqExe mirror exe and seqExe for it; each is built on
+	// the first inverse transform that runs it, so forward-only plans build
+	// and hold nothing for the inverse.
+	lowerInverse      func(workers int) (*ir.Program, error)
+	invExe, invSeqExe lazyExecutor
 	// inner, when set, is the wrapped plan that carries the parallelism;
 	// Snapshot delegates pool and barrier statistics to it.
 	inner interface{ Snapshot() PlanStats }
-	// invs pools per-call workspace buffers (conjugation input for Inverse,
-	// reordering workspace for the DCT).
-	invs sync.Pool
 	// leases is the plan's buffer-lease arena (see lease.go); each family's
 	// constructor arms New with its own lease shape via initComplexLeases /
 	// initRealLeases / initFloatLeases.
@@ -47,26 +51,15 @@ type planCore struct {
 	finalBarrier time.Duration
 }
 
-// init sets the recorder identity and, for invLen > 0, the pooled
-// per-call buffer size.
-func (c *planCore) init(kind transformKind, flops int64, invLen int) {
+// init sets the recorder identity.
+func (c *planCore) init(kind transformKind, flops int64) {
 	c.kind = kind
 	c.flops = flops
-	if invLen > 0 {
-		c.invs.New = func() any { return &invBuf{v: make([]complex128, invLen)} }
-	}
 }
 
-// invBuf wraps the pooled workspace slice (pooling the pointer keeps the
-// steady state allocation-free).
-type invBuf struct{ v []complex128 }
-
-func (c *planCore) getInv() *invBuf  { return c.invs.Get().(*invBuf) }
-func (c *planCore) putInv(b *invBuf) { c.invs.Put(b) }
-
-// run executes the plan's program on dst/src: the backend-bound executor
-// while one is live, the sequential program otherwise. A nil ctx runs the
-// transform without cancellation checks.
+// run executes the plan's forward program on dst/src: the backend-bound
+// executor while one is live, the sequential program otherwise. A nil ctx
+// runs the transform without cancellation checks.
 func (c *planCore) run(ctx context.Context, dst, src []complex128) error {
 	if e := c.exe; e != nil {
 		return e.TransformCtx(ctx, dst, src)
@@ -74,36 +67,60 @@ func (c *planCore) run(ctx context.Context, dst, src []complex128) error {
 	return c.seqExe.TransformCtx(ctx, dst, src)
 }
 
-// forward is the shared forward body of the complex families: run the
-// program, convert a contained region panic to *RegionPanicError, and record
-// the transform unless it was cancelled.
-func (c *planCore) forward(ctx context.Context, dst, src []complex128) error {
-	defer rethrowAsRegionPanic()
-	start := metrics.Now()
-	if err := c.run(ctx, dst, src); err != nil {
+// runInverse executes the plan's inverse program: on the plan's backend
+// while it holds one, the single-worker program otherwise.
+func (c *planCore) runInverse(ctx context.Context, dst, src []complex128) error {
+	var e *ir.Executor
+	var err error
+	if fwd := c.exe; fwd != nil {
+		e, err = c.invExe.get(func() (*ir.Executor, error) { return c.buildInverse(fwd.Workers(), fwd.Backend()) })
+	} else {
+		e, err = c.invSeqExe.get(func() (*ir.Executor, error) { return c.buildInverse(1, nil) })
+	}
+	if err != nil {
 		return err
 	}
-	c.record(start)
-	return nil
+	return e.TransformCtx(ctx, dst, src)
 }
 
-// inverse is the shared inverse body of the DFT families: the unitary
-// inverse by conjugation, dst = conj(F(conj(src)))·scale, with scale the
-// reciprocal of the transform length (per signal for batches). The
-// conjugated input goes through a pooled buffer, so dst == src is allowed.
-func (c *planCore) inverse(ctx context.Context, dst, src []complex128, scale float64) error {
+func (c *planCore) buildInverse(workers int, b smp.Backend) (*ir.Executor, error) {
+	prog, err := c.lowerInverse(workers)
+	if err != nil {
+		return nil, err
+	}
+	return ir.NewExecutor(prog, b)
+}
+
+// lazyExecutor is an executor built on first use; a build error is kept and
+// returned by every later use.
+type lazyExecutor struct {
+	once sync.Once
+	exe  *ir.Executor
+	err  error
+}
+
+func (l *lazyExecutor) get(build func() (*ir.Executor, error)) (*ir.Executor, error) {
+	l.once.Do(func() { l.exe, l.err = build() })
+	return l.exe, l.err
+}
+
+// forward is the shared forward body: run the program, convert a contained
+// region panic to *RegionPanicError, and record the transform unless it was
+// cancelled.
+func (c *planCore) forward(ctx context.Context, dst, src []complex128) error {
+	return c.transform(ctx, c.run, dst, src)
+}
+
+// inverse is forward for the plan's inverse program.
+func (c *planCore) inverse(ctx context.Context, dst, src []complex128) error {
+	return c.transform(ctx, c.runInverse, dst, src)
+}
+
+func (c *planCore) transform(ctx context.Context, run func(context.Context, []complex128, []complex128) error, dst, src []complex128) error {
 	defer rethrowAsRegionPanic()
 	start := metrics.Now()
-	b := c.getInv()
-	defer c.putInv(b)
-	for i, v := range src {
-		b.v[i] = complex(real(v), -imag(v))
-	}
-	if err := c.run(ctx, dst, b.v); err != nil {
+	if err := run(ctx, dst, src); err != nil {
 		return err
-	}
-	for i, v := range dst {
-		dst[i] = complex(real(v)*scale, -imag(v)*scale)
 	}
 	c.record(start)
 	return nil
@@ -144,9 +161,9 @@ func (c *planCore) release() {
 // Snapshot returns the plan's observability record: transform counts and,
 // with metrics enabled (EnableMetrics), latency and pseudo-Mflop/s in the
 // paper's unit, plus pool dispatch and barrier statistics for parallel
-// plans. Wrapper families (RealPlan, DCTPlan, STFTPlan) report their own
-// transform counts with the pool and barrier statistics of the inner plan
-// that carries the parallelism. Safe to call concurrently with transforms
+// plans. Wrapper families (DCTPlan, STFTPlan) report their own transform
+// counts with the pool and barrier statistics of the inner plan that
+// carries the parallelism. Safe to call concurrently with transforms
 // and after Close.
 func (c *planCore) Snapshot() PlanStats {
 	st := PlanStats{TransformStats: transformStatsOf(&c.rec)}

@@ -77,9 +77,9 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 		if b == nil {
 			w = 1
 		}
-		return compiled(ir.LowerFourStep(n, fs.n1, ir.FourStepConfig{
+		return compiled(p.finisher().Apply(ir.LowerFourStep(n, fs.n1, ir.FourStepConfig{
 			P: w, Mu: mu, Tile: fs.tile, ColTree: col, RowTree: row,
-		}))(b)
+		})))(b)
 	}
 	par, seq := lower, lower
 	if opt.Planner == PlannerFixed || opt.Planner == PlannerEstimate {
@@ -87,7 +87,7 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 		row, _ = planTree(tuner, opt, fs.n1)
 	} else {
 		tune := func(b smp.Backend) (*ir.Executor, error) {
-			choice, err := bestFourStep(tuner, context.Background(), n, workers, mu, b)
+			choice, err := bestFourStep(tuner, context.Background(), n, workers, mu, b, p.finisher())
 			fs, col, row = fourStepInfo{n1: choice.N1, tile: choice.Tile}, choice.ColTree, choice.RowTree
 			return choice.Exe, err
 		}

@@ -150,7 +150,7 @@ func (p *WHTPlan) Buffers() *Lease { return p.leases.Get().(*Lease) }
 
 // Buffers checks out a real-signal/half-spectrum pair: In has length N,
 // Out has length N/2+1. See Plan.Buffers for the lease contract.
-func (p *RealPlan) Buffers() *RealLease { return p.leases.Get().(*RealLease) }
+func (p *RealPlan) Buffers() *RealLease { return p.half.leases.Get().(*RealLease) }
 
 // Buffers checks out a single-frame pair: In has length Frame(), Out has
 // length Bins(). Whole-signal Analyze/Synthesize calls size their own

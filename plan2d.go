@@ -51,8 +51,9 @@ func NewPlan2D(rows, cols int, o *Options) (*Plan2D, error) {
 		opt.Wisdom.record(colTree, colCost)
 	}
 	p := &Plan2D{rows: rows, cols: cols, p: 1, opt: opt}
-	p.init(tk2D, int64(float64(rows)*exec.FlopCount(cols)+float64(cols)*exec.FlopCount(rows)), rows*cols)
+	p.init(tk2D, int64(float64(rows)*exec.FlopCount(cols)+float64(cols)*exec.FlopCount(rows)))
 	p.initComplexLeases(rows*cols, rows*cols)
+	p.lowerInverse = func(w int) (*ir.Program, error) { return ir.Lower2DInverse(rows, cols, w, rowTree, colTree) }
 	workers := opt.Workers
 	var par buildStep
 	if workers > 1 && rewrite.Parallel2DOK(rows, cols, workers, opt.CacheLineComplex) {
@@ -117,7 +118,7 @@ func (p *Plan2D) InverseCtx(ctx context.Context, dst, src []complex128) error {
 	if len(dst) != p.Len() || len(src) != p.Len() {
 		return lengthError("Plan2D.Inverse", p.Len(), len(dst), len(src))
 	}
-	return p.inverse(ctx, dst, src, 1/float64(p.Len()))
+	return p.inverse(ctx, dst, src)
 }
 
 // Close releases the worker pool (if any). Idempotent; the plan's

@@ -102,8 +102,8 @@ func TestModelOnlyPlannersAreDeterministicAndTimeNothing(t *testing.T) {
 func TestPlannerMeasureAdoptsTimedFourStepExecutor(t *testing.T) {
 	var choice search.FourStepChoice
 	orig := bestFourStep
-	bestFourStep = func(tu *search.Tuner, ctx context.Context, n, p, mu int, b smp.Backend) (search.FourStepChoice, error) {
-		c, err := orig(tu, ctx, n, p, mu, b)
+	bestFourStep = func(tu *search.Tuner, ctx context.Context, n, p, mu int, b smp.Backend, finish search.Finish) (search.FourStepChoice, error) {
+		c, err := orig(tu, ctx, n, p, mu, b, finish)
 		choice = c
 		return c, err
 	}

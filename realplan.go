@@ -3,43 +3,35 @@ package spiralfft
 import (
 	"context"
 	"fmt"
-	"math/cmplx"
-	"sync"
+	"unsafe"
 
-	"spiralfft/internal/exec"
-	"spiralfft/internal/metrics"
-	"spiralfft/internal/twiddle"
+	"spiralfft/internal/ir"
 )
 
 // RealPlan computes DFTs of real-valued inputs of even length n using the
-// standard packing reduction: the n real samples are packed into an
-// n/2-point complex transform and the spectrum is untangled afterwards, so
-// a real transform costs roughly half a complex one. The parallelization
-// machinery applies unchanged to the inner complex plan.
+// standard packing reduction: the n real samples, read in place as n/2
+// complex points z[j] = x[2j] + i·x[2j+1], go through an n/2-point complex
+// transform, and the spectrum is untangled afterwards, so a real transform
+// costs roughly half a complex one. The untangling (and, for Inverse, the
+// retangling before the transform) is a region of the plan's IR program
+// (ir.RealForward, ir.RealInverse): it runs on the plan's workers, and
+// Program shows it.
 //
 // Since the input is real the spectrum is conjugate-symmetric; Forward
 // produces only the n/2+1 non-redundant bins X[0..n/2].
 //
-// A RealPlan is safe for concurrent use (per-call workspace is pooled and
-// the inner complex plan is itself concurrency-safe).
+// A RealPlan is safe for concurrent use (the executor pools its per-call
+// buffers).
 type RealPlan struct {
-	n    int
+	n int
+	// half plans the n/2-point complex DFT and runs the real-input programs
+	// built around it. Its core records this plan's transforms (a real
+	// transform's nominal flop count is half the complex one,
+	// 2.5·n·log2(n)) and holds its backend and lease arena.
 	half *Plan
-	w    []complex128 // e^{-2πik/n}, k = 0..n/2
-	ctxs sync.Pool    // *realCtx
-	// planCore carries the transform recorder (a real transform's nominal
-	// flop count is half the complex one, 2.5·n·log2(n)) and delegates pool
-	// and barrier statistics to the inner complex plan.
-	planCore
 	// onClose, when set, redirects Close to the owning Cache's ref-count
 	// release instead of destroying the plan.
 	onClose func()
-}
-
-// realCtx is the per-call workspace of one real transform.
-type realCtx struct {
-	z     []complex128 // packed input / half-size spectrum
-	spect []complex128 // retangling buffer for Inverse
 }
 
 // NewRealPlan prepares a real-input DFT of even size n ≥ 2.
@@ -47,23 +39,11 @@ func NewRealPlan(n int, o *Options) (*RealPlan, error) {
 	if n < 2 || n%2 != 0 {
 		return nil, fmt.Errorf("%w: real plan needs even n ≥ 2, got %d", ErrInvalidSize, n)
 	}
-	half, err := NewPlan(n/2, o)
+	half, err := newPlan(n/2, o, true)
 	if err != nil {
 		return nil, err
 	}
-	h := n / 2
-	w := make([]complex128, h+1)
-	for k := range w {
-		w[k] = twiddle.Omega(n, k)
-	}
-	p := &RealPlan{n: n, half: half, w: w}
-	p.init(tkReal, int64(exec.FlopCount(n)/2), 0)
-	p.initRealLeases(n, h+1)
-	p.inner = half
-	p.ctxs.New = func() any {
-		return &realCtx{z: make([]complex128, h), spect: make([]complex128, h+1)}
-	}
-	return p, nil
+	return &RealPlan{n: n, half: half}, nil
 }
 
 // N returns the (real) transform size.
@@ -72,8 +52,16 @@ func (p *RealPlan) N() int { return p.n }
 // SpectrumLen returns the Forward output length, n/2 + 1.
 func (p *RealPlan) SpectrumLen() int { return p.n/2 + 1 }
 
-// IsParallel reports whether the inner complex plan runs on multiple workers.
+// IsParallel reports whether the plan runs on multiple workers.
 func (p *RealPlan) IsParallel() bool { return p.half.IsParallel() }
+
+// Program returns the lowered IR program Forward executes: the n/2-point
+// complex DFT's regions followed by the untangle region. The program is
+// shared — callers must not mutate it.
+func (p *RealPlan) Program() *ir.Program { return p.half.program() }
+
+// Snapshot returns the plan's observability record (see Plan.Snapshot).
+func (p *RealPlan) Snapshot() PlanStats { return p.half.Snapshot() }
 
 // Forward computes the non-redundant half spectrum of the real signal src:
 // dst[k] = Σ_j exp(-2πi·kj/n)·src[j] for k = 0..n/2.
@@ -84,41 +72,15 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) error {
 }
 
 // ForwardCtx is Forward under a context: cancellation is observed before
-// the inner complex transform and at its region boundaries; on cancellation
-// the error is ctx.Err() and dst is unspecified. A nil ctx behaves like
-// Forward. Region panics surface as *RegionPanicError (see Plan.Forward).
-func (p *RealPlan) ForwardCtx(cctx context.Context, dst []complex128, src []float64) error {
-	h := p.n / 2
-	if len(src) != p.n || len(dst) != h+1 {
+// the transform and at its region boundaries; on cancellation the error is
+// ctx.Err() and dst is unspecified. A nil ctx behaves like Forward. Region
+// panics surface as *RegionPanicError (see Plan.Forward).
+func (p *RealPlan) ForwardCtx(ctx context.Context, dst []complex128, src []float64) error {
+	if len(src) != p.n || len(dst) != p.n/2+1 {
 		return fmt.Errorf("%w: RealPlan.Forward: src %d (want %d), dst %d (want %d)",
-			ErrLengthMismatch, len(src), p.n, len(dst), h+1)
+			ErrLengthMismatch, len(src), p.n, len(dst), p.n/2+1)
 	}
-	start := metrics.Now()
-	ctx := p.ctxs.Get().(*realCtx)
-	defer p.ctxs.Put(ctx)
-	z := ctx.z
-	// Pack pairs into a half-size complex signal.
-	for j := 0; j < h; j++ {
-		z[j] = complex(src[2*j], src[2*j+1])
-	}
-	if err := p.half.ForwardCtx(cctx, z, z); err != nil {
-		return err
-	}
-	// Untangle: X[k] = Fe[k] + ω_n^k·Fo[k], where Fe/Fo are the spectra of
-	// the even/odd subsequences recovered from Z's conjugate symmetry.
-	z0 := z[0]
-	dst[0] = complex(real(z0)+imag(z0), 0)
-	dst[h] = complex(real(z0)-imag(z0), 0)
-	for k := 1; k < h; k++ {
-		zk := z[k]
-		zc := cmplx.Conj(z[h-k])
-		fe := (zk + zc) / 2
-		fo := (zk - zc) / 2
-		fo = complex(imag(fo), -real(fo)) // ÷ i
-		dst[k] = fe + p.w[k]*fo
-	}
-	p.record(start)
-	return nil
+	return p.half.forward(ctx, dst, complexView(src))
 }
 
 // Inverse reconstructs the real signal from its half spectrum: it is the
@@ -131,39 +93,19 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) error {
 
 // InverseCtx is Inverse under a context, with the same cancellation
 // contract as ForwardCtx.
-func (p *RealPlan) InverseCtx(cctx context.Context, dst []float64, src []complex128) error {
-	h := p.n / 2
-	if len(src) != h+1 || len(dst) != p.n {
+func (p *RealPlan) InverseCtx(ctx context.Context, dst []float64, src []complex128) error {
+	if len(src) != p.n/2+1 || len(dst) != p.n {
 		return fmt.Errorf("%w: RealPlan.Inverse: src %d (want %d), dst %d (want %d)",
-			ErrLengthMismatch, len(src), h+1, len(dst), p.n)
+			ErrLengthMismatch, len(src), p.n/2+1, len(dst), p.n)
 	}
-	start := metrics.Now()
-	ctx := p.ctxs.Get().(*realCtx)
-	defer p.ctxs.Put(ctx)
-	z, spect := ctx.z, ctx.spect
-	// Retangle the half-size spectrum: Z[k] = Fe[k] + i·Fo[k] with
-	// Fe[k] = (X[k] + conj(X[h-k]))/2, Fo[k] = ω_n^{-k}·(X[k] - conj(X[h-k]))/2.
-	copy(spect, src)
-	spect[0] = complex(real(src[0]), 0)
-	spect[h] = complex(real(src[h]), 0)
-	for k := 0; k < h; k++ {
-		xk := spect[k]
-		xc := cmplx.Conj(spect[h-k])
-		fe := (xk + xc) / 2
-		fo := (xk - xc) / 2
-		fo *= cmplx.Conj(p.w[k]) // ω_n^{-k}
-		// Z[k] = Fe[k] + i·Fo[k].
-		z[k] = fe + complex(-imag(fo), real(fo))
-	}
-	if err := p.half.InverseCtx(cctx, z, z); err != nil {
-		return err
-	}
-	for j := 0; j < h; j++ {
-		dst[2*j] = real(z[j])
-		dst[2*j+1] = imag(z[j])
-	}
-	p.record(start)
-	return nil
+	return p.half.inverse(ctx, complexView(dst), src)
+}
+
+// complexView reads an even-length float64 slice as the complex128 slice of
+// its consecutive pairs, sharing the memory (complex128 is two float64s and
+// needs no stricter alignment).
+func complexView(x []float64) []complex128 {
+	return unsafe.Slice((*complex128)(unsafe.Pointer(unsafe.SliceData(x))), len(x)/2)
 }
 
 // Close releases the plan. Cache-owned plans release one reference; owned

@@ -200,6 +200,10 @@ type Plan struct {
 	// is the split n1, ltree/rtree the row/column sub-trees, and tree is
 	// nil (no full-size factorization tree is ever built at these sizes).
 	fourStep *fourStepInfo
+	// real marks the engine of a RealPlan of size 2n: every program the plan
+	// lowers is completed into the real-input program around the DFT_n
+	// (ir.RealForward, ir.RealInverse).
+	real bool
 	// onClose, when set, redirects Close to the owning Cache's ref-count
 	// release instead of destroying the plan.
 	onClose func()
@@ -217,13 +221,25 @@ func NewPlan(n int, o *Options) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrInvalidSize, n)
 	}
+	return newPlan(n, o, false)
+}
+
+// newPlan builds a DFT_n plan; with real set it is instead the engine of a
+// real-input plan of size 2n (see Plan.real).
+func newPlan(n int, o *Options, real bool) (*Plan, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	opt := o.withDefaults()
-	p := &Plan{n: n, opt: opt}
-	p.init(tkDFT, int64(exec.FlopCount(n)), n)
-	p.initComplexLeases(n, n)
+	p := &Plan{n: n, opt: opt, real: real}
+	if real {
+		p.init(tkReal, int64(exec.FlopCount(2*n)/2))
+		p.initRealLeases(2*n, n+1)
+	} else {
+		p.init(tkDFT, int64(exec.FlopCount(n)))
+		p.initComplexLeases(n, n)
+	}
+	p.lowerInverse = p.inverseProgram
 
 	tuner := newTuner(opt)
 	if opt.LargeNThreshold > 0 && n >= opt.LargeNThreshold {
@@ -244,10 +260,46 @@ func NewPlan(n int, o *Options) (*Plan, error) {
 	if opt.Workers > 1 {
 		par = p.parallelStep(tuner)
 	}
-	if err := p.compile(opt, opt.Workers, par, compiled(ir.LowerTree(p.tree))); err != nil {
+	if err := p.compile(opt, opt.Workers, par, compiled(p.finisher().Apply(ir.LowerTree(p.tree)))); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// finisher completes a lowered DFT_n program into the program the plan
+// ships: nil (the program itself), or for a real-input engine the real
+// forward around it.
+func (p *Plan) finisher() search.Finish {
+	if !p.real {
+		return nil
+	}
+	return ir.RealForward
+}
+
+// inverseProgram lowers the plan's inverse for the given worker count: the
+// forward schedule (the same tier, split and sub-trees) with the inverse
+// folded into its stages, completed like the forward.
+func (p *Plan) inverseProgram(workers int) (*ir.Program, error) {
+	var prog *ir.Program
+	var err error
+	switch {
+	case p.fourStep != nil:
+		prog, err = ir.LowerFourStep(p.n, p.fourStep.n1, ir.FourStepConfig{
+			P: workers, Mu: p.opt.CacheLineComplex, Tile: p.fourStep.tile,
+			ColTree: p.rtree, RowTree: p.ltree, Inverse: true,
+		})
+	case workers > 1:
+		prog, err = ir.LowerCT(p.n, p.m, ir.CTConfig{
+			P: workers, Mu: p.opt.CacheLineComplex,
+			LeftTree: p.ltree, RightTree: p.rtree, Inverse: true,
+		})
+	default:
+		prog, err = ir.LowerTreeInverse(p.tree)
+	}
+	if err != nil || !p.real {
+		return prog, err
+	}
+	return ir.RealInverse(prog)
 }
 
 // newTuner returns the search a constructor plans with (a variable so tests
@@ -339,7 +391,7 @@ func (p *Plan) parallelStep(tuner *search.Tuner) buildStep {
 	}
 	if opt.Planner == PlannerMeasure {
 		return func(backend smp.Backend) (*ir.Executor, error) {
-			choice, err := tuneParallel(tuner, p.n, opt.Workers, opt.CacheLineComplex, backend)
+			choice, err := tuneParallel(tuner, p.n, opt.Workers, opt.CacheLineComplex, backend, p.finisher())
 			if err != nil || !choice.UsedParallel() {
 				return nil, err
 			}
@@ -370,11 +422,11 @@ var tuneParallel = (*search.Tuner).TuneParallel
 // it.
 func (p *Plan) lowerCT(m int, lt, rt *exec.Tree) buildStep {
 	p.m, p.ltree, p.rtree = m, lt, rt
-	return compiled(ir.LowerCT(p.n, m, ir.CTConfig{
+	return compiled(p.finisher().Apply(ir.LowerCT(p.n, m, ir.CTConfig{
 		P:        p.opt.Workers,
 		Mu:       p.opt.CacheLineComplex,
 		LeftTree: lt, RightTree: rt,
-	}))
+	})))
 }
 
 // N returns the transform size.
@@ -496,7 +548,7 @@ func (p *Plan) InverseCtx(ctx context.Context, dst, src []complex128) error {
 	if len(dst) != p.n || len(src) != p.n {
 		return lengthError("Inverse", p.n, len(dst), len(src))
 	}
-	return p.inverse(ctx, dst, src, 1/float64(p.n))
+	return p.inverse(ctx, dst, src)
 }
 
 // Close releases the plan. For a plan the caller constructed with NewPlan

@@ -167,8 +167,8 @@ func TestPlannerMeasureDecidesParallelism(t *testing.T) {
 func TestPlannerMeasureAdoptsTimedExecutor(t *testing.T) {
 	var choice search.ParallelChoice
 	orig := tuneParallel
-	tuneParallel = func(tu *search.Tuner, n, p, mu int, b smp.Backend) (search.ParallelChoice, error) {
-		c, err := orig(tu, n, p, mu, b)
+	tuneParallel = func(tu *search.Tuner, n, p, mu int, b smp.Backend, finish search.Finish) (search.ParallelChoice, error) {
+		c, err := orig(tu, n, p, mu, b, finish)
 		choice = c
 		return c, err
 	}

@@ -83,7 +83,7 @@ func NewSTFTPlan(frame, hop int, window Window, o *Options) (*STFTPlan, error) {
 		winSq: make([]float64, frame),
 		rp:    rp,
 	}
-	p.init(tkSTFT, int64(exec.FlopCount(frame)/2), 0)
+	p.init(tkSTFT, int64(exec.FlopCount(frame)/2))
 	p.initRealLeases(frame, frame/2+1)
 	p.inner = rp
 	p.ctxs.New = func() any { return &stftCtx{buf: make([]float64, frame)} }

@@ -41,8 +41,9 @@ func NewWHTPlan(n int, o *Options) (*WHTPlan, error) {
 		k++
 	}
 	p := &WHTPlan{n: n, opt: opt}
-	p.init(tkWHT, int64(n)*int64(k), 0)
+	p.init(tkWHT, int64(n)*int64(k))
 	p.initComplexLeases(n, n)
+	p.lowerInverse = func(w int) (*ir.Program, error) { return ir.LowerWHTInverse(n, w, opt.CacheLineComplex) }
 	workers := 1
 	var par buildStep
 	if opt.Workers > 1 {
@@ -99,21 +100,18 @@ func (p *WHTPlan) ForwardCtx(ctx context.Context, dst, src []complex128) error {
 	return p.TransformCtx(ctx, dst, src)
 }
 
-// Inverse computes the inverse WHT: Transform scaled by 1/n.
+// Inverse computes the inverse WHT: Transform scaled by 1/n, with the
+// scale folded into the last stage. dst == src is allowed.
 // Inverse is safe for concurrent use.
 func (p *WHTPlan) Inverse(dst, src []complex128) error { return p.InverseCtx(nil, dst, src) }
 
 // InverseCtx is Inverse under a context, with the same cancellation
 // contract as TransformCtx.
 func (p *WHTPlan) InverseCtx(ctx context.Context, dst, src []complex128) error {
-	if err := p.TransformCtx(ctx, dst, src); err != nil {
-		return err
+	if len(dst) != p.n || len(src) != p.n {
+		return lengthError("WHT.Inverse", p.n, len(dst), len(src))
 	}
-	s := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= s
-	}
-	return nil
+	return p.inverse(ctx, dst, src)
 }
 
 // Formula returns the fully optimized SPL formula for the plan's

@@ -11,13 +11,25 @@ package codegen
 //     (the D_{m,k} column, or a stage-1 window of a fused input scale)
 //     without a separate read/write pass over the working set.
 //
-// The generator is a tiny scalar scheduler: it walks the conjugate-pair
-// split-radix recursion DFT_n = U ⊕ ω^k·Z ⊕ ω^{-k}·Z' symbolically, emitting
-// one SSA-style assignment per arithmetic op and constant-folding the trivial
-// twiddles (±1, ±i). Composed sizes (128, 256) are emitted as two-stage
-// Cooley-Tukey loops over the straight-line kernels with the D_{m,k} diagonal
-// fused into stage 2 — the same loop merging the executor performs, frozen
-// into the codelet.
+// The generator works in two steps. It first walks the conjugate-pair
+// split-radix recursion DFT_n = U ⊕ ω^k·Z ⊕ ω^{-k}·Z' symbolically, recording
+// one SSA-style assignment per arithmetic op in recursion order (the half
+// DFT U, then the quarter DFTs Z and Z', then their combine) and
+// constant-folding the trivial twiddles (±1, ±i). It then schedules the
+// body for registers: each src load (with its w scale in the fused flavor)
+// is emitted just before the first assignment that uses it, and each dst
+// store right after the assignment that computes its value. Go does not
+// move bounds-checked loads and stores, so the emitted order is the order
+// the machine runs; keeping every value's live range short about halves
+// the kernels' stack spill traffic. The peak live count (n+2, at the final
+// combine) does not fall, and computing the quarter DFTs before the half
+// DFT spills more, so the arithmetic keeps its recursion order. Every
+// split-radix output depends on every input, so all loads still precede
+// the first store and the kernels stay safe in place (dst == src at the
+// same offset and stride). Composed sizes (128, 256) are emitted as
+// two-stage Cooley-Tukey loops over the straight-line kernels with the
+// D_{m,k} diagonal fused into stage 2 — the same loop merging the executor
+// performs, frozen into the codelet.
 
 import (
 	"fmt"
@@ -45,30 +57,50 @@ func SplitRadixSizes() []int {
 	return out
 }
 
-// srgen emits one SSA-style assignment per arithmetic operation.
-type srgen struct {
-	b strings.Builder
-	v int
+// srop is one recorded arithmetic assignment: name := expr, reading args.
+type srop struct {
+	name, expr string
+	args       []string
 }
 
-func (g *srgen) assign(expr string) string {
+// srgen records a straight-line body: the input loads by name and one
+// SSA-style assignment per arithmetic operation, in recursion order.
+type srgen struct {
+	loads map[string]string // value name -> load expression
+	ops   []srop
+	v     int
+}
+
+func (g *srgen) name() string {
 	name := fmt.Sprintf("v%d", g.v)
 	g.v++
-	fmt.Fprintf(&g.b, "\t%s := %s\n", name, expr)
 	return name
 }
 
-func (g *srgen) add(a, b string) string { return g.assign(a + " + " + b) }
-func (g *srgen) sub(a, b string) string { return g.assign(a + " - " + b) }
+// load records an input load; schedule emits it at its first use.
+func (g *srgen) load(expr string) string {
+	name := g.name()
+	g.loads[name] = expr
+	return name
+}
+
+func (g *srgen) assign(expr string, args ...string) string {
+	name := g.name()
+	g.ops = append(g.ops, srop{name, expr, args})
+	return name
+}
+
+func (g *srgen) add(a, b string) string { return g.assign(a+" + "+b, a, b) }
+func (g *srgen) sub(a, b string) string { return g.assign(a+" - "+b, a, b) }
 
 // mulNegI emits a·(-i): (x+iy)(-i) = y - ix.
 func (g *srgen) mulNegI(a string) string {
-	return g.assign(fmt.Sprintf("complex(imag(%s), -real(%s))", a, a))
+	return g.assign(fmt.Sprintf("complex(imag(%s), -real(%s))", a, a), a)
 }
 
 // mulPosI emits a·(+i): (x+iy)(i) = -y + ix.
 func (g *srgen) mulPosI(a string) string {
-	return g.assign(fmt.Sprintf("complex(-imag(%s), real(%s))", a, a))
+	return g.assign(fmt.Sprintf("complex(-imag(%s), real(%s))", a, a), a)
 }
 
 // mulOmega emits a·ω_n^e with the trivial twiddles (±1, ±i) folded away.
@@ -78,17 +110,17 @@ func (g *srgen) mulOmega(n, e int, a string) string {
 	case e == 0:
 		return a
 	case 2*e == n:
-		return g.assign("-" + a)
+		return g.assign("-"+a, a)
 	case 4*e == n:
 		return g.mulNegI(a)
 	case 4*e == 3*n:
 		return g.mulPosI(a)
 	}
 	w := twiddle.Omega(n, e)
-	return g.assign(fmt.Sprintf("complex(%.17g, %.17g) * %s", real(w), imag(w), a))
+	return g.assign(fmt.Sprintf("complex(%.17g, %.17g) * %s", real(w), imag(w), a), a)
 }
 
-// dft emits a DFT of the named values and returns the output value names.
+// dft records a DFT of the named values and returns the output value names.
 // Base cases are the 2- and 4-point butterflies; everything larger uses the
 // conjugate-pair split-radix step
 //
@@ -154,23 +186,47 @@ func strideIndex(base, stride string, j int) string {
 	}
 }
 
-// srBody emits the assignment body of one straight-line kernel: loads
+// schedule renders the recorded body for registers: each load just before
+// the first assignment that reads it, and the store of each output right
+// after the assignment that computes it (out[k] goes to dst[doff+k·ds]).
+// Each load is emitted once and dropped from g.loads.
+func (g *srgen) schedule(out []string) string {
+	stores := make(map[string][]int, len(out))
+	for k, v := range out {
+		stores[v] = append(stores[v], k)
+	}
+	var b strings.Builder
+	emit := func(name, expr string) {
+		fmt.Fprintf(&b, "\t%s := %s\n", name, expr)
+		for _, k := range stores[name] {
+			fmt.Fprintf(&b, "\tdst[%s] = %s\n", strideIndex("doff", "ds", k), name)
+		}
+	}
+	for _, op := range g.ops {
+		for _, a := range op.args {
+			if expr, ok := g.loads[a]; ok {
+				emit(a, expr)
+				delete(g.loads, a)
+			}
+		}
+		emit(op.name, op.expr)
+	}
+	return b.String()
+}
+
+// srBody emits the scheduled body of one straight-line kernel: loads
 // (scaled by the strided w when twiddled), the DFT network, and the stores.
 func srBody(n int, twiddled bool) string {
-	g := &srgen{}
+	g := &srgen{loads: make(map[string]string, n)}
 	x := make([]string, n)
 	for j := 0; j < n; j++ {
 		load := fmt.Sprintf("src[%s]", strideIndex("soff", "ss", j))
 		if twiddled {
 			load += fmt.Sprintf(" * w[%s]", strideIndex("woff", "ws", j))
 		}
-		x[j] = g.assign(load)
+		x[j] = g.load(load)
 	}
-	out := g.dft(x)
-	for k := 0; k < n; k++ {
-		fmt.Fprintf(&g.b, "\tdst[%s] = %s\n", strideIndex("doff", "ds", k), out[k])
-	}
-	return g.b.String()
+	return g.schedule(g.dft(x))
 }
 
 // emitStraight writes the three functions for one straight-line size: the

@@ -12,8 +12,15 @@
 // formula optimization performs on (DFT_m ⊗ I_n) · D_{m,n}: permutations and
 // diagonals never appear as separate passes over the data.
 //
-// Codelets must tolerate dst == src only when the index sets do not overlap;
-// the executor guarantees this by ping-ponging between buffers.
+// Every registered codelet is safe in place: called with dst == src at the
+// same offset and stride, it reads all of its inputs before it stores its
+// first output, so the result equals the out-of-place one bit for bit
+// (exec.Seq.Transform relies on this when its root is a single codelet).
+// The generated tier keeps the guarantee under its register schedule
+// because every split-radix output depends on every input; the composed
+// kernels gather into a stack buffer first. Partially overlapping index
+// sets (the same buffer at other offsets or strides) are not supported;
+// the executor ping-pongs between buffers instead.
 package codelet
 
 import (

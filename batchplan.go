@@ -24,9 +24,7 @@ type BatchPlan struct {
 	n, count int
 	workers  int
 	planCore
-	// tree is the per-signal factorization (planCore.seqExe runs its
-	// single-worker batch program when no backend is owned: workers == 1, or
-	// after Close).
+	// tree is the per-signal factorization.
 	tree *exec.Tree
 }
 
@@ -54,11 +52,8 @@ func NewBatchPlan(n, count int, o *Options) (*BatchPlan, error) {
 	b.init(tkBatch, int64(float64(count)*exec.FlopCount(n)))
 	b.initComplexLeases(n*count, n*count)
 	b.lowerInverse = func(w int) (*ir.Program, error) { return ir.LowerBatchInverse(tree, count, w) }
-	var par buildStep
-	if workers > 1 {
-		par = compiled(ir.LowerBatch(tree, count, workers))
-	}
-	if err := b.compile(opt, workers, par, compiled(ir.LowerBatch(tree, count, 1))); err != nil {
+	build := compiled(func() (*ir.Program, error) { return ir.LowerBatch(tree, count, workers) })
+	if err := b.compile(opt, workers, build, build); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -118,7 +113,7 @@ func (b *BatchPlan) check(dst, src []complex128) error {
 	return nil
 }
 
-// Close releases the worker pool (if any). Idempotent; the plan's
-// statistics remain readable via Snapshot, and subsequent transforms fall
-// back to the sequential program.
+// Close releases the worker pool (if any). Idempotent; later transforms
+// fail with ErrClosed, while Workers, Program and Snapshot keep reporting
+// the plan as built.
 func (b *BatchPlan) Close() { b.release() }

@@ -138,5 +138,6 @@ func (p *DCTPlan) InverseCtx(ctx context.Context, dst, src []float64) error {
 	return nil
 }
 
-// Close releases the inner plan's resources.
+// Close releases the inner plan's resources; later transforms fail with
+// ErrClosed.
 func (p *DCTPlan) Close() { p.inner.Close() }

@@ -22,6 +22,8 @@ var (
 	// ErrLengthMismatch reports dst/src slices whose lengths do not match
 	// what the plan requires.
 	ErrLengthMismatch = errors.New("spiralfft: length mismatch")
+	// ErrClosed reports a transform on a plan that has been closed.
+	ErrClosed = errors.New("spiralfft: plan closed")
 )
 
 // Validate reports whether the options are usable by any plan constructor.

@@ -294,9 +294,9 @@ func SplitRadixFile() ([]byte, error) {
 // Generated split-radix codelet tier (see internal/codegen/splitradix.go):
 // straight-line conjugate-pair split-radix kernels for n ∈ {8, 16, 32, 64}
 // and two-stage radix-16 kernels for n ∈ {128, 256}, each with a no-twiddle
-// flavor (srNn) and a fused strided-twiddle flavor (srNw). The kernels
-// register above the hand-written tier, so they serve these sizes everywhere
-// codelets are used.
+// flavor (srNn) and a fused strided-twiddle flavor (srNw). They are the only
+// kernels registered for these sizes, so they serve them everywhere codelets
+// are used.
 
 package codelet
 
@@ -310,7 +310,7 @@ import "spiralfft/internal/twiddle"
 	b.WriteString(")\n\n")
 	b.WriteString("func init() {\n")
 	for _, n := range SplitRadixSizes() {
-		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw}, PriorityGenerated)\n", n, n, n, n)
+		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw})\n", n, n, n, n)
 	}
 	b.WriteString("}\n\n")
 	for _, n := range SplitRadixStraight {

@@ -65,22 +65,17 @@ func Best(n int) Kernel {
 	return Naive(n)
 }
 
-// The hand-scheduled scalar kernels register below the generated tier
-// (zsplitradix.go): they remain the fallback for sizes the generator does
-// not cover and for bootstrapping before regeneration.
+// The hand-scheduled scalar kernels serve the sizes the generated tier
+// (zsplitradix.go) does not cover.
 func init() {
-	Register(Kernel{N: 1, Name: "dft1", Apply: dft1}, PriorityHand)
-	Register(Kernel{N: 2, Name: "dft2", Apply: dft2}, PriorityHand)
-	Register(Kernel{N: 3, Name: "dft3", Apply: dft3}, PriorityHand)
-	Register(Kernel{N: 4, Name: "dft4", Apply: dft4}, PriorityHand)
-	Register(Kernel{N: 5, Name: "dft5", Apply: dft5}, PriorityHand)
-	Register(Kernel{N: 6, Name: "dft6", Apply: dft6}, PriorityHand)
-	Register(Kernel{N: 8, Name: "dft8", Apply: dft8}, PriorityHand)
-	Register(Kernel{N: 10, Name: "dft10", Apply: dft10}, PriorityHand)
-	Register(Kernel{N: 12, Name: "dft12", Apply: dft12}, PriorityHand)
-	Register(Kernel{N: 16, Name: "dft16", Apply: dft16}, PriorityHand)
-	Register(Kernel{N: 32, Name: "dft32", Apply: dft32}, PriorityHand)
-	Register(Kernel{N: 64, Name: "dft64", Apply: dft64}, PriorityHand)
+	Register(Kernel{N: 1, Name: "dft1", Apply: dft1})
+	Register(Kernel{N: 2, Name: "dft2", Apply: dft2})
+	Register(Kernel{N: 3, Name: "dft3", Apply: dft3})
+	Register(Kernel{N: 4, Name: "dft4", Apply: dft4})
+	Register(Kernel{N: 5, Name: "dft5", Apply: dft5})
+	Register(Kernel{N: 6, Name: "dft6", Apply: dft6})
+	Register(Kernel{N: 10, Name: "dft10", Apply: dft10})
+	Register(Kernel{N: 12, Name: "dft12", Apply: dft12})
 }
 
 // Naive returns a reference O(n²) kernel with a precomputed root table.
@@ -220,151 +215,12 @@ func dft5(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []co
 	dst[doff+4*ds] = ra + sa
 }
 
-// invSqrt2 = √2/2, the real/imag part of ω_8.
-var invSqrt2 = math.Sqrt2 / 2
-
-func dft8(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128) {
-	x0 := src[soff]
-	x1 := src[soff+ss]
-	x2 := src[soff+2*ss]
-	x3 := src[soff+3*ss]
-	x4 := src[soff+4*ss]
-	x5 := src[soff+5*ss]
-	x6 := src[soff+6*ss]
-	x7 := src[soff+7*ss]
-	if w != nil {
-		x0 *= w[0]
-		x1 *= w[1]
-		x2 *= w[2]
-		x3 *= w[3]
-		x4 *= w[4]
-		x5 *= w[5]
-		x6 *= w[6]
-		x7 *= w[7]
-	}
-	// DFT4 of even inputs (x0, x2, x4, x6).
-	e0 := x0 + x4
-	e1 := x0 - x4
-	e2 := x2 + x6
-	e3 := x2 - x6
-	e3 = complex(imag(e3), -real(e3)) // ·(-i)
-	E0 := e0 + e2
-	E1 := e1 + e3
-	E2 := e0 - e2
-	E3 := e1 - e3
-	// DFT4 of odd inputs (x1, x3, x5, x7).
-	o0 := x1 + x5
-	o1 := x1 - x5
-	o2 := x3 + x7
-	o3 := x3 - x7
-	o3 = complex(imag(o3), -real(o3))
-	O0 := o0 + o2
-	O1 := o1 + o3
-	O2 := o0 - o2
-	O3 := o1 - o3
-	// Twiddle the odd half: ω_8^k for k = 0..3.
-	// ω_8^1 = (1-i)/√2, ω_8^2 = -i, ω_8^3 = -(1+i)/√2.
-	O1 = complex(invSqrt2*(real(O1)+imag(O1)), invSqrt2*(imag(O1)-real(O1)))
-	O2 = complex(imag(O2), -real(O2))
-	O3 = complex(invSqrt2*(imag(O3)-real(O3)), -invSqrt2*(real(O3)+imag(O3)))
-	dst[doff] = E0 + O0
-	dst[doff+ds] = E1 + O1
-	dst[doff+2*ds] = E2 + O2
-	dst[doff+3*ds] = E3 + O3
-	dst[doff+4*ds] = E0 - O0
-	dst[doff+5*ds] = E1 - O1
-	dst[doff+6*ds] = E2 - O2
-	dst[doff+7*ds] = E3 - O3
-}
-
-// Twiddle tables for the fixed 16- and 32-point kernels, filled at init.
+// Twiddle tables for the composed 6-, 10- and 12-point kernels.
 var (
-	tw6  []complex128 // ω_6^{i·j} per column j of D_{2,3}, flat [j*2+i]
-	tw10 []complex128 // ω_10^{i·j} per column j of D_{2,5}, flat [j*2+i]
-	tw12 []complex128 // ω_12^{i·j} per column j of D_{4,3}, flat [j*4+i]
-	tw16 []complex128 // ω_16^{i·j} per column j of D_{4,4}, flat [j*4+i]
-	tw32 []complex128 // ω_32^{i·j} per column j of D_{8,4}, flat [j*8+i]
-	tw64 []complex128 // ω_64^{i·j} per column j of D_{8,8}, flat [j*8+i]
+	tw6  = twiddle.Columns(2, 3) // ω_6^{i·j} per column j of D_{2,3}, flat [j*2+i]
+	tw10 = twiddle.Columns(2, 5) // ω_10^{i·j} per column j of D_{2,5}, flat [j*2+i]
+	tw12 = twiddle.Columns(4, 3) // ω_12^{i·j} per column j of D_{4,3}, flat [j*4+i]
 )
-
-func init() {
-	tw6 = twiddle.Columns(2, 3)
-	tw10 = twiddle.Columns(2, 5)
-	tw12 = twiddle.Columns(4, 3)
-	tw16 = twiddle.Columns(4, 4)
-	tw32 = twiddle.Columns(8, 4)
-	tw64 = twiddle.Columns(8, 8)
-}
-
-// dft16 computes a 16-point DFT as DFT_16 = (DFT_4 ⊗ I_4) D_{4,4} (I_4 ⊗ DFT_4) L^16_4
-// on a stack buffer, using the dft4 codelet for both stages.
-func dft16(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128) {
-	var t [16]complex128
-	buf := t[:]
-	// Stage 1 (with the stride permutation folded into the gather):
-	// iteration i reads src at stride 4·ss starting from offset i·ss.
-	if w == nil {
-		for i := 0; i < 4; i++ {
-			dft4(buf, 4*i, 1, src, soff+i*ss, 4*ss, nil)
-		}
-	} else {
-		var xw [16]complex128
-		for j := 0; j < 16; j++ {
-			xw[j] = src[soff+j*ss] * w[j]
-		}
-		for i := 0; i < 4; i++ {
-			dft4(buf, 4*i, 1, xw[:], i, 4, nil)
-		}
-	}
-	// Stage 2: twiddled DFT_4 down the columns, output at stride ds.
-	for j := 0; j < 4; j++ {
-		dft4(dst, doff+j*ds, 4*ds, buf, j, 4, tw16[j*4:j*4+4])
-	}
-}
-
-// dft32 computes a 32-point DFT as DFT_32 = (DFT_8 ⊗ I_4) D_{8,4} (I_8 ⊗ DFT_4) L^32_8.
-func dft32(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128) {
-	var t [32]complex128
-	buf := t[:]
-	if w == nil {
-		for i := 0; i < 8; i++ {
-			dft4(buf, 4*i, 1, src, soff+i*ss, 8*ss, nil)
-		}
-	} else {
-		var xw [32]complex128
-		for j := 0; j < 32; j++ {
-			xw[j] = src[soff+j*ss] * w[j]
-		}
-		for i := 0; i < 8; i++ {
-			dft4(buf, 4*i, 1, xw[:], i, 8, nil)
-		}
-	}
-	for j := 0; j < 4; j++ {
-		dft8(dst, doff+j*ds, 4*ds, buf, j, 4, tw32[j*8:j*8+8])
-	}
-}
-
-// dft64 computes a 64-point DFT as DFT_64 = (DFT_8 ⊗ I_8) D_{8,8} (I_8 ⊗ DFT_8) L^64_8.
-func dft64(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128) {
-	var t [64]complex128
-	buf := t[:]
-	if w == nil {
-		for i := 0; i < 8; i++ {
-			dft8(buf, 8*i, 1, src, soff+i*ss, 8*ss, nil)
-		}
-	} else {
-		var xw [64]complex128
-		for j := 0; j < 64; j++ {
-			xw[j] = src[soff+j*ss] * w[j]
-		}
-		for i := 0; i < 8; i++ {
-			dft8(buf, 8*i, 1, xw[:], i, 8, nil)
-		}
-	}
-	for j := 0; j < 8; j++ {
-		dft8(dst, doff+j*ds, 8*ds, buf, j, 8, tw64[j*8:j*8+8])
-	}
-}
 
 // dft6 computes a 6-point DFT as DFT_6 = (DFT_2 ⊗ I_3) D_{2,3} (I_2 ⊗ DFT_3) L^6_2.
 func dft6(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128) {

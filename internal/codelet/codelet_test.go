@@ -103,8 +103,8 @@ func TestKernelsTwiddled(t *testing.T) {
 }
 
 func TestKernelsTwiddledStrided(t *testing.T) {
-	// The twiddled path of dft16/dft32 uses a separate buffer; exercise it
-	// with non-unit strides to catch indexing bugs there.
+	// Exercise the twiddled path of the 16- and 32-point kernels with
+	// non-unit strides to catch indexing bugs there.
 	for _, n := range []int{16, 32} {
 		k, _ := ForSize(n)
 		ss, ds, soff, doff := 3, 2, 1, 4
@@ -192,11 +192,18 @@ func TestRegistryConsistency(t *testing.T) {
 	if len(all) != len(sizes) {
 		t.Fatalf("All() has %d kernels, Sizes() has %d", len(all), len(sizes))
 	}
-	// Lower-priority registration for a taken size must not displace the
-	// winner; a new size must extend the registry.
-	Register(Kernel{N: 8, Name: "loser8", Apply: dft8}, PriorityHand)
+	// Each size has one codelet: a second registration for a taken size
+	// panics and leaves the registered kernel in place.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Register for size 8 did not panic")
+			}
+		}()
+		Register(Kernel{N: 8, Name: "dup8", Apply: dft4})
+	}()
 	if k, _ := ForSize(8); k.Name != "sr8" {
-		t.Errorf("low-priority Register displaced sr8 with %s", k.Name)
+		t.Errorf("duplicate Register displaced sr8 with %s", k.Name)
 	}
 }
 

@@ -6,15 +6,6 @@ import (
 	"sync"
 )
 
-// Registration priorities. When two kernels are registered for one size the
-// higher priority wins (ties: the later registration). Hand-scheduled
-// fallbacks sit below generated kernels so regenerating the codelet tier
-// upgrades a size without touching the fallback.
-const (
-	PriorityHand      = 0  // hand-written scalar kernels in codelet.go
-	PriorityGenerated = 10 // machine-generated kernels (zsplitradix.go)
-)
-
 // The registry is the single source of truth for which codelet serves each
 // size: ForSize, Sizes, HasUnrolled, MaxUnrolled, and Best all derive from
 // it, so a generated kernel can never drift out of sync with the advertised
@@ -22,28 +13,25 @@ const (
 // init are read-mostly and cheap.
 var reg = struct {
 	sync.RWMutex
-	kernels    map[int]Kernel
-	priorities map[int]int
-	sizes      []int // ascending; rebuilt lazily after Register
-	max        int
+	kernels map[int]Kernel
+	sizes   []int // ascending; rebuilt lazily after Register
+	max     int
 }{
-	kernels:    make(map[int]Kernel),
-	priorities: make(map[int]int),
+	kernels: make(map[int]Kernel),
 }
 
-// Register installs k as the codelet for size k.N at the given priority.
-// A kernel already registered for the same size at a higher priority is kept.
-func Register(k Kernel, priority int) {
+// Register installs k as the codelet for size k.N. Each size has exactly
+// one codelet: registering a second one for a size panics.
+func Register(k Kernel) {
 	if k.N < 1 || k.Apply == nil {
 		panic(fmt.Sprintf("codelet: Register(%q) with N=%d, Apply=%v", k.Name, k.N, k.Apply))
 	}
 	reg.Lock()
 	defer reg.Unlock()
-	if old, ok := reg.priorities[k.N]; ok && old > priority {
-		return
+	if old, ok := reg.kernels[k.N]; ok {
+		panic(fmt.Sprintf("codelet: Register(%q): size %d already served by %q", k.Name, k.N, old.Name))
 	}
 	reg.kernels[k.N] = k
-	reg.priorities[k.N] = priority
 	reg.sizes = nil // rebuilt on next Sizes call
 	if k.N > reg.max {
 		reg.max = k.N

@@ -592,6 +592,9 @@ type ParallelChoice struct {
 	// holds the sequential choice.
 	Exec *ir.Executor
 	Tree *exec.Tree
+	// SeqExec is Tree's single-worker executor, the one whose runtime is
+	// SeqTime: a caller that keeps the size sequential ships it as is.
+	SeqExec *ir.Executor
 	// Split is the chosen top-level m (0 for sequential), and Left and Right
 	// the sub-trees of DFT_m and DFT_{n/m} the winning executor runs.
 	Split       int
@@ -658,13 +661,13 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 	if err != nil {
 		return ParallelChoice{}, err
 	}
-	seqExe, err := ir.NewExecutor(prog, nil)
+	choice.SeqExec, err = ir.NewExecutor(prog, nil)
 	if err != nil {
 		return ParallelChoice{}, err
 	}
 	x := complexvec.Random(prog.BufLen(ir.BufSrc), 3)
 	y := make([]complex128, prog.BufLen(ir.BufDst))
-	choice.SeqTime = t.measureExecutor(seqExe, x, y)
+	choice.SeqTime = t.measureExecutor(choice.SeqExec, x, y)
 	t.trace("parallel-candidate", n, "sequential "+seq.Tree.String(), choice.SeqTime)
 	if p == 1 || backend == nil {
 		return choice, nil

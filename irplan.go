@@ -2,7 +2,9 @@ package spiralfft
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spiralfft/internal/ir"
@@ -15,29 +17,29 @@ import (
 // transform recorder feeding Snapshot, the nominal flop count, the threading
 // backend and the compiled IR executors bound to it, and the final
 // statistics preserved across Close. Families that carry their own
-// parallelism set seqExe and, when parallel, exe/backend, plus
+// parallelism set exe (and backend when parallel) through compile, plus
 // lowerInverse when they have an inverse program; wrapper families (DCTPlan,
 // STFTPlan) set inner to the plan that does.
 type planCore struct {
 	kind  transformKind
 	flops int64
 	rec   metrics.TransformRecorder
-	// exe is the family's backend-bound executor (the lowered parallel
-	// program); nil for plans running their sequential fallback program.
+	// exe is the plan's one forward program: bound to backend when the plan
+	// is parallel, run inline when it is sequential. It stays set after
+	// Close, so introspection reports what was built.
 	exe *ir.Executor
-	// seqExe is the single-worker program: the execution path of sequential
-	// plans and the post-Close fallback of parallel ones.
-	seqExe *ir.Executor
-	// backend is the owned threading substrate behind exe; nil for
-	// sequential plans. Set and cleared together with exe.
+	// backend is the owned threading substrate behind a parallel exe; nil
+	// for sequential plans and after Close.
 	backend smp.Backend
 	// lowerInverse lowers the family's inverse program for the given worker
-	// count: the forward program's stages with the inverse folded in.
-	// invExe and invSeqExe mirror exe and seqExe for it; each is built on
-	// the first inverse transform that runs it, so forward-only plans build
-	// and hold nothing for the inverse.
-	lowerInverse      func(workers int) (*ir.Program, error)
-	invExe, invSeqExe lazyExecutor
+	// count: the forward program's stages with the inverse folded in. inv is
+	// built from it, for exe's workers and backend, on the first inverse
+	// transform, so forward-only plans build and hold nothing for the
+	// inverse.
+	lowerInverse func(workers int) (*ir.Program, error)
+	inv          lazyExecutor
+	// closed is set by release; every transform then fails with ErrClosed.
+	closed atomic.Bool
 	// inner, when set, is the wrapped plan that carries the parallelism;
 	// Snapshot delegates pool and barrier statistics to it.
 	inner interface{ Snapshot() PlanStats }
@@ -57,38 +59,34 @@ func (c *planCore) init(kind transformKind, flops int64) {
 	c.flops = flops
 }
 
-// run executes the plan's forward program on dst/src: the backend-bound
-// executor while one is live, the sequential program otherwise. A nil ctx
-// runs the transform without cancellation checks.
-func (c *planCore) run(ctx context.Context, dst, src []complex128) error {
-	if e := c.exe; e != nil {
-		return e.TransformCtx(ctx, dst, src)
+// open reports ErrClosed once the plan has been closed.
+func (c *planCore) open() error {
+	if c.closed.Load() {
+		return fmt.Errorf("%w (%s)", ErrClosed, kindNames[c.kind])
 	}
-	return c.seqExe.TransformCtx(ctx, dst, src)
+	return nil
 }
 
-// runInverse executes the plan's inverse program: on the plan's backend
-// while it holds one, the single-worker program otherwise.
+// run executes the plan's forward program on dst/src. A nil ctx runs the
+// transform without cancellation checks.
+func (c *planCore) run(ctx context.Context, dst, src []complex128) error {
+	return c.exe.TransformCtx(ctx, dst, src)
+}
+
+// runInverse executes the plan's inverse program, with the forward
+// program's workers and backend.
 func (c *planCore) runInverse(ctx context.Context, dst, src []complex128) error {
-	var e *ir.Executor
-	var err error
-	if fwd := c.exe; fwd != nil {
-		e, err = c.invExe.get(func() (*ir.Executor, error) { return c.buildInverse(fwd.Workers(), fwd.Backend()) })
-	} else {
-		e, err = c.invSeqExe.get(func() (*ir.Executor, error) { return c.buildInverse(1, nil) })
-	}
+	e, err := c.inv.get(func() (*ir.Executor, error) {
+		prog, err := c.lowerInverse(c.exe.Workers())
+		if err != nil {
+			return nil, err
+		}
+		return ir.NewExecutor(prog, c.exe.Backend())
+	})
 	if err != nil {
 		return err
 	}
 	return e.TransformCtx(ctx, dst, src)
-}
-
-func (c *planCore) buildInverse(workers int, b smp.Backend) (*ir.Executor, error) {
-	prog, err := c.lowerInverse(workers)
-	if err != nil {
-		return nil, err
-	}
-	return ir.NewExecutor(prog, b)
 }
 
 // lazyExecutor is an executor built on first use; a build error is kept and
@@ -117,6 +115,9 @@ func (c *planCore) inverse(ctx context.Context, dst, src []complex128) error {
 }
 
 func (c *planCore) transform(ctx context.Context, run func(context.Context, []complex128, []complex128) error, dst, src []complex128) error {
+	if err := c.open(); err != nil {
+		return err
+	}
 	defer rethrowAsRegionPanic()
 	start := metrics.Now()
 	if err := run(ctx, dst, src); err != nil {
@@ -127,12 +128,10 @@ func (c *planCore) transform(ctx context.Context, run func(context.Context, []co
 }
 
 // program returns the lowered IR program the plan executes.
-func (c *planCore) program() *ir.Program {
-	if e := c.exe; e != nil {
-		return e.Program()
-	}
-	return c.seqExe.Program()
-}
+func (c *planCore) program() *ir.Program { return c.exe.Program() }
+
+// parallel reports whether the plan's program runs on more than one worker.
+func (c *planCore) parallel() bool { return c.exe.Workers() > 1 }
 
 // record logs one completed transform of the plan's nominal flop count.
 func (c *planCore) record(start time.Time) { recordTransform(&c.rec, c.kind, start, c.flops) }
@@ -143,19 +142,17 @@ func (c *planCore) recordN(start time.Time, flops int64) {
 	recordTransform(&c.rec, c.kind, start, flops)
 }
 
-// release shuts down the owned backend, preserving its final statistics for
-// Snapshot, and drops the backend-bound executor (families with a sequential
-// fallback program keep serving transforms through it). Idempotent.
+// release closes the plan: every later transform fails with ErrClosed. It
+// shuts down the owned backend, preserving its final statistics for
+// Snapshot, and keeps the executor for introspection. Idempotent.
 func (c *planCore) release() {
+	c.closed.Store(true)
 	if c.backend != nil {
 		c.finalPool = poolStatsOf(c.backend)
-		if c.exe != nil {
-			c.finalBarrier = c.exe.BarrierWait()
-		}
+		c.finalBarrier = c.exe.BarrierWait()
 		c.backend.Close()
 		c.backend = nil
 	}
-	c.exe = nil
 }
 
 // Snapshot returns the plan's observability record: transform counts and,
@@ -173,9 +170,7 @@ func (c *planCore) Snapshot() PlanStats {
 		st.BarrierWait = in.BarrierWait
 		st.Pool = in.Pool
 	case c.backend != nil:
-		if c.exe != nil {
-			st.BarrierWait = c.exe.BarrierWait()
-		}
+		st.BarrierWait = c.exe.BarrierWait()
 		st.Pool = poolStatsOf(c.backend)
 	default:
 		st.BarrierWait = c.finalBarrier
@@ -184,15 +179,15 @@ func (c *planCore) Snapshot() PlanStats {
 	return st
 }
 
-// buildStep builds one of a plan's executors on the backend it is handed
-// (nil for the single-worker program). A parallel step may return a nil
-// executor to keep the plan sequential.
+// buildStep builds a plan's executor on the backend it is handed (nil for
+// the single-worker program).
 type buildStep func(smp.Backend) (*ir.Executor, error)
 
-// compiled is the build step of a program lowered up front. A lowering error
-// passes through, so callers can write compiled(ir.LowerX(...)).
-func compiled(prog *ir.Program, err error) buildStep {
+// compiled is the build step of a program lowered on demand. A lowering
+// error passes through.
+func compiled(lower func() (*ir.Program, error)) buildStep {
 	return func(b smp.Backend) (*ir.Executor, error) {
+		prog, err := lower()
 		if err != nil {
 			return nil, err
 		}
@@ -200,32 +195,33 @@ func compiled(prog *ir.Program, err error) buildStep {
 	}
 }
 
-// compile installs a plan family's executors; every constructor takes this
-// one path. For workers > 1 and a non-nil par it opens the backend the
-// options select and adopts the executor par builds on it, which may be the
-// one a measuring planner timed there. seq then builds the single-worker
-// executor: the sequential plan's path and a parallel plan's post-Close
-// fallback. The backend is closed whenever the core does not adopt it, and
-// every failure fails the constructor.
+// compile installs a plan family's one forward executor; every constructor
+// takes this path. For workers > 1 and a non-nil par it opens the backend
+// the options select and builds par on it, which may return the executor a
+// measuring planner timed there. par keeps the plan sequential by returning
+// nil, or an executor without a backend (the sequential program a measuring
+// planner timed and found faster); only in the nil case does seq build the
+// single-worker program. The backend is closed whenever the core does not
+// adopt it, and every failure fails the constructor.
 func (c *planCore) compile(opt Options, workers int, par, seq buildStep) error {
+	var exe *ir.Executor
+	var err error
 	if workers > 1 && par != nil {
 		backend := newBackendFor(opt, workers)
-		exe, err := par(backend)
-		if err != nil || exe == nil {
-			backend.Close()
-			if err != nil {
-				return err
-			}
-		} else {
+		exe, err = par(backend)
+		if err == nil && exe != nil && exe.Backend() == backend {
 			c.exe, c.backend = exe, backend
+			return nil
 		}
+		backend.Close()
 	}
-	exe, err := seq(nil)
+	if err == nil && exe == nil {
+		exe, err = seq(nil)
+	}
 	if err != nil {
-		c.release()
 		return err
 	}
-	c.seqExe = exe
+	c.exe = exe
 	return nil
 }
 

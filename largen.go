@@ -53,9 +53,8 @@ var bestFourStep = (*search.Tuner).BestFourStepCtx
 // Model-only planners (PlannerFixed, PlannerEstimate) take its head, with
 // sub-trees from planTree as on the tree tier, and run no transform.
 // Measuring planners time a prefix of it (search.BestFourStepCtx) and adopt
-// the executor that won. seqExe runs the sequential four-step program, and
-// for Workers > 1 exe runs the worker-partitioned variant of the same split
-// (seqExe stays as the post-Close fallback, mirroring the tree families).
+// the executor that won. The plan runs one four-step program: the
+// worker-partitioned one for Workers > 1, the sequential one otherwise.
 // Returns errNoFourStepSplit when the tier cannot decompose the size; the
 // caller then falls back to the tree planner.
 func (p *Plan) planFourStep(tuner *search.Tuner) error {
@@ -72,34 +71,26 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 	}
 	fs := fourStepInfo{n1: ranked[0].N1, tile: ranked[0].Tile}
 	var col, row *exec.Tree
-	lower := func(b smp.Backend) (*ir.Executor, error) {
-		w := workers
-		if b == nil {
-			w = 1
-		}
-		return compiled(p.finisher().Apply(ir.LowerFourStep(n, fs.n1, ir.FourStepConfig{
-			P: w, Mu: mu, Tile: fs.tile, ColTree: col, RowTree: row,
-		})))(b)
-	}
-	par, seq := lower, lower
+	build := compiled(func() (*ir.Program, error) {
+		return p.finisher().Apply(ir.LowerFourStep(n, fs.n1, ir.FourStepConfig{
+			P: workers, Mu: mu, Tile: fs.tile, ColTree: col, RowTree: row,
+		}))
+	})
 	if opt.Planner == PlannerFixed || opt.Planner == PlannerEstimate {
 		col, _ = planTree(tuner, opt, n/fs.n1)
 		row, _ = planTree(tuner, opt, fs.n1)
 	} else {
-		tune := func(b smp.Backend) (*ir.Executor, error) {
+		// The search times the program on the plan's backend (or alone for
+		// one worker); the plan ships that very executor.
+		build = func(b smp.Backend) (*ir.Executor, error) {
 			choice, err := bestFourStep(tuner, context.Background(), n, workers, mu, b, p.finisher())
 			fs, col, row = fourStepInfo{n1: choice.N1, tile: choice.Tile}, choice.ColTree, choice.RowTree
 			return choice.Exe, err
 		}
-		// The search times the program on the plan's backend (or alone for
-		// one worker); the plan ships that very executor.
-		if workers > 1 {
-			par = tune
-		} else {
-			seq = tune
-		}
 	}
-	if err := p.compile(opt, workers, par, seq); err != nil {
+	// The step builds the one program for the plan's worker count: compile
+	// runs it on the backend when workers > 1 and alone otherwise.
+	if err := p.compile(opt, workers, build, build); err != nil {
 		return err
 	}
 	p.fourStep = &fs

@@ -22,7 +22,6 @@ import (
 // parallel regions on the pooled backend serialize inside the executor.
 type Plan2D struct {
 	rows, cols int
-	p          int
 	opt        Options
 	planCore
 }
@@ -50,16 +49,16 @@ func NewPlan2D(rows, cols int, o *Options) (*Plan2D, error) {
 		opt.Wisdom.record(rowTree, rowCost)
 		opt.Wisdom.record(colTree, colCost)
 	}
-	p := &Plan2D{rows: rows, cols: cols, p: 1, opt: opt}
+	p := &Plan2D{rows: rows, cols: cols, opt: opt}
 	p.init(tk2D, int64(float64(rows)*exec.FlopCount(cols)+float64(cols)*exec.FlopCount(rows)))
 	p.initComplexLeases(rows*cols, rows*cols)
 	p.lowerInverse = func(w int) (*ir.Program, error) { return ir.Lower2DInverse(rows, cols, w, rowTree, colTree) }
-	workers := opt.Workers
-	var par buildStep
-	if workers > 1 && rewrite.Parallel2DOK(rows, cols, workers, opt.CacheLineComplex) {
-		par, p.p = compiled(ir.Lower2D(rows, cols, workers, rowTree, colTree)), workers
+	workers := 1
+	if opt.Workers > 1 && rewrite.Parallel2DOK(rows, cols, opt.Workers, opt.CacheLineComplex) {
+		workers = opt.Workers
 	}
-	if err := p.compile(opt, workers, par, compiled(ir.Lower2D(rows, cols, 1, rowTree, colTree))); err != nil {
+	build := compiled(func() (*ir.Program, error) { return ir.Lower2D(rows, cols, workers, rowTree, colTree) })
+	if err := p.compile(opt, workers, build, build); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -76,7 +75,7 @@ func (p *Plan2D) Len() int { return p.rows * p.cols }
 func (p *Plan2D) N() int { return p.Len() }
 
 // IsParallel reports whether the plan distributes stages over workers.
-func (p *Plan2D) IsParallel() bool { return p.p > 1 }
+func (p *Plan2D) IsParallel() bool { return p.parallel() }
 
 // Program returns the lowered IR program the plan executes. The program is
 // shared — callers must not mutate it.
@@ -85,8 +84,8 @@ func (p *Plan2D) Program() *ir.Program { return p.program() }
 // Formula returns the SPL formula of the parallel schedule (Derive2D's
 // output) or the plain tensor formula for sequential plans.
 func (p *Plan2D) Formula() string {
-	if p.p > 1 {
-		if f, _, err := rewrite.Derive2D(p.rows, p.cols, p.p, p.opt.CacheLineComplex); err == nil {
+	if p.parallel() {
+		if f, _, err := rewrite.Derive2D(p.rows, p.cols, p.exe.Workers(), p.opt.CacheLineComplex); err == nil {
 			return f.String()
 		}
 	}
@@ -121,7 +120,7 @@ func (p *Plan2D) InverseCtx(ctx context.Context, dst, src []complex128) error {
 	return p.inverse(ctx, dst, src)
 }
 
-// Close releases the worker pool (if any). Idempotent; the plan's
-// statistics remain readable via Snapshot, and subsequent transforms fall
-// back to the sequential program.
+// Close releases the worker pool (if any). Idempotent; later transforms
+// fail with ErrClosed, while IsParallel, Formula, Program and Snapshot keep
+// reporting the plan as built.
 func (p *Plan2D) Close() { p.release() }

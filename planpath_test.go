@@ -115,13 +115,9 @@ func TestPlannerMeasureAdoptsTimedFourStepExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adopted := p.seqExe
-		if workers > 1 {
-			adopted = p.exe
-		}
-		if choice.Exe == nil || adopted != choice.Exe {
+		if choice.Exe == nil || p.exe != choice.Exe {
 			p.Close()
-			t.Fatalf("workers=%d: plan runs executor %p, the search timed %p", workers, adopted, choice.Exe)
+			t.Fatalf("workers=%d: plan runs executor %p, the search timed %p", workers, p.exe, choice.Exe)
 		}
 		if m, _ := p.Split(); m != choice.N1 || p.Program() != choice.Prog {
 			t.Errorf("workers=%d: plan split %d, timed split %d", workers, m, choice.N1)
@@ -138,39 +134,84 @@ func TestPlannerMeasureAdoptsTimedFourStepExecutor(t *testing.T) {
 	}
 }
 
-// compile is the one path every constructor takes: a failing parallel build
-// fails it with the backend closed, and so does a failing sequential build
-// after the parallel executor was adopted.
+// compile is the one path every constructor takes: a failing build fails
+// it, installs nothing and leaves no backend open, whichever step failed.
 func TestCompileFailsOnEitherExecutor(t *testing.T) {
 	boom := errors.New("boom")
-	seq := compiled(ir.LowerWHT(64, 1, 4))
-	par := compiled(ir.LowerWHT(64, 2, 4))
+	fail := func(smp.Backend) (*ir.Executor, error) { return nil, boom }
+	seq := whtStep(64, 1)
 	live := smp.AggregateStats().Live
 	for _, c := range []struct {
 		name     string
+		workers  int
 		par, seq buildStep
 	}{
-		{"parallel", compiled(nil, boom), seq},
-		{"sequential", par, compiled(nil, boom)},
+		{"parallel", 2, fail, seq},
+		{"sequential", 1, whtStep(64, 2), fail},
+		{"sequential after a nil parallel step", 2, func(smp.Backend) (*ir.Executor, error) { return nil, nil }, fail},
 	} {
 		var core planCore
-		if err := core.compile(Options{}, 2, c.par, c.seq); !errors.Is(err, boom) {
+		if err := core.compile(Options{}, c.workers, c.par, c.seq); !errors.Is(err, boom) {
 			t.Fatalf("failing %s build: err = %v", c.name, err)
 		}
-		if core.exe != nil || core.backend != nil || core.seqExe != nil {
-			t.Fatalf("failing %s build left executors installed", c.name)
+		if core.exe != nil || core.backend != nil {
+			t.Fatalf("failing %s build left an executor installed", c.name)
 		}
 		if got := smp.AggregateStats().Live; got != live {
 			t.Fatalf("failing %s build left %d pools open", c.name, got-live)
 		}
 	}
-	var core planCore
-	if err := core.compile(Options{}, 2, par, seq); err != nil {
+}
+
+// whtStep is the build step of the WHT_n program for p workers.
+func whtStep(n, p int) buildStep {
+	return compiled(func() (*ir.Program, error) { return ir.LowerWHT(n, p, 4) })
+}
+
+// compile installs exactly one executor: the sequential step never runs
+// once a parallel executor is adopted, and runs only when the parallel step
+// returns nil. A backend-less executor from the parallel step (the
+// sequential program a measuring planner timed) is adopted as is, with the
+// backend closed.
+func TestCompileBuildsOneExecutor(t *testing.T) {
+	live := smp.AggregateStats().Live
+	seqExe, err := whtStep(64, 1)(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer core.release()
-	if core.exe == nil || core.exe.Workers() != 2 || core.seqExe == nil {
-		t.Fatal("successful compile did not install both executors")
+	for _, c := range []struct {
+		name      string
+		par       buildStep
+		seqCalls  int
+		workers   int
+		adoptsSeq bool
+	}{
+		{"parallel", whtStep(64, 2), 0, 2, false},
+		{"nil parallel", func(smp.Backend) (*ir.Executor, error) { return nil, nil }, 1, 1, false},
+		{"timed sequential", func(smp.Backend) (*ir.Executor, error) { return seqExe, nil }, 0, 1, true},
+	} {
+		calls := 0
+		seq := func(b smp.Backend) (*ir.Executor, error) {
+			calls++
+			return whtStep(64, 1)(b)
+		}
+		var core planCore
+		if err := core.compile(Options{}, 2, c.par, seq); err != nil {
+			t.Fatal(err)
+		}
+		if calls != c.seqCalls {
+			t.Errorf("%s: sequential step ran %d times, want %d", c.name, calls, c.seqCalls)
+		}
+		if core.exe.Workers() != c.workers || (core.backend != nil) != (c.workers > 1) {
+			t.Errorf("%s: installed a %d-worker executor (backend %v)", c.name, core.exe.Workers(), core.backend)
+		}
+		if c.adoptsSeq && core.exe != seqExe {
+			t.Errorf("%s: did not adopt the executor the step returned", c.name)
+		}
+		core.release()
+		if got := smp.AggregateStats().Live; got != live {
+			t.Fatalf("%s: %d pools left open", c.name, got-live)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func TestInverseProgramsShareForwardShape(t *testing.T) {
 		if err := p.Inverse(x, x); err != nil {
 			t.Fatal(err)
 		}
-		if e := p.invExe.exe; e == nil || e.Backend() != p.backend || programShape(e.Program()) != programShape(inv) {
+		if e := p.inv.exe; e == nil || e.Backend() != p.backend || programShape(e.Program()) != programShape(inv) {
 			t.Errorf("%s: inverse did not run the parallel inverse program", c.golden)
 		}
 		p.Close()
@@ -153,9 +153,9 @@ func TestRealPlanMeasureTimesTheRealProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exe := rp.half.exe; exe != choice.Exec {
+		if exe := rp.half.exe; exe != timedWinner(choice) {
 			rp.Close()
-			t.Fatalf("n=%d: plan runs executor %p, the search timed %p", n, exe, choice.Exec)
+			t.Fatalf("n=%d: plan runs executor %p, the search timed %p", n, exe, timedWinner(choice))
 		}
 		if !choice.UsedParallel() {
 			rp.Close()

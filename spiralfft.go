@@ -188,17 +188,17 @@ type Plan struct {
 	n   int
 	opt Options
 	planCore
-	// tree is the sequential factorization (compiled into planCore.seqExe,
-	// which parallel plans keep as the post-Close fallback).
+	// tree is the factorization of a sequential tree plan (nil when the plan
+	// is parallel or four-step).
 	tree *exec.Tree
 	// m is the parallel top-level split factor (0 when sequential);
 	// ltree/rtree are the tuned sub-plan factorizations.
 	m            int
 	ltree, rtree *exec.Tree
 	// fourStep, when set, marks the plan as a large-N four-step plan: the
-	// schedule is ir.LowerFourStep's (seqExe sequential, exe parallel), m
-	// is the split n1, ltree/rtree the row/column sub-trees, and tree is
-	// nil (no full-size factorization tree is ever built at these sizes).
+	// schedule is ir.LowerFourStep's, m is the split n1, ltree/rtree the
+	// row/column sub-trees, and tree is nil (no full-size factorization tree
+	// is ever built at these sizes).
 	fourStep *fourStepInfo
 	// real marks the engine of a RealPlan of size 2n: every program the plan
 	// lowers is completed into the real-input program around the DFT_n
@@ -255,12 +255,15 @@ func newPlan(n int, o *Options, real bool) (*Plan, error) {
 			return nil, err
 		}
 	}
-	p.tree = p.sequentialTree(tuner)
 	var par buildStep
 	if opt.Workers > 1 {
 		par = p.parallelStep(tuner)
 	}
-	if err := p.compile(opt, opt.Workers, par, compiled(p.finisher().Apply(ir.LowerTree(p.tree)))); err != nil {
+	seq := compiled(func() (*ir.Program, error) {
+		p.tree = p.sequentialTree(tuner)
+		return p.finisher().Apply(ir.LowerTree(p.tree))
+	})
+	if err := p.compile(opt, opt.Workers, par, seq); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -392,14 +395,22 @@ func (p *Plan) parallelStep(tuner *search.Tuner) buildStep {
 	if opt.Planner == PlannerMeasure {
 		return func(backend smp.Backend) (*ir.Executor, error) {
 			choice, err := tuneParallel(tuner, p.n, opt.Workers, opt.CacheLineComplex, backend, p.finisher())
-			if err != nil || !choice.UsedParallel() {
+			if err != nil {
 				return nil, err
+			}
+			if opt.Wisdom != nil {
+				opt.Wisdom.record(choice.Tree, choice.SeqTime)
+			}
+			// The tuner timed the executor it returns (the winning split on
+			// this backend, or the sequential program): adopt it.
+			if !choice.UsedParallel() {
+				p.tree = choice.Tree
+				return choice.SeqExec, nil
 			}
 			if opt.Wisdom != nil {
 				opt.Wisdom.Record(WisdomKey{N: p.n, P: opt.Workers},
 					exec.SplitTree(choice.Left, choice.Right), choice.ParTime)
 			}
-			// The tuner timed this very executor on this backend: adopt it.
 			p.m, p.ltree, p.rtree = choice.Split, choice.Left, choice.Right
 			return choice.Exec, nil
 		}
@@ -422,11 +433,13 @@ var tuneParallel = (*search.Tuner).TuneParallel
 // it.
 func (p *Plan) lowerCT(m int, lt, rt *exec.Tree) buildStep {
 	p.m, p.ltree, p.rtree = m, lt, rt
-	return compiled(p.finisher().Apply(ir.LowerCT(p.n, m, ir.CTConfig{
-		P:        p.opt.Workers,
-		Mu:       p.opt.CacheLineComplex,
-		LeftTree: lt, RightTree: rt,
-	})))
+	return compiled(func() (*ir.Program, error) {
+		return p.finisher().Apply(ir.LowerCT(p.n, m, ir.CTConfig{
+			P:        p.opt.Workers,
+			Mu:       p.opt.CacheLineComplex,
+			LeftTree: lt, RightTree: rt,
+		}))
+	})
 }
 
 // N returns the transform size.
@@ -437,24 +450,19 @@ func (p *Plan) N() int { return p.n }
 func (p *Plan) Len() int { return p.n }
 
 // IsParallel reports whether the plan executes on multiple workers.
-func (p *Plan) IsParallel() bool { return p.exe != nil }
+func (p *Plan) IsParallel() bool { return p.parallel() }
 
 // IsFourStep reports whether the plan runs the large-N four-step schedule
 // (see Options.LargeNThreshold).
 func (p *Plan) IsFourStep() bool { return p.fourStep != nil }
 
 // Workers returns the number of workers the plan actually uses.
-func (p *Plan) Workers() int {
-	if p.exe != nil {
-		return p.exe.Workers()
-	}
-	return 1
-}
+func (p *Plan) Workers() int { return p.exe.Workers() }
 
 // Split returns the top-level factorization n = m·k of a parallel plan, or
 // of a four-step large-N plan (m = n1). (0, 0 for sequential tree plans.)
 func (p *Plan) Split() (m, k int) {
-	if p.exe == nil && p.fourStep == nil {
+	if !p.parallel() && p.fourStep == nil {
 		return 0, 0
 	}
 	return p.m, p.n / p.m
@@ -467,7 +475,7 @@ func (p *Plan) Tree() string {
 		return fmt.Sprintf("four-step p=%d: %d·%d tile=%d, row=%s, col=%s",
 			p.Workers(), fs.n1, p.n/fs.n1, fs.tile, p.ltree.String(), p.rtree.String())
 	}
-	if p.exe == nil {
+	if !p.parallel() {
 		return p.tree.String()
 	}
 	return fmt.Sprintf("parallel p=%d: left=%s, right=%s", p.exe.Workers(), p.ltree.String(), p.rtree.String())
@@ -491,13 +499,11 @@ func (p *Plan) Formula() string {
 		return fmt.Sprintf("(DFT_%d ⊗ I_%d) · T^%d_%d · (I_%d ⊗ DFT_%d) · L^%d_%d",
 			n1, n2, p.n, n2, n1, n2, p.n, n1)
 	}
-	if p.exe != nil {
-		f, _, err := rewrite.DeriveMulticoreCT(p.n, p.m, p.exe.Workers(), p.opt.CacheLineComplex)
-		if err == nil {
+	if p.parallel() {
+		if f, _, err := rewrite.DeriveMulticoreCT(p.n, p.m, p.exe.Workers(), p.opt.CacheLineComplex); err == nil {
 			return f.String()
 		}
-	}
-	if g, ok := rewrite.CooleyTukey(firstSplit(p.tree)).Apply(spl.NewDFT(p.n)); ok {
+	} else if g, ok := rewrite.CooleyTukey(firstSplit(p.tree)).Apply(spl.NewDFT(p.n)); ok {
 		return g.String()
 	}
 	return fmt.Sprintf("DFT_%d", p.n)
@@ -506,7 +512,7 @@ func (p *Plan) Formula() string {
 // Derivation returns the full rewriting derivation of the plan's formula
 // (parallel plans only; sequential plans return the empty string).
 func (p *Plan) Derivation() string {
-	if p.exe == nil || p.fourStep != nil {
+	if !p.parallel() || p.fourStep != nil {
 		return ""
 	}
 	_, trace, err := rewrite.DeriveMulticoreCT(p.n, p.m, p.exe.Workers(), p.opt.CacheLineComplex)
@@ -552,9 +558,10 @@ func (p *Plan) InverseCtx(ctx context.Context, dst, src []complex128) error {
 }
 
 // Close releases the plan. For a plan the caller constructed with NewPlan
-// it shuts down the worker pool (if any) and is idempotent; the plan must
-// not be used afterwards. For a plan obtained from a Cache it releases one
-// reference — call Close exactly once per CachedPlan/Cache.Plan call.
+// it shuts down the worker pool (if any) and is idempotent; later
+// transforms fail with ErrClosed, while introspection and Snapshot keep
+// reporting the plan as built. For a plan obtained from a Cache it releases
+// one reference — call Close exactly once per CachedPlan/Cache.Plan call.
 func (p *Plan) Close() {
 	if p.onClose != nil {
 		p.onClose()
@@ -563,8 +570,8 @@ func (p *Plan) Close() {
 	p.destroy()
 }
 
-// destroy releases the owned backend unconditionally (bypassing any cache
-// hook). Idempotent. The plan's statistics remain readable via Snapshot.
+// destroy closes the plan unconditionally (bypassing any cache hook).
+// Idempotent. The plan's statistics remain readable via Snapshot.
 func (p *Plan) destroy() { p.release() }
 
 // Forward is a convenience one-shot transform: it plans sequentially,

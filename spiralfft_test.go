@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"spiralfft/internal/complexvec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/search"
 	"spiralfft/internal/smp"
 	"spiralfft/internal/twiddle"
@@ -179,9 +180,9 @@ func TestPlannerMeasureAdoptsTimedExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exe := p.exe; exe != choice.Exec {
+		if exe := p.exe; exe != timedWinner(choice) {
 			p.Close()
-			t.Fatalf("n=%d: plan runs executor %p, TuneParallel timed %p", n, exe, choice.Exec)
+			t.Fatalf("n=%d: plan runs executor %p, TuneParallel timed %p", n, exe, timedWinner(choice))
 		}
 		if !choice.UsedParallel() {
 			p.Close()
@@ -202,6 +203,60 @@ func TestPlannerMeasureAdoptsTimedExecutor(t *testing.T) {
 		return
 	}
 	t.Skip("the sequential plan won at every size on this host; no parallel executor was adopted")
+}
+
+// timedWinner is the executor whose runtime decided a ParallelChoice.
+func timedWinner(c search.ParallelChoice) *ir.Executor {
+	if c.UsedParallel() {
+		return c.Exec
+	}
+	return c.SeqExec
+}
+
+// When the measuring planner keeps a size sequential, the plan adopts the
+// sequential executor TuneParallel timed (it builds no second one) and
+// records that tree under the (n, 1) wisdom slot. The sequential win is
+// forced by dropping the parallel executors from the real search's choice,
+// as TuneParallel does when the sequential plan is faster.
+func TestPlannerMeasureAdoptsTimedSequentialExecutor(t *testing.T) {
+	var choice search.ParallelChoice
+	orig := tuneParallel
+	tuneParallel = func(tu *search.Tuner, n, p, mu int, b smp.Backend, finish search.Finish) (search.ParallelChoice, error) {
+		c, err := orig(tu, n, p, mu, b, finish)
+		c.Exec, c.Split, c.Left, c.Right = nil, 0, nil, nil
+		choice = c
+		return c, err
+	}
+	defer func() { tuneParallel = orig }()
+	const n = 1 << 10
+	w := NewWisdom()
+	live := smp.AggregateStats().Live
+	p, err := NewPlan(n, &Options{Workers: 2, Planner: PlannerMeasure, Wisdom: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if choice.SeqExec == nil || p.exe != choice.SeqExec {
+		t.Fatalf("plan runs executor %p, TuneParallel timed %p", p.exe, choice.SeqExec)
+	}
+	if p.IsParallel() || p.Workers() != 1 || p.Tree() != choice.Tree.String() {
+		t.Errorf("plan reports parallel=%v workers=%d tree %s, want the sequential %s",
+			p.IsParallel(), p.Workers(), p.Tree(), choice.Tree)
+	}
+	if got := smp.AggregateStats().Live; got != live {
+		t.Errorf("sequential plan left %d pools open", got-live)
+	}
+	if tr, ok := w.Lookup(n, 1); !ok || tr.String() != choice.Tree.String() {
+		t.Errorf("wisdom (n, 1) holds %v, want the timed tree %s", tr, choice.Tree)
+	}
+	x := complexvec.Random(n, 13)
+	got := make([]complex128, n)
+	if err := p.Forward(got, x); err != nil {
+		t.Fatal(err)
+	}
+	if e := complexvec.RelError(got, refDFT(x)); e > 1e-9 {
+		t.Errorf("adopted sequential executor wrong by %g", e)
+	}
 }
 
 func TestInPlaceTransforms(t *testing.T) {

@@ -183,6 +183,9 @@ func (p *STFTPlan) Analyze(dst [][]complex128, signal []float64) error {
 // cancellation the error is ctx.Err() and dst holds the frames completed so
 // far. A nil ctx behaves like Analyze.
 func (p *STFTPlan) AnalyzeCtx(cctx context.Context, dst [][]complex128, signal []float64) error {
+	if err := p.open(); err != nil {
+		return err
+	}
 	frames := p.NumFrames(len(signal))
 	if len(dst) != frames {
 		return fmt.Errorf("%w: Analyze needs %d frames, got %d", ErrLengthMismatch, frames, len(dst))
@@ -235,6 +238,9 @@ func (p *STFTPlan) Synthesize(signal []float64, frames [][]complex128) error {
 // between frames; on cancellation the error is ctx.Err() and signal is
 // unspecified (partially accumulated). A nil ctx behaves like Synthesize.
 func (p *STFTPlan) SynthesizeCtx(cctx context.Context, signal []float64, frames [][]complex128) error {
+	if err := p.open(); err != nil {
+		return err
+	}
 	if len(frames) == 0 {
 		return nil
 	}
@@ -276,5 +282,9 @@ func (p *STFTPlan) SynthesizeCtx(cctx context.Context, signal []float64, frames 
 	return nil
 }
 
-// Close releases the inner plan's resources.
-func (p *STFTPlan) Close() { p.rp.Close() }
+// Close releases the inner plan's resources; later transforms fail with
+// ErrClosed.
+func (p *STFTPlan) Close() {
+	p.rp.Close()
+	p.release()
+}

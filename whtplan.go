@@ -7,6 +7,7 @@ import (
 	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
+	"spiralfft/internal/smp"
 )
 
 // WHTPlan computes the Walsh-Hadamard transform of size n = 2^k. The WHT
@@ -19,9 +20,8 @@ import (
 // A WHTPlan is safe for concurrent use (the executor pools its per-call
 // buffers and serializes pooled-backend regions).
 type WHTPlan struct {
-	n        int
-	opt      Options
-	parallel bool
+	n   int
+	opt Options
 	planCore
 }
 
@@ -44,18 +44,14 @@ func NewWHTPlan(n int, o *Options) (*WHTPlan, error) {
 	p.init(tkWHT, int64(n)*int64(k))
 	p.initComplexLeases(n, n)
 	p.lowerInverse = func(w int) (*ir.Program, error) { return ir.LowerWHTInverse(n, w, opt.CacheLineComplex) }
-	workers := 1
-	var par buildStep
-	if opt.Workers > 1 {
-		prog, err := ir.LowerWHT(n, opt.Workers, opt.CacheLineComplex)
-		if err != nil {
-			return nil, err
-		}
-		if prog.P > 1 { // admissible split found: parallel two-stage schedule
-			workers, par, p.parallel = prog.P, compiled(prog, nil), true
-		}
+	// The program is the parallel two-stage schedule when an admissible
+	// split exists for the workers, the sequential one otherwise.
+	prog, err := ir.LowerWHT(n, opt.Workers, opt.CacheLineComplex)
+	if err != nil {
+		return nil, err
 	}
-	if err := p.compile(opt, workers, par, compiled(ir.LowerWHT(n, 1, opt.CacheLineComplex))); err != nil {
+	build := func(b smp.Backend) (*ir.Executor, error) { return ir.NewExecutor(prog, b) }
+	if err := p.compile(opt, prog.P, build, build); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -69,7 +65,7 @@ func (p *WHTPlan) N() int { return p.n }
 func (p *WHTPlan) Len() int { return p.n }
 
 // IsParallel reports whether the plan uses multiple workers.
-func (p *WHTPlan) IsParallel() bool { return p.parallel }
+func (p *WHTPlan) IsParallel() bool { return p.parallel() }
 
 // Program returns the lowered IR program the plan executes. The program is
 // shared — callers must not mutate it.
@@ -117,7 +113,7 @@ func (p *WHTPlan) InverseCtx(ctx context.Context, dst, src []complex128) error {
 // Formula returns the fully optimized SPL formula for the plan's
 // configuration (parallel plans; sequential plans return "WHT_n").
 func (p *WHTPlan) Formula() string {
-	if !p.parallel {
+	if !p.parallel() {
 		return fmt.Sprintf("WHT_%d", p.n)
 	}
 	k := 0
@@ -136,7 +132,7 @@ func (p *WHTPlan) Formula() string {
 	return f.String()
 }
 
-// Close releases the worker pool (if any). Idempotent; the plan's
-// statistics remain readable via Snapshot, and subsequent transforms fall
-// back to the sequential program.
+// Close releases the worker pool (if any). Idempotent; later transforms
+// fail with ErrClosed, while IsParallel, Formula, Program and Snapshot keep
+// reporting the plan as built.
 func (p *WHTPlan) Close() { p.release() }

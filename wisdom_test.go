@@ -125,17 +125,20 @@ func TestWisdomRecordsPlannedTrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	// The plan records the sequential tree for n and the two parallel
-	// subtree sizes.
+	// The plan records the two parallel subtree sizes. The fixed planner
+	// never computes a sequential tree for n itself, so none is recorded.
 	if w.Len() < 3 {
 		t.Errorf("wisdom recorded %d entries, want ≥ 3:\n%s", w.Len(), w.Export())
 	}
 	m, k := p.Split()
 	exported := w.Export()
-	for _, n := range []int{512, m, k} {
+	for _, n := range []int{m, k} {
 		if _, ok := w.lookup(n); !ok {
 			t.Errorf("wisdom missing size %d:\n%s", n, exported)
 		}
+	}
+	if _, ok := w.Lookup(512, 1); ok {
+		t.Errorf("parallel fixed plan recorded a sequential tree for n=512:\n%s", exported)
 	}
 	// The whole parallel factorization is stored under the (n, p) slot, so a
 	// later plan can adopt it without re-running the split search.
@@ -153,6 +156,17 @@ func TestWisdomRecordsPlannedTrees(t *testing.T) {
 	defer p2.Close()
 	if m2, k2 := p2.Split(); m2 != m || k2 != k {
 		t.Errorf("second plan did not adopt composite wisdom: split %dx%d, want %dx%d", m2, k2, m, k)
+	}
+	// The measuring planner does compute the sequential tree of n (it times
+	// it against the splits), and records it under (n, 1).
+	wm := NewWisdom()
+	pm, err := NewPlan(512, &Options{Workers: 2, Planner: PlannerMeasure, Wisdom: wm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pm.Close()
+	if _, ok := wm.Lookup(512, 1); !ok {
+		t.Errorf("measured plan did not record the sequential tree it timed:\n%s", wm.Export())
 	}
 }
 

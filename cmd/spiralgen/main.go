@@ -22,6 +22,7 @@ import (
 
 	"spiralfft/internal/codegen"
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/search"
 	"spiralfft/internal/spl"
@@ -155,7 +156,9 @@ func printFormula(n, p, mu int) {
 	}
 }
 
-// printWHTFormula derives and prints the fully optimized WHT formula.
+// printWHTFormula derives and prints the fully optimized WHT formula with
+// the split the WHT plans run (ir.WHTSplit), or the sequential transform
+// when no split is admissible.
 func printWHTFormula(n, p, mu int) {
 	k := 0
 	for v := n; v > 1; v >>= 1 {
@@ -165,7 +168,13 @@ func printWHTFormula(n, p, mu int) {
 		fmt.Fprintf(os.Stderr, "WHT needs a power-of-two size ≥ 4, got %d\n", n)
 		os.Exit(1)
 	}
-	f, trace, err := rewrite.DeriveMulticoreWHT(k, k/2, p, mu)
+	a, ok := ir.WHTSplit(n, p, mu)
+	if !ok {
+		fmt.Printf("Walsh-Hadamard transform WHT_%d, p=%d, µ=%d: no admissible multicore split\n"+
+			"(p must be a power of two ≥ 2 with (pµ)² dividing n); the plan is sequential:\n\n  WHT_%d\n", n, p, mu, n)
+		return
+	}
+	f, trace, err := rewrite.DeriveMulticoreWHT(k, a, p, mu)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -136,6 +136,22 @@ func main() {
 			rep.MaxImbalance() == 1.0, fmt.Sprintf("imbalance=%.3f", rep.MaxImbalance()))
 	}
 
+	// The same guarantees for the parallel WHT programs: stage 1's blocks
+	// and stage 2's row-slice column ranges are µ-aligned and equal.
+	for _, c := range []struct{ n, p, mu int }{{4096, 2, 4}, {4096, 4, 4}} {
+		wp, err := spiralfft.NewWHTPlan(c.n, &spiralfft.Options{Workers: c.p, CacheLineComplex: c.mu})
+		if err != nil || !wp.IsParallel() {
+			check(fmt.Sprintf("parallel wht plan n=%d p=%d", c.n, c.p), false, fmt.Sprintf("err=%v", err))
+			continue
+		}
+		rep := cachesim.AnalyzeProgram(wp.Program(), c.mu)
+		wp.Close()
+		check(fmt.Sprintf("wht no false sharing n=%d p=%d µ=%d", c.n, c.p, c.mu),
+			rep.FalseSharingFree(), fmt.Sprintf("%d lines", rep.TotalFalseSharedLines()))
+		check(fmt.Sprintf("wht perfect balance n=%d p=%d", c.n, c.p),
+			rep.MaxImbalance() == 1.0, fmt.Sprintf("imbalance=%.3f", rep.MaxImbalance()))
+	}
+
 	// Formula (14) derivation identity.
 	f, _, err := rewrite.DeriveMulticoreCT(256, 16, 2, 4)
 	ok := err == nil && spl.IsFullyOptimized(f, 2, 4)

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"testing"
 
+	"spiralfft/internal/cachesim"
 	"spiralfft/internal/codelet"
 	"spiralfft/internal/complexvec"
 	"spiralfft/internal/exec"
@@ -13,7 +14,7 @@ import (
 
 // The parallel schedules built from this package's kernels: formula (14),
 // lowered by ir.LowerCT, runs Seq sub-plans, and the two-stage WHT, lowered
-// by ir.LowerWHT, runs WHTInPlace butterflies, both on ir.Executor. These
+// by ir.LowerWHT, runs the WHTRowsScaled butterflies, both on ir.Executor. These
 // tests pin the schedules against the sequential execution of the same
 // factorization, which must agree to the last bit.
 
@@ -215,7 +216,7 @@ func refWHT(x []complex128) []complex128 {
 
 func TestWHTParallelMatchesSequential(t *testing.T) {
 	for _, c := range []struct{ k, p, mu int }{
-		{8, 2, 4}, {10, 2, 4}, {12, 4, 4}, {6, 2, 2},
+		{8, 2, 4}, {10, 2, 4}, {12, 4, 4}, {6, 2, 2}, {2, 2, 1}, {4, 4, 1},
 	} {
 		n := 1 << uint(c.k)
 		prog, err := ir.LowerWHT(n, c.p, c.mu)
@@ -269,6 +270,71 @@ func TestWHTSmallSizeFallsBackSequential(t *testing.T) {
 	e.Transform(got, x)
 	if d := complexvec.RelError(got, refWHT(x)); d > 1e-12 {
 		t.Errorf("fallback: rel error %g", d)
+	}
+}
+
+// The parallel WHT's trace sees every point its row-form stage touches:
+// stage 1 reads each src point and writes each dst point once, stage 2
+// reads and writes each dst point once, the work per stage is balanced, and
+// the program's trace flops equal the sequential program's 2·n·log2 n.
+// The Definition-1 audit finds no false sharing and perfect balance.
+func TestWHTTraceSeesRowForm(t *testing.T) {
+	for _, c := range []struct{ n, p int }{{4096, 2}, {4096, 4}, {2048, 2}, {256, 4}} {
+		prog, err := ir.LowerWHT(c.n, c.p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := ir.LowerWHT(c.n, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.P != c.p || prog.TraceStages() != 2 || len(prog.Temps) != 0 {
+			t.Fatalf("n=%d p=%d: program P=%d stages=%d temps=%v", c.n, c.p, prog.P, prog.TraceStages(), prog.Temps)
+		}
+		for stage, bufs := range [][2]ir.Buf{{ir.BufSrc, ir.BufDst}, {ir.BufDst, ir.BufDst}} {
+			reads := make([]int, c.n)
+			writes := make([]int, c.n)
+			for w := 0; w < c.p; w++ {
+				prog.TraceAccesses(stage, w, func(buf ir.Buf, idx int, write bool) {
+					switch {
+					case write && buf == bufs[1]:
+						writes[idx]++
+					case !write && buf == bufs[0]:
+						reads[idx]++
+					default:
+						t.Fatalf("stage %d: unexpected access buf=%v write=%v", stage, buf, write)
+					}
+				})
+				if prog.TraceWork(stage, w) != prog.TraceWork(stage, 0) {
+					t.Errorf("n=%d p=%d stage %d: worker %d work differs", c.n, c.p, stage, w)
+				}
+			}
+			for i := range reads {
+				if reads[i] != 1 || writes[i] != 1 {
+					t.Fatalf("n=%d p=%d stage %d idx %d: reads=%d writes=%d", c.n, c.p, stage, i, reads[i], writes[i])
+				}
+			}
+		}
+		total := func(p *ir.Program) float64 {
+			f := 0.0
+			for s := 0; s < p.TraceStages(); s++ {
+				for w := 0; w < p.P; w++ {
+					f += p.TraceWork(s, w)
+				}
+			}
+			return f
+		}
+		k := 0
+		for v := c.n; v > 1; v >>= 1 {
+			k++
+		}
+		if got, want := total(prog), float64(2*c.n*k); got != want || total(seq) != want {
+			t.Errorf("n=%d p=%d: trace flops %g (sequential %g), want %g", c.n, c.p, got, total(seq), want)
+		}
+		rep := cachesim.AnalyzeProgram(prog, 4)
+		if !rep.FalseSharingFree() || rep.MaxImbalance() != 1.0 {
+			t.Errorf("n=%d p=%d: %d false-shared lines, imbalance %.3f", c.n, c.p, rep.TotalFalseSharedLines(), rep.MaxImbalance())
+		}
 	}
 }
 

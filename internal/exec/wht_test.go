@@ -103,6 +103,43 @@ func TestWHTInPlaceBitIdenticalToRadix2(t *testing.T) {
 	}
 }
 
+// WHT_n = (WHT_a ⊗ I_v)(I_a ⊗ WHT_v) for n = a·v: WHTRowsScaled on the
+// rows after contiguous WHT_v blocks gives WHTInPlaceScaled's output bit
+// for bit, whether the rows run as one block (stride == v) or as column
+// ranges of wider rows (stride > v), each range transformed on its own.
+func TestWHTRowsScaledSplitsWHTInPlace(t *testing.T) {
+	for k := 1; k <= 12; k++ {
+		n := 1 << uint(k)
+		for a := 2; a <= n; a *= 2 {
+			v := n / a
+			x := complexvec.Random(n, uint64(10*k+a))
+			for _, s := range []float64{1, 1 / float64(n)} {
+				want := complexvec.Clone(x)
+				WHTInPlaceScaled(want, s)
+				packed := complexvec.Clone(x)
+				for i := 0; i < a; i++ {
+					WHTInPlace(packed[i*v : (i+1)*v])
+				}
+				cols := complexvec.Clone(packed)
+				WHTRowsScaled(packed, a, v, v, s)
+				// Two column ranges [0,h) and [h,v) of the same rows.
+				if h := v / 2; h > 0 {
+					WHTRowsScaled(cols, a, v, h, s)
+					WHTRowsScaled(cols[h:], a, v, v-h, s)
+				} else {
+					WHTRowsScaled(cols, a, v, v, s)
+				}
+				for i := range want {
+					if packed[i] != want[i] || cols[i] != want[i] {
+						t.Fatalf("n=%d a=%d s=%g: element %d = %v (packed), %v (columns), want %v",
+							n, a, s, i, packed[i], cols[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkWHT(b *testing.B) {
 	for _, k := range []int{10, 14} {
 		buf := complexvec.Random(1<<uint(k), 1)

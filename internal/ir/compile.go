@@ -88,11 +88,11 @@ type compiledOp struct {
 	idx      []int32      // opPermute
 	fn       BlockFn      // opGeneric
 	// opTranspose geometry: rows×cols source, destination columns [lo,hi),
-	// tile×tile cache blocking.
+	// tile×tile cache blocking. opWHT: cols is the row width V.
 	rows, cols     int
 	lo, hi, tile   int
 	den, row, roff int     // opCodeletGen*: generated twiddle row parameters
-	scale          float64 // opWHT*: output scale (1 when unscaled)
+	scale          float64 // opWHT: output scale (1 when unscaled)
 }
 
 type opKind uint8
@@ -103,8 +103,7 @@ const (
 	opCodeletPre           // composite-root sub-DFT with Tw: pre-scale into scratch
 	opCodeletGen           // sub-DFT with runtime-generated twiddle row, fused
 	opCodeletGenPre        // same, composite root: generate + pre-scale in scratch
-	opWHT                  // contiguous WHT: copy + in-place butterflies
-	opWHTStrided           // strided WHT: gather to scratch, transform, scatter
+	opWHT                  // WHT_N ⊗ I_V: copy rows, butterflies in place
 	opTranspose            // cache-blocked tile transpose
 	opUntangle             // real-input spectrum untangling over bin pairs
 	opRetangle             // its inverse
@@ -271,14 +270,10 @@ func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 			dst:  t.Dst, src: t.Src,
 			doff: t.DOff, ds: t.DS,
 			soff: t.SOff, ss: t.SS,
-			n: t.N, scale: 1,
+			n: t.N, cols: t.Width(), scale: 1,
 		}
 		if t.Scale != 0 {
 			co.scale = t.Scale
-		}
-		if t.DS != 1 || t.SS != 1 {
-			co.kind = opWHTStrided
-			return co, t.N, nil
 		}
 		return co, 0, nil
 	case Untangle:
@@ -546,22 +541,17 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 				}
 			}
 		case opWHT:
-			dst := ctx.buf(op.dst)[op.doff : op.doff+op.n]
-			src := ctx.buf(op.src)[op.soff : op.soff+op.n]
-			if &dst[0] != &src[0] {
-				copy(dst, src)
+			dst := ctx.buf(op.dst)[op.doff:]
+			if src := ctx.buf(op.src)[op.soff:]; &dst[0] != &src[0] || op.ds != op.ss {
+				if op.ds == op.cols && op.ss == op.cols { // packed rows: one span
+					copy(dst[:op.n*op.cols], src[:op.n*op.cols])
+				} else {
+					for i := 0; i < op.n; i++ {
+						copy(dst[i*op.ds:i*op.ds+op.cols], src[i*op.ss:i*op.ss+op.cols])
+					}
+				}
 			}
-			exec.WHTInPlaceScaled(dst, op.scale)
-		case opWHTStrided:
-			dst, src := ctx.buf(op.dst), ctx.buf(op.src)
-			col := scratch[:op.n]
-			for i := 0; i < op.n; i++ {
-				col[i] = src[op.soff+i*op.ss]
-			}
-			exec.WHTInPlaceScaled(col, op.scale)
-			for i := 0; i < op.n; i++ {
-				dst[op.doff+i*op.ds] = col[i]
-			}
+			exec.WHTRowsScaled(dst, op.n, op.ds, op.cols, op.scale)
 		case opUntangle:
 			untangle(ctx.buf(op.dst), ctx.buf(op.src), op.n, op.lo, op.hi, op.tw)
 		case opRetangle:

@@ -7,6 +7,7 @@ import (
 
 	"spiralfft/internal/codelet"
 	"spiralfft/internal/exec"
+	"spiralfft/internal/rewrite"
 	"spiralfft/internal/smp"
 )
 
@@ -179,35 +180,101 @@ func TestLowerCTInPlace(t *testing.T) {
 	requireIdentical(t, want, buf, "in-place")
 }
 
+// The parallel WHT program (I_p ⊗∥ WHT_{n/p}, then WHT_p ⊗ I_{n/p} on row
+// slices) performs every point's radix-2 additions in WHTInPlace's order,
+// so forward and inverse agree with it bit for bit, out of place and in
+// place.
 func TestLowerWHTBitIdenticalToWHTInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, tc := range []struct{ k, p int }{{4, 1}, {8, 1}, {8, 2}, {10, 4}, {5, 2}, {12, 2}} {
-		n := 1 << uint(tc.k)
-		prog, err := LowerWHT(n, tc.p, 4)
+	type tc struct{ k, p int }
+	cases := []tc{{4, 1}, {8, 1}, {5, 2}, {3, 2}}
+	for k := 6; k <= 16; k++ {
+		cases = append(cases, tc{k, 2}, tc{k, 4})
+	}
+	for _, c := range cases {
+		n := 1 << uint(c.k)
+		fwd, err := LowerWHT(n, c.p, 4)
 		if err != nil {
 			t.Fatalf("LowerWHT: %v", err)
 		}
-		_, split := exec.SplitFor(n, tc.p, 4)
-		if wantPar := tc.p > 1 && split; (prog.P > 1) != wantPar {
-			t.Fatalf("k=%d p=%d: program P=%d, want parallel=%v", tc.k, tc.p, prog.P, wantPar)
-		}
-		var backend smp.Backend
-		if prog.P > 1 {
-			backend = smp.NewPool(prog.P)
-		}
-		e, err := NewExecutor(prog, backend)
+		inv, err := LowerWHTInverse(n, c.p, 4)
 		if err != nil {
-			t.Fatalf("NewExecutor: %v", err)
+			t.Fatalf("LowerWHTInverse: %v", err)
+		}
+		_, split := WHTSplit(n, c.p, 4)
+		if wantPar := c.p > 1 && split; (fwd.P > 1) != wantPar || fwd.P != inv.P {
+			t.Fatalf("k=%d p=%d: program P=%d (inverse %d), want parallel=%v", c.k, c.p, fwd.P, inv.P, wantPar)
 		}
 		src := randVec(n, rng)
 		want := append([]complex128(nil), src...)
 		exec.WHTInPlace(want)
-		got := make([]complex128, n)
-		e.Transform(got, src)
-		requireIdentical(t, want, got, fmt.Sprintf("wht k=%d p=%d", tc.k, tc.p))
-		if backend != nil {
-			backend.Close()
+		got, in := runProgram(t, fwd, src, true)
+		requireIdentical(t, want, got, fmt.Sprintf("wht k=%d p=%d", c.k, c.p))
+		requireIdentical(t, want, in, fmt.Sprintf("wht k=%d p=%d in place", c.k, c.p))
+		copy(want, src)
+		exec.WHTInPlaceScaled(want, 1/float64(n))
+		got, in = runProgram(t, inv, src, true)
+		requireIdentical(t, want, got, fmt.Sprintf("inverse wht k=%d p=%d", c.k, c.p))
+		requireIdentical(t, want, in, fmt.Sprintf("inverse wht k=%d p=%d in place", c.k, c.p))
+	}
+}
+
+// WHTSplit parallelizes exactly the sizes exec.SplitFor's balanced split
+// did, (pµ)² | n: only the split changed, so no WHT that ran sequentially
+// now pays for two regions and a barrier.
+func TestWHTSplitKeepsSplitForFloor(t *testing.T) {
+	for k := 1; k <= 16; k++ {
+		n := 1 << uint(k)
+		for _, p := range []int{2, 4, 8} {
+			for _, mu := range []int{1, 2, 4} {
+				a, ok := WHTSplit(n, p, mu)
+				if _, want := exec.SplitFor(n, p, mu); ok != want {
+					t.Errorf("n=%d p=%d µ=%d: WHTSplit ok=%v, SplitFor ok=%v", n, p, mu, ok, want)
+				}
+				if ok && 1<<uint(a) != p {
+					t.Errorf("n=%d p=%d µ=%d: a=%d, want log2 p", n, p, mu, a)
+				}
+			}
 		}
+	}
+}
+
+// The program the rewrite system derives for the WHT with LowerWHT's split,
+// lowered by FromFormula and loop-merged by Fold, is LowerWHT's schedule:
+// the two L^{p²}_p ⊗̄ I_µ permutations fold into the row-form WHT_p ⊗ I_{n/p²}
+// calls, leaving two regions and one barrier, and it computes LowerWHT's
+// output bit for bit.
+func TestFoldedDerivedWHTMatchesLowerWHT(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, c := range []struct{ k, p int }{{6, 2}, {9, 2}, {12, 2}, {8, 4}, {11, 4}, {12, 4}} {
+		n := 1 << uint(c.k)
+		a, ok := WHTSplit(n, c.p, 4)
+		if !ok {
+			t.Fatalf("k=%d p=%d: no WHT split", c.k, c.p)
+		}
+		f, _, err := rewrite.DeriveMulticoreWHT(c.k, a, c.p, 4)
+		if err != nil {
+			t.Fatalf("k=%d p=%d: %v", c.k, c.p, err)
+		}
+		raw, err := FromFormula(f, c.p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		derived, err := Fold(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := len(derived.Regions()); r != 2 {
+			t.Errorf("k=%d p=%d: folded derived program has %d regions, want 2:\n%s", c.k, c.p, r, derived)
+		}
+		lowered, err := LowerWHT(n, c.p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := randVec(n, rng)
+		want, _ := runProgram(t, lowered, src, false)
+		got, _ := runProgram(t, derived, src, false)
+		requireIdentical(t, want, got, fmt.Sprintf("derived wht k=%d p=%d", c.k, c.p))
 	}
 }
 
@@ -289,5 +356,23 @@ func TestProgramStringAndValidate(t *testing.T) {
 	}}
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("worker-count mismatch not rejected")
+	}
+	// Row-form WHT calls: rows must not overlap and must fit the buffer.
+	rows := func(c WHTCall) *Program {
+		return &Program{Name: "rows", N: 16, P: 1, Nodes: []Node{&Region{Name: "r", Workers: [][]Op{{c}}}}}
+	}
+	ok := WHTCall{Dst: BufDst, DS: 8, Src: BufSrc, SS: 8, N: 2, V: 8}
+	if err := rows(ok).Validate(); err != nil {
+		t.Fatalf("valid row-form call rejected: %v", err)
+	}
+	for _, c := range []WHTCall{
+		{Dst: BufDst, DS: 4, Src: BufSrc, SS: 8, N: 2, V: 8},          // overlapping dst rows
+		{Dst: BufDst, DOff: 1, DS: 8, Src: BufSrc, SS: 8, N: 2, V: 8}, // last dst row past the end
+		{Dst: BufDst, DS: 8, Src: BufSrc, SOff: 4, SS: 8, N: 2, V: 8}, // last src row past the end
+		{Dst: BufDst, DS: 1, Src: BufSrc, SS: 1, N: 2, V: -1},         // negative width
+	} {
+		if err := rows(c).Validate(); err == nil {
+			t.Errorf("row-form call %s not rejected", c)
+		}
 	}
 }

@@ -178,8 +178,13 @@ func lowerBlock(f spl.Formula, off int, in, out Buf) []Op {
 			}
 			return ops
 		}
-		// A ⊗ I_k with A a DFT: k strided transforms through the executor.
+		// A ⊗ I_k with A a DFT: k strided transforms through the executor;
+		// with A a WHT: one row-form WHT over A's rows of k points.
 		if ik, ok := t.B.(spl.Identity); ok {
+			if w, ok := t.A.(spl.WHT); ok {
+				k := ik.N
+				return []Op{WHTCall{Dst: out, DOff: off, DS: k, Src: in, SOff: off, SS: k, N: w.Size(), V: k}}
+			}
 			if d, ok := t.A.(spl.DFT); ok {
 				if tr := exec.RadixTree(d.N); tr.Validate() == nil {
 					k := ik.N

@@ -111,6 +111,14 @@ func (c CodeletCall) String() string {
 //
 //	dst[DOff + i·DS] = Scale·WHT_N(src[SOff + j·SS])
 //
+// V > 1 is the row form WHT_N ⊗ I_V: the N "points" are rows of V
+// contiguous elements, row i at dst[DOff + i·DS : DOff + i·DS + V] (and
+// likewise src), with strides at least V. The butterflies then run on whole
+// row slices, so a worker transforms its column range of the rows in place
+// with no gather. V 0 or 1 is the plain transform. dst may be src when
+// the offsets and strides match (in place); otherwise the two spans must
+// not overlap.
+//
 // Scale 0 means 1. The inverse WHT sets Scale = 1/n on its last stage's
 // calls, so the 1/n rides in the final butterfly pass.
 type WHTCall struct {
@@ -118,18 +126,26 @@ type WHTCall struct {
 	DOff, DS int
 	SOff, SS int
 	N        int
+	V        int
 	Scale    float64
 }
 
 func (WHTCall) isOp()         {}
 func (c WHTCall) DstBuf() Buf { return c.Dst }
 func (c WHTCall) SrcBuf() Buf { return c.Src }
+
+// Width returns the row width V, at least 1.
+func (c WHTCall) Width() int { return max(c.V, 1) }
+
 func (c WHTCall) String() string {
-	sc := ""
+	sc, rows := "", ""
 	if c.Scale != 0 {
 		sc = fmt.Sprintf(" ·%g", c.Scale)
 	}
-	return fmt.Sprintf("wht%d %s[%d:%d] ← %s[%d:%d]%s", c.N, c.Dst, c.DOff, c.DS, c.Src, c.SOff, c.SS, sc)
+	if c.V > 1 {
+		rows = fmt.Sprintf("⊗I%d", c.V)
+	}
+	return fmt.Sprintf("wht%d%s %s[%d:%d] ← %s[%d:%d]%s", c.N, rows, c.Dst, c.DOff, c.DS, c.Src, c.SOff, c.SS, sc)
 }
 
 // Untangle is the real-input DFT's pre/post pass over the bin pairs
@@ -448,6 +464,19 @@ func (p *Program) validateOp(op Op, w int) error {
 	case WHTCall:
 		if t.N < 2 || t.N&(t.N-1) != 0 {
 			return fmt.Errorf("op %s: WHT size %d not a power of two", op, t.N)
+		}
+		if t.V < 0 {
+			return fmt.Errorf("op %s: negative row width %d", op, t.V)
+		}
+		if v := t.Width(); v > 1 {
+			if t.DS < v || t.SS < v {
+				return fmt.Errorf("op %s: row strides below the row width %d", op, v)
+			}
+			// Rows span [Off, Off+(N-1)·S+V): check both ends.
+			if err := check(t.Dst, t.DOff, (t.N-1)*t.DS+v-1, 2); err != nil {
+				return err
+			}
+			return check(t.Src, t.SOff, (t.N-1)*t.SS+v-1, 2)
 		}
 		if err := check(t.Dst, t.DOff, t.DS, t.N); err != nil {
 			return err

@@ -330,10 +330,36 @@ func lower2D(rows, cols, p int, rowTree, colTree *exec.Tree, inverse bool) (*Pro
 	}, nil
 }
 
+// WHTSplit returns the split 2^k = 2^a · 2^{k−a} of the parallel WHT_n on
+// p workers with cache-line length mu: a = log2 p, so the program is
+//
+//	WHT_n = (WHT_p ⊗ I_{n/p}) · (I_p ⊗∥ WHT_{n/p}),
+//
+// one in-cache WHT_{n/p} per worker, then one butterfly pass over each
+// worker's column range of the p rows. The WHT has no twiddles and no
+// stride permutation, so nothing is gained by balancing the factors; the
+// smallest left factor keeps stage 1 contiguous and stage 2 a single pass.
+// The split is admissible (rules (7) and (9): p | 2^a, pµ | 2^{k−a}) when p
+// is a power of two ≥ 2 and pµ divides n/p. It is taken only when (pµ)²
+// divides n, the size floor of exec.SplitFor: smaller WHTs stay sequential,
+// where two regions and a barrier cost more than they save. ok is false
+// when no split is taken. Every
+// WHT consumer (LowerWHT, the plan's Formula, codegen, spiralgen) takes its
+// split from here.
+func WHTSplit(n, p, mu int) (a int, ok bool) {
+	if p < 2 || p&(p-1) != 0 || mu < 1 || n < 2 || n&(n-1) != 0 || n%(p*p*mu*mu) != 0 {
+		return 0, false
+	}
+	for v := p; v > 1; v >>= 1 {
+		a++
+	}
+	return a, true
+}
+
 // LowerWHT lowers the Walsh-Hadamard transform WHT_n. For p > 1 with an
-// admissible split m·q (pµ dividing both factors) it emits the two-stage
-// multicore schedule; otherwise a single sequential WHT call (the program's
-// P is then 1 regardless of the requested p).
+// admissible WHTSplit it emits the two-stage multicore schedule; otherwise
+// a single sequential WHT call (the program's P is then 1 regardless of the
+// requested p).
 func LowerWHT(n, p, mu int) (*Program, error) { return lowerWHT(n, p, mu, 0) }
 
 // LowerWHTInverse lowers the inverse WHT, WHT_n/n: LowerWHT's program with
@@ -349,49 +375,36 @@ func lowerWHT(n, p, mu int, scale float64) (*Program, error) {
 		mu = 4
 	}
 	inverse := scale != 0
-	seq := &Program{
-		Name: dirName("wht-seq", inverse),
-		N:    n,
-		P:    1,
-		Mu:   mu,
-		Nodes: []Node{&Region{
-			Name:    "wht",
-			Workers: [][]Op{{WHTCall{Dst: BufDst, DS: 1, Src: BufSrc, SS: 1, N: n, Scale: scale}}},
-		}},
-	}
-	if p <= 1 {
-		return seq, nil
-	}
-	m, ok := exec.SplitFor(n, p, mu)
+	a, ok := WHTSplit(n, p, mu)
 	if !ok {
-		return seq, nil // no admissible split: sequential fallback
+		return &Program{
+			Name: dirName("wht-seq", inverse),
+			N:    n,
+			P:    1,
+			Mu:   mu,
+			Nodes: []Node{&Region{
+				Name:    "wht",
+				Workers: [][]Op{{WHTCall{Dst: BufDst, DS: 1, Src: BufSrc, SS: 1, N: n, Scale: scale}}},
+			}},
+		}, nil
 	}
-	q := n / m
-	t0 := TempBuf(0)
+	q := n >> a // n/p
 	stage1 := &Region{Name: "stage1", Workers: make([][]Op, p)}
 	stage2 := &Region{Name: "stage2", Workers: make([][]Op, p)}
 	for w := 0; w < p; w++ {
-		// Stage 1: I_p ⊗∥ (I_{m/p} ⊗ WHT_q) — no stride permutation in the
-		// WHT breakdown, so block i is the contiguous src[i·q:(i+1)·q).
-		lo, hi := smp.BlockRange(m, p, w)
-		for i := lo; i < hi; i++ {
-			stage1.Workers[w] = append(stage1.Workers[w],
-				WHTCall{Dst: t0, DOff: i * q, DS: 1, Src: BufSrc, SOff: i * q, SS: 1, N: q})
-		}
-		// Stage 2: I_p ⊗∥ (WHT_m ⊗ I_{q/p}) folded — iteration j transforms
-		// column t0[j::q] into dst[j::q]; worker columns are µ-aligned.
-		lo, hi = smp.BlockRange(q, p, w)
-		for j := lo; j < hi; j++ {
-			stage2.Workers[w] = append(stage2.Workers[w],
-				WHTCall{Dst: BufDst, DOff: j, DS: q, Src: t0, SOff: j, SS: q, N: m, Scale: scale})
-		}
+		// Stage 1: I_p ⊗∥ WHT_q — worker w's contiguous block, src to dst.
+		stage1.Workers[w] = []Op{WHTCall{Dst: BufDst, DOff: w * q, DS: 1, Src: BufSrc, SOff: w * q, SS: 1, N: q}}
+		// Stage 2: WHT_p ⊗ I_q in place on dst, split into µ-aligned column
+		// ranges: worker w runs WHT_p ⊗ I_{q/p} on columns [lo, hi) of the
+		// p rows of q points.
+		lo, hi := smp.BlockRange(q, p, w)
+		stage2.Workers[w] = []Op{WHTCall{Dst: BufDst, DOff: lo, DS: q, Src: BufDst, SOff: lo, SS: q, N: p, V: hi - lo, Scale: scale}}
 	}
 	return &Program{
 		Name:  dirName("wht", inverse),
 		N:     n,
 		P:     p,
 		Mu:    mu,
-		Temps: []int{n},
 		Nodes: []Node{stage1, Barrier{}, stage2},
 	}, nil
 }

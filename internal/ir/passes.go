@@ -133,7 +133,9 @@ func coversBuf(prog *Program, r *Region, x Buf) bool {
 			case Transpose:
 				mark(t.DOff+t.Lo*t.Rows, 1, (t.Hi-t.Lo)*t.Rows)
 			case WHTCall:
-				mark(t.DOff, t.DS, t.N)
+				for i := 0; i < t.N; i++ {
+					mark(t.DOff+i*t.DS, 1, t.Width())
+				}
 			case Scale:
 				mark(t.Off, 1, len(t.W))
 			case Permute:
@@ -273,21 +275,24 @@ func permMap(r *Region, n int) []int32 {
 	return tbl
 }
 
-// affine checks that idx(i) = f(i) is affine over i < n and returns (base,
-// stride). n ≥ 1; for n == 1 the stride is 1.
-func affine(n int, f func(int) int) (base, stride int, ok bool) {
-	base = f(0)
-	if n == 1 {
-		return base, 1, true
+// affine checks that f maps point u < v of row i < n to base + i·stride + u
+// and returns (base, stride): for v = 1, that f is affine over i. n ≥ 1;
+// for n == 1 the stride is v. Rows of v > 1 points must not overlap and
+// must ascend (stride ≥ v), as the row-form WHTCall requires.
+func affine(n, v int, f func(i, u int) int) (base, stride int, ok bool) {
+	base, stride = f(0, 0), v
+	if n > 1 {
+		stride = f(1, 0) - base
 	}
-	stride = f(1) - base
-	for i := 2; i < n; i++ {
-		if f(i) != base+i*stride {
-			return 0, 0, false
-		}
-	}
-	if stride == 0 {
+	if stride == 0 || (v > 1 && stride < v) {
 		return 0, 0, false
+	}
+	for i := 0; i < n; i++ {
+		for u := 0; u < v; u++ {
+			if f(i, u) != base+i*stride+u {
+				return 0, 0, false
+			}
+		}
 	}
 	return base, stride, true
 }
@@ -353,8 +358,8 @@ func foldPermIntoGathers(prog *Program, regions []*Region, i int) bool {
 	rws := make(map[[2]int]rewrite)
 	for w, ops := range b.Workers {
 		for j, op := range ops {
-			soff, ss, n := callSrc(op)
-			base, stride, ok := affine(n, func(i int) int { return int(tbl[soff+i*ss]) })
+			soff, ss, n, v := callSrc(op)
+			base, stride, ok := affine(n, v, func(i, u int) int { return int(tbl[soff+i*ss+u]) })
 			if !ok {
 				return false
 			}
@@ -394,14 +399,16 @@ func foldScatterPerm(prog *Program, regions []*Region, i int) bool {
 	wcnt := 0
 	for _, ops := range a.Workers {
 		for _, op := range ops {
-			doff, ds, cn := callDst(op)
+			doff, ds, cn, v := callDst(op)
 			for k := 0; k < cn; k++ {
-				d := doff + k*ds
-				if written[d] {
-					return false
+				for u := 0; u < v; u++ {
+					d := doff + k*ds + u
+					if written[d] {
+						return false
+					}
+					written[d] = true
+					wcnt++
 				}
-				written[d] = true
-				wcnt++
 			}
 		}
 	}
@@ -432,8 +439,8 @@ func foldScatterPerm(prog *Program, regions []*Region, i int) bool {
 	rws := make(map[[2]int]rewrite)
 	for w, ops := range a.Workers {
 		for j, op := range ops {
-			doff, ds, cn := callDst(op)
-			base, stride, ok := affine(cn, func(i int) int { return int(inv[doff+i*ds]) })
+			doff, ds, cn, v := callDst(op)
+			base, stride, ok := affine(cn, v, func(i, u int) int { return int(inv[doff+i*ds+u]) })
 			if !ok {
 				return false
 			}
@@ -518,22 +525,25 @@ func foldScaleIntoCalls(prog *Program, regions []*Region, i int) bool {
 // ---------------------------------------------------------------------------
 // Helpers
 
-func callSrc(op Op) (soff, ss, n int) {
+// callSrc and callDst return a call's access pattern on its source or
+// destination: n rows at offset off + i·stride, each v contiguous points
+// (v = 1 for everything but a row-form WHT).
+func callSrc(op Op) (soff, ss, n, v int) {
 	switch c := op.(type) {
 	case CodeletCall:
-		return c.SOff, c.SS, c.Tree.N
+		return c.SOff, c.SS, c.Tree.N, 1
 	case WHTCall:
-		return c.SOff, c.SS, c.N
+		return c.SOff, c.SS, c.N, c.Width()
 	}
 	panic("ir: callSrc on non-call op")
 }
 
-func callDst(op Op) (doff, ds, n int) {
+func callDst(op Op) (doff, ds, n, v int) {
 	switch c := op.(type) {
 	case CodeletCall:
-		return c.DOff, c.DS, c.Tree.N
+		return c.DOff, c.DS, c.Tree.N, 1
 	case WHTCall:
-		return c.DOff, c.DS, c.N
+		return c.DOff, c.DS, c.N, c.Width()
 	}
 	panic("ir: callDst on non-call op")
 }

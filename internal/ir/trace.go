@@ -51,11 +51,16 @@ func (p *Program) TraceAccesses(s, w int, visit func(buf Buf, idx int, write boo
 				}
 			}
 		case WHTCall:
+			v := t.Width()
 			for i := 0; i < t.N; i++ {
-				visit(t.Src, t.SOff+i*t.SS, false)
+				for u := 0; u < v; u++ {
+					visit(t.Src, t.SOff+i*t.SS+u, false)
+				}
 			}
 			for i := 0; i < t.N; i++ {
-				visit(t.Dst, t.DOff+i*t.DS, true)
+				for u := 0; u < v; u++ {
+					visit(t.Dst, t.DOff+i*t.DS+u, true)
+				}
 			}
 		case Untangle:
 			for k := t.Lo; k < t.Hi; k++ {
@@ -106,9 +111,9 @@ func (p *Program) TraceAccesses(s, w int, visit func(buf Buf, idx int, write boo
 
 // TraceWork estimates the arithmetic work (flops) worker w performs in
 // stage s, using the standard 5·n·log2(n) cost for DFT calls, 2·n·log2(n)
-// adds for WHT calls, 6 flops per complex multiply for scales and fused
-// twiddle vectors, and element moves for data movement. Used for the
-// load-balance metrics.
+// adds per row point for WHT calls, 6 flops per complex multiply for scales
+// and fused twiddle vectors, and element moves for data movement. Used for
+// the load-balance metrics.
 func (p *Program) TraceWork(s, w int) float64 {
 	work := 0.0
 	for _, op := range p.Regions()[s].Workers[w] {
@@ -132,7 +137,7 @@ func opWork(op Op) float64 {
 	case Transpose:
 		return float64((t.Hi - t.Lo) * t.Rows) // element moves
 	case WHTCall:
-		return 2 * float64(t.N) * math.Log2(float64(t.N))
+		return 2 * float64(t.N*t.Width()) * math.Log2(float64(t.N))
 	case Untangle:
 		// Per bin: one complex multiply (6) and four adds with halving.
 		return 10 * float64(2*(t.Hi-t.Lo))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/smp"
@@ -14,8 +13,10 @@ import (
 // shares the FFT's tensor structure — Spiral treats it as just another
 // transform in the same framework — and parallelizes by the same rewriting
 // rules; having no twiddle factors, it isolates the pure shared-memory
-// scheduling machinery. The schedule lowers to the same two-stage IR
-// program shape as the multicore DFT and runs through the shared executor.
+// scheduling machinery. A parallel plan splits n = p·(n/p) (ir.WHTSplit):
+// each worker runs one contiguous WHT_{n/p}, then one butterfly pass over
+// its column range of the p rows, in two regions with one barrier and no
+// temp, through the shared executor.
 //
 // A WHTPlan is safe for concurrent use (the executor pools its per-call
 // buffers and serializes pooled-backend regions).
@@ -25,9 +26,9 @@ type WHTPlan struct {
 	planCore
 }
 
-// NewWHTPlan prepares a WHT of size n (a power of two ≥ 2). Parallel plans
-// follow the same pµ-divisibility condition as DFT plans and fall back to
-// sequential when no admissible split exists.
+// NewWHTPlan prepares a WHT of size n (a power of two ≥ 2). A parallel plan
+// needs Workers a power of two with (Workers·CacheLineComplex)² dividing n
+// (ir.WHTSplit); otherwise it falls back to sequential.
 func NewWHTPlan(n int, o *Options) (*WHTPlan, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("%w: WHT size must be a power of two ≥ 2, got %d", ErrInvalidSize, n)
@@ -111,19 +112,17 @@ func (p *WHTPlan) InverseCtx(ctx context.Context, dst, src []complex128) error {
 }
 
 // Formula returns the fully optimized SPL formula for the plan's
-// configuration (parallel plans; sequential plans return "WHT_n").
+// configuration (parallel plans; sequential plans return "WHT_n"). It is
+// derived with ir.WHTSplit, the split the program runs, so its WHT_{n/p}
+// and WHT_p leaves are the program's two stages.
 func (p *WHTPlan) Formula() string {
 	if !p.parallel() {
 		return fmt.Sprintf("WHT_%d", p.n)
 	}
+	a, _ := ir.WHTSplit(p.n, p.opt.Workers, p.opt.CacheLineComplex)
 	k := 0
 	for v := p.n; v > 1; v >>= 1 {
 		k++
-	}
-	m, _ := exec.SplitFor(p.n, p.opt.Workers, p.opt.CacheLineComplex)
-	a := 0
-	for v := m; v > 1; v >>= 1 {
-		a++
 	}
 	f, _, err := rewrite.DeriveMulticoreWHT(k, a, p.opt.Workers, p.opt.CacheLineComplex)
 	if err != nil {

@@ -1,10 +1,15 @@
 package spiralfft
 
 import (
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"spiralfft/internal/complexvec"
+	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 )
 
 // refWHT from the Hadamard matrix definition.
@@ -106,5 +111,85 @@ func TestWHTPlanSmallFallsBackSequential(t *testing.T) {
 	defer p.Close()
 	if p.IsParallel() {
 		t.Error("small WHT should be sequential")
+	}
+}
+
+// Formula is derived with the split the program runs: the WHT leaves it
+// names are exactly the sizes of the program's WHT calls, WHT_{n/p} in
+// stage 1 and WHT_p in stage 2, or WHT_n alone where ir.WHTSplit keeps the
+// plan sequential (n below (pµ)²).
+func TestWHTPlanFormulaNamesProgramLeaves(t *testing.T) {
+	leaf := regexp.MustCompile(`WHT_(\d+)`)
+	for k := 6; k <= 16; k++ {
+		n := 1 << uint(k)
+		for _, workers := range []int{2, 4} {
+			p, err := NewWHTPlan(n, &Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, split := ir.WHTSplit(n, workers, 4)
+			if p.IsParallel() != split {
+				t.Fatalf("n=%d p=%d: parallel=%v, want %v", n, workers, p.IsParallel(), split)
+			}
+			prog := map[int]bool{}
+			for _, r := range p.Program().Regions() {
+				for _, ops := range r.Workers {
+					for _, op := range ops {
+						if c, ok := op.(ir.WHTCall); ok {
+							prog[c.N] = true
+						}
+					}
+				}
+			}
+			formula := map[int]bool{}
+			for _, m := range leaf.FindAllStringSubmatch(p.Formula(), -1) {
+				v, _ := strconv.Atoi(m[1])
+				formula[v] = true
+			}
+			want := map[int]bool{n: true}
+			if split {
+				want = map[int]bool{n / workers: true, workers: true}
+			}
+			if !reflect.DeepEqual(prog, want) || !reflect.DeepEqual(formula, want) {
+				t.Errorf("n=%d p=%d: program WHT sizes %v, formula %v (%s), want %v",
+					n, workers, prog, formula, p.Formula(), want)
+			}
+			p.Close()
+		}
+	}
+}
+
+// At n=4096 on two workers the WHT program is two regions with one op per
+// worker, one barrier and no temp, and its forward and inverse outputs are
+// exec.WHTInPlace's bit for bit, out of place and in place.
+func TestWHTPlanProgramShape(t *testing.T) {
+	const n = 4096
+	p, err := NewWHTPlan(n, &Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got, want := programShape(p.Program()), "n=4096 p=2 temps=[]: stage1[1,1,] | stage2[1,1,]"; got != want {
+		t.Errorf("program shape %s, want %s", got, want)
+	}
+	x := complexvec.Random(n, 7)
+	for _, c := range []struct {
+		name  string
+		run   func(dst, src []complex128) error
+		scale float64
+	}{{"forward", p.Transform, 1}, {"inverse", p.Inverse, 1 / float64(n)}} {
+		want := complexvec.Clone(x)
+		exec.WHTInPlaceScaled(want, c.scale)
+		got := make([]complex128, n)
+		if err := c.run(got, x); err != nil {
+			t.Fatal(err)
+		}
+		in := complexvec.Clone(x)
+		if err := c.run(in, in); err != nil {
+			t.Fatal(err)
+		}
+		if complexvec.MaxError(got, want) != 0 || complexvec.MaxError(in, want) != 0 {
+			t.Errorf("%s: differs from WHTInPlaceScaled", c.name)
+		}
 	}
 }

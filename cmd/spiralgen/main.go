@@ -1,17 +1,18 @@
 // Command spiralgen is the program generator front end, the analogue of
-// running Spiral for one DFT: it derives the algorithm, optionally prints
-// the SPL formula and the full rewriting derivation (Figure 2 / formula
-// (14) of the paper), and emits a standalone Go source file implementing
-// the transform.
+// running Spiral for one transform: it derives the algorithm, optionally
+// prints the SPL formula and the full rewriting derivation (Figure 2 /
+// formula (14) of the paper), and emits a standalone Go source file
+// implementing the transform.
 //
 //	spiralgen -n 256 -p 2 -formula        # show formula (14) and derivation
-//	spiralgen -n 256 -p 2 -main -o gen.go # emit a self-testing program
+//	spiralgen -n 256 -p 2 -main -o gen.go # emit a self-testing DFT program
 //	spiralgen -family real -n 256 -main   # emit any of the seven plan families
 //
-// With -family, the requested plan family is lowered to the stage-plan IR
-// (internal/ir) exactly as the library lowers it at plan time, and the IR
-// backend of the generator walks that program — the same pipeline the
-// executor and the cache simulator consume.
+// The requested plan family (default dft) is lowered to the stage-plan IR
+// (internal/ir) exactly as the library lowers it at plan time, and the
+// generator walks that program — the same pipeline the executor and the
+// cache simulator consume. With -tune the DFT's factorization is chosen by
+// measurement first.
 package main
 
 import (
@@ -30,71 +31,60 @@ import (
 
 func main() {
 	var (
-		transform = flag.String("transform", "dft", "dft | wht | 2d")
-		family    = flag.String("family", "", "emit code for a plan family via the IR backend: dft | real | batch | 2d | wht | dct | stft")
-		cols      = flag.Int("cols", 0, "2d only: column count (rows come from -n)")
-		count     = flag.Int("count", 4, "batch family: signal count")
-		hop       = flag.Int("hop", 0, "stft family: hop size (default frame/2)")
-		n         = flag.Int("n", 256, "transform size")
-		p         = flag.Int("p", runtime.NumCPU(), "workers (1 = sequential)")
-		mu        = flag.Int("mu", 4, "cache-line length µ in complex128 elements")
-		formula   = flag.Bool("formula", false, "print the derived SPL formula and derivation instead of code")
-		out       = flag.String("o", "", "output file (default stdout)")
-		pkg       = flag.String("pkg", "main", "package name for generated code")
-		fn        = flag.String("func", "", "function name (default DFT<n>)")
-		emitMain  = flag.Bool("main", false, "emit a self-testing main()")
-		tune      = flag.Bool("tune", false, "tune the factorization by measurement before generating")
-		latex     = flag.Bool("latex", false, "with -formula: additionally print the formula in LaTeX")
+		family   = flag.String("family", "dft", "plan family: dft | real | batch | 2d | wht | dct | stft (with -formula: dft | wht | 2d)")
+		cols     = flag.Int("cols", 0, "2d only: column count (rows come from -n)")
+		count    = flag.Int("count", 4, "batch family: signal count")
+		hop      = flag.Int("hop", 0, "stft family: hop size (default frame/2)")
+		n        = flag.Int("n", 256, "transform size")
+		p        = flag.Int("p", runtime.NumCPU(), "workers (1 = sequential)")
+		mu       = flag.Int("mu", 4, "cache-line length µ in complex128 elements")
+		formula  = flag.Bool("formula", false, "print the derived SPL formula and derivation instead of code")
+		out      = flag.String("o", "", "output file (default stdout)")
+		pkg      = flag.String("pkg", "main", "package name for generated code")
+		fn       = flag.String("func", "", "function name (default per family, e.g. DFT<n>)")
+		emitMain = flag.Bool("main", false, "emit a self-testing main()")
+		tune     = flag.Bool("tune", false, "dft family: tune the factorization by measurement before generating")
+		latex    = flag.Bool("latex", false, "with -formula: additionally print the formula in LaTeX")
 	)
 	flag.Parse()
 
 	latexOut = *latex
 	if *formula {
-		switch *transform {
+		switch *family {
+		case "dft":
+			printFormula(*n, *p, *mu)
 		case "wht":
 			printWHTFormula(*n, *p, *mu)
 		case "2d":
 			print2DFormula(*n, *cols, *p, *mu)
 		default:
-			printFormula(*n, *p, *mu)
+			fmt.Fprintf(os.Stderr, "-formula supports -family dft, wht or 2d, not %q\n", *family)
+			os.Exit(2)
 		}
 		return
 	}
-	if *family != "" {
-		src, err := codegen.GenerateFamily(codegen.FamilySpec{
-			Family:  *family,
-			N:       *n,
-			Cols:    *cols,
-			Count:   *count,
-			Hop:     *hop,
-			Workers: *p,
-			Mu:      *mu,
-		}, codegen.Config{PackageName: *pkg, FuncName: *fn, EmitMain: *emitMain})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	spec := codegen.FamilySpec{
+		Family:  *family,
+		N:       *n,
+		Cols:    *cols,
+		Count:   *count,
+		Hop:     *hop,
+		Workers: *p,
+		Mu:      *mu,
+	}
+	if *tune {
+		if *family != "dft" {
+			fmt.Fprintf(os.Stderr, "-tune applies to -family dft only, not %q\n", *family)
+			os.Exit(2)
 		}
-		writeOut(*out, src, fmt.Sprintf("family %s, n=%d, p=%d", *family, *n, *p))
-		return
+		spec.Tree = chooseTree(*n, *p, *mu)
 	}
-	if *transform != "dft" {
-		fmt.Fprintln(os.Stderr, "code emission currently supports -transform dft only (or use -family); use -formula for wht/2d")
-		os.Exit(2)
-	}
-
-	tree := chooseTree(*n, *p, *mu, *tune)
-	src, err := codegen.Generate(tree, codegen.Config{
-		PackageName: *pkg,
-		FuncName:    *fn,
-		Workers:     *p,
-		Mu:          *mu,
-		EmitMain:    *emitMain,
-	})
+	src, err := codegen.GenerateFamily(spec, codegen.Config{PackageName: *pkg, FuncName: *fn, EmitMain: *emitMain})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	writeOut(*out, src, "factorization "+tree.String())
+	writeOut(*out, src, fmt.Sprintf("family %s, n=%d, p=%d", *family, *n, *p))
 }
 
 // writeOut prints the generated source to stdout or writes it to a file.
@@ -110,14 +100,10 @@ func writeOut(path, src, desc string) {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes, %s)\n", path, len(src), desc)
 }
 
-// chooseTree picks the factorization: for parallel targets the top split
-// must satisfy pµ | m and pµ | k.
-func chooseTree(n, p, mu int, tune bool) *exec.Tree {
-	strat := search.StrategyEstimate
-	if tune {
-		strat = search.StrategyDP
-	}
-	tuner := search.NewTuner(strat)
+// chooseTree tunes the factorization by measurement: for parallel targets
+// the top split must satisfy pµ | m and pµ | k.
+func chooseTree(n, p, mu int) *exec.Tree {
+	tuner := search.NewTuner(search.StrategyDP)
 	if p > 1 {
 		if m, ok := exec.SplitFor(n, p, mu); ok {
 			return exec.SplitTree(tuner.BestTree(m).Tree, tuner.BestTree(n/m).Tree)

@@ -70,12 +70,12 @@ func TestCommandLineTools(t *testing.T) {
 		},
 		{
 			name: "spiralgen-wht-formula",
-			args: []string{"run", "./cmd/spiralgen", "-transform", "wht", "-n", "256", "-p", "2", "-mu", "4", "-formula"},
+			args: []string{"run", "./cmd/spiralgen", "-family", "wht", "-n", "256", "-p", "2", "-mu", "4", "-formula"},
 			want: []string{"WHT_", "⊗∥", "⊗̄"},
 		},
 		{
 			name: "spiralgen-2d-formula",
-			args: []string{"run", "./cmd/spiralgen", "-transform", "2d", "-n", "64", "-cols", "64", "-p", "2", "-formula"},
+			args: []string{"run", "./cmd/spiralgen", "-family", "2d", "-n", "64", "-cols", "64", "-p", "2", "-formula"},
 			want: []string{"DFT_64", "⊗∥", "row-column"},
 		},
 		{

@@ -1,17 +1,21 @@
 // Package codegen is the program-generation backend: it emits a standalone,
-// dependency-free Go source file implementing a DFT plan — the equivalent of
-// Spiral's C output. The emitted program contains
+// dependency-free Go source file implementing one public plan family — the
+// equivalent of Spiral's C output. Each family is lowered to the stage-plan
+// IR (internal/ir) exactly as its plan constructor lowers it, and one walker
+// emits that ir.Program (irgen.go). The emitted file contains
 //
-//   - one unrolled straight-line kernel per distinct codelet size in the
-//     factorization tree (with constant-folded twiddle literals),
-//   - one loop function per inner tree node, with the stride permutation
-//     folded into gather strides and the twiddle diagonal folded into the
-//     kernels (the loop-merging structure of the paper's Section 3),
-//   - optionally a p-way parallel entry point with the multicore
-//     Cooley-Tukey schedule (contiguous µ-aligned iteration blocks, one
-//     barrier between the two stages),
-//   - optionally a main() that self-tests the generated transform against
-//     the naive DFT and prints "OK".
+//   - one unrolled straight-line kernel per distinct codelet size (with
+//     constant-folded twiddle literals) and one loop function per inner node
+//     of each codelet tree, with the stride permutation folded into gather
+//     strides and the twiddle diagonal folded into the kernels (the
+//     loop-merging structure of the paper's Section 3),
+//   - the program's regions in order: inline for p = 1, one goroutine per
+//     worker with a WaitGroup join at every barrier for p > 1 — for the DFT
+//     the multicore Cooley-Tukey schedule of formula (14),
+//   - the family's thin wrapper (real packing, DCT reordering, STFT framing)
+//     and its tables as literals,
+//   - optionally a main() that self-tests the transform against a naive
+//     O(n²) reference and prints "OK".
 //
 // The generated file compiles with the standard Go toolchain and nothing
 // else.
@@ -22,6 +26,7 @@ import (
 	"strings"
 
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/twiddle"
 )
 
@@ -34,58 +39,15 @@ const MaxSize = 1 << 14
 // points; larger leaves are re-split into loop stages before emission.
 const maxKernel = 16
 
-// Config controls generation.
+// Config controls the emitted file.
 type Config struct {
 	// PackageName for the emitted file (default "main").
 	PackageName string
-	// FuncName is the exported transform name (default "DFT<n>").
+	// FuncName is the exported transform name (default per family, e.g.
+	// "DFT<n>").
 	FuncName string
-	// Workers > 1 additionally emits <FuncName>Parallel using the multicore
-	// Cooley-Tukey schedule with that processor count.
-	Workers int
-	// Mu is the cache-line length used for the parallel schedule comment
-	// and chunk assertions (default 4).
-	Mu int
-	// EmitMain adds a main() that self-tests against the naive DFT.
+	// EmitMain adds a main() that self-tests against a naive reference.
 	EmitMain bool
-}
-
-// Generate emits Go source for the factorization tree.
-func Generate(tree *exec.Tree, cfg Config) (string, error) {
-	if err := tree.Validate(); err != nil {
-		return "", err
-	}
-	if tree.N > MaxSize {
-		return "", fmt.Errorf("codegen: size %d exceeds limit %d", tree.N, MaxSize)
-	}
-	if cfg.PackageName == "" {
-		cfg.PackageName = "main"
-	}
-	if cfg.FuncName == "" {
-		cfg.FuncName = fmt.Sprintf("DFT%d", tree.N)
-	}
-	if cfg.Mu == 0 {
-		cfg.Mu = 4
-	}
-	if cfg.Workers > 1 {
-		q := cfg.Workers * cfg.Mu
-		if tree.Leaf || tree.M()%q != 0 || tree.K()%q != 0 {
-			return "", fmt.Errorf("codegen: tree %s does not admit the p=%d, µ=%d parallel schedule (pµ must divide both top factors)",
-				tree.String(), cfg.Workers, cfg.Mu)
-		}
-	}
-	tree = capLeaves(tree)
-	g := &generator{cfg: cfg}
-	g.emitHeader(tree)
-	root := g.emitNode(tree)
-	g.emitEntry(tree, root)
-	if cfg.Workers > 1 {
-		g.emitParallel(tree)
-	}
-	if cfg.EmitMain {
-		g.emitMain(tree)
-	}
-	return g.String(), nil
 }
 
 // capLeaves re-splits leaves larger than maxKernel into loop stages so the
@@ -106,38 +68,81 @@ func capLeaves(t *exec.Tree) *exec.Tree {
 	return exec.SplitTree(capLeaves(t.Left), capLeaves(t.Right))
 }
 
-type generator struct {
-	cfg        Config
-	body       strings.Builder
-	tables     strings.Builder
-	kernels    map[int]string        // leaf size → emitted kernel function name
-	stageNames map[*exec.Tree]string // inner node → emitted function name
-	tableNames map[[2]int]string     // (m,k) → last emitted twiddle table name
-	nodeID     int
+// emitter walks one ir.Program and accumulates the emitted file: functions
+// in body, literal tables in tables (appended after the functions).
+type emitter struct {
+	prog     *ir.Program
+	body     strings.Builder
+	tables   strings.Builder
+	kernels  map[int]string           // leaf size → emitted kernel function name
+	roots    map[*exec.Tree]codeletFn // lowered codelet tree → emitted function
+	vecs     map[string]string        // complex vector identity → table name
+	perms    map[string]string        // permutation table identity → table name
+	nodeID   int
+	whtRows  bool // whtRows helper emitted
+	untangle bool // untangle helper emitted
 }
 
-func (g *generator) String() string {
-	return g.body.String() + g.tables.String()
+// codeletFn is the emitted function for one codelet tree. Only a leaf within
+// maxKernel has a twiddled (_tw) variant; composite trees are pre-scaled.
+type codeletFn struct {
+	name string
+	leaf bool
 }
 
-func (g *generator) printf(format string, args ...any) {
-	fmt.Fprintf(&g.body, format, args...)
-}
-
-func (g *generator) emitHeader(tree *exec.Tree) {
-	g.printf("// Code generated by spiralgen (spiralfft); factorization %s. DO NOT EDIT.\n", tree.String())
-	g.printf("//\n// Self-contained DFT_%d implementation emitted by the program generator\n", tree.N)
-	g.printf("// described in \"FFT Program Generation for Shared Memory: SMP and\n// Multicore\" (SC 2006), reimplemented in Go.\n")
-	g.printf("package %s\n\n", g.cfg.PackageName)
-	if g.cfg.Workers > 1 {
-		g.printf("import \"sync\"\n\n")
+func newEmitter(prog *ir.Program) (*emitter, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
 	}
-	if g.cfg.EmitMain {
-		g.printf("import (\n\t\"fmt\"\n\t\"math\"\n\t\"math/cmplx\"\n\t\"os\"\n)\n\n")
+	if prog.N > MaxSize {
+		return nil, fmt.Errorf("codegen: size %d exceeds limit %d", prog.N, MaxSize)
 	}
-	g.kernels = make(map[int]string)
-	g.stageNames = make(map[*exec.Tree]string)
-	g.tableNames = make(map[[2]int]string)
+	return &emitter{
+		prog:    prog,
+		kernels: make(map[int]string),
+		roots:   make(map[*exec.Tree]codeletFn),
+		vecs:    make(map[string]string),
+		perms:   make(map[string]string),
+	}, nil
+}
+
+func (e *emitter) String() string {
+	return e.body.String() + e.tables.String()
+}
+
+func (e *emitter) printf(format string, args ...any) {
+	fmt.Fprintf(&e.body, format, args...)
+}
+
+// literal writes the named slice literal of elems, perLine to a line, after
+// an optional comment line.
+func (e *emitter) literal(name, typ, comment string, perLine int, elems []string) {
+	if comment != "" {
+		fmt.Fprintf(&e.tables, "// %s\n", comment)
+	}
+	fmt.Fprintf(&e.tables, "var %s = []%s{\n", name, typ)
+	for i, s := range elems {
+		if i%perLine == 0 {
+			e.tables.WriteString("\t")
+		}
+		e.tables.WriteString(s + ", ")
+		if i%perLine == perLine-1 {
+			e.tables.WriteString("\n")
+		}
+	}
+	if len(elems)%perLine != 0 {
+		e.tables.WriteString("\n")
+	}
+	e.tables.WriteString("}\n\n")
+}
+
+// complexTable writes v as the named complex128 literal, four values a line.
+func (e *emitter) complexTable(name, comment string, v []complex128) {
+	elems := make([]string, len(v))
+	for i, w := range v {
+		elems[i] = fmt.Sprintf("complex(%.17g, %.17g)", real(w), imag(w))
+	}
+	e.literal(name, "complex128", comment, 4, elems)
 }
 
 // emitNode emits the function for a subtree and returns its name. The
@@ -147,52 +152,53 @@ func (g *generator) emitHeader(tree *exec.Tree) {
 //
 // and for leaves additionally a twiddled variant with a tw []complex128
 // parameter.
-func (g *generator) emitNode(t *exec.Tree) string {
+func (e *emitter) emitNode(t *exec.Tree) string {
 	if t.Leaf {
-		return g.emitKernel(t.N)
+		return e.emitKernel(t.N)
 	}
-	left := g.emitNode(t.Left)
-	right := g.emitNode(t.Right)
-	g.nodeID++
-	name := fmt.Sprintf("stage%d_%d", t.N, g.nodeID)
-	g.stageNames[t] = name
+	left := e.emitNode(t.Left)
+	right := e.emitNode(t.Right)
+	e.nodeID++
+	name := fmt.Sprintf("stage%d_%d", t.N, e.nodeID)
 	m, k := t.M(), t.K()
-	twName := g.emitTwiddleTable(m, k)
-	g.printf("// %s computes DFT_%d via the split %d = %d·%d: stage 1 runs %d\n", name, t.N, t.N, m, k, m)
-	g.printf("// DFT_%d kernels on stride-%d gathers (the L^%d_%d permutation folded in),\n", k, m, t.N, m)
-	g.printf("// stage 2 runs %d twiddled DFT_%d kernels down the columns.\n", k, m)
-	g.printf("func %s(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", name)
-	g.printf("\tvar t [%d]complex128\n", t.N)
-	g.printf("\tfor i := 0; i < %d; i++ {\n", m)
-	g.printf("\t\t%s(t[:], i*%d, 1, src, soff+i*ss, %d*ss)\n", right, k, m)
-	g.printf("\t}\n")
+	twName := fmt.Sprintf("tw%dx%d_%d", m, k, e.nodeID)
+	e.complexTable(twName, fmt.Sprintf("%s holds the twiddle columns of D_{%d,%d}: column j at [j·%d, (j+1)·%d).", twName, m, k, m, m),
+		twiddle.Columns(m, k))
+	e.printf("// %s computes DFT_%d via the split %d = %d·%d: stage 1 runs %d\n", name, t.N, t.N, m, k, m)
+	e.printf("// DFT_%d kernels on stride-%d gathers (the L^%d_%d permutation folded in),\n", k, m, t.N, m)
+	e.printf("// stage 2 runs %d twiddled DFT_%d kernels down the columns.\n", k, m)
+	e.printf("func %s(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", name)
+	e.printf("\tvar t [%d]complex128\n", t.N)
+	e.printf("\tfor i := 0; i < %d; i++ {\n", m)
+	e.printf("\t\t%s(t[:], i*%d, 1, src, soff+i*ss, %d*ss)\n", right, k, m)
+	e.printf("\t}\n")
 	if t.Left.Leaf {
-		g.printf("\tfor j := 0; j < %d; j++ {\n", k)
-		g.printf("\t\t%s_tw(dst, doff+j*ds, %d*ds, t[:], j, %d, %s[j*%d:(j+1)*%d])\n", left, k, k, twName, m, m)
-		g.printf("\t}\n")
+		e.printf("\tfor j := 0; j < %d; j++ {\n", k)
+		e.printf("\t\t%s_tw(dst, doff+j*ds, %d*ds, t[:], j, %d, %s[j*%d:(j+1)*%d])\n", left, k, k, twName, m, m)
+		e.printf("\t}\n")
 	} else {
-		g.printf("\tvar pre [%d]complex128\n", m)
-		g.printf("\tfor j := 0; j < %d; j++ {\n", k)
-		g.printf("\t\ttw := %s[j*%d : (j+1)*%d]\n", twName, m, m)
-		g.printf("\t\tfor i := 0; i < %d; i++ {\n", m)
-		g.printf("\t\t\tpre[i] = t[j+i*%d] * tw[i]\n", k)
-		g.printf("\t\t}\n")
-		g.printf("\t\t%s(dst, doff+j*ds, %d*ds, pre[:], 0, 1)\n", left, k)
-		g.printf("\t}\n")
+		e.printf("\tvar pre [%d]complex128\n", m)
+		e.printf("\tfor j := 0; j < %d; j++ {\n", k)
+		e.printf("\t\ttw := %s[j*%d : (j+1)*%d]\n", twName, m, m)
+		e.printf("\t\tfor i := 0; i < %d; i++ {\n", m)
+		e.printf("\t\t\tpre[i] = t[j+i*%d] * tw[i]\n", k)
+		e.printf("\t\t}\n")
+		e.printf("\t\t%s(dst, doff+j*ds, %d*ds, pre[:], 0, 1)\n", left, k)
+		e.printf("\t}\n")
 	}
-	g.printf("}\n\n")
+	e.printf("}\n\n")
 	return name
 }
 
 // emitKernel emits the unrolled straight-line kernel for a leaf size (once
 // per size) and returns its base name; the twiddled variant gets the _tw
 // suffix.
-func (g *generator) emitKernel(n int) string {
-	if name, ok := g.kernels[n]; ok {
+func (e *emitter) emitKernel(n int) string {
+	if name, ok := e.kernels[n]; ok {
 		return name
 	}
 	name := fmt.Sprintf("kernel%d", n)
-	g.kernels[n] = name
+	e.kernels[n] = name
 	for _, tw := range []bool{false, true} {
 		fn := name
 		sig := ""
@@ -200,25 +206,25 @@ func (g *generator) emitKernel(n int) string {
 			fn += "_tw"
 			sig = ", tw []complex128"
 		}
-		g.printf("// %s is the fully unrolled %d-point DFT (strided I/O%s).\n", fn, n,
+		e.printf("// %s is the fully unrolled %d-point DFT (strided I/O%s).\n", fn, n,
 			map[bool]string{false: "", true: ", twiddled inputs"}[tw])
-		g.printf("func %s(dst []complex128, doff, ds int, src []complex128, soff, ss int%s) {\n", fn, sig)
+		e.printf("func %s(dst []complex128, doff, ds int, src []complex128, soff, ss int%s) {\n", fn, sig)
 		for j := 0; j < n; j++ {
-			g.printf("\tx%d := src[soff+%d*ss]", j, j)
+			e.printf("\tx%d := src[soff+%d*ss]", j, j)
 			if tw {
-				g.printf(" * tw[%d]", j)
+				e.printf(" * tw[%d]", j)
 			}
-			g.printf("\n")
+			e.printf("\n")
 		}
 		for k := 0; k < n; k++ {
-			g.printf("\tdst[doff+%d*ds] = ", k)
+			e.printf("\tdst[doff+%d*ds] = ", k)
 			terms := make([]string, n)
 			for j := 0; j < n; j++ {
 				terms[j] = scaledTerm(n, k*j, j)
 			}
-			g.printf("%s\n", strings.Join(terms, " + "))
+			e.printf("%s\n", strings.Join(terms, " + "))
 		}
-		g.printf("}\n\n")
+		e.printf("}\n\n")
 	}
 	return name
 }
@@ -240,148 +246,4 @@ func scaledTerm(n, e, j int) string {
 		w := twiddle.Omega(n, e)
 		return fmt.Sprintf("complex(%.17g, %.17g)*%s", real(w), imag(w), x)
 	}
-}
-
-// emitTwiddleTable emits the flat column table for D_{m,k} and returns its
-// variable name.
-func (g *generator) emitTwiddleTable(m, k int) string {
-	name := fmt.Sprintf("tw%dx%d_%d", m, k, g.nodeID)
-	g.tableNames[[2]int{m, k}] = name
-	cols := twiddle.Columns(m, k)
-	fmt.Fprintf(&g.tables, "// %s holds the twiddle columns of D_{%d,%d}: column j at [j·%d, (j+1)·%d).\n", name, m, k, m, m)
-	fmt.Fprintf(&g.tables, "var %s = []complex128{\n", name)
-	for i, w := range cols {
-		if i%4 == 0 {
-			fmt.Fprintf(&g.tables, "\t")
-		}
-		fmt.Fprintf(&g.tables, "complex(%.17g, %.17g), ", real(w), imag(w))
-		if i%4 == 3 {
-			fmt.Fprintf(&g.tables, "\n")
-		}
-	}
-	if len(cols)%4 != 0 {
-		fmt.Fprintf(&g.tables, "\n")
-	}
-	fmt.Fprintf(&g.tables, "}\n\n")
-	return name
-}
-
-func (g *generator) emitEntry(tree *exec.Tree, root string) {
-	g.printf("// %s computes dst = DFT_%d(src). dst == src is allowed.\n", g.cfg.FuncName, tree.N)
-	g.printf("func %s(dst, src []complex128) {\n", g.cfg.FuncName)
-	g.printf("\tif len(dst) != %d || len(src) != %d {\n\t\tpanic(\"%s: need length %d\")\n\t}\n",
-		tree.N, tree.N, g.cfg.FuncName, tree.N)
-	g.printf("\t%s(dst, 0, 1, src, 0, 1)\n", root)
-	g.printf("}\n\n")
-}
-
-// emitParallel emits the p-way two-stage multicore Cooley-Tukey schedule
-// over the top split, using goroutines with a WaitGroup join per stage.
-func (g *generator) emitParallel(tree *exec.Tree) {
-	p := g.cfg.Workers
-	m, k := tree.M(), tree.K()
-	left := g.kernelOrStageName(tree.Left)
-	right := g.kernelOrStageName(tree.Right)
-	twName := g.lastTableFor(m, k)
-	g.printf("// %sParallel computes dst = DFT_%d(src) on %d workers using the\n", g.cfg.FuncName, tree.N, p)
-	g.printf("// multicore Cooley-Tukey schedule (formula (14)): contiguous iteration\n")
-	g.printf("// blocks per worker, µ=%d-aligned chunk boundaries, one barrier between\n", g.cfg.Mu)
-	g.printf("// the two stages.\n")
-	g.printf("func %sParallel(dst, src []complex128) {\n", g.cfg.FuncName)
-	g.printf("\tif len(dst) != %d || len(src) != %d {\n\t\tpanic(\"%sParallel: need length %d\")\n\t}\n",
-		tree.N, tree.N, g.cfg.FuncName, tree.N)
-	g.printf("\tvar t [%d]complex128\n", tree.N)
-	g.printf("\tvar wg sync.WaitGroup\n")
-	g.printf("\tfor w := 0; w < %d; w++ {\n", p)
-	g.printf("\t\twg.Add(1)\n")
-	g.printf("\t\tgo func(w int) {\n\t\t\tdefer wg.Done()\n")
-	g.printf("\t\t\tfor i := w * %d; i < (w+1)*%d; i++ {\n", m/p, m/p)
-	g.printf("\t\t\t\t%s(t[:], i*%d, 1, src, i, %d)\n", right, k, m)
-	g.printf("\t\t\t}\n\t\t}(w)\n\t}\n")
-	g.printf("\twg.Wait() // barrier between the two stages of formula (14)\n")
-	g.printf("\tfor w := 0; w < %d; w++ {\n", p)
-	g.printf("\t\twg.Add(1)\n")
-	g.printf("\t\tgo func(w int) {\n\t\t\tdefer wg.Done()\n")
-	if tree.Left.Leaf {
-		g.printf("\t\t\tfor j := w * %d; j < (w+1)*%d; j++ {\n", k/p, k/p)
-		g.printf("\t\t\t\t%s_tw(dst, j, %d, t[:], j, %d, %s[j*%d:(j+1)*%d])\n", left, k, k, twName, m, m)
-		g.printf("\t\t\t}\n")
-	} else {
-		g.printf("\t\t\tvar pre [%d]complex128\n", m)
-		g.printf("\t\t\tfor j := w * %d; j < (w+1)*%d; j++ {\n", k/p, k/p)
-		g.printf("\t\t\t\ttw := %s[j*%d : (j+1)*%d]\n", twName, m, m)
-		g.printf("\t\t\t\tfor i := 0; i < %d; i++ {\n\t\t\t\t\tpre[i] = t[j+i*%d] * tw[i]\n\t\t\t\t}\n", m, k)
-		g.printf("\t\t\t\t%s(dst, j, %d, pre[:], 0, 1)\n", left, k)
-		g.printf("\t\t\t}\n")
-	}
-	g.printf("\t\t}(w)\n\t}\n")
-	g.printf("\twg.Wait()\n")
-	g.printf("}\n\n")
-}
-
-// kernelOrStageName returns the function name emitted for a subtree.
-// emitNode must already have run (it assigns kernels and stage ids
-// deterministically, so regenerate the name the same way).
-func (g *generator) kernelOrStageName(t *exec.Tree) string {
-	if t.Leaf {
-		return g.kernels[t.N]
-	}
-	name, ok := g.stageNames[t]
-	if !ok {
-		panic("codegen: internal error: unknown stage name")
-	}
-	return name
-}
-
-// lastTableFor regenerates the twiddle table name for the root split.
-func (g *generator) lastTableFor(m, k int) string {
-	name, ok := g.tableNames[[2]int{m, k}]
-	if !ok {
-		panic("codegen: internal error: unknown table name")
-	}
-	return name
-}
-
-func (g *generator) emitMain(tree *exec.Tree) {
-	n := tree.N
-	g.printf(`// main self-tests the generated transform against the naive DFT.
-func main() {
-	n := %d
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(math.Sin(float64(3*i+1)), math.Cos(float64(7*i+2)))
-	}
-	want := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64((k*j)%%n) / float64(n)
-			want[k] += cmplx.Exp(complex(0, ang)) * x[j]
-		}
-	}
-	got := make([]complex128, n)
-	%s(got, x)
-	maxErr := 0.0
-	for i := range got {
-		if e := cmplx.Abs(got[i] - want[i]); e > maxErr {
-			maxErr = e
-		}
-	}
-`, n, g.cfg.FuncName)
-	if g.cfg.Workers > 1 {
-		g.printf(`	gotPar := make([]complex128, n)
-	%sParallel(gotPar, x)
-	for i := range gotPar {
-		if e := cmplx.Abs(gotPar[i] - want[i]); e > maxErr {
-			maxErr = e
-		}
-	}
-`, g.cfg.FuncName)
-	}
-	g.printf(`	if maxErr > 1e-8*float64(n) {
-		fmt.Printf("FAIL maxErr=%%g\n", maxErr)
-		os.Exit(1)
-	}
-	fmt.Println("OK")
-}
-`)
 }

@@ -40,6 +40,11 @@ type FamilySpec struct {
 	Workers int
 	// Mu is the cache-line length µ in complex128 elements (default 4).
 	Mu int
+	// Tree, dft family only, fixes the factorization of size N. A tree whose
+	// root split is pµ-admissible lowers as formula (14) with the root's
+	// children as sub-trees; any other tree lowers as one sequential call.
+	// Nil lowers as NewPlan's default planner does.
+	Tree *exec.Tree
 }
 
 // GenerateFamily emits a self-contained Go file implementing one public plan
@@ -48,57 +53,122 @@ func GenerateFamily(spec FamilySpec, cfg Config) (string, error) {
 	if cfg.PackageName == "" {
 		cfg.PackageName = "main"
 	}
+	spec, prog, err := lowerFamily(spec)
+	if err != nil {
+		return "", err
+	}
+	switch spec.Family {
+	case "dft":
+		return familyDFT(spec, cfg, prog)
+	case "real":
+		return familyReal(spec, cfg, prog)
+	case "batch":
+		return familyBatch(spec, cfg, prog)
+	case "2d":
+		return family2D(spec, cfg, prog)
+	case "wht":
+		return familyWHT(spec, cfg, prog)
+	case "dct":
+		return familyDCT(spec, cfg, prog)
+	default:
+		return familySTFT(spec, cfg, prog)
+	}
+}
+
+// lowerFamily fills in spec's defaults, validates it, and lowers the family
+// to the program its plan constructor builds under the default planner: the
+// DFT for dft and dct, the real-input program of the half-size DFT for real
+// and stft (frames), and the batch, 2d and WHT lowerings.
+func lowerFamily(spec FamilySpec) (FamilySpec, *ir.Program, error) {
 	if spec.Mu == 0 {
 		spec.Mu = 4
 	}
 	if spec.Workers < 1 {
 		spec.Workers = 1
 	}
+	if spec.Cols == 0 {
+		spec.Cols = spec.N
+	}
+	if spec.Count == 0 {
+		spec.Count = 4
+	}
+	if spec.Hop == 0 {
+		spec.Hop = spec.N / 2
+	}
 	if spec.N < 2 {
-		return "", fmt.Errorf("codegen: family %q needs size ≥ 2, got %d", spec.Family, spec.N)
+		return spec, nil, fmt.Errorf("codegen: family %q needs size ≥ 2, got %d", spec.Family, spec.N)
 	}
+	if spec.Tree != nil && spec.Family != "dft" {
+		return spec, nil, fmt.Errorf("codegen: a factorization tree applies to the dft family only, not %q", spec.Family)
+	}
+	var prog *ir.Program
+	var err error
 	switch spec.Family {
-	case "dft":
-		return familyDFT(spec, cfg)
-	case "real":
-		return familyReal(spec, cfg)
+	case "dft", "dct":
+		prog, err = dftProgram(spec)
+	case "real", "stft":
+		if spec.N%2 != 0 {
+			return spec, nil, fmt.Errorf("codegen: %s family needs an even size, got %d", spec.Family, spec.N)
+		}
+		if spec.Family == "stft" && (spec.Hop < 1 || spec.Hop > spec.N) {
+			return spec, nil, fmt.Errorf("codegen: stft hop %d out of range [1, %d]", spec.Hop, spec.N)
+		}
+		prog, err = realProgram(spec)
 	case "batch":
-		return familyBatch(spec, cfg)
+		prog, err = ir.LowerBatch(exec.RadixTree(spec.N), spec.Count, min(spec.Workers, spec.Count))
 	case "2d":
-		return family2D(spec, cfg)
+		p := 1
+		if spec.Workers > 1 && rewrite.Parallel2DOK(spec.N, spec.Cols, spec.Workers, spec.Mu) {
+			p = spec.Workers
+		}
+		prog, err = ir.Lower2D(spec.N, spec.Cols, p, exec.RadixTree(spec.Cols), exec.RadixTree(spec.N))
 	case "wht":
-		return familyWHT(spec, cfg)
-	case "dct":
-		return familyDCT(spec, cfg)
-	case "stft":
-		return familySTFT(spec, cfg)
+		if spec.N&(spec.N-1) != 0 {
+			return spec, nil, fmt.Errorf("codegen: WHT size must be a power of two, got %d", spec.N)
+		}
+		prog, err = ir.LowerWHT(spec.N, spec.Workers, spec.Mu)
 	default:
-		return "", fmt.Errorf("codegen: unknown family %q (want one of %v)", spec.Family, Families)
+		return spec, nil, fmt.Errorf("codegen: unknown family %q (want one of %v)", spec.Family, Families)
 	}
+	return spec, prog, err
 }
 
-// dftProgram lowers a complex DFT of size n: the two-stage multicore
-// Cooley-Tukey schedule when an admissible split exists, sequential otherwise.
-func dftProgram(n, workers, mu int) (*ir.Program, error) {
-	if workers > 1 {
-		if m, ok := exec.SplitFor(n, workers, mu); ok {
-			return ir.LowerCT(n, m, ir.CTConfig{P: workers, Mu: mu})
+// dftProgram lowers the complex DFT of spec.N from spec.Tree, by default the
+// balanced pµ-admissible split with radix sub-trees when one exists and the
+// radix tree otherwise. A tree whose root split is pµ-admissible lowers as
+// the two-stage multicore Cooley-Tukey schedule, any other sequentially.
+func dftProgram(spec FamilySpec) (*ir.Program, error) {
+	n, workers, mu := spec.N, spec.Workers, spec.Mu
+	t := spec.Tree
+	if t == nil {
+		t = exec.RadixTree(n)
+		if m, ok := exec.SplitFor(n, workers, mu); ok && workers > 1 {
+			t = exec.SplitTree(exec.RadixTree(m), exec.RadixTree(n/m))
 		}
 	}
-	return ir.LowerTree(exec.RadixTree(n))
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	if t.N != n {
+		return nil, fmt.Errorf("codegen: tree %s has size %d, want %d", t, t.N, n)
+	}
+	if q := workers * mu; workers > 1 && !t.Leaf && t.M()%q == 0 && t.K()%q == 0 {
+		return ir.LowerCT(n, t.M(), ir.CTConfig{P: workers, Mu: mu, LeftTree: t.Left, RightTree: t.Right})
+	}
+	return ir.LowerTree(t)
 }
 
 // familyFile assembles one emitted file: header + imports, the IR-walked core
 // (entry coreName), then wrapper and main paragraphs appended by emit.
-func familyFile(prog *ir.Program, cfg Config, comment, coreName string, emit func(e *programEmitter)) (string, error) {
-	e, err := newProgramEmitter(prog, cfg)
+func familyFile(prog *ir.Program, cfg Config, comment, coreName string, emit func(e *emitter)) (string, error) {
+	e, err := newEmitter(prog)
 	if err != nil {
 		return "", err
 	}
-	e.gen.printf("// Code generated by spiralgen (spiralfft); %s. DO NOT EDIT.\n", comment)
-	e.gen.printf("//\n// Standalone transform emitted from the stage-plan IR described in\n")
-	e.gen.printf("// \"FFT Program Generation for Shared Memory: SMP and Multicore\"\n// (SC 2006), reimplemented in Go.\n")
-	e.gen.printf("package %s\n\n", cfg.PackageName)
+	e.printf("// Code generated by spiralgen (spiralfft); %s. DO NOT EDIT.\n", comment)
+	e.printf("//\n// Standalone transform emitted from the stage-plan IR described in\n")
+	e.printf("// \"FFT Program Generation for Shared Memory: SMP and Multicore\"\n// (SC 2006), reimplemented in Go.\n")
+	e.printf("package %s\n\n", cfg.PackageName)
 	var imports []string
 	if prog.P > 1 {
 		imports = append(imports, "sync")
@@ -109,150 +179,117 @@ func familyFile(prog *ir.Program, cfg Config, comment, coreName string, emit fun
 	switch len(imports) {
 	case 0:
 	case 1:
-		e.gen.printf("import %q\n\n", imports[0])
+		e.printf("import %q\n\n", imports[0])
 	default:
-		e.gen.printf("import (\n")
+		e.printf("import (\n")
 		for _, im := range imports {
-			e.gen.printf("\t%q\n", im)
+			e.printf("\t%q\n", im)
 		}
-		e.gen.printf(")\n\n")
+		e.printf(")\n\n")
 	}
 	if err := e.emitAll(coreName); err != nil {
 		return "", err
 	}
 	emit(e)
-	return e.gen.String(), nil
+	return e.String(), nil
 }
 
 // ---------------------------------------------------------------------------
 // Complex families: dft, batch, 2d, wht
 
-func familyDFT(spec FamilySpec, cfg Config) (string, error) {
+func familyDFT(spec FamilySpec, cfg Config, prog *ir.Program) (string, error) {
 	if cfg.FuncName == "" {
 		cfg.FuncName = fmt.Sprintf("DFT%d", spec.N)
 	}
-	prog, err := dftProgram(spec.N, spec.Workers, spec.Mu)
-	if err != nil {
-		return "", err
-	}
 	comment := fmt.Sprintf("family dft, n=%d, p=%d", spec.N, prog.P)
-	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *programEmitter) {
+	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *emitter) {
 		if cfg.EmitMain {
 			emitNaiveDFT(e)
 			emitCheck(e)
-			e.gen.printf("func main() {\n")
+			e.printf("func main() {\n")
 			emitComplexInput(e, "x", spec.N)
-			e.gen.printf("\twant := naiveDFT(x)\n")
-			e.gen.printf("\tgot := make([]complex128, %d)\n", spec.N)
-			e.gen.printf("\t%s(got, x)\n", cfg.FuncName)
-			e.gen.printf("\tcheck(got, want, %g)\n}\n", tol(spec.N))
+			e.printf("\twant := naiveDFT(x)\n")
+			e.printf("\tgot := make([]complex128, %d)\n", spec.N)
+			e.printf("\t%s(got, x)\n", cfg.FuncName)
+			e.printf("\tcheck(got, want, %g)\n}\n", tol(spec.N))
 		}
 	})
 }
 
-func familyBatch(spec FamilySpec, cfg Config) (string, error) {
+func familyBatch(spec FamilySpec, cfg Config, prog *ir.Program) (string, error) {
 	count := spec.Count
-	if count == 0 {
-		count = 4
-	}
-	workers := spec.Workers
-	if workers > count {
-		workers = count
-	}
 	if cfg.FuncName == "" {
 		cfg.FuncName = fmt.Sprintf("Batch%dxDFT%d", count, spec.N)
 	}
-	prog, err := ir.LowerBatch(exec.RadixTree(spec.N), count, workers)
-	if err != nil {
-		return "", err
-	}
 	comment := fmt.Sprintf("family batch, %d signals × DFT_%d, p=%d", count, spec.N, prog.P)
-	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *programEmitter) {
+	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *emitter) {
 		if cfg.EmitMain {
 			emitNaiveDFT(e)
 			emitCheck(e)
 			n, total := spec.N, spec.N*count
-			e.gen.printf("func main() {\n")
+			e.printf("func main() {\n")
 			emitComplexInput(e, "x", total)
-			e.gen.printf("\twant := make([]complex128, %d)\n", total)
-			e.gen.printf("\tfor s := 0; s < %d; s++ {\n", count)
-			e.gen.printf("\t\tcopy(want[s*%d:(s+1)*%d], naiveDFT(x[s*%d:(s+1)*%d]))\n\t}\n", n, n, n, n)
-			e.gen.printf("\tgot := make([]complex128, %d)\n", total)
-			e.gen.printf("\t%s(got, x)\n", cfg.FuncName)
-			e.gen.printf("\tcheck(got, want, %g)\n}\n", tol(n))
+			e.printf("\twant := make([]complex128, %d)\n", total)
+			e.printf("\tfor s := 0; s < %d; s++ {\n", count)
+			e.printf("\t\tcopy(want[s*%d:(s+1)*%d], naiveDFT(x[s*%d:(s+1)*%d]))\n\t}\n", n, n, n, n)
+			e.printf("\tgot := make([]complex128, %d)\n", total)
+			e.printf("\t%s(got, x)\n", cfg.FuncName)
+			e.printf("\tcheck(got, want, %g)\n}\n", tol(n))
 		}
 	})
 }
 
-func family2D(spec FamilySpec, cfg Config) (string, error) {
+func family2D(spec FamilySpec, cfg Config, prog *ir.Program) (string, error) {
 	rows, cols := spec.N, spec.Cols
-	if cols == 0 {
-		cols = rows
-	}
 	if cfg.FuncName == "" {
 		cfg.FuncName = fmt.Sprintf("DFT2D%dx%d", rows, cols)
 	}
-	p := 1
-	if spec.Workers > 1 && rewrite.Parallel2DOK(rows, cols, spec.Workers, spec.Mu) {
-		p = spec.Workers
-	}
-	prog, err := ir.Lower2D(rows, cols, p, exec.RadixTree(cols), exec.RadixTree(rows))
-	if err != nil {
-		return "", err
-	}
-	comment := fmt.Sprintf("family 2d, %d×%d, p=%d", rows, cols, p)
-	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *programEmitter) {
+	comment := fmt.Sprintf("family 2d, %d×%d, p=%d", rows, cols, prog.P)
+	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *emitter) {
 		if cfg.EmitMain {
 			emitNaiveDFT(e)
 			emitCheck(e)
 			total := rows * cols
-			e.gen.printf("func main() {\n")
+			e.printf("func main() {\n")
 			emitComplexInput(e, "x", total)
-			e.gen.printf("\twant := make([]complex128, %d)\n\tcopy(want, x)\n", total)
-			e.gen.printf("\tfor r := 0; r < %d; r++ {\n", rows)
-			e.gen.printf("\t\tcopy(want[r*%d:(r+1)*%d], naiveDFT(want[r*%d:(r+1)*%d]))\n\t}\n", cols, cols, cols, cols)
-			e.gen.printf("\tcol := make([]complex128, %d)\n", rows)
-			e.gen.printf("\tfor c := 0; c < %d; c++ {\n", cols)
-			e.gen.printf("\t\tfor r := range col {\n\t\t\tcol[r] = want[r*%d+c]\n\t\t}\n", cols)
-			e.gen.printf("\t\tfor r, v := range naiveDFT(col) {\n\t\t\twant[r*%d+c] = v\n\t\t}\n\t}\n", cols)
-			e.gen.printf("\tgot := make([]complex128, %d)\n", total)
-			e.gen.printf("\t%s(got, x)\n", cfg.FuncName)
-			e.gen.printf("\tcheck(got, want, %g)\n}\n", tol(total))
+			e.printf("\twant := make([]complex128, %d)\n\tcopy(want, x)\n", total)
+			e.printf("\tfor r := 0; r < %d; r++ {\n", rows)
+			e.printf("\t\tcopy(want[r*%d:(r+1)*%d], naiveDFT(want[r*%d:(r+1)*%d]))\n\t}\n", cols, cols, cols, cols)
+			e.printf("\tcol := make([]complex128, %d)\n", rows)
+			e.printf("\tfor c := 0; c < %d; c++ {\n", cols)
+			e.printf("\t\tfor r := range col {\n\t\t\tcol[r] = want[r*%d+c]\n\t\t}\n", cols)
+			e.printf("\t\tfor r, v := range naiveDFT(col) {\n\t\t\twant[r*%d+c] = v\n\t\t}\n\t}\n", cols)
+			e.printf("\tgot := make([]complex128, %d)\n", total)
+			e.printf("\t%s(got, x)\n", cfg.FuncName)
+			e.printf("\tcheck(got, want, %g)\n}\n", tol(total))
 		}
 	})
 }
 
-func familyWHT(spec FamilySpec, cfg Config) (string, error) {
-	if spec.N&(spec.N-1) != 0 {
-		return "", fmt.Errorf("codegen: WHT size must be a power of two, got %d", spec.N)
-	}
+func familyWHT(spec FamilySpec, cfg Config, prog *ir.Program) (string, error) {
 	if cfg.FuncName == "" {
 		cfg.FuncName = fmt.Sprintf("WHT%d", spec.N)
-	}
-	prog, err := ir.LowerWHT(spec.N, spec.Workers, spec.Mu)
-	if err != nil {
-		return "", err
 	}
 	comment := fmt.Sprintf("family wht, n=%d, p=%d", spec.N, prog.P)
 	if a, ok := ir.WHTSplit(spec.N, prog.P, prog.Mu); ok {
 		comment += fmt.Sprintf(" (WHT_%d ⊗ I_%d)·(I_%d ⊗∥ WHT_%d)", prog.P, spec.N>>a, prog.P, spec.N>>a)
 	}
-	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *programEmitter) {
+	return familyFile(prog, cfg, comment, cfg.FuncName, func(e *emitter) {
 		if cfg.EmitMain {
 			emitCheck(e)
 			n := spec.N
-			e.gen.printf("func main() {\n")
+			e.printf("func main() {\n")
 			emitComplexInput(e, "x", n)
-			e.gen.printf("\t// Naive WHT: H[k][j] = (-1)^popcount(k AND j) (Hadamard ordering).\n")
-			e.gen.printf("\twant := make([]complex128, %d)\n", n)
-			e.gen.printf("\tfor k := 0; k < %d; k++ {\n", n)
-			e.gen.printf("\t\tfor j := 0; j < %d; j++ {\n", n)
-			e.gen.printf("\t\t\ts := 1.0\n")
-			e.gen.printf("\t\t\tfor v := k & j; v != 0; v &= v - 1 {\n\t\t\t\ts = -s\n\t\t\t}\n")
-			e.gen.printf("\t\t\twant[k] += complex(s, 0) * x[j]\n\t\t}\n\t}\n")
-			e.gen.printf("\tgot := make([]complex128, %d)\n", n)
-			e.gen.printf("\t%s(got, x)\n", cfg.FuncName)
-			e.gen.printf("\tcheck(got, want, %g)\n}\n", tol(n))
+			e.printf("\t// Naive WHT: H[k][j] = (-1)^popcount(k AND j) (Hadamard ordering).\n")
+			e.printf("\twant := make([]complex128, %d)\n", n)
+			e.printf("\tfor k := 0; k < %d; k++ {\n", n)
+			e.printf("\t\tfor j := 0; j < %d; j++ {\n", n)
+			e.printf("\t\t\ts := 1.0\n")
+			e.printf("\t\t\tfor v := k & j; v != 0; v &= v - 1 {\n\t\t\t\ts = -s\n\t\t\t}\n")
+			e.printf("\t\t\twant[k] += complex(s, 0) * x[j]\n\t\t}\n\t}\n")
+			e.printf("\tgot := make([]complex128, %d)\n", n)
+			e.printf("\t%s(got, x)\n", cfg.FuncName)
+			e.printf("\tcheck(got, want, %g)\n}\n", tol(n))
 		}
 	})
 }
@@ -260,142 +297,120 @@ func familyWHT(spec FamilySpec, cfg Config) (string, error) {
 // ---------------------------------------------------------------------------
 // Real-input families: real, dct, stft
 
-func familyReal(spec FamilySpec, cfg Config) (string, error) {
+func familyReal(spec FamilySpec, cfg Config, prog *ir.Program) (string, error) {
 	n := spec.N
-	if n%2 != 0 {
-		return "", fmt.Errorf("codegen: real family needs even n, got %d", n)
-	}
 	if cfg.FuncName == "" {
 		cfg.FuncName = fmt.Sprintf("RFFT%d", n)
 	}
 	h := n / 2
-	prog, err := realProgram(h, spec.Workers, spec.Mu)
-	if err != nil {
-		return "", err
-	}
 	comment := fmt.Sprintf("family real, n=%d (inner DFT_%d), p=%d", n, h, prog.P)
-	return familyFile(prog, cfg, comment, "rfftCore", func(e *programEmitter) {
+	return familyFile(prog, cfg, comment, "rfftCore", func(e *emitter) {
 		emitRealWrapper(e, cfg.FuncName, "rfftCore", n)
 		if cfg.EmitMain {
 			emitNaiveDFT(e)
 			emitCheck(e)
-			e.gen.printf("func main() {\n")
+			e.printf("func main() {\n")
 			emitRealInput(e, "x", n)
-			e.gen.printf("\txc := make([]complex128, %d)\n", n)
-			e.gen.printf("\tfor i, v := range x {\n\t\txc[i] = complex(v, 0)\n\t}\n")
-			e.gen.printf("\twant := naiveDFT(xc)[:%d]\n", h+1)
-			e.gen.printf("\tgot := make([]complex128, %d)\n", h+1)
-			e.gen.printf("\t%s(got, x)\n", cfg.FuncName)
-			e.gen.printf("\tcheck(got, want, %g)\n}\n", tol(n))
+			e.printf("\txc := make([]complex128, %d)\n", n)
+			e.printf("\tfor i, v := range x {\n\t\txc[i] = complex(v, 0)\n\t}\n")
+			e.printf("\twant := naiveDFT(xc)[:%d]\n", h+1)
+			e.printf("\tgot := make([]complex128, %d)\n", h+1)
+			e.printf("\t%s(got, x)\n", cfg.FuncName)
+			e.printf("\tcheck(got, want, %g)\n}\n", tol(n))
 		}
 	})
 }
 
-func familyDCT(spec FamilySpec, cfg Config) (string, error) {
+func familyDCT(spec FamilySpec, cfg Config, prog *ir.Program) (string, error) {
 	n := spec.N
 	if cfg.FuncName == "" {
 		cfg.FuncName = fmt.Sprintf("DCT%d", n)
 	}
-	prog, err := dftProgram(n, spec.Workers, spec.Mu)
-	if err != nil {
-		return "", err
-	}
 	comment := fmt.Sprintf("family dct, n=%d, p=%d", n, prog.P)
-	return familyFile(prog, cfg, comment, "dftCore", func(e *programEmitter) {
-		emitOmegaTable(e, "dcw", 4*n, n) // e^{-iπk/(2n)}
-		e.gen.printf("// %s computes the unnormalized DCT-II of src into dst (both length %d)\n", cfg.FuncName, n)
-		e.gen.printf("// via Makhoul's reduction to one %d-point complex DFT.\n", n)
-		e.gen.printf("func %s(dst, src []float64) {\n", cfg.FuncName)
-		e.gen.printf("\tif len(dst) != %d || len(src) != %d {\n\t\tpanic(\"%s: need length %d\")\n\t}\n", n, n, cfg.FuncName, n)
-		e.gen.printf("\tv := make([]complex128, %d)\n", n)
-		e.gen.printf("\t// Makhoul reordering: evens ascending then odds descending.\n")
-		e.gen.printf("\tfor j := 0; 2*j < %d; j++ {\n\t\tv[j] = complex(src[2*j], 0)\n\t}\n", n)
-		e.gen.printf("\tfor j := 0; 2*j+1 < %d; j++ {\n\t\tv[%d-1-j] = complex(src[2*j+1], 0)\n\t}\n", n, n)
-		e.gen.printf("\tdftCore(v, v)\n")
-		e.gen.printf("\tfor k := 0; k < %d; k++ {\n\t\tdst[k] = real(dcw[k] * v[k])\n\t}\n}\n\n", n)
+	return familyFile(prog, cfg, comment, "dftCore", func(e *emitter) {
+		dcw := make([]complex128, n) // e^{-iπk/(2n)}
+		for k := range dcw {
+			dcw[k] = twiddle.Omega(4*n, k)
+		}
+		e.complexTable("dcw", fmt.Sprintf("dcw holds e^{-2πik/%d} for k = 0..%d.", 4*n, n-1), dcw)
+		e.printf("// %s computes the unnormalized DCT-II of src into dst (both length %d)\n", cfg.FuncName, n)
+		e.printf("// via Makhoul's reduction to one %d-point complex DFT.\n", n)
+		e.printf("func %s(dst, src []float64) {\n", cfg.FuncName)
+		e.printf("\tif len(dst) != %d || len(src) != %d {\n\t\tpanic(\"%s: need length %d\")\n\t}\n", n, n, cfg.FuncName, n)
+		e.printf("\tv := make([]complex128, %d)\n", n)
+		e.printf("\t// Makhoul reordering: evens ascending then odds descending.\n")
+		e.printf("\tfor j := 0; 2*j < %d; j++ {\n\t\tv[j] = complex(src[2*j], 0)\n\t}\n", n)
+		e.printf("\tfor j := 0; 2*j+1 < %d; j++ {\n\t\tv[%d-1-j] = complex(src[2*j+1], 0)\n\t}\n", n, n)
+		e.printf("\tdftCore(v, v)\n")
+		e.printf("\tfor k := 0; k < %d; k++ {\n\t\tdst[k] = real(dcw[k] * v[k])\n\t}\n}\n\n", n)
 		if cfg.EmitMain {
 			emitCheck(e)
-			e.gen.printf("func main() {\n")
+			e.printf("func main() {\n")
 			emitRealInput(e, "x", n)
-			e.gen.printf("\twant := make([]complex128, %d)\n", n)
-			e.gen.printf("\tfor k := 0; k < %d; k++ {\n", n)
-			e.gen.printf("\t\tsum := 0.0\n")
-			e.gen.printf("\t\tfor j := 0; j < %d; j++ {\n", n)
-			e.gen.printf("\t\t\tsum += x[j] * math.Cos(math.Pi*float64(k)*float64(2*j+1)/float64(2*%d))\n\t\t}\n", n)
-			e.gen.printf("\t\twant[k] = complex(sum, 0)\n\t}\n")
-			e.gen.printf("\tgotF := make([]float64, %d)\n", n)
-			e.gen.printf("\t%s(gotF, x)\n", cfg.FuncName)
-			e.gen.printf("\tgot := make([]complex128, %d)\n", n)
-			e.gen.printf("\tfor i, v := range gotF {\n\t\tgot[i] = complex(v, 0)\n\t}\n")
-			e.gen.printf("\tcheck(got, want, %g)\n}\n", tol(n))
+			e.printf("\twant := make([]complex128, %d)\n", n)
+			e.printf("\tfor k := 0; k < %d; k++ {\n", n)
+			e.printf("\t\tsum := 0.0\n")
+			e.printf("\t\tfor j := 0; j < %d; j++ {\n", n)
+			e.printf("\t\t\tsum += x[j] * math.Cos(math.Pi*float64(k)*float64(2*j+1)/float64(2*%d))\n\t\t}\n", n)
+			e.printf("\t\twant[k] = complex(sum, 0)\n\t}\n")
+			e.printf("\tgotF := make([]float64, %d)\n", n)
+			e.printf("\t%s(gotF, x)\n", cfg.FuncName)
+			e.printf("\tgot := make([]complex128, %d)\n", n)
+			e.printf("\tfor i, v := range gotF {\n\t\tgot[i] = complex(v, 0)\n\t}\n")
+			e.printf("\tcheck(got, want, %g)\n}\n", tol(n))
 		}
 	})
 }
 
-func familySTFT(spec FamilySpec, cfg Config) (string, error) {
-	frame := spec.N
-	if frame%2 != 0 {
-		return "", fmt.Errorf("codegen: stft family needs an even frame, got %d", frame)
-	}
-	hop := spec.Hop
-	if hop == 0 {
-		hop = frame / 2
-	}
-	if hop < 1 || hop > frame {
-		return "", fmt.Errorf("codegen: stft hop %d out of range [1, %d]", hop, frame)
-	}
+func familySTFT(spec FamilySpec, cfg Config, prog *ir.Program) (string, error) {
+	frame, hop := spec.N, spec.Hop
 	if cfg.FuncName == "" {
 		cfg.FuncName = fmt.Sprintf("STFT%d", frame)
 	}
-	h := frame / 2
-	bins := h + 1
-	prog, err := realProgram(h, spec.Workers, spec.Mu)
-	if err != nil {
-		return "", err
-	}
+	bins := frame/2 + 1
 	comment := fmt.Sprintf("family stft, frame=%d, hop=%d, p=%d", frame, hop, prog.P)
-	return familyFile(prog, cfg, comment, "rfftCore", func(e *programEmitter) {
+	return familyFile(prog, cfg, comment, "rfftCore", func(e *emitter) {
 		emitHannTable(e, "win", frame)
 		emitRealWrapper(e, "rfftFrame", "rfftCore", frame)
-		e.gen.printf("// %sNumFrames returns how many complete frames fit a signal of the\n", cfg.FuncName)
-		e.gen.printf("// given length (frame %d, hop %d).\n", frame, hop)
-		e.gen.printf("func %sNumFrames(signalLen int) int {\n", cfg.FuncName)
-		e.gen.printf("\tif signalLen < %d {\n\t\treturn 0\n\t}\n", frame)
-		e.gen.printf("\treturn (signalLen-%d)/%d + 1\n}\n\n", frame, hop)
-		e.gen.printf("// %s computes the Hann-windowed half spectra of all complete frames of\n", cfg.FuncName)
-		e.gen.printf("// src: frame f covers src[f·%d : f·%d+%d] and its %d bins land in\n", hop, hop, frame, bins)
-		e.gen.printf("// dst[f·%d : (f+1)·%d].\n", bins, bins)
-		e.gen.printf("func %s(dst []complex128, src []float64) {\n", cfg.FuncName)
-		e.gen.printf("\tframes := %sNumFrames(len(src))\n", cfg.FuncName)
-		e.gen.printf("\tif len(dst) != frames*%d {\n\t\tpanic(\"%s: need frames*%d outputs\")\n\t}\n", bins, cfg.FuncName, bins)
-		e.gen.printf("\tbuf := make([]float64, %d)\n", frame)
-		e.gen.printf("\tfor f := 0; f < frames; f++ {\n")
-		e.gen.printf("\t\toff := f * %d\n", hop)
-		e.gen.printf("\t\tfor i := 0; i < %d; i++ {\n\t\t\tbuf[i] = src[off+i] * win[i]\n\t\t}\n", frame)
-		e.gen.printf("\t\trfftFrame(dst[f*%d:(f+1)*%d], buf)\n\t}\n}\n\n", bins, bins)
+		e.printf("// %sNumFrames returns how many complete frames fit a signal of the\n", cfg.FuncName)
+		e.printf("// given length (frame %d, hop %d).\n", frame, hop)
+		e.printf("func %sNumFrames(signalLen int) int {\n", cfg.FuncName)
+		e.printf("\tif signalLen < %d {\n\t\treturn 0\n\t}\n", frame)
+		e.printf("\treturn (signalLen-%d)/%d + 1\n}\n\n", frame, hop)
+		e.printf("// %s computes the Hann-windowed half spectra of all complete frames of\n", cfg.FuncName)
+		e.printf("// src: frame f covers src[f·%d : f·%d+%d] and its %d bins land in\n", hop, hop, frame, bins)
+		e.printf("// dst[f·%d : (f+1)·%d].\n", bins, bins)
+		e.printf("func %s(dst []complex128, src []float64) {\n", cfg.FuncName)
+		e.printf("\tframes := %sNumFrames(len(src))\n", cfg.FuncName)
+		e.printf("\tif len(dst) != frames*%d {\n\t\tpanic(\"%s: need frames*%d outputs\")\n\t}\n", bins, cfg.FuncName, bins)
+		e.printf("\tbuf := make([]float64, %d)\n", frame)
+		e.printf("\tfor f := 0; f < frames; f++ {\n")
+		e.printf("\t\toff := f * %d\n", hop)
+		e.printf("\t\tfor i := 0; i < %d; i++ {\n\t\t\tbuf[i] = src[off+i] * win[i]\n\t\t}\n", frame)
+		e.printf("\t\trfftFrame(dst[f*%d:(f+1)*%d], buf)\n\t}\n}\n\n", bins, bins)
 		if cfg.EmitMain {
 			emitNaiveDFT(e)
 			emitCheck(e)
 			sig := 3 * frame
-			e.gen.printf("func main() {\n")
+			e.printf("func main() {\n")
 			emitRealInput(e, "x", sig)
-			e.gen.printf("\tframes := %sNumFrames(%d)\n", cfg.FuncName, sig)
-			e.gen.printf("\twant := make([]complex128, frames*%d)\n", bins)
-			e.gen.printf("\tfc := make([]complex128, %d)\n", frame)
-			e.gen.printf("\tfor f := 0; f < frames; f++ {\n")
-			e.gen.printf("\t\tfor i := 0; i < %d; i++ {\n\t\t\tfc[i] = complex(x[f*%d+i]*win[i], 0)\n\t\t}\n", frame, hop)
-			e.gen.printf("\t\tcopy(want[f*%d:(f+1)*%d], naiveDFT(fc)[:%d])\n\t}\n", bins, bins, bins)
-			e.gen.printf("\tgot := make([]complex128, frames*%d)\n", bins)
-			e.gen.printf("\t%s(got, x)\n", cfg.FuncName)
-			e.gen.printf("\tcheck(got, want, %g)\n}\n", tol(frame))
+			e.printf("\tframes := %sNumFrames(%d)\n", cfg.FuncName, sig)
+			e.printf("\twant := make([]complex128, frames*%d)\n", bins)
+			e.printf("\tfc := make([]complex128, %d)\n", frame)
+			e.printf("\tfor f := 0; f < frames; f++ {\n")
+			e.printf("\t\tfor i := 0; i < %d; i++ {\n\t\t\tfc[i] = complex(x[f*%d+i]*win[i], 0)\n\t\t}\n", frame, hop)
+			e.printf("\t\tcopy(want[f*%d:(f+1)*%d], naiveDFT(fc)[:%d])\n\t}\n", bins, bins, bins)
+			e.printf("\tgot := make([]complex128, frames*%d)\n", bins)
+			e.printf("\t%s(got, x)\n", cfg.FuncName)
+			e.printf("\tcheck(got, want, %g)\n}\n", tol(frame))
 		}
 	})
 }
 
-// realProgram lowers the real-input DFT_{2h} the way RealPlan does: the
-// complex DFT_h program followed by its untangle region.
-func realProgram(h, workers, mu int) (*ir.Program, error) {
-	half, err := dftProgram(h, workers, mu)
+// realProgram lowers the real-input DFT of spec.N the way RealPlan does: the
+// complex DFT of spec.N/2 followed by its untangle region.
+func realProgram(spec FamilySpec) (*ir.Program, error) {
+	half, err := dftProgram(FamilySpec{N: spec.N / 2, Workers: spec.Workers, Mu: spec.Mu})
 	if err != nil {
 		return nil, err
 	}
@@ -405,58 +420,24 @@ func realProgram(h, workers, mu int) (*ir.Program, error) {
 // emitRealWrapper emits the real-input DFT wrapper around the emitted real
 // program core: it packs the n real samples into n/2 complex points, and
 // the core transforms and untangles them into the half spectrum.
-func emitRealWrapper(e *programEmitter, fn, core string, n int) {
+func emitRealWrapper(e *emitter, fn, core string, n int) {
 	h := n / 2
-	e.gen.printf("// %s computes the non-redundant half spectrum of the real signal src:\n", fn)
-	e.gen.printf("// dst[k] for k = 0..%d. len(src) must be %d and len(dst) %d.\n", h, n, h+1)
-	e.gen.printf("func %s(dst []complex128, src []float64) {\n", fn)
-	e.gen.printf("\tif len(src) != %d || len(dst) != %d {\n\t\tpanic(\"%s: src %d, dst %d\")\n\t}\n", n, h+1, fn, n, h+1)
-	e.gen.printf("\tz := make([]complex128, %d)\n", h)
-	e.gen.printf("\tfor j := 0; j < %d; j++ {\n\t\tz[j] = complex(src[2*j], src[2*j+1])\n\t}\n", h)
-	e.gen.printf("\t%s(dst, z)\n}\n\n", core)
-}
-
-// emitOmegaTable emits ω_base^k for k = 0..count-1 as a named literal.
-func emitOmegaTable(e *programEmitter, name string, base, count int) {
-	v := make([]complex128, count)
-	for k := range v {
-		v[k] = twiddle.Omega(base, k)
-	}
-	fmt.Fprintf(&e.gen.tables, "// %s holds e^{-2πik/%d} for k = 0..%d.\n", name, base, count-1)
-	fmt.Fprintf(&e.gen.tables, "var %s = []complex128{\n", name)
-	for i, w := range v {
-		if i%4 == 0 {
-			fmt.Fprintf(&e.gen.tables, "\t")
-		}
-		fmt.Fprintf(&e.gen.tables, "complex(%.17g, %.17g), ", real(w), imag(w))
-		if i%4 == 3 {
-			fmt.Fprintf(&e.gen.tables, "\n")
-		}
-	}
-	if count%4 != 0 {
-		fmt.Fprintf(&e.gen.tables, "\n")
-	}
-	fmt.Fprintf(&e.gen.tables, "}\n\n")
+	e.printf("// %s computes the non-redundant half spectrum of the real signal src:\n", fn)
+	e.printf("// dst[k] for k = 0..%d. len(src) must be %d and len(dst) %d.\n", h, n, h+1)
+	e.printf("func %s(dst []complex128, src []float64) {\n", fn)
+	e.printf("\tif len(src) != %d || len(dst) != %d {\n\t\tpanic(\"%s: src %d, dst %d\")\n\t}\n", n, h+1, fn, n, h+1)
+	e.printf("\tz := make([]complex128, %d)\n", h)
+	e.printf("\tfor j := 0; j < %d; j++ {\n\t\tz[j] = complex(src[2*j], src[2*j+1])\n\t}\n", h)
+	e.printf("\t%s(dst, z)\n}\n\n", core)
 }
 
 // emitHannTable emits the length-n Hann window as a named literal.
-func emitHannTable(e *programEmitter, name string, n int) {
-	fmt.Fprintf(&e.gen.tables, "// %s is the length-%d Hann window.\n", name, n)
-	fmt.Fprintf(&e.gen.tables, "var %s = []float64{\n", name)
-	for i := 0; i < n; i++ {
-		v := 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(n))
-		if i%4 == 0 {
-			fmt.Fprintf(&e.gen.tables, "\t")
-		}
-		fmt.Fprintf(&e.gen.tables, "%.17g, ", v)
-		if i%4 == 3 {
-			fmt.Fprintf(&e.gen.tables, "\n")
-		}
+func emitHannTable(e *emitter, name string, n int) {
+	elems := make([]string, n)
+	for i := range elems {
+		elems[i] = fmt.Sprintf("%.17g", 0.5-0.5*math.Cos(2*math.Pi*float64(i)/float64(n)))
 	}
-	if n%4 != 0 {
-		fmt.Fprintf(&e.gen.tables, "\n")
-	}
-	fmt.Fprintf(&e.gen.tables, "}\n\n")
+	e.literal(name, "float64", fmt.Sprintf("%s is the length-%d Hann window.", name, n), 4, elems)
 }
 
 // ---------------------------------------------------------------------------
@@ -464,8 +445,8 @@ func emitHannTable(e *programEmitter, name string, n int) {
 
 func tol(n int) float64 { return 1e-8 * float64(n) }
 
-func emitNaiveDFT(e *programEmitter) {
-	e.gen.printf(`// naiveDFT is the O(n²) reference transform.
+func emitNaiveDFT(e *emitter) {
+	e.printf(`// naiveDFT is the O(n²) reference transform.
 func naiveDFT(x []complex128) []complex128 {
 	n := len(x)
 	y := make([]complex128, n)
@@ -481,8 +462,8 @@ func naiveDFT(x []complex128) []complex128 {
 `)
 }
 
-func emitCheck(e *programEmitter) {
-	e.gen.printf(`// check compares got against want and prints OK within tolerance.
+func emitCheck(e *emitter) {
+	e.printf(`// check compares got against want and prints OK within tolerance.
 func check(got, want []complex128, tol float64) {
 	maxErr := 0.0
 	for i := range got {
@@ -500,14 +481,14 @@ func check(got, want []complex128, tol float64) {
 `)
 }
 
-func emitComplexInput(e *programEmitter, name string, n int) {
-	e.gen.printf("\t%s := make([]complex128, %d)\n", name, n)
-	e.gen.printf("\tfor i := range %s {\n", name)
-	e.gen.printf("\t\t%s[i] = complex(math.Sin(float64(3*i+1)), math.Cos(float64(7*i+2)))\n\t}\n", name)
+func emitComplexInput(e *emitter, name string, n int) {
+	e.printf("\t%s := make([]complex128, %d)\n", name, n)
+	e.printf("\tfor i := range %s {\n", name)
+	e.printf("\t\t%s[i] = complex(math.Sin(float64(3*i+1)), math.Cos(float64(7*i+2)))\n\t}\n", name)
 }
 
-func emitRealInput(e *programEmitter, name string, n int) {
-	e.gen.printf("\t%s := make([]float64, %d)\n", name, n)
-	e.gen.printf("\tfor i := range %s {\n", name)
-	e.gen.printf("\t\t%s[i] = math.Sin(float64(3*i+1)) + 0.5*math.Cos(float64(7*i+2))\n\t}\n", name)
+func emitRealInput(e *emitter, name string, n int) {
+	e.printf("\t%s := make([]float64, %d)\n", name, n)
+	e.printf("\tfor i := range %s {\n", name)
+	e.printf("\t\t%s[i] = math.Sin(float64(3*i+1)) + 0.5*math.Cos(float64(7*i+2))\n\t}\n", name)
 }

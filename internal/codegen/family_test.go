@@ -3,21 +3,22 @@ package codegen
 import (
 	"go/parser"
 	"go/token"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"spiralfft"
 	xexec "spiralfft/internal/exec"
 	"spiralfft/internal/ir"
+	"spiralfft/internal/spl"
 )
 
 // familyCases covers every public plan family, each with a shape that
 // exercises the parallel schedule where the family admits one.
 var familyCases = []FamilySpec{
 	{Family: "dft", N: 64, Workers: 2},
+	{Family: "dft", N: 1024, Workers: 2}, // leaves of 32 re-split into stages
 	{Family: "real", N: 128, Workers: 2}, // inner DFT_64 parallelizes
+	{Family: "real", N: 2048, Workers: 2},
 	{Family: "batch", N: 16, Count: 4, Workers: 2},
 	{Family: "2d", N: 16, Cols: 16, Workers: 2},
 	{Family: "wht", N: 64, Workers: 2},
@@ -57,20 +58,84 @@ func TestGenerateFamilyErrors(t *testing.T) {
 	}
 }
 
-// TestGenerateProgramRejectsGeneric pins the contract that only fully typed
-// programs reach emission.
-func TestGenerateProgramRejectsGeneric(t *testing.T) {
-	prog, err := ir.LowerTree(xexec.RadixTree(8))
+// TestEmitterRejectsUnsupportedPrograms pins the contract between lowering
+// and emission: only fully typed forward programs within MaxSize are emitted.
+func TestEmitterRejectsUnsupportedPrograms(t *testing.T) {
+	generic := &ir.Program{Name: "generic", N: 8, P: 1, Nodes: []ir.Node{&ir.Region{Name: "r",
+		Workers: [][]ir.Op{{ir.Generic{Dst: ir.BufDst, Src: ir.BufSrc, F: spl.NewDFT(8)}}}}}}
+	fourStep, err := ir.LowerFourStep(64, 8, ir.FourStepConfig{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := GenerateProgram(prog, Config{FuncName: "DFT8"})
+	whtInv, err := ir.LowerWHTInverse(64, 1, 4)
 	if err != nil {
-		t.Fatalf("GenerateProgram: %v", err)
+		t.Fatal(err)
 	}
-	for _, want := range []string{"package main", "func DFT8(dst, src []complex128)"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("generated source missing %q", want)
+	halfInv, err := ir.LowerTreeInverse(xexec.RadixTree(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	realInv, err := ir.RealInverse(halfInv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversize, err := ir.LowerTree(xexec.RadixTree(2 * MaxSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prog *ir.Program
+		want string
+	}{
+		{generic, "generic formula op"},
+		{fourStep, "runtime-generated twiddle call"},
+		{whtInv, "scaled WHT call"},
+		{realInv, "retangle pass"},
+		{oversize, "exceeds limit"},
+	} {
+		_, err := familyFile(c.prog, Config{PackageName: "main"}, "test", "Transform", func(*emitter) {})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("program %q: got error %v, want one containing %q", c.prog.Name, err, c.want)
+		}
+	}
+}
+
+// TestFamiliesLowerAsPlans pins that each family lowers exactly as its plan
+// constructor does under the default planner: both programs print the same.
+func TestFamiliesLowerAsPlans(t *testing.T) {
+	for _, n := range []int{64, 256, 1024, 4096} {
+		for _, p := range []int{1, 2} {
+			opt := &spiralfft.Options{Workers: p}
+			for _, family := range []string{"dft", "real", "batch", "2d", "wht"} {
+				_, want, err := lowerFamily(FamilySpec{Family: family, N: n, Workers: p})
+				if err != nil {
+					t.Fatalf("%s n=%d p=%d: %v", family, n, p, err)
+				}
+				var plan interface {
+					Program() *ir.Program
+					Close()
+				}
+				switch family {
+				case "dft":
+					plan, err = spiralfft.NewPlan(n, opt)
+				case "real":
+					plan, err = spiralfft.NewRealPlan(n, opt)
+				case "batch":
+					plan, err = spiralfft.NewBatchPlan(n, 4, opt)
+				case "2d":
+					plan, err = spiralfft.NewPlan2D(n, n, opt)
+				case "wht":
+					plan, err = spiralfft.NewWHTPlan(n, opt)
+				}
+				if err != nil {
+					t.Fatalf("%s n=%d p=%d: plan: %v", family, n, p, err)
+				}
+				if got := plan.Program().String(); got != want.String() {
+					t.Errorf("%s n=%d p=%d: family program differs from the plan's\nfamily: %s\nplan:   %s",
+						family, n, p, firstLines(want.String(), 4), firstLines(got, 4))
+				}
+				plan.Close()
+			}
 		}
 	}
 }
@@ -78,12 +143,6 @@ func TestGenerateProgramRejectsGeneric(t *testing.T) {
 // TestGeneratedFamiliesRun compiles and runs the emitted program of every
 // family: each self-tests against a naive reference and prints OK.
 func TestGeneratedFamiliesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping go-run integration in -short mode")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain unavailable")
-	}
 	for _, spec := range familyCases {
 		spec := spec
 		t.Run(spec.Family, func(t *testing.T) {
@@ -92,22 +151,7 @@ func TestGeneratedFamiliesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GenerateFamily(%s): %v", spec.Family, err)
 			}
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module gen\n\ngo 1.22\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cmd := exec.Command("go", "run", ".")
-			cmd.Dir = dir
-			out, err := cmd.CombinedOutput()
-			if err != nil {
-				t.Fatalf("family %s: go run failed: %v\n%s", spec.Family, err, out)
-			}
-			if got := strings.TrimSpace(string(out)); got != "OK" {
-				t.Errorf("family %s: generated program printed %q, want OK", spec.Family, got)
-			}
+			runGenerated(t, src)
 		})
 	}
 }

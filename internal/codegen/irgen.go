@@ -1,84 +1,23 @@
 package codegen
 
-// This file is the IR backend of the program generator: it walks a lowered
+// This file is the walker of the program generator: it walks a lowered
 // ir.Program — the same object the executor runs and the cache simulator
 // audits — and emits standalone Go reproducing its exact schedule: one
 // goroutine per worker per region, a WaitGroup join at every barrier, codelet
-// calls lowered to the unrolled kernels of codegen.go, and twiddle/window
-// tables emitted as literals. Because every public plan family lowers to an
-// ir.Program, this single walker gives code emission for all of them (the
-// family wrappers live in family.go).
+// calls lowered to the unrolled kernels of codegen.go, and twiddle tables
+// emitted as literals. Only fully typed forward programs are emitted: Generic
+// formula ops, runtime-generated twiddle calls, scaled WHTs and retangle
+// passes are rejected. The family wrappers live in family.go.
 
 import (
 	"fmt"
 
-	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
 )
 
-// GenerateProgram emits a self-contained Go file whose entry function
-// (cfg.FuncName, default "Transform") executes prog's schedule. Programs
-// containing Generic formula ops are rejected: the typed grammar is the
-// contract between lowering and code emission.
-func GenerateProgram(prog *ir.Program, cfg Config) (string, error) {
-	if cfg.PackageName == "" {
-		cfg.PackageName = "main"
-	}
-	if cfg.FuncName == "" {
-		cfg.FuncName = "Transform"
-	}
-	e, err := newProgramEmitter(prog, cfg)
-	if err != nil {
-		return "", err
-	}
-	e.gen.printf("// Code generated by spiralgen (spiralfft); program %q, n=%d, p=%d. DO NOT EDIT.\n", prog.Name, prog.N, prog.P)
-	e.gen.printf("//\n// Standalone transform emitted from the stage-plan IR described in\n")
-	e.gen.printf("// \"FFT Program Generation for Shared Memory: SMP and Multicore\"\n// (SC 2006), reimplemented in Go.\n")
-	e.gen.printf("package %s\n\n", cfg.PackageName)
-	if prog.P > 1 {
-		e.gen.printf("import \"sync\"\n\n")
-	}
-	if err := e.emitAll(cfg.FuncName); err != nil {
-		return "", err
-	}
-	return e.gen.String(), nil
-}
-
-// programEmitter walks one ir.Program, reusing the kernel/stage machinery of
-// the tree generator for codelet bodies and adding table and region emission.
-type programEmitter struct {
-	gen      *generator
-	prog     *ir.Program
-	roots    map[*exec.Tree]string // lowered tree → emitted function name
-	vecs     map[string]string     // complex vector identity → table name
-	perms    map[string]string     // permutation table identity → table name
-	whtRows  bool                  // whtRows helper emitted
-	untangle bool                  // untangle helper emitted
-}
-
-func newProgramEmitter(prog *ir.Program, cfg Config) (*programEmitter, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	if prog.N > MaxSize {
-		return nil, fmt.Errorf("codegen: size %d exceeds limit %d", prog.N, MaxSize)
-	}
-	g := &generator{cfg: cfg}
-	g.kernels = make(map[int]string)
-	g.stageNames = make(map[*exec.Tree]string)
-	g.tableNames = make(map[[2]int]string)
-	return &programEmitter{
-		gen:   g,
-		prog:  prog,
-		roots: make(map[*exec.Tree]string),
-		vecs:  make(map[string]string),
-		perms: make(map[string]string),
-	}, nil
-}
-
 // emitAll emits every kernel, stage function, table and helper the program
 // needs, then the entry function itself.
-func (e *programEmitter) emitAll(entry string) error {
+func (e *emitter) emitAll(entry string) error {
 	for _, r := range e.prog.Regions() {
 		for _, ops := range r.Workers {
 			for _, op := range ops {
@@ -93,11 +32,12 @@ func (e *programEmitter) emitAll(entry string) error {
 }
 
 // prepareOp emits the functions and tables an op needs ahead of the entry.
-func (e *programEmitter) prepareOp(op ir.Op) error {
+func (e *emitter) prepareOp(op ir.Op) error {
 	switch t := op.(type) {
 	case ir.CodeletCall:
 		if _, ok := e.roots[t.Tree]; !ok {
-			e.roots[t.Tree] = e.gen.emitNode(capLeaves(t.Tree))
+			capped := capLeaves(t.Tree)
+			e.roots[t.Tree] = codeletFn{name: e.emitNode(capped), leaf: capped.Leaf}
 		}
 		if t.Tw != nil {
 			e.vecTable(t.Tw)
@@ -134,52 +74,30 @@ func (e *programEmitter) prepareOp(op ir.Op) error {
 // vecTable emits (once per distinct slice) a complex vector literal and
 // returns its name. Slices are deduplicated by backing-array identity, so the
 // per-column views of one twiddle table each get exactly one literal.
-func (e *programEmitter) vecTable(v []complex128) string {
+func (e *emitter) vecTable(v []complex128) string {
 	key := fmt.Sprintf("%p:%d", &v[0], len(v))
 	if name, ok := e.vecs[key]; ok {
 		return name
 	}
 	name := fmt.Sprintf("cv%d", len(e.vecs))
 	e.vecs[key] = name
-	fmt.Fprintf(&e.gen.tables, "var %s = []complex128{\n", name)
-	for i, w := range v {
-		if i%4 == 0 {
-			fmt.Fprintf(&e.gen.tables, "\t")
-		}
-		fmt.Fprintf(&e.gen.tables, "complex(%.17g, %.17g), ", real(w), imag(w))
-		if i%4 == 3 {
-			fmt.Fprintf(&e.gen.tables, "\n")
-		}
-	}
-	if len(v)%4 != 0 {
-		fmt.Fprintf(&e.gen.tables, "\n")
-	}
-	fmt.Fprintf(&e.gen.tables, "}\n\n")
+	e.complexTable(name, "", v)
 	return name
 }
 
 // permTable emits (once per distinct table) an index table literal.
-func (e *programEmitter) permTable(idx []int32) string {
+func (e *emitter) permTable(idx []int32) string {
 	key := fmt.Sprintf("%p:%d", &idx[0], len(idx))
 	if name, ok := e.perms[key]; ok {
 		return name
 	}
 	name := fmt.Sprintf("pt%d", len(e.perms))
 	e.perms[key] = name
-	fmt.Fprintf(&e.gen.tables, "var %s = []int32{\n", name)
-	for i, s := range idx {
-		if i%16 == 0 {
-			fmt.Fprintf(&e.gen.tables, "\t")
-		}
-		fmt.Fprintf(&e.gen.tables, "%d, ", s)
-		if i%16 == 15 {
-			fmt.Fprintf(&e.gen.tables, "\n")
-		}
+	elems := make([]string, len(idx))
+	for i, v := range idx {
+		elems[i] = fmt.Sprint(v)
 	}
-	if len(idx)%16 != 0 {
-		fmt.Fprintf(&e.gen.tables, "\n")
-	}
-	fmt.Fprintf(&e.gen.tables, "}\n\n")
+	e.literal(name, "int32", "", 16, elems)
 	return name
 }
 
@@ -187,12 +105,12 @@ func (e *programEmitter) permTable(idx []int32) string {
 // form every WHTCall lowers to (v = 1 is the plain strided transform). Like
 // the executor's exec.WHTRowsScaled it runs the radix-2 stages in fused
 // pairs (radix-4 passes) plus one radix-2 pass when log2 n is odd.
-func (e *programEmitter) emitWHTRowsHelper() {
+func (e *emitter) emitWHTRowsHelper() {
 	if e.whtRows {
 		return
 	}
 	e.whtRows = true
-	e.gen.printf(`// whtRows computes WHT_n ⊗ I_v over n rows of v contiguous points: row i
+	e.printf(`// whtRows computes WHT_n ⊗ I_v over n rows of v contiguous points: row i
 // is dst[doff+i*ds : doff+i*ds+v], read from the same span of src at
 // soff+i*ss; n must be a power of two and v = 1 is the plain n-point
 // transform with strided I/O. Each radix-4 pass performs two radix-2
@@ -231,12 +149,12 @@ func whtRows(dst []complex128, doff, ds int, src []complex128, soff, ss, n, v in
 
 // emitUntangleHelper emits the real-input untangle pass over bin pairs
 // once, mirroring the executor's ir.Untangle.
-func (e *programEmitter) emitUntangleHelper() {
+func (e *emitter) emitUntangleHelper() {
 	if e.untangle {
 		return
 	}
 	e.untangle = true
-	e.gen.printf(`// untangle turns the spectrum of the packed signal in src (h points) into
+	e.printf(`// untangle turns the spectrum of the packed signal in src (h points) into
 // the half spectrum of the real signal in dst (h+1 bins), over the bin
 // pairs (k, h-k) for k in [lo, hi); w[k] = e^{-2πik/(2h)}. dst may be src.
 func untangle(dst, src []complex128, h, lo, hi int, w []complex128) {
@@ -277,28 +195,28 @@ func bufExpr(b ir.Buf) string {
 // emitEntry emits the entry function: temp allocation, then the program's
 // regions in order — inline for P == 1, one goroutine per worker with a
 // WaitGroup join per region for P > 1 (the join realizes the IR barrier).
-func (e *programEmitter) emitEntry(entry string) {
+func (e *emitter) emitEntry(entry string) {
 	p := e.prog
-	e.gen.printf("// %s executes the lowered program %q: n=%d, p=%d.\n", entry, p.Name, p.N, p.P)
+	e.printf("// %s executes the lowered program %q: n=%d, p=%d.\n", entry, p.Name, p.N, p.P)
 	dn, sn := p.BufLen(ir.BufDst), p.BufLen(ir.BufSrc)
 	if dn == sn {
-		e.gen.printf("// dst == src is allowed.\n")
+		e.printf("// dst == src is allowed.\n")
 	}
-	e.gen.printf("func %s(dst, src []complex128) {\n", entry)
-	e.gen.printf("\tif len(dst) != %d || len(src) != %d {\n\t\tpanic(\"%s: need dst %d, src %d\")\n\t}\n",
+	e.printf("func %s(dst, src []complex128) {\n", entry)
+	e.printf("\tif len(dst) != %d || len(src) != %d {\n\t\tpanic(\"%s: need dst %d, src %d\")\n\t}\n",
 		dn, sn, entry, dn, sn)
 	for i, l := range p.Temps {
-		e.gen.printf("\tt%d := make([]complex128, %d)\n", i, l)
+		e.printf("\tt%d := make([]complex128, %d)\n", i, l)
 	}
 	if p.P > 1 {
-		e.gen.printf("\tvar wg sync.WaitGroup\n")
+		e.printf("\tvar wg sync.WaitGroup\n")
 	}
 	for _, nd := range p.Nodes {
 		r, ok := nd.(*ir.Region)
 		if !ok {
 			continue // barriers are realized by the per-region joins
 		}
-		e.gen.printf("\t// region %q\n", r.Name)
+		e.printf("\t// region %q\n", r.Name)
 		if p.P == 1 {
 			for _, op := range r.Workers[0] {
 				e.emitOp(op, "\t")
@@ -311,69 +229,69 @@ func (e *programEmitter) emitEntry(entry string) {
 				active++
 			}
 		}
-		e.gen.printf("\twg.Add(%d)\n", active)
+		e.printf("\twg.Add(%d)\n", active)
 		for w, ops := range r.Workers {
 			if len(ops) == 0 {
 				continue
 			}
-			e.gen.printf("\tgo func() { // worker %d\n\t\tdefer wg.Done()\n", w)
+			e.printf("\tgo func() { // worker %d\n\t\tdefer wg.Done()\n", w)
 			for _, op := range ops {
 				e.emitOp(op, "\t\t")
 			}
-			e.gen.printf("\t}()\n")
+			e.printf("\t}()\n")
 		}
-		e.gen.printf("\twg.Wait()\n")
+		e.printf("\twg.Wait()\n")
 	}
-	e.gen.printf("}\n\n")
+	e.printf("}\n\n")
 }
 
 // emitOp emits one op at the given indentation.
-func (e *programEmitter) emitOp(op ir.Op, ind string) {
+func (e *emitter) emitOp(op ir.Op, ind string) {
 	switch t := op.(type) {
 	case ir.CodeletCall:
-		name := e.roots[t.Tree]
-		d, s := bufExpr(t.Dst), bufExpr(t.Src)
+		fn := e.roots[t.Tree]
+		name, d, s := fn.name, bufExpr(t.Dst), bufExpr(t.Src)
 		switch {
 		case t.Tw == nil:
-			e.gen.printf("%s%s(%s, %d, %d, %s, %d, %d)\n", ind, name, d, t.DOff, t.DS, s, t.SOff, t.SS)
-		case t.Tree.Leaf:
-			e.gen.printf("%s%s_tw(%s, %d, %d, %s, %d, %d, %s)\n", ind, name, d, t.DOff, t.DS, s, t.SOff, t.SS, e.vecTable(t.Tw))
+			e.printf("%s%s(%s, %d, %d, %s, %d, %d)\n", ind, name, d, t.DOff, t.DS, s, t.SOff, t.SS)
+		case fn.leaf:
+			e.printf("%s%s_tw(%s, %d, %d, %s, %d, %d, %s)\n", ind, name, d, t.DOff, t.DS, s, t.SOff, t.SS, e.vecTable(t.Tw))
 		default:
 			// Composite-root twiddled call: pre-scale the strided gather into
 			// a contiguous scratch block, exactly like the executor.
 			n := t.Tree.N
-			e.gen.printf("%s{\n", ind)
-			e.gen.printf("%s\tpre := make([]complex128, %d)\n", ind, n)
-			e.gen.printf("%s\tfor i := 0; i < %d; i++ {\n", ind, n)
-			e.gen.printf("%s\t\tpre[i] = %s[%d+i*%d] * %s[i]\n", ind, s, t.SOff, t.SS, e.vecTable(t.Tw))
-			e.gen.printf("%s\t}\n", ind)
-			e.gen.printf("%s\t%s(%s, %d, %d, pre, 0, 1)\n", ind, name, d, t.DOff, t.DS)
-			e.gen.printf("%s}\n", ind)
+			e.printf("%s{\n", ind)
+			e.printf("%s\tpre := make([]complex128, %d)\n", ind, n)
+			e.printf("%s\tfor i := 0; i < %d; i++ {\n", ind, n)
+			e.printf("%s\t\tpre[i] = %s[%d+i*%d] * %s[i]\n", ind, s, t.SOff, t.SS, e.vecTable(t.Tw))
+			e.printf("%s\t}\n", ind)
+			e.printf("%s\t%s(%s, %d, %d, pre, 0, 1)\n", ind, name, d, t.DOff, t.DS)
+			e.printf("%s}\n", ind)
 		}
 	case ir.WHTCall:
-		e.gen.printf("%swhtRows(%s, %d, %d, %s, %d, %d, %d, %d)\n",
+		e.printf("%swhtRows(%s, %d, %d, %s, %d, %d, %d, %d)\n",
 			ind, bufExpr(t.Dst), t.DOff, t.DS, bufExpr(t.Src), t.SOff, t.SS, t.N, t.Width())
 	case ir.Untangle:
-		e.gen.printf("%suntangle(%s, %s, %d, %d, %d, %s)\n",
+		e.printf("%suntangle(%s, %s, %d, %d, %d, %s)\n",
 			ind, bufExpr(t.Dst), bufExpr(t.Src), t.H, t.Lo, t.Hi, e.vecTable(t.W))
 	case ir.Scale:
 		name := e.vecTable(t.W)
-		e.gen.printf("%sfor i := 0; i < %d; i++ {\n", ind, len(t.W))
-		e.gen.printf("%s\t%s[%d+i] = %s[i] * %s[%d+i]\n", ind, bufExpr(t.Dst), t.Off, name, bufExpr(t.Src), t.Off)
-		e.gen.printf("%s}\n", ind)
+		e.printf("%sfor i := 0; i < %d; i++ {\n", ind, len(t.W))
+		e.printf("%s\t%s[%d+i] = %s[i] * %s[%d+i]\n", ind, bufExpr(t.Dst), t.Off, name, bufExpr(t.Src), t.Off)
+		e.printf("%s}\n", ind)
 	case ir.Permute:
 		name := e.permTable(t.Idx)
-		e.gen.printf("%sfor i, s := range %s {\n", ind, name)
-		e.gen.printf("%s\t%s[%d+i] = %s[s]\n", ind, bufExpr(t.Dst), t.Lo, bufExpr(t.Src))
-		e.gen.printf("%s}\n", ind)
+		e.printf("%sfor i, s := range %s {\n", ind, name)
+		e.printf("%s\t%s[%d+i] = %s[s]\n", ind, bufExpr(t.Dst), t.Lo, bufExpr(t.Src))
+		e.printf("%s}\n", ind)
 	case ir.Copy:
-		e.gen.printf("%scopy(%s[%d:%d], %s[%d:%d])\n",
+		e.printf("%scopy(%s[%d:%d], %s[%d:%d])\n",
 			ind, bufExpr(t.Dst), t.DOff, t.DOff+t.N, bufExpr(t.Src), t.SOff, t.SOff+t.N)
 	case ir.Transpose:
-		e.gen.printf("%sfor j := %d; j < %d; j++ {\n", ind, t.Lo, t.Hi)
-		e.gen.printf("%s\tfor i := 0; i < %d; i++ {\n", ind, t.Rows)
-		e.gen.printf("%s\t\t%s[%d+j*%d+i] = %s[%d+i*%d+j]\n",
+		e.printf("%sfor j := %d; j < %d; j++ {\n", ind, t.Lo, t.Hi)
+		e.printf("%s\tfor i := 0; i < %d; i++ {\n", ind, t.Rows)
+		e.printf("%s\t\t%s[%d+j*%d+i] = %s[%d+i*%d+j]\n",
 			ind, bufExpr(t.Dst), t.DOff, t.Rows, bufExpr(t.Src), t.SOff, t.Cols)
-		e.gen.printf("%s\t}\n%s}\n", ind, ind)
+		e.printf("%s\t}\n%s}\n", ind, ind)
 	}
 }

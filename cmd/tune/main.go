@@ -31,6 +31,17 @@ func main() {
 	)
 	flag.Parse()
 	p, mu := &plan.Workers, &plan.Mu
+	if plan.Planner != "fixed" {
+		fmt.Fprintln(os.Stderr, "tune: -planner does not apply; choose the search with -strategy")
+		os.Exit(2)
+	}
+	// newTuner applies the timing flags and -plan-budget to every search.
+	newTuner := func(s search.Strategy) *search.Tuner {
+		t := search.NewTuner(s)
+		t.Timer = timing.Config()
+		t.Budget = plan.Budget
+		return t
+	}
 
 	if *rank {
 		grid, err := parseSizes(*sizes)
@@ -38,21 +49,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		runRank(grid, timing.Config())
+		runRank(grid, newTuner)
 		return
 	}
 
-	if *strategy == "evolve" {
-		runEvolve(*n, timing.MinTime)
-		return
-	}
 	strat, err := cliopts.ParseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	tuner := search.NewTuner(strat)
-	tuner.Timer = timing.Config()
+	tuner := newTuner(strat)
 	if *trace {
 		tuner.Trace = metrics.TraceWriter(os.Stderr)
 	}
@@ -63,7 +69,14 @@ func main() {
 	fmt.Printf("strategy       : %s\n", strat)
 	fmt.Printf("sequential tree: %s\n", seq.Tree.String())
 	fmt.Printf("candidates     : %d\n", seq.Candidates)
-	fmt.Printf("seq runtime    : %v  (%.0f pseudo-Mflop/s)\n", seq.Time, bench.PseudoMflops(*n, seq.Time))
+	switch {
+	case strat == search.StrategyEstimate:
+		fmt.Printf("seq model cost : %v (modeled, not measured)\n", seq.Time)
+	case seq.Time > 0:
+		fmt.Printf("seq runtime    : %v  (%.0f pseudo-Mflop/s)\n", seq.Time, bench.PseudoMflops(*n, seq.Time))
+	default:
+		fmt.Printf("seq runtime    : not measured (-plan-budget spent first)\n")
+	}
 
 	cut := tuner.BestCutoff(*n)
 	fmt.Printf("base-case cut  : ≤%d (%s, %v over %d caps)\n",
@@ -95,8 +108,8 @@ func main() {
 			map[bool]string{true: ", oversubscribed", false: ""}[ps.Oversubscribed])
 	}
 	st := tuner.Stats()
-	fmt.Printf("search work    : %d searches, %d candidates considered, %d measured\n",
-		st.Searches, st.Considered, st.Measured)
+	fmt.Printf("search work    : %d searches, %d candidates considered, %d measured, %d pruned\n",
+		st.Searches, st.Considered, st.Measured, st.Pruned)
 	fmt.Printf("tuning took    : %v\n", time.Since(start))
 }
 
@@ -116,10 +129,9 @@ func parseSizes(s string) ([]int, error) {
 // candidate ranking side by side with measured runtimes: the shortlist the
 // two-stage search would measure is marked, and a divergence note calls out
 // any size where the measured-best tree was ranked outside it.
-func runRank(grid []int, tc search.TimerConfig) {
+func runRank(grid []int, newTuner func(search.Strategy) *search.Tuner) {
 	for _, n := range grid {
-		tuner := search.NewTuner(search.StrategyDP)
-		tuner.Timer = tc
+		tuner := newTuner(search.StrategyDP)
 		ranked := tuner.Ranked(n)
 		if len(ranked) == 0 {
 			fmt.Printf("n=%d: no candidates\n", n)
@@ -160,18 +172,4 @@ func runRank(grid []int, tc search.TimerConfig) {
 			fmt.Printf("  divergence: measured best ranked #%d, outside the top-%d shortlist\n", best+1, k)
 		}
 	}
-}
-
-// runEvolve runs the STEER-style evolutionary search (paper ref. [24]).
-func runEvolve(n int, minTime time.Duration) {
-	start := time.Now()
-	res := search.Evolve(n, search.EvolveConfig{
-		Timer: search.TimerConfig{MinTime: minTime, Repeats: 3},
-	})
-	fmt.Printf("size           : %d\n", n)
-	fmt.Printf("strategy       : evolutionary (STEER-style)\n")
-	fmt.Printf("best tree      : %s\n", res.Tree.String())
-	fmt.Printf("evaluations    : %d over %d generations\n", res.Evaluations, res.Generations)
-	fmt.Printf("runtime        : %v  (%.0f pseudo-Mflop/s)\n", res.Time, bench.PseudoMflops(n, res.Time))
-	fmt.Printf("tuning took    : %v\n", time.Since(start))
 }

@@ -56,7 +56,13 @@ func TestCommandLineTools(t *testing.T) {
 		{
 			name: "tune-evolve",
 			args: []string{"run", "./cmd/tune", "-n", "128", "-strategy", "evolve", "-mintime", "50us"},
-			want: []string{"evolutionary", "best tree"},
+			want: []string{"strategy       : evolve", "sequential tree"},
+		},
+		{
+			// -plan-budget bounds every search: spent at once, nothing is timed.
+			name: "tune-plan-budget",
+			args: []string{"run", "./cmd/tune", "-n", "1024", "-p", "2", "-plan-budget", "1ns"},
+			want: []string{"sequential tree", ", 0 measured,"},
 		},
 		{
 			name: "verify-selftest",
@@ -97,6 +103,18 @@ func TestCommandLineTools(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTuneRejectsPlannerFlag: tune chooses its search with -strategy, so a
+// -planner other than the default is an error, not silently ignored.
+func TestTuneRejectsPlannerFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cmd integration skipped in -short mode")
+	}
+	out, err := exec.Command("go", "run", "./cmd/tune", "-n", "64", "-planner", "measure").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "exit status 2") || !strings.Contains(string(out), "-strategy") {
+		t.Errorf("tune -planner measure: err %v, output:\n%s", err, out)
 	}
 }
 

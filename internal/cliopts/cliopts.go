@@ -106,6 +106,8 @@ func ParseStrategy(name string) (search.Strategy, error) {
 		return search.StrategyExhaustive, nil
 	case "random":
 		return search.StrategyRandom, nil
+	case "evolve":
+		return search.StrategyEvolve, nil
 	}
-	return 0, fmt.Errorf("unknown strategy %q (want dp | estimate | exhaustive | random)", name)
+	return 0, fmt.Errorf("unknown strategy %q (want dp | estimate | exhaustive | random | evolve)", name)
 }

@@ -58,7 +58,7 @@ func TestParseStrategy(t *testing.T) {
 	cases := map[string]search.Strategy{
 		"dp": search.StrategyDP, "": search.StrategyDP,
 		"estimate": search.StrategyEstimate, "exhaustive": search.StrategyExhaustive,
-		"random": search.StrategyRandom,
+		"random": search.StrategyRandom, "evolve": search.StrategyEvolve,
 	}
 	for name, want := range cases {
 		got, err := ParseStrategy(name)

@@ -65,14 +65,13 @@ type Params struct {
 	SpawnCycles float64
 	// LineTransferCycles is one cache-line ping-pong (false-sharing event).
 	LineTransferCycles float64
-	// TraceLimit bounds the transform size whose lowered IR program is traced
-	// through cachesim when scoring parallel splits; beyond it the schedule
-	// is assumed false-sharing-free and balanced (which the block schedule's
-	// pµ-divisibility condition guarantees). 0 means the default.
-	TraceLimit int
 }
 
-const defaultTraceLimit = 1 << 16
+// traceLimit bounds the transform size whose lowered IR program is traced
+// through cachesim when scoring parallel splits; beyond it the schedule is
+// assumed false-sharing-free and balanced (which the block schedule's
+// pµ-divisibility condition guarantees).
+const traceLimit = 1 << 16
 
 // withDefaults fills zero fields with safe generic values.
 func (p Params) withDefaults() Params {
@@ -115,36 +114,12 @@ func (p Params) withDefaults() Params {
 	if p.LineTransferCycles <= 0 {
 		p.LineTransferCycles = 100
 	}
-	if p.TraceLimit <= 0 {
-		p.TraceLimit = defaultTraceLimit
-	}
 	return p
-}
-
-// FromPlatform derives model parameters from one of the paper's evaluation
-// platforms (so the model can be asked "how would this tree rank on the
-// Xeon MP" without the hardware).
-func FromPlatform(pl machine.Platform) Params {
-	return Params{
-		Cores:              pl.P,
-		Mu:                 pl.Mu,
-		FreqGHz:            pl.FreqGHz,
-		FlopsPerCycle:      pl.FlopsPerCycle,
-		L1Bytes:            pl.L1KB << 10,
-		L2Bytes:            pl.L2KB << 10,
-		SharedL2:           pl.SharedL2,
-		L2LineCycles:       10,
-		MemLineCycles:      64 * pl.FreqGHz / pl.MemGBs,
-		BarrierCycles:      pl.BarrierCycles,
-		SpawnCycles:        pl.SpawnCycles,
-		LineTransferCycles: pl.LineTransferCycles,
-	}.withDefaults()
 }
 
 // HostParams guesses parameters for the current host: the visible CPU count
 // with generic cache and overhead constants. Ranking, not absolute accuracy,
-// is the goal, so the generic constants suffice; platform-specific parameters
-// come from FromPlatform.
+// is the goal, so the generic constants suffice.
 func HostParams() Params {
 	return Params{Cores: machine.Host().NumCPU}.withDefaults()
 }
@@ -318,7 +293,7 @@ func (m *Model) Parallel(n, mSplit, p int, left, right *exec.Tree) float64 {
 
 	imbalance := 1.0
 	sharing := 0.0
-	if n <= pr.TraceLimit {
+	if n <= traceLimit {
 		prog, err := ir.LowerCT(n, mSplit, ir.CTConfig{
 			P: p, Mu: pr.Mu, LeftTree: left, RightTree: right,
 		})
@@ -463,8 +438,9 @@ func (s Scored) Duration() time.Duration {
 	return time.Duration(s.Cost)
 }
 
-// Rank scores the candidates and returns them cheapest-first. Ties break by
-// tree string, so the ranking is deterministic.
+// Rank scores the candidates and returns them cheapest-first. Ties keep
+// their input order, as in the tuner's search loop, so the ranking is
+// deterministic.
 func (m *Model) Rank(trees []*exec.Tree) []Scored {
 	out := make([]Scored, 0, len(trees))
 	for _, t := range trees {
@@ -473,25 +449,6 @@ func (m *Model) Rank(trees []*exec.Tree) []Scored {
 		}
 		out = append(out, Scored{Tree: t, Cost: m.Tree(t)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost < out[j].Cost
-		}
-		return out[i].Tree.String() < out[j].Tree.String()
-	})
-	return out
-}
-
-// TopK returns the k cheapest candidates by modeled cost (all of them when
-// k ≤ 0 or k ≥ len).
-func (m *Model) TopK(trees []*exec.Tree, k int) []*exec.Tree {
-	ranked := m.Rank(trees)
-	if k > 0 && k < len(ranked) {
-		ranked = ranked[:k]
-	}
-	out := make([]*exec.Tree, len(ranked))
-	for i, s := range ranked {
-		out[i] = s.Tree
-	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
 	return out
 }

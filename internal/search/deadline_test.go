@@ -185,3 +185,21 @@ func TestTuneParallelCtxBudget(t *testing.T) {
 		t.Errorf("choice tree %q not parseable: %v", c.Tree, err)
 	}
 }
+
+// TestExpiredSearchDoesNotRecurse: once the deadline has passed, a size not
+// yet searched gets the radix tree at once. Searching it anyway enumerated
+// every split's sub-searches, none memoized under an expired deadline, so
+// the work grew as 3^log2(n) (1.6 million searches at 2^14).
+func TestExpiredSearchDoesNotRecurse(t *testing.T) {
+	for _, s := range []Strategy{StrategyDP, StrategyEstimate} {
+		tu := NewTuner(s)
+		tu.Budget = time.Nanosecond
+		r := tu.BestTree(1 << 14)
+		if r.Tree.String() != exec.RadixTree(1<<14).String() {
+			t.Errorf("%s: expired search returned %s, want the radix tree", s, r.Tree)
+		}
+		if st := tu.Stats(); st.Searches != 0 || st.Considered != 0 {
+			t.Errorf("%s: expired search did %d searches over %d candidates", s, st.Searches, st.Considered)
+		}
+	}
+}

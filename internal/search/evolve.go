@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"time"
 
-	"spiralfft/internal/codelet"
 	"spiralfft/internal/exec"
 )
 
@@ -13,143 +12,70 @@ import (
 // by subtree crossover and re-split mutation under measured-runtime fitness
 // with tournament selection and elitism.
 
-// EvolveConfig controls the evolutionary search.
-type EvolveConfig struct {
-	// Population size (default 16).
-	Population int
-	// Generations to run (default 8).
-	Generations int
-	// TournamentK is the tournament size for parent selection (default 3).
-	TournamentK int
-	// MutationRate is the per-offspring probability of a re-split mutation
-	// (default 0.3).
-	MutationRate float64
-	// Seed makes the search deterministic (default 1).
-	Seed int64
-	// Timer configures fitness measurement.
-	Timer TimerConfig
-}
+const (
+	evolvePopulation   = 16
+	evolveGenerations  = 8
+	evolveTournament   = 3
+	evolveMutationRate = 0.3
+)
 
-func (c EvolveConfig) withDefaults() EvolveConfig {
-	if c.Population <= 0 {
-		c.Population = 16
-	}
-	if c.Generations <= 0 {
-		c.Generations = 8
-	}
-	if c.TournamentK <= 0 {
-		c.TournamentK = 3
-	}
-	if c.MutationRate <= 0 {
-		c.MutationRate = 0.3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// EvolveResult reports the winning tree and search statistics.
-type EvolveResult struct {
-	Tree        *exec.Tree
-	Time        time.Duration
-	Evaluations int
-	Generations int
-}
-
-// Evolve runs the evolutionary search for DFT_n.
-func Evolve(n int, cfg EvolveConfig) EvolveResult {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// evolve runs the evolutionary search for DFT_n. Every fitness is one
+// measurement through the tuner, so the search stops with the champion so
+// far once the deadline expires; Candidates counts the distinct trees timed.
+func (t *Tuner) evolve(n int) Result {
+	var best Result
 	fitness := make(map[string]time.Duration)
-	evals := 0
-	measure := func(t *exec.Tree) time.Duration {
-		key := t.String()
+	fit := func(tr *exec.Tree) time.Duration {
+		key := tr.String()
 		if d, ok := fitness[key]; ok {
 			return d
 		}
-		s, err := exec.NewSeq(t)
-		var d time.Duration
-		if err != nil {
-			d = 1<<62 - 1
-		} else {
-			x := make([]complex128, n)
-			y := make([]complex128, n)
-			scratch := s.NewScratch()
-			d = Measure(func() { s.Transform(y, x, scratch) }, cfg.Timer)
-			evals++
+		d := unmeasured
+		if _, md, ok := pick(t, []*exec.Tree{tr}, treeScan(n)); ok {
+			d = md
+			best.Candidates++
 		}
 		fitness[key] = d
 		return d
 	}
-
-	pop := make([]*exec.Tree, cfg.Population)
+	pop := make([]*exec.Tree, evolvePopulation)
 	for i := range pop {
-		pop[i] = randTree(n, rng)
+		pop[i] = t.randomTree(n)
 	}
-
-	best := pop[0]
-	bestTime := measure(best)
-	for gen := 0; gen < cfg.Generations; gen++ {
-		// Evaluate and track the champion.
-		for _, t := range pop {
-			if d := measure(t); d < bestTime {
-				best, bestTime = t, d
+	for gen := 0; ; gen++ {
+		for _, tr := range pop {
+			if d := fit(tr); d < unmeasured && (best.Tree == nil || d < best.Time) {
+				best.Tree, best.Time = tr, d
 			}
 		}
-		// Produce the next generation: elite + offspring.
-		next := []*exec.Tree{best}
-		for len(next) < cfg.Population {
-			a := tournament(pop, cfg.TournamentK, rng, measure)
-			b := tournament(pop, cfg.TournamentK, rng, measure)
-			child := crossoverTrees(a, b, rng)
-			if rng.Float64() < cfg.MutationRate {
-				child = mutateTree(child, rng)
+		if gen == evolveGenerations || best.Tree == nil || t.expired() {
+			break
+		}
+		// The next generation: the champion plus offspring.
+		next := []*exec.Tree{best.Tree}
+		for len(next) < evolvePopulation {
+			a := tournament(pop, t.rng, fit)
+			b := tournament(pop, t.rng, fit)
+			child := crossoverTrees(a, b, t.rng)
+			if t.rng.Float64() < evolveMutationRate {
+				child = t.mutateTree(child)
 			}
 			next = append(next, child)
 		}
 		pop = next
 	}
-	for _, t := range pop {
-		if d := measure(t); d < bestTime {
-			best, bestTime = t, d
-		}
-	}
-	return EvolveResult{Tree: best, Time: bestTime, Evaluations: evals, Generations: cfg.Generations}
+	return best
 }
 
-func tournament(pop []*exec.Tree, k int, rng *rand.Rand, fit func(*exec.Tree) time.Duration) *exec.Tree {
+func tournament(pop []*exec.Tree, rng *rand.Rand, fit func(*exec.Tree) time.Duration) *exec.Tree {
 	best := pop[rng.Intn(len(pop))]
-	for i := 1; i < k; i++ {
+	for i := 1; i < evolveTournament; i++ {
 		c := pop[rng.Intn(len(pop))]
 		if fit(c) < fit(best) {
 			best = c
 		}
 	}
 	return best
-}
-
-// randTree builds a random factorization tree for n.
-func randTree(n int, rng *rand.Rand) *exec.Tree {
-	if codelet.HasUnrolled(n) && (rng.Intn(2) == 0 || n <= 4) {
-		return exec.LeafTree(n)
-	}
-	divs := properDivisors(n)
-	if len(divs) == 0 {
-		return exec.LeafTree(n)
-	}
-	m := divs[rng.Intn(len(divs))]
-	return exec.SplitTree(randTree(m, rng), randTree(n/m, rng))
-}
-
-func properDivisors(n int) []int {
-	var divs []int
-	for d := 2; d*2 <= n; d++ {
-		if n%d == 0 {
-			divs = append(divs, d)
-		}
-	}
-	return divs
 }
 
 // subtrees collects every node of t (pre-order).
@@ -201,8 +127,8 @@ func crossoverTrees(a, b *exec.Tree, rng *rand.Rand) *exec.Tree {
 }
 
 // mutateTree re-splits a random subtree with a fresh random factorization.
-func mutateTree(t *exec.Tree, rng *rand.Rand) *exec.Tree {
-	subs := subtrees(t)
-	pos := subs[rng.Intn(len(subs))]
-	return replaceSubtree(t, pos, randTree(pos.N, rng))
+func (t *Tuner) mutateTree(tr *exec.Tree) *exec.Tree {
+	subs := subtrees(tr)
+	pos := subs[t.rng.Intn(len(subs))]
+	return replaceSubtree(tr, pos, t.randomTree(pos.N))
 }

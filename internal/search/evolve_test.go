@@ -8,21 +8,24 @@ import (
 	"spiralfft/internal/exec"
 )
 
-func evolveCfg() EvolveConfig {
-	return EvolveConfig{
-		Population:  8,
-		Generations: 3,
-		Timer:       TimerConfig{MinTime: 20 * time.Microsecond, Repeats: 1},
-		Seed:        7,
-	}
+func evolveTuner() *Tuner {
+	tu := NewTuner(StrategyEvolve)
+	tu.Timer = fastTimer
+	return tu
 }
 
 func TestEvolveFindsValidTree(t *testing.T) {
 	for _, n := range []int{64, 256, 360} {
-		res := Evolve(n, evolveCfg())
+		tu := evolveTuner()
+		res := tu.BestTree(n)
 		checkTree(t, res.Tree, n, "evolve")
-		if res.Time <= 0 || res.Evaluations == 0 || res.Generations != 3 {
-			t.Errorf("n=%d: stats %+v", n, res)
+		if res.Time <= 0 || res.Candidates == 0 {
+			t.Errorf("n=%d: result %+v", n, res)
+		}
+		// Each distinct tree is timed once: the measurements are the
+		// candidates, and there are no more than the generations can breed.
+		if st := tu.Stats(); st.Measured != int64(res.Candidates) || res.Candidates > evolvePopulation*(evolveGenerations+1) {
+			t.Errorf("n=%d: %d measured, %d candidates", n, st.Measured, res.Candidates)
 		}
 	}
 }
@@ -32,8 +35,8 @@ func TestEvolveIsDeterministicForSeed(t *testing.T) {
 	// (random trees, crossover positions) is seeded; with one repeat and a
 	// warm machine, at minimum the result must be a valid tree of the right
 	// size both times.
-	a := Evolve(128, evolveCfg())
-	b := Evolve(128, evolveCfg())
+	a := evolveTuner().BestTree(128)
+	b := evolveTuner().BestTree(128)
 	if a.Tree.N != 128 || b.Tree.N != 128 {
 		t.Error("evolve returned wrong sizes")
 	}
@@ -43,29 +46,43 @@ func TestEvolveBeatsWorstRandomTree(t *testing.T) {
 	// The evolved tree should not be slower than a deliberately bad tree
 	// (fully right-recursive radix-2 for a size with big codelets).
 	n := 1024
-	res := Evolve(n, EvolveConfig{
-		Population:  10,
-		Generations: 4,
-		Timer:       TimerConfig{MinTime: 100 * time.Microsecond, Repeats: 3},
-		Seed:        3,
-	})
+	tu := NewTuner(StrategyEvolve)
+	tu.Timer = TimerConfig{MinTime: 100 * time.Microsecond, Repeats: 3}
+	res := tu.BestTree(n)
 	bad := exec.LeafTree(2)
 	for bad.N < n {
 		bad = exec.SplitTree(exec.LeafTree(2), bad)
 	}
-	tu := NewTuner(StrategyDP)
-	tu.Timer = TimerConfig{MinTime: 100 * time.Microsecond, Repeats: 3}
-	badTime := tu.measureTree(bad)
+	badTime := tu.MeasureTree(bad)
 	if res.Time > badTime*3/2 {
 		t.Errorf("evolved tree %s (%v) much slower than radix-2 chain (%v)", res.Tree, res.Time, badTime)
 	}
 }
 
+// Evolution stops at the tuner's Budget: a search whose every measurement
+// takes milliseconds returns inside a budget of a few of them, with the
+// champion found so far or the radix fallback.
+func TestEvolveStopsAtBudget(t *testing.T) {
+	tu := NewTuner(StrategyEvolve)
+	tu.Timer = TimerConfig{MinTime: 2 * time.Millisecond, Repeats: 3}
+	tu.Budget = 10 * time.Millisecond
+	start := time.Now()
+	res := tu.BestTree(1 << 12)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("10ms-budget evolution took %v", elapsed)
+	}
+	checkTree(t, res.Tree, 1<<12, "budgeted evolve")
+	if st := tu.Stats(); st.Measured >= evolvePopulation {
+		t.Errorf("budgeted evolution measured %d trees, a full population is %d", st.Measured, evolvePopulation)
+	}
+}
+
 func TestCrossoverProducesValidTrees(t *testing.T) {
+	tu := NewTuner(StrategyEvolve)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
-		a := randTree(256, rng)
-		b := randTree(256, rng)
+		a := tu.randomTree(256)
+		b := tu.randomTree(256)
 		c := crossoverTrees(a, b, rng)
 		if c.N != 256 {
 			t.Fatalf("crossover size %d", c.N)
@@ -77,10 +94,10 @@ func TestCrossoverProducesValidTrees(t *testing.T) {
 }
 
 func TestMutateProducesValidTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tr := randTree(720, rng)
+	tu := NewTuner(StrategyEvolve)
+	tr := tu.randomTree(720)
 	for i := 0; i < 50; i++ {
-		tr = mutateTree(tr, rng)
+		tr = tu.mutateTree(tr)
 		if tr.N != 720 {
 			t.Fatalf("mutation size %d", tr.N)
 		}
@@ -102,21 +119,5 @@ func TestReplaceSubtreeByIdentity(t *testing.T) {
 	same := replaceSubtree(a, other, repl)
 	if same.String() != a.String() {
 		t.Errorf("phantom replace changed tree: %s", same.String())
-	}
-}
-
-func TestProperDivisors(t *testing.T) {
-	got := properDivisors(12)
-	want := []int{2, 3, 4, 6}
-	if len(got) != len(want) {
-		t.Fatalf("divisors of 12 = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("divisors of 12 = %v", got)
-		}
-	}
-	if len(properDivisors(7)) != 0 {
-		t.Error("7 has proper divisors?")
 	}
 }

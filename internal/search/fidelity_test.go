@@ -14,7 +14,7 @@ import (
 // candidate list must contain a tree whose measured runtime is within 10% of
 // the measured-best candidate — i.e. pruning to the model's shortlist cannot
 // cost more than the acceptance tolerance. The full-measurement DP tuner
-// (model disabled) is the oracle the shortlist is judged against.
+// (pruning disabled) is the oracle the shortlist is judged against.
 //
 // The comparison is min-of-trials and interleaved so clock drift hits every
 // candidate equally; a membership hit by tree identity short-circuits the
@@ -30,9 +30,9 @@ func TestAnalyticTopKContainsMeasuredBest(t *testing.T) {
 	}
 	for _, n := range sizes {
 		n := n
-		// Oracle: measure every candidate (two-stage disabled), budget-bounded.
+		// Oracle: measure every candidate (pruning disabled), budget-bounded.
 		full := NewTuner(StrategyDP)
-		full.Model = nil
+		full.TopK = 0
 		full.Timer = TimerConfig{MinTime: 100 * time.Microsecond, Repeats: 3}
 		full.Budget = 30 * time.Second
 		oracle := full.BestTree(n)

@@ -131,46 +131,49 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 	t.beginSearch(ctx)
 	defer t.endSearch()
 	t.stats.Searches++
-	cands := RankFourStep(t.Model, n, p, mu)
-	if len(cands) == 0 {
+	ranked := RankFourStep(t.Model, n, p, mu)
+	if len(ranked) == 0 {
 		return FourStepChoice{}, fmt.Errorf("search: no admissible four-step split for n=%d p=%d µ=%d", n, p, mu)
 	}
 	k := t.TopK
 	if k <= 0 || k > FourStepTopK {
 		k = FourStepTopK
 	}
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for _, c := range cands[k:] {
-		t.stats.Considered++
-		t.stats.Pruned++
-		t.trace("fourstep-pruned", n, fmt.Sprintf("%d·%d tile=%d", c.N1, n/c.N1, c.Tile), time.Duration(c.Score))
-	}
 
-	type built struct {
+	// A candidate's program and executor are built on first timing.
+	type cand struct {
+		FourStepCandidate
 		prog     *ir.Program
 		exe      *ir.Executor
 		col, row *exec.Tree
 	}
-	build := func(c FourStepCandidate) (built, error) {
+	var x, y []complex128
+	build := func(c *cand) error {
 		var be smp.Backend
 		if p > 1 {
 			be = backend
 		}
-		col := t.bestTree(n / c.N1).Tree
-		row := t.bestTree(c.N1).Tree
+		c.col = t.bestTree(n / c.N1).Tree
+		c.row = t.bestTree(c.N1).Tree
 		prog, err := finish.Apply(ir.LowerFourStep(n, c.N1, ir.FourStepConfig{
-			P: p, Mu: mu, Tile: c.Tile, ColTree: col, RowTree: row,
+			P: p, Mu: mu, Tile: c.Tile, ColTree: c.col, RowTree: c.row,
 		}))
 		if err != nil {
-			return built{}, err
+			return err
 		}
-		exe, err := ir.NewExecutor(prog, be)
-		if err != nil {
-			return built{}, err
+		if c.exe, err = ir.NewExecutor(prog, be); err != nil {
+			return err
 		}
-		return built{prog: prog, exe: exe, col: col, row: row}, nil
+		c.prog = prog
+		if x == nil {
+			x = complexvec.Random(prog.BufLen(ir.BufSrc), 5)
+			y = make([]complex128, prog.BufLen(ir.BufDst))
+		}
+		return nil
+	}
+	cands := make([]*cand, len(ranked))
+	for i, c := range ranked {
+		cands[i] = &cand{FourStepCandidate: c}
 	}
 
 	// At the sizes this tier serves one transform already exceeds MinTime, so
@@ -181,48 +184,33 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 	if cfg.Repeats == 0 {
 		cfg.Repeats = 1
 	}
-
-	best := FourStepChoice{N: n, Candidates: len(cands)}
-	var x, y []complex128
-	for _, c := range cands[:k] {
-		if t.expired() {
-			break
-		}
-		b, err := build(c)
-		if err != nil {
-			continue
-		}
-		if x == nil {
-			x = complexvec.Random(b.prog.BufLen(ir.BufSrc), 5)
-			y = make([]complex128, b.prog.BufLen(ir.BufDst))
-		}
-		mctx, cancel := t.measureContext()
-		d := MeasureCtx(mctx, func() { b.exe.Transform(y, x) }, cfg)
-		cancel()
-		t.stats.Considered++
-		t.stats.Measured++
-		t.trace("fourstep-candidate", n, fmt.Sprintf("%d·%d tile=%d", c.N1, n/c.N1, c.Tile), d)
-		if best.Exe == nil || d < best.Time {
-			best.Prog, best.Exe = b.prog, b.exe
-			best.ColTree, best.RowTree = b.col, b.row
-			best.N1, best.Tile = c.N1, c.Tile
-			best.Time, best.Measured = d, true
-		}
-	}
-	if best.Exe == nil {
+	win, d, ok := pick(t, cands, scan[*cand]{
+		kind:  "fourstep-",
+		n:     n,
+		label: func(c *cand) string { return fmt.Sprintf("%d·%d tile=%d", c.N1, n/c.N1, c.Tile) },
+		score: func(c *cand) float64 { return c.Score },
+		topK:  k,
+		build: func(c *cand) (func(), error) {
+			if err := build(c); err != nil {
+				return nil, err
+			}
+			return func() { c.exe.Transform(y, x) }, nil
+		},
+		timer: cfg,
+	})
+	if !ok {
 		// Budget expired (or every shortlisted build failed) before a
 		// measurement: build the model's top-ranked candidate unmeasured.
 		// bestTree inside build degrades to the radix fallback under the same
 		// expired deadline, so this path stays fast.
-		c := cands[0]
-		b, err := build(c)
-		if err != nil {
-			return FourStepChoice{}, fmt.Errorf("search: four-step fallback build n=%d n1=%d: %w", n, c.N1, err)
+		win, d = cands[0], modeled(cands[0].Score)
+		if err := build(win); err != nil {
+			return FourStepChoice{}, fmt.Errorf("search: four-step fallback build n=%d n1=%d: %w", n, win.N1, err)
 		}
-		best.Prog, best.Exe = b.prog, b.exe
-		best.ColTree, best.RowTree = b.col, b.row
-		best.N1, best.Tile = c.N1, c.Tile
-		best.Time = time.Duration(c.Score)
+	}
+	best := FourStepChoice{
+		N: n, N1: win.N1, Tile: win.Tile, Prog: win.prog, Exe: win.exe,
+		ColTree: win.col, RowTree: win.row, Time: d, Measured: ok, Candidates: len(cands),
 	}
 	t.trace("fourstep-winner", n, fmt.Sprintf("%d·%d tile=%d", best.N1, n/best.N1, best.Tile), best.Time)
 	return best, nil

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -34,20 +35,19 @@ const (
 	StrategyExhaustive
 	// StrategyRandom samples random trees and keeps the fastest.
 	StrategyRandom
+	// StrategyEvolve evolves a population of random trees by crossover and
+	// mutation under measured fitness (STEER, ref. [24] of the paper).
+	StrategyEvolve
 )
+
+var strategyNames = [...]string{"dp", "estimate", "exhaustive", "random", "evolve"}
 
 // String names the strategy.
 func (s Strategy) String() string {
-	switch s {
-	case StrategyDP:
-		return "dp"
-	case StrategyEstimate:
-		return "estimate"
-	case StrategyExhaustive:
-		return "exhaustive"
-	default:
-		return "random"
+	if s < 0 || int(s) >= len(strategyNames) {
+		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+	return strategyNames[s]
 }
 
 // Tuner searches the factorization space. It memoizes per-size results, so
@@ -59,12 +59,12 @@ type Tuner struct {
 	// Model is the analytic cost model behind the two-stage search: before
 	// any candidate is measured, the model ranks the full candidate list and
 	// only the TopK cheapest are timed. NewTuner installs the host-default
-	// model; set nil to disable ranking (every candidate is measured, the
-	// pre-model behavior). StrategyExhaustive ignores the model and stays a
-	// full-measurement oracle.
+	// model. StrategyExhaustive, StrategyRandom and StrategyEvolve do not
+	// rank: they measure every tree they generate.
 	Model *cost.Model
 	// TopK bounds how many ranked candidates are measured per size (default
-	// DefaultTopK; ≤ 0 disables pruning).
+	// DefaultTopK; ≤ 0 disables pruning, except that the four-step search
+	// still measures at most FourStepTopK).
 	TopK int
 	// RandomSamples bounds StrategyRandom (default 30).
 	RandomSamples int
@@ -96,7 +96,8 @@ type TunerStats struct {
 	// Searches counts BestTree cache misses (one search per size) plus
 	// TuneParallel calls.
 	Searches int64
-	// Considered counts candidate trees examined across all searches.
+	// Considered counts candidate trees examined across all searches: each
+	// one measured, pruned, or (StrategyEstimate) modeled.
 	Considered int64
 	// Measured counts candidates timed by running the actual plan (as
 	// opposed to modeled analytically).
@@ -209,129 +210,186 @@ func (t *Tuner) bestTree(n int) Result {
 	if r, ok := t.memo[n]; ok {
 		return r
 	}
+	if t.expired() {
+		// Out of time before this size was searched: the balanced radix tree
+		// is always admissible and a sound untuned default. Searching anyway
+		// would only enumerate candidates, and without the memo (truncated
+		// results are not kept) the recursion over the factors' factors
+		// grows exponentially.
+		return Result{Tree: exec.RadixTree(n)}
+	}
 	t.stats.Searches++
 	var r Result
-	switch t.Strategy {
-	case StrategyEstimate:
-		r = t.estimate(n)
-	case StrategyExhaustive:
-		r = t.exhaustive(n)
-	case StrategyRandom:
-		r = t.random(n)
-	default:
-		r = t.dp(n)
+	if t.Strategy == StrategyEvolve {
+		r = t.evolve(n)
+	} else {
+		cands, s := t.treeSearch(n)
+		r.Tree, r.Time, _ = pick(t, cands, s)
+		r.Candidates = len(cands)
 	}
 	if r.Tree == nil {
-		// Deadline preempted every candidate: the balanced radix tree is
-		// always admissible and a sound untuned default.
+		// The deadline preempted every candidate.
 		r.Tree = exec.RadixTree(n)
 	}
 	if !t.expired() {
 		t.memo[n] = r
 	}
-	if r.Tree != nil {
-		t.trace("winner", n, r.Tree.String(), r.Time)
-	}
+	t.trace("winner", n, r.Tree.String(), r.Time)
 	return r
 }
 
-// dp: best tree for n = min over splits m·k of the tree combining the best
-// trees of m and k. Two-stage: the analytic model ranks the candidates and
-// only the top-k are measured by running the actual subplan.
-func (t *Tuner) dp(n int) Result {
-	candidates := t.candidateTrees(n, func(m, k int) (*exec.Tree, *exec.Tree) {
-		return t.bestTree(m).Tree, t.bestTree(k).Tree
-	})
-	best := Result{Candidates: len(candidates)}
-	for _, tr := range t.shortlist(candidates) {
+// pick is the tuner's one search loop, behind every decision it makes:
+// rank the candidates with the model, shortlist the cheapest, time each
+// survivor under the search deadline and keep the fastest. It holds the
+// package's only Measured and Pruned counts, and every candidate it times,
+// prunes or models emits exactly one trace event. It ranks cands in place.
+// ok is false when no
+// candidate was timed (the deadline expired first or every build failed);
+// each caller then falls back to its own default.
+func pick[C any](t *Tuner, cands []C, s scan[C]) (best C, d time.Duration, ok bool) {
+	var scores []float64
+	if s.score != nil {
+		scores = make([]float64, len(cands))
+		for i, c := range cands {
+			scores[i] = s.score(c)
+		}
+		// Stable, so model ties keep candidate order.
+		sort.Stable(byScore[C]{cands, scores})
+	}
+	if s.build == nil {
+		for i, c := range cands {
+			t.stats.Considered++
+			t.trace(s.kind+"candidate", s.n, s.label(c), modeled(scores[i]))
+		}
+		if len(cands) == 0 {
+			return best, 0, false
+		}
+		return cands[0], modeled(scores[0]), true
+	}
+	if s.topK > 0 && len(cands) > s.topK {
+		for i, c := range cands[s.topK:] {
+			t.stats.Considered++
+			t.stats.Pruned++
+			t.trace(s.kind+"pruned", s.n, s.label(c), modeled(scores[s.topK+i]))
+		}
+		cands = cands[:s.topK]
+	}
+	timer := s.timer
+	if timer == (TimerConfig{}) {
+		timer = t.Timer
+	}
+	for _, c := range cands {
 		if t.expired() {
 			break
 		}
-		d := t.measureTree(tr)
-		if best.Tree == nil || d < best.Time {
-			best.Tree, best.Time = tr, d
-		}
-	}
-	return best
-}
-
-// shortlist ranks candidates analytically and returns the TopK cheapest for
-// measurement. Without a model (or with pruning disabled) every candidate is
-// measured. Pruned candidates still count as Considered and emit a "pruned"
-// trace event carrying their modeled cost.
-func (t *Tuner) shortlist(candidates []*exec.Tree) []*exec.Tree {
-	if t.Model == nil || t.TopK <= 0 || len(candidates) <= t.TopK {
-		return candidates
-	}
-	ranked := t.Model.Rank(candidates)
-	out := make([]*exec.Tree, 0, t.TopK)
-	for i, s := range ranked {
-		if i < t.TopK {
-			out = append(out, s.Tree)
+		run, err := s.build(c)
+		if err != nil {
 			continue
 		}
+		ctx, cancel := t.measureContext()
+		cd := MeasureCtx(ctx, run, timer)
+		cancel()
 		t.stats.Considered++
-		t.stats.Pruned++
-		t.trace("pruned", s.Tree.N, s.Tree.String(), s.Duration())
+		t.stats.Measured++
+		t.trace(s.kind+"candidate", s.n, s.label(c), cd)
+		if !ok || cd < d {
+			best, d, ok = c, cd, true
+		}
 	}
-	return out
+	return best, d, ok
 }
 
-// estimate: same candidate set, analytic cost model only — no measurement.
-func (t *Tuner) estimate(n int) Result {
-	candidates := t.candidateTrees(n, func(m, k int) (*exec.Tree, *exec.Tree) {
-		return t.bestTree(m).Tree, t.bestTree(k).Tree
-	})
-	best := Result{Candidates: len(candidates)}
-	for _, tr := range candidates {
-		if t.expired() {
-			break
-		}
-		t.stats.Considered++
-		var c time.Duration
-		if t.Model != nil {
-			c = t.Model.TreeDuration(tr)
-		} else {
-			c = time.Duration(ModelCost(tr))
-		}
-		t.trace("candidate", tr.N, tr.String(), c)
-		if best.Tree == nil || c < best.Time {
-			best.Tree, best.Time = tr, c
-		}
-	}
-	return best
+// scan describes one search to pick: how candidates of type C are named,
+// scored and timed.
+type scan[C any] struct {
+	// kind prefixes the trace event kinds: "" for the tree searches, or
+	// "cutoff-", "parallel-", "fourstep-".
+	kind string
+	n    int
+	// label names a candidate in its trace event.
+	label func(C) string
+	// score is a candidate's modeled cost in nanoseconds. With a score pick
+	// ranks the candidates cheapest first; without one it keeps their order
+	// and prunes nothing.
+	score func(C) float64
+	// topK bounds how many ranked candidates are timed (≤ 0: all of them).
+	topK int
+	// build readies a candidate and returns the call to time. Without one
+	// the search is model-only (and needs a score): nothing runs and the
+	// cheapest candidate wins.
+	build func(C) (func(), error)
+	// timer, when non-zero, replaces Tuner.Timer.
+	timer TimerConfig
 }
 
-// exhaustive: measure every binary tree over every divisor split.
-func (t *Tuner) exhaustive(n int) Result {
-	trees := allTrees(n, make(map[int][]*exec.Tree))
-	best := Result{Candidates: len(trees)}
-	for _, tr := range trees {
-		if t.expired() {
-			break
-		}
-		d := t.measureTree(tr)
-		if best.Tree == nil || d < best.Time {
-			best.Tree, best.Time = tr, d
-		}
-	}
-	return best
+// byScore sorts candidates by their scores.
+type byScore[C any] struct {
+	cands  []C
+	scores []float64
 }
 
-// random: sample random trees.
-func (t *Tuner) random(n int) Result {
-	best := Result{Candidates: t.RandomSamples}
-	for i := 0; i < t.RandomSamples; i++ {
-		if t.expired() {
-			break
-		}
-		tr := t.randomTree(n)
-		d := t.measureTree(tr)
-		if best.Tree == nil || d < best.Time {
-			best.Tree, best.Time = tr, d
-		}
+func (b byScore[C]) Len() int           { return len(b.cands) }
+func (b byScore[C]) Less(i, j int) bool { return b.scores[i] < b.scores[j] }
+func (b byScore[C]) Swap(i, j int) {
+	b.cands[i], b.cands[j] = b.cands[j], b.cands[i]
+	b.scores[i], b.scores[j] = b.scores[j], b.scores[i]
+}
+
+// modeled rounds a modeled cost to a time.Duration, saturating at the
+// largest one.
+func modeled(ns float64) time.Duration {
+	if ns >= float64(math.MaxInt64) {
+		return math.MaxInt64
 	}
-	return best
+	return time.Duration(ns)
+}
+
+// treeSearch lists the strategy's candidate trees for n and how pick
+// chooses among them.
+func (t *Tuner) treeSearch(n int) ([]*exec.Tree, scan[*exec.Tree]) {
+	s := treeScan(n)
+	switch t.Strategy {
+	case StrategyEstimate:
+		// Model only: the first candidate with the least modeled duration.
+		s.build = nil
+		s.score = func(tr *exec.Tree) float64 { return float64(t.Model.TreeDuration(tr)) }
+		return t.candidateTrees(n, t.bestSubtrees), s
+	case StrategyExhaustive:
+		return allTrees(n, make(map[int][]*exec.Tree)), s
+	case StrategyRandom:
+		trees := make([]*exec.Tree, t.RandomSamples)
+		for i := range trees {
+			trees[i] = t.randomTree(n)
+		}
+		return trees, s
+	}
+	// Dynamic programming: each split combines the searched trees of its
+	// factors, the model ranks the splits and the top k are timed.
+	s.score, s.topK = t.Model.Tree, t.TopK
+	return t.candidateTrees(n, t.bestSubtrees), s
+}
+
+// treeScan times sequential trees of size n as compiled sequential plans.
+func treeScan(n int) scan[*exec.Tree] {
+	return scan[*exec.Tree]{n: n, label: (*exec.Tree).String, build: seqRun}
+}
+
+// seqRun compiles a tree's sequential plan and returns one transform of it.
+func seqRun(tr *exec.Tree) (func(), error) {
+	s, err := exec.NewSeq(tr)
+	if err != nil {
+		return nil, err
+	}
+	x := complexvec.Random(tr.N, 7)
+	y := make([]complex128, tr.N)
+	scratch := s.NewScratch()
+	return func() { s.Transform(y, x, scratch) }, nil
+}
+
+// bestSubtrees builds a split candidate from the searched trees of its
+// factors.
+func (t *Tuner) bestSubtrees(m, k int) (*exec.Tree, *exec.Tree) {
+	return t.bestTree(m).Tree, t.bestTree(k).Tree
 }
 
 // candidateTrees enumerates the top-split candidates for n: the codelet leaf
@@ -355,24 +413,6 @@ func (t *Tuner) candidateTrees(n int, sub func(m, k int) (*exec.Tree, *exec.Tree
 	return out
 }
 
-// measureTree times one transform of the tree's compiled plan.
-func (t *Tuner) measureTree(tr *exec.Tree) time.Duration {
-	t.stats.Considered++
-	s, err := exec.NewSeq(tr)
-	if err != nil {
-		return unmeasured
-	}
-	t.stats.Measured++
-	x := complexvec.Random(tr.N, 7)
-	y := make([]complex128, tr.N)
-	scratch := s.NewScratch()
-	ctx, cancel := t.measureContext()
-	d := MeasureCtx(ctx, func() { s.Transform(y, x, scratch) }, t.Timer)
-	cancel()
-	t.trace("candidate", tr.N, tr.String(), d)
-	return d
-}
-
 // MeasureTree times one transform of the tree's compiled plan under the
 // tuner's timer configuration. Exported for the model-inspection path
 // (cmd/tune -rank) and model-fidelity tests; it contributes to the tuner's
@@ -380,37 +420,29 @@ func (t *Tuner) measureTree(tr *exec.Tree) time.Duration {
 func (t *Tuner) MeasureTree(tr *exec.Tree) time.Duration {
 	t.beginSearch(context.Background())
 	defer t.endSearch()
-	return t.measureTree(tr)
+	if _, d, ok := pick(t, []*exec.Tree{tr}, treeScan(tr.N)); ok {
+		return d
+	}
+	return unmeasured
 }
 
 // Ranked returns the analytically scored top-split candidate list for n,
 // cheapest first, without measuring anything: subtrees are chosen by the
 // model alone, so the result is exactly the stage-one ranking a cold-start
-// search would shortlist from. With a nil Model the host-default model is
-// used.
+// search would shortlist from.
 func (t *Tuner) Ranked(n int) []cost.Scored {
-	model := t.Model
-	if model == nil {
-		model = cost.Default()
-	}
+	// best picks the model-cheapest tree per size, independent of the
+	// measured memo.
 	memo := make(map[int]*exec.Tree)
-	return model.Rank(t.candidateTrees(n, func(m, k int) (*exec.Tree, *exec.Tree) {
-		return t.analyticBest(m, model, memo), t.analyticBest(k, model, memo)
-	}))
-}
-
-// analyticBest picks the model-cheapest tree for n recursively (memoized per
-// Ranked call; independent of the measured memo).
-func (t *Tuner) analyticBest(n int, model *cost.Model, memo map[int]*exec.Tree) *exec.Tree {
-	if tr, ok := memo[n]; ok {
-		return tr
+	var sub func(m, k int) (*exec.Tree, *exec.Tree)
+	best := func(n int) *exec.Tree {
+		if _, ok := memo[n]; !ok {
+			memo[n] = t.Model.Rank(t.candidateTrees(n, sub))[0].Tree
+		}
+		return memo[n]
 	}
-	cands := t.candidateTrees(n, func(m, k int) (*exec.Tree, *exec.Tree) {
-		return t.analyticBest(m, model, memo), t.analyticBest(k, model, memo)
-	})
-	best := model.Rank(cands)[0].Tree
-	memo[n] = best
-	return best
+	sub = func(m, k int) (*exec.Tree, *exec.Tree) { return best(m), best(k) }
+	return t.Model.Rank(t.candidateTrees(n, sub))
 }
 
 func (t *Tuner) randomTree(n int) *exec.Tree {
@@ -456,39 +488,6 @@ func allTrees(n int, memo map[int][]*exec.Tree) []*exec.Tree {
 	return out
 }
 
-// ModelCost is the analytic cost model (in arbitrary nanosecond-like units)
-// used by StrategyEstimate: codelet leaves cost ~2.5·n·log2(n) plus call
-// overhead, naive leaves cost n², and inner nodes add a strided-access
-// penalty proportional to the data volume and the log of the stride factor m.
-func ModelCost(t *exec.Tree) float64 {
-	if t.Leaf {
-		if codelet.HasUnrolled(t.N) {
-			l := 0.0
-			for v := t.N; v > 1; v >>= 1 {
-				l++
-			}
-			return 2.5*float64(t.N)*l + 20
-		}
-		return float64(t.N) * float64(t.N)
-	}
-	m, k := t.M(), t.K()
-	cost := float64(m)*ModelCost(t.Right) + float64(k)*ModelCost(t.Left)
-	// Strided pass penalty: touching n elements at stride m.
-	penalty := float64(t.N) * (1 + 0.3*logf(m))
-	if !t.Left.Leaf {
-		penalty += float64(t.N) // pre-scale pass
-	}
-	return cost + penalty
-}
-
-func logf(n int) float64 {
-	l := 0.0
-	for v := n; v > 1; v >>= 1 {
-		l++
-	}
-	return l
-}
-
 // ---------------------------------------------------------------------------
 // Base-case cutoff search
 
@@ -522,7 +521,6 @@ func (t *Tuner) BestCutoffCtx(ctx context.Context, n int) CutoffResult {
 	t.beginSearch(ctx)
 	defer t.endSearch()
 	t.stats.Searches++
-	best := CutoffResult{N: n}
 	type capped struct {
 		cap  int
 		tree *exec.Tree
@@ -541,38 +539,21 @@ func (t *Tuner) BestCutoffCtx(ctx context.Context, n int) CutoffResult {
 		seen[key] = true
 		cands = append(cands, capped{cap: c, tree: tr})
 	}
-	// Stage one: rank the capped trees analytically, measure only the top-k.
-	if t.Model != nil && t.TopK > 0 && len(cands) > t.TopK {
-		capOf := make(map[string]int, len(cands))
-		trees := make([]*exec.Tree, len(cands))
-		for i, c := range cands {
-			trees[i] = c.tree
-			capOf[c.tree.String()] = c.cap
-		}
-		ranked := t.Model.Rank(trees)
-		cands = cands[:0]
-		for i, s := range ranked {
-			if i < t.TopK {
-				cands = append(cands, capped{cap: capOf[s.Tree.String()], tree: s.Tree})
-				continue
-			}
-			t.stats.Considered++
-			t.stats.Pruned++
-			t.trace("cutoff-pruned", n, fmt.Sprintf("cap=%d %s", capOf[s.Tree.String()], s.Tree.String()), s.Duration())
-		}
-	}
-	for _, c := range cands {
-		if t.expired() {
-			break
-		}
-		best.Candidates++
-		d := t.measureTree(c.tree)
-		t.trace("cutoff-candidate", n, fmt.Sprintf("cap=%d %s", c.cap, c.tree.String()), d)
-		if best.Tree == nil || d < best.Time {
-			best.Tree, best.Time, best.Cutoff = c.tree, d, c.cap
-		}
-	}
-	if best.Tree == nil {
+	best := CutoffResult{N: n}
+	win, d, ok := pick(t, cands, scan[capped]{
+		kind:  "cutoff-",
+		n:     n,
+		label: func(c capped) string { return fmt.Sprintf("cap=%d %s", c.cap, c.tree) },
+		score: func(c capped) float64 { return t.Model.Tree(c.tree) },
+		topK:  t.TopK,
+		build: func(c capped) (func(), error) {
+			best.Candidates++
+			return seqRun(c.tree)
+		},
+	})
+	if ok {
+		best.Tree, best.Time, best.Cutoff = win.tree, d, win.cap
+	} else {
 		best.Tree = exec.RadixTree(n)
 		best.Cutoff = codelet.MaxUnrolled()
 	}
@@ -667,52 +648,56 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 	}
 	x := complexvec.Random(prog.BufLen(ir.BufSrc), 3)
 	y := make([]complex128, prog.BufLen(ir.BufDst))
-	choice.SeqTime = t.measureExecutor(choice.SeqExec, x, y)
-	t.trace("parallel-candidate", n, "sequential "+seq.Tree.String(), choice.SeqTime)
+	// A candidate is the sequential program (m == 0) or the split m·(n/m),
+	// whose executor is built on first timing.
+	type split struct {
+		m      int
+		lt, rt *exec.Tree
+		exe    *ir.Executor
+	}
+	s := scan[*split]{
+		kind: "parallel-",
+		n:    n,
+		label: func(c *split) string {
+			if c.m == 0 {
+				return "sequential " + seq.Tree.String()
+			}
+			return fmt.Sprintf("%d·%d", c.m, n/c.m)
+		},
+		build: func(c *split) (func(), error) {
+			if c.exe == nil {
+				c.lt, c.rt = t.bestSubtrees(c.m, n/c.m)
+				prog, err := finish.Apply(ir.LowerCT(n, c.m, ir.CTConfig{P: p, Mu: mu, LeftTree: c.lt, RightTree: c.rt}))
+				if err != nil {
+					return nil, err
+				}
+				if c.exe, err = ir.NewExecutor(prog, backend); err != nil {
+					return nil, err
+				}
+			}
+			return func() { c.exe.Transform(y, x) }, nil
+		},
+	}
+	choice.SeqTime = unmeasured
+	if _, d, ok := pick(t, []*split{{exe: choice.SeqExec}}, s); ok {
+		choice.SeqTime = d
+	}
 	if p == 1 || backend == nil {
 		return choice, nil
 	}
-	splits := parallelSplits(n, p, mu)
-	// Stage one: rank the admissible splits analytically (radix subtrees —
-	// pure model, no measurement) and measure only the top-k. Without a
-	// model, fall back to the most-balanced five.
-	if t.Model != nil && t.TopK > 0 && len(splits) > t.TopK {
-		sort.SliceStable(splits, func(i, j int) bool {
-			return t.Model.Parallel(n, splits[i], p, nil, nil) < t.Model.Parallel(n, splits[j], p, nil, nil)
-		})
-		for _, m := range splits[t.TopK:] {
-			t.stats.Considered++
-			t.stats.Pruned++
-			t.trace("parallel-pruned", n, fmt.Sprintf("%d·%d", m, n/m),
-				time.Duration(t.Model.Parallel(n, m, p, nil, nil)))
-		}
-		splits = splits[:t.TopK]
-	} else if len(splits) > 5 {
-		splits = splits[:5]
+	// Rank the admissible splits analytically (radix subtrees — pure model,
+	// no measurement) and time only the top-k.
+	var splits []*split
+	for _, m := range parallelSplits(n, p, mu) {
+		splits = append(splits, &split{m: m})
 	}
-	for _, m := range splits {
-		if t.expired() {
-			break
+	s.score = func(c *split) float64 { return t.Model.Parallel(n, c.m, p, nil, nil) }
+	s.topK = t.TopK
+	if win, d, ok := pick(t, splits, s); ok {
+		choice.ParTime = d
+		if d < choice.SeqTime {
+			choice.Exec, choice.Split, choice.Left, choice.Right = win.exe, win.m, win.lt, win.rt
 		}
-		lt, rt := t.bestTree(m).Tree, t.bestTree(n/m).Tree
-		prog, err := finish.Apply(ir.LowerCT(n, m, ir.CTConfig{P: p, Mu: mu, LeftTree: lt, RightTree: rt}))
-		if err != nil {
-			continue
-		}
-		exe, err := ir.NewExecutor(prog, backend)
-		if err != nil {
-			continue
-		}
-		d := t.measureExecutor(exe, x, y)
-		t.trace("parallel-candidate", n, fmt.Sprintf("%d·%d", m, n/m), d)
-		if choice.Exec == nil || d < choice.ParTime {
-			choice.Exec, choice.Split, choice.Left, choice.Right = exe, m, lt, rt
-			choice.ParTime = d
-		}
-	}
-	if choice.Exec != nil && choice.ParTime >= choice.SeqTime {
-		// Sequential wins: drop the parallel executor.
-		choice.Exec, choice.Split, choice.Left, choice.Right = nil, 0, nil, nil
 	}
 	if choice.Exec != nil {
 		t.trace("parallel-winner", n, fmt.Sprintf("%d·%d", choice.Split, n/choice.Split), choice.ParTime)
@@ -720,16 +705,6 @@ func (t *Tuner) TuneParallelCtx(ctx context.Context, n, p, mu int, backend smp.B
 		t.trace("parallel-winner", n, "sequential", choice.SeqTime)
 	}
 	return choice, nil
-}
-
-// measureExecutor times one exe.Transform(y, x) under the tuner's timer and
-// deadline, counting it as a considered and measured candidate.
-func (t *Tuner) measureExecutor(exe *ir.Executor, x, y []complex128) time.Duration {
-	mctx, cancel := t.measureContext()
-	defer cancel()
-	t.stats.Considered++
-	t.stats.Measured++
-	return MeasureCtx(mctx, func() { exe.Transform(y, x) }, t.Timer)
 }
 
 // parallelSplits lists every m with pµ | m and pµ | n/m, most balanced first.
@@ -742,8 +717,7 @@ func parallelSplits(n, p, mu int) []int {
 		}
 	}
 	// Sort by balance |m - n/m| ascending so the most balanced split is
-	// tried first. TuneParallel bounds how many are measured (the model's
-	// top-k, or the first five without a model).
+	// listed first; TuneParallel then ranks them with the model.
 	sort.Slice(out, func(i, j int) bool {
 		bi := abs(out[i] - n/out[i])
 		bj := abs(out[j] - n/out[j])

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -90,18 +91,6 @@ func TestRandomStrategy(t *testing.T) {
 	checkTree(t, r.Tree, 128, "random")
 	if r.Candidates != 8 {
 		t.Errorf("candidates = %d", r.Candidates)
-	}
-}
-
-func TestModelCostSanity(t *testing.T) {
-	// Cost must grow with size and penalize naive leaves heavily.
-	if ModelCost(exec.LeafTree(8)) >= ModelCost(exec.LeafTree(32)) {
-		t.Error("cost not monotone in codelet size")
-	}
-	naive := ModelCost(exec.LeafTree(49)) // 49 has no unrolled codelet: leaf means naive O(n²)
-	split := ModelCost(exec.SplitTree(exec.LeafTree(7), exec.LeafTree(7)))
-	if split >= naive {
-		t.Errorf("split cost %v not cheaper than naive %v", split, naive)
 	}
 }
 
@@ -254,14 +243,14 @@ func TestTunerMeasuredStats(t *testing.T) {
 		t.Errorf("DP: no candidates pruned (considered %d, topk %d)", st.Considered, tu.TopK)
 	}
 
-	// Disabling the model restores full measurement.
+	// Disabling pruning restores full measurement.
 	full := NewTuner(StrategyDP)
-	full.Model = nil
+	full.TopK = 0
 	full.Timer = fastTimer
 	full.BestTree(64)
 	fst := full.Stats()
 	if fst.Measured != fst.Considered || fst.Pruned != 0 {
-		t.Errorf("model-off DP: measured %d, pruned %d, considered %d", fst.Measured, fst.Pruned, fst.Considered)
+		t.Errorf("unpruned DP: measured %d, pruned %d, considered %d", fst.Measured, fst.Pruned, fst.Considered)
 	}
 }
 
@@ -393,5 +382,87 @@ func TestBestCutoffExpiredBudgetFallsBack(t *testing.T) {
 	}
 	if r.Cutoff <= 0 {
 		t.Errorf("fallback cutoff %d", r.Cutoff)
+	}
+}
+
+// TestSearchAccounting pins the one search loop's bookkeeping for every
+// kind of search: each timed candidate emits one "…candidate" event and
+// counts as Measured, each pruned one emits one "…pruned" event and counts
+// as Pruned, each modeled one (StrategyEstimate) emits one "…candidate"
+// event and is neither, and the three together are Considered. TopK ≤ 0
+// disables pruning, so every admissible split is timed.
+func TestSearchAccounting(t *testing.T) {
+	pool := smp.NewPool(2)
+	defer pool.Close()
+	cases := []struct {
+		name     string
+		strategy Strategy
+		topK     int
+		run      func(tu *Tuner) error
+		kind     string // event-kind prefix of the search's own candidates
+		timed    int    // how many of those must be timed (-1: any)
+	}{
+		{"dp", StrategyDP, DefaultTopK, func(tu *Tuner) error { tu.BestTree(256); return nil }, "", -1},
+		{"dp-unpruned", StrategyDP, 0, func(tu *Tuner) error { tu.BestTree(256); return nil }, "", -1},
+		{"estimate", StrategyEstimate, DefaultTopK, func(tu *Tuner) error { tu.BestTree(256); return nil }, "", -1},
+		{"cutoff", StrategyDP, DefaultTopK, func(tu *Tuner) error { tu.BestCutoff(512); return nil }, "cutoff-", DefaultTopK},
+		{"parallel", StrategyDP, 8, func(tu *Tuner) error {
+			_, err := tu.TuneParallel(4096, 2, 4, pool, nil)
+			return err
+		}, "parallel-", 1 + len(parallelSplits(4096, 2, 4))},
+		{"parallel-unpruned", StrategyDP, 0, func(tu *Tuner) error {
+			_, err := tu.TuneParallel(4096, 2, 4, pool, nil)
+			return err
+		}, "parallel-", 1 + len(parallelSplits(4096, 2, 4))},
+		{"fourstep", StrategyDP, DefaultTopK, func(tu *Tuner) error {
+			_, err := tu.BestFourStep(1<<12, 1, 4, nil)
+			return err
+		}, "fourstep-", FourStepTopK},
+		{"evolve", StrategyEvolve, DefaultTopK, func(tu *Tuner) error { tu.BestTree(128); return nil }, "", -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tu := NewTuner(c.strategy)
+			tu.Timer = fastTimer
+			tu.TopK = c.topK
+			kinds := make(map[string]int)
+			tu.Trace = func(e metrics.TraceEvent) { kinds[e.Kind]++ }
+			before := tu.Stats()
+			if err := c.run(tu); err != nil {
+				t.Fatal(err)
+			}
+			st := tu.Stats()
+			measured, pruned := st.Measured-before.Measured, st.Pruned-before.Pruned
+			considered := st.Considered - before.Considered
+			var candidateEvents, prunedEvents int64
+			for k, v := range kinds {
+				switch {
+				case strings.HasSuffix(k, "candidate"):
+					candidateEvents += int64(v)
+				case strings.HasSuffix(k, "pruned"):
+					prunedEvents += int64(v)
+				}
+			}
+			modeled := int64(0)
+			if c.strategy == StrategyEstimate {
+				modeled = candidateEvents
+				if measured != 0 {
+					t.Errorf("the estimate planner timed %d candidates", measured)
+				}
+			}
+			if candidateEvents != measured+modeled || prunedEvents != pruned {
+				t.Errorf("events %v: %d candidate, %d pruned; stats: %d measured, %d pruned, %d modeled",
+					kinds, candidateEvents, prunedEvents, measured, pruned, modeled)
+			}
+			if measured+pruned+modeled != considered {
+				t.Errorf("measured %d + pruned %d + modeled %d != considered %d", measured, pruned, modeled, considered)
+			}
+			if c.topK <= 0 && pruned != 0 {
+				t.Errorf("TopK %d pruned %d candidates", c.topK, pruned)
+			}
+			if got := kinds[c.kind+"candidate"]; c.timed >= 0 && got != c.timed {
+				t.Errorf("%d %scandidate events, want %d", got, c.kind, c.timed)
+			}
+		})
 	}
 }

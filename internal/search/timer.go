@@ -1,13 +1,18 @@
 // Package search implements Spiral's search/learning block: automatic tuning
 // over the Cooley-Tukey factorization space with runtime feedback.
 //
-// Three strategies are provided, mirroring the search methods the Spiral
-// paper describes:
+// The strategies mirror the search methods the Spiral paper describes:
 //
 //   - dynamic programming (the default): the best tree for size n is built
 //     from the measured best trees of its factors, memoized per size;
+//   - estimate: the same candidates, picked by the analytic model alone;
 //   - exhaustive search over all binary factorization trees (small sizes);
-//   - random search: sample random trees, keep the fastest.
+//   - random search: sample random trees, keep the fastest;
+//   - evolutionary search: breed random trees under measured fitness.
+//
+// Every decision — a tree, a base-case cutoff, a parallel split, a
+// four-step split — goes through one loop, pick: the model ranks the
+// candidates, the cheapest few are timed, the fastest wins.
 //
 // The parallel tuner composes the sequential results: it enumerates the
 // top-level splits admissible for the multicore Cooley-Tukey FFT (pµ | m,

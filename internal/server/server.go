@@ -376,13 +376,11 @@ type handle struct {
 	ready chan struct{}
 	err   error
 
-	dft   *spiralfft.Plan
-	batch *spiralfft.BatchPlan
-	dft2d *spiralfft.Plan2D
-	wht   *spiralfft.WHTPlan
-	real  *spiralfft.RealPlan
-	dct   *spiralfft.DCTPlan
-	stft  *spiralfft.STFTPlan
+	// cplx serves the complex-vector families (dft, batch, dft2d, wht).
+	cplx spiralfft.BufferedTransformer
+	real *spiralfft.RealPlan
+	dct  *spiralfft.DCTPlan
+	stft *spiralfft.STFTPlan
 
 	// Wire payload sizes in bytes for the forward and inverse directions
 	// (forward output == inverse input and vice versa).
@@ -411,29 +409,25 @@ func (h *handle) build(req *Request, cfg *Config, wis *spiralfft.Wisdom) error {
 		if err != nil {
 			return err
 		}
-		h.dft = p
-		h.symmetric(req.N * 16)
+		h.cplx = p
 	case FamilyBatch:
 		p, err := spiralfft.NewBatchPlan(req.N, req.Count, o)
 		if err != nil {
 			return err
 		}
-		h.batch = p
-		h.symmetric(req.N * req.Count * 16)
+		h.cplx = p
 	case FamilyDFT2D:
 		p, err := spiralfft.NewPlan2D(req.Rows, req.Cols, o)
 		if err != nil {
 			return err
 		}
-		h.dft2d = p
-		h.symmetric(req.Rows * req.Cols * 16)
+		h.cplx = p
 	case FamilyWHT:
 		p, err := spiralfft.NewWHTPlan(req.N, o)
 		if err != nil {
 			return err
 		}
-		h.wht = p
-		h.symmetric(req.N * 16)
+		h.cplx = p
 	case FamilyReal:
 		p, err := spiralfft.AcquireFrom[*spiralfft.RealPlan](cfg.Cache, req.N, o)
 		if err != nil {
@@ -459,6 +453,9 @@ func (h *handle) build(req *Request, cfg *Config, wis *spiralfft.Wisdom) error {
 		h.fwdInBytes = req.N * 8
 		h.fwdOutBytes = h.numFrames * p.Bins() * 16
 	}
+	if h.cplx != nil {
+		h.symmetric(h.cplx.Len() * 16)
+	}
 	if h.invInBytes == 0 {
 		h.invInBytes, h.invOutBytes = h.fwdOutBytes, h.fwdInBytes
 	}
@@ -478,65 +475,17 @@ func (h *handle) symmetric(bytes int) {
 // outside the zero-alloc guarantee).
 func (h *handle) serve(ctx context.Context, req *Request, r io.Reader, w io.Writer) error {
 	switch {
-	case h.dft != nil:
-		l := h.dft.Buffers()
+	case h.cplx != nil:
+		l := h.cplx.Buffers()
 		defer l.Release()
 		if err := wire.ReadComplexLE(r, l.In); err != nil {
 			return err
 		}
 		var err error
 		if req.Inverse {
-			err = h.dft.InverseCtx(ctx, l.Out, l.In)
+			err = h.cplx.InverseCtx(ctx, l.Out, l.In)
 		} else {
-			err = h.dft.ForwardCtx(ctx, l.Out, l.In)
-		}
-		if err != nil {
-			return err
-		}
-		return wire.WriteComplexLE(w, l.Out)
-	case h.batch != nil:
-		l := h.batch.Buffers()
-		defer l.Release()
-		if err := wire.ReadComplexLE(r, l.In); err != nil {
-			return err
-		}
-		var err error
-		if req.Inverse {
-			err = h.batch.InverseCtx(ctx, l.Out, l.In)
-		} else {
-			err = h.batch.ForwardCtx(ctx, l.Out, l.In)
-		}
-		if err != nil {
-			return err
-		}
-		return wire.WriteComplexLE(w, l.Out)
-	case h.dft2d != nil:
-		l := h.dft2d.Buffers()
-		defer l.Release()
-		if err := wire.ReadComplexLE(r, l.In); err != nil {
-			return err
-		}
-		var err error
-		if req.Inverse {
-			err = h.dft2d.InverseCtx(ctx, l.Out, l.In)
-		} else {
-			err = h.dft2d.ForwardCtx(ctx, l.Out, l.In)
-		}
-		if err != nil {
-			return err
-		}
-		return wire.WriteComplexLE(w, l.Out)
-	case h.wht != nil:
-		l := h.wht.Buffers()
-		defer l.Release()
-		if err := wire.ReadComplexLE(r, l.In); err != nil {
-			return err
-		}
-		var err error
-		if req.Inverse {
-			err = h.wht.InverseCtx(ctx, l.Out, l.In)
-		} else {
-			err = h.wht.ForwardCtx(ctx, l.Out, l.In)
+			err = h.cplx.ForwardCtx(ctx, l.Out, l.In)
 		}
 		if err != nil {
 			return err
@@ -618,14 +567,8 @@ func (h *handle) serveSTFT(ctx context.Context, req *Request, r io.Reader, w io.
 
 func (h *handle) close() {
 	switch {
-	case h.dft != nil:
-		h.dft.Close()
-	case h.batch != nil:
-		h.batch.Close()
-	case h.dft2d != nil:
-		h.dft2d.Close()
-	case h.wht != nil:
-		h.wht.Close()
+	case h.cplx != nil:
+		h.cplx.Close()
 	case h.real != nil:
 		h.real.Close()
 	case h.dct != nil:

@@ -11,35 +11,81 @@ import (
 	"spiralfft/internal/smp"
 )
 
-// programShapeCases are the forward DFT plans behind the incache-p2 and
-// large-p2 benchmark workloads (the four-step tier forced down to 2^16).
+// programShapeCases pin the programs behind the benchmark workloads: the
+// forward DFT plans of incache-p2 and large-p2 under the default planner
+// (the four-step tier forced down to 2^16), and every plan perfbench builds
+// under its own planner, PlannerEstimate, with the inverse program pinned
+// where a workload runs it. At these sizes the estimate planner ships the
+// default planner's DFT programs, so those cases share their goldens.
 var programShapeCases = []struct {
 	golden string
+	family string // "dft", "real" or "wht"
 	n      int
 	opt    Options
+	// inverse pins the inverse program too, in <golden>_inverse.golden.
+	inverse bool
 }{
-	{"program_dft1024_p2", 1024, Options{Workers: 2}},
-	{"program_dft4096_p2", 4096, Options{Workers: 2}},
-	{"program_fourstep65536_p2", 1 << 16, Options{Workers: 2, LargeNThreshold: 1 << 16}},
+	{"program_dft1024_p2", "dft", 1024, Options{Workers: 2}, false},
+	{"program_dft4096_p2", "dft", 4096, Options{Workers: 2}, false},
+	{"program_fourstep65536_p2", "dft", 1 << 16, Options{Workers: 2, LargeNThreshold: 1 << 16}, false},
+	{"program_dft1024_p2", "dft", 1024, Options{Workers: 2, Planner: PlannerEstimate}, false},
+	{"program_dft4096_p2", "dft", 4096, Options{Workers: 2, Planner: PlannerEstimate}, true},
+	{"program_real4096_p2", "real", 4096, Options{Workers: 2, Planner: PlannerEstimate}, true},
+	{"program_wht4096_p2", "wht", 4096, Options{Workers: 2, Planner: PlannerEstimate}, false},
+	{"program_fourstep65536_p2", "dft", 1 << 16, Options{Workers: 2, Planner: PlannerEstimate, LargeNThreshold: 1 << 16}, false},
 }
 
-// Folding the inverse into the forward stages leaves the forward programs
-// untouched: each prints exactly as the golden listing recorded before the
-// change.
+// buildShapeCase builds a case's plan and returns the core that holds its
+// programs, with the plan's Close.
+func buildShapeCase(family string, n int, opt *Options) (*planCore, func(), error) {
+	switch family {
+	case "real":
+		p, err := NewRealPlan(n, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &p.half.planCore, func() { p.Close() }, nil
+	case "wht":
+		p, err := NewWHTPlan(n, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &p.planCore, func() { p.Close() }, nil
+	}
+	p, err := NewPlan(n, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &p.planCore, func() { p.Close() }, nil
+}
+
+// Each pinned program prints exactly as the golden listing recorded when
+// the case was added: the forward for every case, and the inverse where the
+// case pins it.
 func TestForwardProgramsMatchGolden(t *testing.T) {
 	for _, c := range programShapeCases {
-		p, err := NewPlan(c.n, &c.opt)
+		core, closePlan, err := buildShapeCase(c.family, c.n, &c.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile("testdata/" + c.golden + ".golden")
-		if err != nil {
-			t.Fatal(err)
+		got := map[string]*ir.Program{c.golden: core.program()}
+		if c.inverse {
+			inv, err := core.lowerInverse(core.exe.Workers())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[c.golden+"_inverse"] = inv
 		}
-		if got := p.Program().String(); got != string(want) {
-			t.Errorf("%s: forward program changed:\n%s", c.golden, got)
+		for name, prog := range got {
+			want, err := os.ReadFile("testdata/" + name + ".golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.String() != string(want) {
+				t.Errorf("%s: program changed:\n%s", name, prog)
+			}
 		}
-		p.Close()
+		closePlan()
 	}
 }
 
@@ -67,6 +113,9 @@ func programShape(p *ir.Program) string {
 // regions, barriers and per-worker op counts, on the plan's own backend.
 func TestInverseProgramsShareForwardShape(t *testing.T) {
 	for _, c := range programShapeCases {
+		if c.family != "dft" {
+			continue
+		}
 		p, err := NewPlan(c.n, &c.opt)
 		if err != nil {
 			t.Fatal(err)

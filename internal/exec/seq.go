@@ -139,12 +139,17 @@ func (nd *node) apply(dst []complex128, doff, ds int, src []complex128, soff, ss
 		pre := rest[:m]
 		childScratch := rest[m:]
 		for j := 0; j < k; j++ {
-			col := nd.tw[j*m : (j+1)*m]
-			for i := 0; i < m; i++ {
-				pre[i] = t[j+i*k] * col[i]
-			}
+			prescale(pre, t, j, k, nd.tw[j*m:(j+1)*m])
 			nd.left.apply(dst, doff+j*ds, k*ds, pre, 0, 1, nil, 0, 1, childScratch)
 		}
+	}
+}
+
+// prescale sets pre[i] = src[soff + i·ss]·w[i]: the pre-pass of a scaled
+// transform whose stage-1 spine cannot fuse the scale.
+func prescale(pre, src []complex128, soff, ss int, w []complex128) {
+	for i := range pre {
+		pre[i] = src[soff+i*ss] * w[i]
 	}
 }
 
@@ -180,8 +185,22 @@ func (s *Seq) N() int { return s.n }
 // Tree returns the factorization tree the plan was compiled from.
 func (s *Seq) Tree() *Tree { return s.tree }
 
-// ScratchLen returns the scratch length Transform requires.
+// ScratchLen returns the scratch length Transform and an unscaled
+// TransformStrided require.
 func (s *Seq) ScratchLen() int { return s.root.need }
+
+// ScaledScratchLen returns the scratch length TransformStrided requires with
+// an input scale: n more than ScratchLen when the root cannot fuse it.
+func (s *Seq) ScaledScratchLen() int {
+	if s.prescales() {
+		return s.n + s.root.need
+	}
+	return s.root.need
+}
+
+// prescales reports whether a scaled call pre-scales its input: the root is
+// composite and its stage-1 spine has no fused-twiddle (ApplyW) kernels.
+func (s *Seq) prescales() bool { return !s.root.leaf && !s.root.fuseW }
 
 // NewScratch allocates a scratch buffer for Transform. Scratch buffers must
 // not be shared between concurrent Transform calls.
@@ -203,21 +222,18 @@ func (s *Seq) Transform(dst, src []complex128, scratch []complex128) {
 }
 
 // TransformStrided exposes the strided entry point used by the parallel
-// executor: dst[doff + i·ds] = DFT_n(src[soff + j·ss]), with optional input
-// scale vector w when FusesTwiddles reports true (always for leaf roots).
+// executor: dst[doff + i·ds] = DFT_n(w ⊙ src[soff + j·ss]), w an optional
+// length-n input scale. A leaf root or a fusing stage-1 spine applies w in
+// its kernels' loads; any other root pre-scales into scratch[:n] and runs on
+// scratch[n:], so a scaled call needs ScaledScratchLen elements of scratch.
 func (s *Seq) TransformStrided(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, scratch []complex128) {
+	if w != nil && s.prescales() {
+		pre := scratch[:s.n]
+		prescale(pre, src, soff, ss, w)
+		src, soff, ss, w, scratch = pre, 0, 1, nil, scratch[s.n:]
+	}
 	s.root.apply(dst, doff, ds, src, soff, ss, w, 0, 1, scratch)
 }
-
-// RootIsLeaf reports whether the compiled root is a single codelet (and may
-// therefore fuse an input twiddle vector).
-func (s *Seq) RootIsLeaf() bool { return s.root.leaf }
-
-// FusesTwiddles reports whether TransformStrided accepts a non-nil input
-// scale vector without a pre-pass: the root is a leaf, or the stage-1 spine
-// consists of kernels with fused-twiddle (ApplyW) entry points. Callers that
-// see false must pre-scale the input themselves.
-func (s *Seq) FusesTwiddles() bool { return s.root.leaf || s.root.fuseW }
 
 // FlopCount returns the nominal 5·n·log2(n) flop count the paper's
 // pseudo-Mflop/s metric assumes for this size.

@@ -83,7 +83,7 @@ type compiledOp struct {
 	doff, ds int
 	soff, ss int
 	n        int
-	seq      *exec.Seq    // opCodelet, opCodeletPre, opCodeletGen*
+	seq      *exec.Seq    // opCodelet, opCodeletGen
 	tw       []complex128 // codelet input scale / Scale weights
 	idx      []int32      // opPermute
 	fn       BlockFn      // opGeneric
@@ -91,22 +91,20 @@ type compiledOp struct {
 	// tile×tile cache blocking. opWHT: cols is the row width V.
 	rows, cols     int
 	lo, hi, tile   int
-	den, row, roff int     // opCodeletGen*: generated twiddle row parameters
+	den, row, roff int     // opCodeletGen: generated twiddle row parameters
 	scale          float64 // opWHT: output scale (1 when unscaled)
 }
 
 type opKind uint8
 
 const (
-	opBarrier       opKind = iota
-	opCodelet              // strided sub-DFT, Tw (if any) fused into the leaf kernel
-	opCodeletPre           // composite-root sub-DFT with Tw: pre-scale into scratch
-	opCodeletGen           // sub-DFT with runtime-generated twiddle row, fused
-	opCodeletGenPre        // same, composite root: generate + pre-scale in scratch
-	opWHT                  // WHT_N ⊗ I_V: copy rows, butterflies in place
-	opTranspose            // cache-blocked tile transpose
-	opUntangle             // real-input spectrum untangling over bin pairs
-	opRetangle             // its inverse
+	opBarrier    opKind = iota
+	opCodelet           // strided sub-DFT with its input scale Tw, if any
+	opCodeletGen        // sub-DFT scaled by a runtime-generated twiddle row
+	opWHT               // WHT_N ⊗ I_V: copy rows, butterflies in place
+	opTranspose         // cache-blocked tile transpose
+	opUntangle          // real-input spectrum untangling over bin pairs
+	opRetangle          // its inverse
 	opScale
 	opPermute
 	opCopy
@@ -215,17 +213,10 @@ func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 			soff: t.SOff, ss: t.SS,
 			n: t.Tree.N, seq: s, tw: t.Tw,
 		}
-		need := s.ScratchLen()
-		if t.Tw != nil && !s.FusesTwiddles() {
-			// The sub-plan cannot fuse the input scale into its stage-1
-			// kernels (no ApplyW on the spine): pre-scale into scratch[:n]
-			// and recurse at stride 1, exactly as the recursive executor's
-			// stage 2 does. Plans whose spine is generated split-radix
-			// kernels take the opCodelet path with the scale fused.
-			co.kind = opCodeletPre
-			need += t.Tree.N
+		if t.Tw != nil {
+			return co, s.ScaledScratchLen(), nil
 		}
-		return co, need, nil
+		return co, s.ScratchLen(), nil
 	case CodeletGenCall:
 		s := seqs[t.Tree]
 		if s == nil {
@@ -244,14 +235,9 @@ func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 			n: t.Tree.N, seq: s,
 			den: t.TwDen, row: t.TwRow, roff: t.TwOff,
 		}
-		// The generated row always lives in scratch[:n]; a composite root
-		// additionally pre-scales the gather into scratch[n:2n].
-		need := t.Tree.N + s.ScratchLen()
-		if !s.FusesTwiddles() {
-			co.kind = opCodeletGenPre
-			need += t.Tree.N
-		}
-		return co, need, nil
+		// The generated row lives in scratch[:n], the call's own scratch
+		// after it.
+		return co, t.Tree.N + s.ScaledScratchLen(), nil
 	case Transpose:
 		co := compiledOp{
 			kind: opTranspose,
@@ -498,26 +484,10 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 			faultinject.Region(w)
 		case opCodelet:
 			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, ctx.buf(op.src), op.soff, op.ss, op.tw, scratch)
-		case opCodeletPre:
-			src := ctx.buf(op.src)
-			pre := scratch[:op.n]
-			for i := 0; i < op.n; i++ {
-				pre[i] = src[op.soff+i*op.ss] * op.tw[i]
-			}
-			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, pre, 0, 1, nil, scratch[op.n:])
 		case opCodeletGen:
 			w := scratch[:op.n]
 			twiddle.FillRow(w, op.den, op.row, op.roff)
 			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, ctx.buf(op.src), op.soff, op.ss, w, scratch[op.n:])
-		case opCodeletGenPre:
-			src := ctx.buf(op.src)
-			w := scratch[:op.n]
-			twiddle.FillRow(w, op.den, op.row, op.roff)
-			pre := scratch[op.n : 2*op.n]
-			for i := 0; i < op.n; i++ {
-				pre[i] = src[op.soff+i*op.ss] * w[i]
-			}
-			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, pre, 0, 1, nil, scratch[2*op.n:])
 		case opTranspose:
 			dst, src := ctx.buf(op.dst), ctx.buf(op.src)
 			rows, cols, tile := op.rows, op.cols, op.tile

@@ -122,11 +122,11 @@ func TestLowerFourStepRejectsBadSplits(t *testing.T) {
 		n, n1 int
 		cfg   FourStepConfig
 	}{
-		{64, 5, FourStepConfig{P: 1}},   // not a divisor
-		{64, 1, FourStepConfig{P: 1}},   // degenerate
-		{64, 64, FourStepConfig{P: 1}},  // degenerate
-		{64, 2, FourStepConfig{P: 2}},   // n1 not µ-aligned for P>1
-		{64, 8, FourStepConfig{P: 16}},  // factors smaller than P
+		{64, 5, FourStepConfig{P: 1}},  // not a divisor
+		{64, 1, FourStepConfig{P: 1}},  // degenerate
+		{64, 64, FourStepConfig{P: 1}}, // degenerate
+		{64, 2, FourStepConfig{P: 2}},  // n1 not µ-aligned for P>1
+		{64, 8, FourStepConfig{P: 16}}, // factors smaller than P
 		{4096, 64, FourStepConfig{P: 0}},
 	}
 	for _, tc := range bad {

@@ -24,6 +24,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"spiralfft/internal/exec"
@@ -68,12 +69,86 @@ func (b Buf) String() string {
 
 // Op is one typed operation executed by one worker within a region.
 type Op interface {
-	isOp()
-	// DstBuf and SrcBuf return the buffers the op writes and reads.
-	DstBuf() Buf
-	SrcBuf() Buf
+	// Footprint states the elements the op writes and reads. It is the one
+	// description of an op's access geometry: Validate bounds-checks it,
+	// the cache-line trace visits it, and the passes read buffers and
+	// coverage from it.
+	Footprint() Footprint
+	// Moved returns the same op on other buffers: it writes f.Write.Buf and
+	// reads f.Read.Buf, with its first write and read span starting at
+	// Spans[0].Off with row stride Spans[0].Stride. Rows, widths, second
+	// spans and index lists stay the op's own, as does any offset or stride
+	// its fields fix (a Scale's shared offset, a Transpose's strides, an
+	// Untangle's pairs), so a caller that only renames buffers passes the
+	// op's own footprint with new Bufs.
+	Moved(f Footprint) Op
+	// check reports a violation of the op's own invariants (sizes, ranges,
+	// twiddle parameters); Validate bounds-checks the footprint after it.
+	check() error
 	// String renders the op for diagnostics.
 	String() string
+}
+
+// Span is Rows rows of Width contiguous elements, row i starting at
+// Off + i·Stride. Stride may be negative; Rows 0 is the empty span.
+type Span struct {
+	Off, Stride, Rows, Width int
+}
+
+// Access is one side of an op's footprint: the elements of one buffer that
+// its spans cover, then Idx, an explicit index list (a Permute's source).
+type Access struct {
+	Buf   Buf
+	Spans [2]Span
+	Idx   []int32
+}
+
+// Footprint is what an op writes and what it reads.
+type Footprint struct {
+	Write, Read Access
+}
+
+// strided is the footprint of an op with one span per side.
+func strided(dst Buf, w Span, src Buf, r Span) Footprint {
+	return Footprint{Write: Access{Buf: dst, Spans: [2]Span{w}}, Read: Access{Buf: src, Spans: [2]Span{r}}}
+}
+
+// run is the span of n contiguous elements from off.
+func run(off, n int) Span { return Span{Off: off, Stride: n, Rows: 1, Width: n} }
+
+// at returns the buffer, offset and row stride Moved places an op's first
+// span at.
+func (a *Access) at() (Buf, int, int) { return a.Buf, a.Spans[0].Off, a.Spans[0].Stride }
+
+// each calls f with every index the access visits: the spans row by row,
+// then Idx.
+func (a *Access) each(f func(idx int)) {
+	for _, s := range a.Spans {
+		for i := 0; i < s.Rows; i++ {
+			for u := 0; u < s.Width; u++ {
+				f(s.Off + i*s.Stride + u)
+			}
+		}
+	}
+	for _, i := range a.Idx {
+		f(int(i))
+	}
+}
+
+// bounds returns the least and greatest index the access visits; lo > hi
+// when it visits none.
+func (a *Access) bounds() (lo, hi int) {
+	lo, hi = math.MaxInt, math.MinInt
+	for i := range a.Spans {
+		if s := &a.Spans[i]; s.Rows > 0 && s.Width > 0 {
+			last := s.Off + (s.Rows-1)*s.Stride
+			lo, hi = min(lo, s.Off, last), max(hi, s.Off+s.Width-1, last+s.Width-1)
+		}
+	}
+	for _, i := range a.Idx {
+		lo, hi = min(lo, int(i)), max(hi, int(i))
+	}
+	return lo, hi
 }
 
 // CodeletCall runs a compiled factorization tree as a strided sub-DFT:
@@ -92,9 +167,28 @@ type CodeletCall struct {
 	Tw       []complex128
 }
 
-func (CodeletCall) isOp()         {}
-func (c CodeletCall) DstBuf() Buf { return c.Dst }
-func (c CodeletCall) SrcBuf() Buf { return c.Src }
+func (c CodeletCall) Footprint() Footprint {
+	return strided(c.Dst, Span{c.DOff, c.DS, c.Tree.N, 1}, c.Src, Span{c.SOff, c.SS, c.Tree.N, 1})
+}
+
+func (c CodeletCall) Moved(f Footprint) Op {
+	c.Dst, c.DOff, c.DS = f.Write.at()
+	c.Src, c.SOff, c.SS = f.Read.at()
+	return c
+}
+
+func (c CodeletCall) check() error {
+	if c.Tree == nil {
+		return fmt.Errorf("codelet call without tree")
+	}
+	if err := c.Tree.Validate(); err != nil {
+		return err
+	}
+	if c.Tw != nil && len(c.Tw) != c.Tree.N {
+		return fmt.Errorf("op %s: tw length %d, want %d", c, len(c.Tw), c.Tree.N)
+	}
+	return nil
+}
 
 // N returns the sub-transform size.
 func (c CodeletCall) N() int { return c.Tree.N }
@@ -113,11 +207,12 @@ func (c CodeletCall) String() string {
 //
 // V > 1 is the row form WHT_N ⊗ I_V: the N "points" are rows of V
 // contiguous elements, row i at dst[DOff + i·DS : DOff + i·DS + V] (and
-// likewise src), with strides at least V. The butterflies then run on whole
-// row slices, so a worker transforms its column range of the rows in place
-// with no gather. V 0 or 1 is the plain transform. dst may be src when
-// the offsets and strides match (in place); otherwise the two spans must
-// not overlap.
+// likewise src). The butterflies then run on whole row slices, so a worker
+// transforms its column range of the rows in place with no gather. V 0 or 1
+// is the plain transform. Strides are at least the row width (1 for the
+// plain transform): the executor walks rows upward from the offsets. dst
+// may be src when the offsets and strides match (in place); otherwise the
+// two spans must not overlap.
 //
 // Scale 0 means 1. The inverse WHT sets Scale = 1/n on its last stage's
 // calls, so the 1/n rides in the final butterfly pass.
@@ -130,9 +225,28 @@ type WHTCall struct {
 	Scale    float64
 }
 
-func (WHTCall) isOp()         {}
-func (c WHTCall) DstBuf() Buf { return c.Dst }
-func (c WHTCall) SrcBuf() Buf { return c.Src }
+func (c WHTCall) Footprint() Footprint {
+	return strided(c.Dst, Span{c.DOff, c.DS, c.N, c.Width()}, c.Src, Span{c.SOff, c.SS, c.N, c.Width()})
+}
+
+func (c WHTCall) Moved(f Footprint) Op {
+	c.Dst, c.DOff, c.DS = f.Write.at()
+	c.Src, c.SOff, c.SS = f.Read.at()
+	return c
+}
+
+func (c WHTCall) check() error {
+	if c.N < 2 || c.N&(c.N-1) != 0 {
+		return fmt.Errorf("op %s: WHT size %d not a power of two", c, c.N)
+	}
+	if c.V < 0 {
+		return fmt.Errorf("op %s: negative row width %d", c, c.V)
+	}
+	if v := c.Width(); c.DS < v || c.SS < v {
+		return fmt.Errorf("op %s: row strides below the row width %d", c, v)
+	}
+	return nil
+}
 
 // Width returns the row width V, at least 1.
 func (c WHTCall) Width() int { return max(c.V, 1) }
@@ -174,9 +288,45 @@ type Untangle struct {
 	Inverse  bool
 }
 
-func (Untangle) isOp()         {}
-func (c Untangle) DstBuf() Buf { return c.Dst }
-func (c Untangle) SrcBuf() Buf { return c.Src }
+// Footprint covers, for each pair k, bins k and H-k on both sides: the
+// middle bin H/2 once, and on the packed side (H points) only bin 0 for
+// k = 0.
+func (c Untangle) Footprint() Footprint {
+	packed, spectrum := c.bins(true), c.bins(false)
+	if c.Inverse {
+		packed, spectrum = spectrum, packed
+	}
+	return Footprint{Write: Access{Buf: c.Dst, Spans: spectrum}, Read: Access{Buf: c.Src, Spans: packed}}
+}
+
+// bins returns the bins the pairs touch on one side: k ascending, then the
+// partners H-k descending.
+func (c Untangle) bins(packed bool) [2]Span {
+	lo, hi := c.Lo, c.Hi
+	if packed && lo == 0 {
+		lo = 1
+	}
+	if c.H%2 == 0 && hi > c.H/2 {
+		hi = c.H / 2
+	}
+	return [2]Span{{c.Lo, 1, c.Hi - c.Lo, 1}, {c.H - lo, -1, max(hi-lo, 0), 1}}
+}
+
+func (c Untangle) Moved(f Footprint) Op {
+	c.Dst, c.Src = f.Write.Buf, f.Read.Buf
+	return c
+}
+
+func (c Untangle) check() error {
+	if c.H < 1 || len(c.W) != c.H/2+1 {
+		return fmt.Errorf("op %s: half size %d with %d weights, want %d", c, c.H, len(c.W), c.H/2+1)
+	}
+	if c.Lo < 0 || c.Lo >= c.Hi || c.Hi > c.H/2+1 {
+		return fmt.Errorf("op %s: pair range [%d,%d) outside [0,%d]", c, c.Lo, c.Hi, c.H/2)
+	}
+	return nil
+}
+
 func (c Untangle) String() string {
 	name := "untangle"
 	if c.Inverse {
@@ -194,9 +344,23 @@ type Scale struct {
 	W        []complex128
 }
 
-func (Scale) isOp()         {}
-func (c Scale) DstBuf() Buf { return c.Dst }
-func (c Scale) SrcBuf() Buf { return c.Src }
+func (c Scale) Footprint() Footprint {
+	return strided(c.Dst, run(c.Off, len(c.W)), c.Src, run(c.Off, len(c.W)))
+}
+
+func (c Scale) Moved(f Footprint) Op {
+	c.Dst, c.Off, _ = f.Write.at()
+	c.Src = f.Read.Buf
+	return c
+}
+
+func (c Scale) check() error {
+	if len(c.W) == 0 {
+		return fmt.Errorf("op %s: empty scale", c)
+	}
+	return nil
+}
+
 func (c Scale) String() string {
 	return fmt.Sprintf("scale %s[%d:+%d] ← %s", c.Dst, c.Off, len(c.W), c.Src)
 }
@@ -214,9 +378,23 @@ type Permute struct {
 	Idx      []int32
 }
 
-func (Permute) isOp()         {}
-func (c Permute) DstBuf() Buf { return c.Dst }
-func (c Permute) SrcBuf() Buf { return c.Src }
+func (c Permute) Footprint() Footprint {
+	return Footprint{Write: Access{Buf: c.Dst, Spans: [2]Span{run(c.Lo, len(c.Idx))}}, Read: Access{Buf: c.Src, Idx: c.Idx}}
+}
+
+func (c Permute) Moved(f Footprint) Op {
+	c.Dst, c.Lo, _ = f.Write.at()
+	c.Src = f.Read.Buf
+	return c
+}
+
+func (c Permute) check() error {
+	if len(c.Idx) == 0 {
+		return fmt.Errorf("op %s: empty permutation", c)
+	}
+	return nil
+}
+
 func (c Permute) String() string {
 	return fmt.Sprintf("perm %s[%d:+%d] ← %s[table]", c.Dst, c.Lo, len(c.Idx), c.Src)
 }
@@ -229,9 +407,21 @@ type Copy struct {
 	N        int
 }
 
-func (Copy) isOp()         {}
-func (c Copy) DstBuf() Buf { return c.Dst }
-func (c Copy) SrcBuf() Buf { return c.Src }
+func (c Copy) Footprint() Footprint { return strided(c.Dst, run(c.DOff, c.N), c.Src, run(c.SOff, c.N)) }
+
+func (c Copy) Moved(f Footprint) Op {
+	c.Dst, c.DOff, _ = f.Write.at()
+	c.Src, c.SOff, _ = f.Read.at()
+	return c
+}
+
+func (c Copy) check() error {
+	if c.N < 1 {
+		return fmt.Errorf("op %s: empty copy", c)
+	}
+	return nil
+}
+
 func (c Copy) String() string {
 	return fmt.Sprintf("copy %s[%d:+%d] ← %s[%d]", c.Dst, c.DOff, c.N, c.Src, c.SOff)
 }
@@ -251,9 +441,25 @@ type Generic struct {
 	F        spl.Formula
 }
 
-func (Generic) isOp()         {}
-func (c Generic) DstBuf() Buf { return c.Dst }
-func (c Generic) SrcBuf() Buf { return c.Src }
+// Footprint is conservative: the whole block read, the whole block
+// written.
+func (c Generic) Footprint() Footprint {
+	return strided(c.Dst, run(c.DOff, c.F.Size()), c.Src, run(c.SOff, c.F.Size()))
+}
+
+func (c Generic) Moved(f Footprint) Op {
+	c.Dst, c.DOff, _ = f.Write.at()
+	c.Src, c.SOff, _ = f.Read.at()
+	return c
+}
+
+func (c Generic) check() error {
+	if c.F == nil {
+		return fmt.Errorf("generic op without formula")
+	}
+	return nil
+}
+
 func (c Generic) String() string {
 	return fmt.Sprintf("generic %s[%d:+%d] ← %s[%d] %s", c.Dst, c.DOff, c.F.Size(), c.Src, c.SOff, c.F)
 }
@@ -277,9 +483,34 @@ type Transpose struct {
 	Tile       int
 }
 
-func (Transpose) isOp()         {}
-func (c Transpose) DstBuf() Buf { return c.Dst }
-func (c Transpose) SrcBuf() Buf { return c.Src }
+// Footprint covers destination rows [Lo,Hi) whole and columns [Lo,Hi) of
+// every source row.
+func (c Transpose) Footprint() Footprint {
+	return strided(c.Dst, Span{c.DOff + c.Lo*c.Rows, c.Rows, c.Hi - c.Lo, c.Rows},
+		c.Src, Span{c.SOff + c.Lo, c.Cols, c.Rows, c.Hi - c.Lo})
+}
+
+func (c Transpose) Moved(f Footprint) Op {
+	c.Dst, c.DOff, _ = f.Write.at()
+	c.Src, c.SOff, _ = f.Read.at()
+	c.DOff -= c.Lo * c.Rows
+	c.SOff -= c.Lo
+	return c
+}
+
+func (c Transpose) check() error {
+	if c.Rows < 1 || c.Cols < 1 {
+		return fmt.Errorf("op %s: empty matrix %dx%d", c, c.Rows, c.Cols)
+	}
+	if c.Lo < 0 || c.Lo >= c.Hi || c.Hi > c.Cols {
+		return fmt.Errorf("op %s: column range [%d,%d) outside [0,%d)", c, c.Lo, c.Hi, c.Cols)
+	}
+	if c.Tile < 0 {
+		return fmt.Errorf("op %s: negative tile %d", c, c.Tile)
+	}
+	return nil
+}
+
 func (c Transpose) String() string {
 	return fmt.Sprintf("transpose %s[%d+] ← %s[%d+] %dx%d cols[%d,%d) tile=%d",
 		c.Dst, c.DOff, c.Src, c.SOff, c.Rows, c.Cols, c.Lo, c.Hi, c.Tile)
@@ -302,9 +533,31 @@ type CodeletGenCall struct {
 	TwOff    int // starting column offset within the row
 }
 
-func (CodeletGenCall) isOp()         {}
-func (c CodeletGenCall) DstBuf() Buf { return c.Dst }
-func (c CodeletGenCall) SrcBuf() Buf { return c.Src }
+func (c CodeletGenCall) Footprint() Footprint {
+	return strided(c.Dst, Span{c.DOff, c.DS, c.Tree.N, 1}, c.Src, Span{c.SOff, c.SS, c.Tree.N, 1})
+}
+
+func (c CodeletGenCall) Moved(f Footprint) Op {
+	c.Dst, c.DOff, c.DS = f.Write.at()
+	c.Src, c.SOff, c.SS = f.Read.at()
+	return c
+}
+
+func (c CodeletGenCall) check() error {
+	if c.Tree == nil {
+		return fmt.Errorf("codelet gen call without tree")
+	}
+	if err := c.Tree.Validate(); err != nil {
+		return err
+	}
+	if c.TwDen < 1 {
+		return fmt.Errorf("op %s: twiddle modulus %d", c, c.TwDen)
+	}
+	if c.TwRow < 0 || c.TwOff < 0 {
+		return fmt.Errorf("op %s: negative twiddle index row=%d off=%d", c, c.TwRow, c.TwOff)
+	}
+	return nil
+}
 
 // N returns the sub-transform size.
 func (c CodeletGenCall) N() int { return c.Tree.N }
@@ -388,8 +641,8 @@ func (p *Program) Regions() []*Region {
 	return out
 }
 
-// Validate checks structural invariants: region shape, buffer ids, and op
-// spans within buffer bounds.
+// Validate checks structural invariants: region shape, each op's own
+// invariants, and each op's footprint within its buffers' bounds.
 func (p *Program) Validate() error {
 	if p.N < 1 || p.P < 1 || p.SrcN < 0 || p.DstN < 0 {
 		return fmt.Errorf("ir: invalid program n=%d p=%d src=%d dst=%d", p.N, p.P, p.SrcN, p.DstN)
@@ -411,7 +664,7 @@ func (p *Program) Validate() error {
 			}
 			for w, ops := range t.Workers {
 				for _, op := range ops {
-					if err := p.validateOp(op, w); err != nil {
+					if err := p.validateOp(op); err != nil {
 						return fmt.Errorf("ir: region %q worker %d: %w", t.Name, w, err)
 					}
 				}
@@ -427,155 +680,22 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-func (p *Program) validateOp(op Op, w int) error {
-	check := func(b Buf, off, stride, count int) error {
-		if int(b) < 0 || int(b) >= p.NumBufs() {
-			return fmt.Errorf("op %s: unknown buffer %d", op, int(b))
-		}
-		if count == 0 {
-			return nil
-		}
-		last := off + (count-1)*stride
-		lo, hi := off, last
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		if lo < 0 || hi >= p.BufLen(b) {
-			return fmt.Errorf("op %s: span [%d,%d] outside %s (len %d)", op, lo, hi, b, p.BufLen(b))
-		}
-		return nil
+// validateOp checks the op's own invariants, then that both sides of its
+// footprint name a buffer of the program and stay within it.
+func (p *Program) validateOp(op Op) error {
+	if err := op.check(); err != nil {
+		return err
 	}
-	switch t := op.(type) {
-	case CodeletCall:
-		if t.Tree == nil {
-			return fmt.Errorf("codelet call without tree")
+	f := op.Footprint()
+	for _, a := range [2]*Access{&f.Write, &f.Read} {
+		if a.Buf < 0 || int(a.Buf) >= p.NumBufs() {
+			return fmt.Errorf("op %s: unknown buffer %d", op, int(a.Buf))
 		}
-		if err := t.Tree.Validate(); err != nil {
-			return err
+		if lo, hi := a.bounds(); lo <= hi && (lo < 0 || hi >= p.BufLen(a.Buf)) {
+			return fmt.Errorf("op %s: span [%d,%d] outside %s (len %d)", op, lo, hi, a.Buf, p.BufLen(a.Buf))
 		}
-		if t.Tw != nil && len(t.Tw) != t.Tree.N {
-			return fmt.Errorf("op %s: tw length %d, want %d", op, len(t.Tw), t.Tree.N)
-		}
-		n := t.Tree.N
-		if err := check(t.Dst, t.DOff, t.DS, n); err != nil {
-			return err
-		}
-		return check(t.Src, t.SOff, t.SS, n)
-	case WHTCall:
-		if t.N < 2 || t.N&(t.N-1) != 0 {
-			return fmt.Errorf("op %s: WHT size %d not a power of two", op, t.N)
-		}
-		if t.V < 0 {
-			return fmt.Errorf("op %s: negative row width %d", op, t.V)
-		}
-		if v := t.Width(); v > 1 {
-			if t.DS < v || t.SS < v {
-				return fmt.Errorf("op %s: row strides below the row width %d", op, v)
-			}
-			// Rows span [Off, Off+(N-1)·S+V): check both ends.
-			if err := check(t.Dst, t.DOff, (t.N-1)*t.DS+v-1, 2); err != nil {
-				return err
-			}
-			return check(t.Src, t.SOff, (t.N-1)*t.SS+v-1, 2)
-		}
-		if err := check(t.Dst, t.DOff, t.DS, t.N); err != nil {
-			return err
-		}
-		return check(t.Src, t.SOff, t.SS, t.N)
-	case Scale:
-		if len(t.W) == 0 {
-			return fmt.Errorf("op %s: empty scale", op)
-		}
-		if err := check(t.Dst, t.Off, 1, len(t.W)); err != nil {
-			return err
-		}
-		return check(t.Src, t.Off, 1, len(t.W))
-	case Permute:
-		if len(t.Idx) == 0 {
-			return fmt.Errorf("op %s: empty permutation", op)
-		}
-		if err := check(t.Dst, t.Lo, 1, len(t.Idx)); err != nil {
-			return err
-		}
-		for _, s := range t.Idx {
-			if int(s) < 0 || int(s) >= p.BufLen(t.Src) {
-				return fmt.Errorf("op %s: source index %d outside %s", op, s, t.Src)
-			}
-		}
-		return nil
-	case Copy:
-		if t.N < 1 {
-			return fmt.Errorf("op %s: empty copy", op)
-		}
-		if err := check(t.Dst, t.DOff, 1, t.N); err != nil {
-			return err
-		}
-		return check(t.Src, t.SOff, 1, t.N)
-	case Transpose:
-		if t.Rows < 1 || t.Cols < 1 {
-			return fmt.Errorf("op %s: empty matrix %dx%d", op, t.Rows, t.Cols)
-		}
-		if t.Lo < 0 || t.Lo >= t.Hi || t.Hi > t.Cols {
-			return fmt.Errorf("op %s: column range [%d,%d) outside [0,%d)", op, t.Lo, t.Hi, t.Cols)
-		}
-		if t.Tile < 0 {
-			return fmt.Errorf("op %s: negative tile %d", op, t.Tile)
-		}
-		if err := check(t.Dst, t.DOff+t.Lo*t.Rows, 1, (t.Hi-t.Lo)*t.Rows); err != nil {
-			return err
-		}
-		// Source reads cover columns [Lo,Hi) of every row: the extreme
-		// indices are SOff+Lo and SOff+(Rows-1)·Cols+Hi-1.
-		if err := check(t.Src, t.SOff+t.Lo, 1, 1); err != nil {
-			return err
-		}
-		return check(t.Src, t.SOff+(t.Rows-1)*t.Cols+t.Hi-1, 1, 1)
-	case CodeletGenCall:
-		if t.Tree == nil {
-			return fmt.Errorf("codelet gen call without tree")
-		}
-		if err := t.Tree.Validate(); err != nil {
-			return err
-		}
-		if t.TwDen < 1 {
-			return fmt.Errorf("op %s: twiddle modulus %d", op, t.TwDen)
-		}
-		if t.TwRow < 0 || t.TwOff < 0 {
-			return fmt.Errorf("op %s: negative twiddle index row=%d off=%d", op, t.TwRow, t.TwOff)
-		}
-		n := t.Tree.N
-		if err := check(t.Dst, t.DOff, t.DS, n); err != nil {
-			return err
-		}
-		return check(t.Src, t.SOff, t.SS, n)
-	case Untangle:
-		if t.H < 1 || len(t.W) != t.H/2+1 {
-			return fmt.Errorf("op %s: half size %d with %d weights, want %d", op, t.H, len(t.W), t.H/2+1)
-		}
-		if t.Lo < 0 || t.Lo >= t.Hi || t.Hi > t.H/2+1 {
-			return fmt.Errorf("op %s: pair range [%d,%d) outside [0,%d]", op, t.Lo, t.Hi, t.H/2)
-		}
-		// The packed side holds H elements, the spectrum side H+1.
-		in, out := t.H, t.H+1
-		if t.Inverse {
-			in, out = out, in
-		}
-		if err := check(t.Dst, 0, 1, out); err != nil {
-			return err
-		}
-		return check(t.Src, 0, 1, in)
-	case Generic:
-		if t.F == nil {
-			return fmt.Errorf("generic op without formula")
-		}
-		n := t.F.Size()
-		if err := check(t.Dst, t.DOff, 1, n); err != nil {
-			return err
-		}
-		return check(t.Src, t.SOff, 1, n)
-	default:
-		return fmt.Errorf("unknown op type %T", op)
 	}
+	return nil
 }
 
 // String renders the program as a readable stage listing.

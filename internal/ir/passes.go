@@ -35,7 +35,7 @@ func Fold(prog *Program) (*Program, error) {
 			}
 		}
 	}
-	out := &Program{Name: prog.Name, N: prog.N, P: prog.P, Mu: prog.Mu, Temps: prog.Temps}
+	out := &Program{Name: prog.Name, N: prog.N, SrcN: prog.SrcN, DstN: prog.DstN, P: prog.P, Mu: prog.Mu, Temps: prog.Temps}
 	for i, r := range regions {
 		if i > 0 {
 			out.Nodes = append(out.Nodes, Barrier{})
@@ -83,20 +83,20 @@ func soleLink(prog *Program, regions []*Region, i int, x Buf) bool {
 	a, b := regions[i], regions[i+1]
 	for _, ops := range a.Workers {
 		for _, op := range ops {
-			if op.DstBuf() != x || op.SrcBuf() == x {
+			if f := op.Footprint(); f.Write.Buf != x || f.Read.Buf == x {
 				return false
 			}
 		}
 	}
 	for _, ops := range b.Workers {
 		for _, op := range ops {
-			if op.SrcBuf() != x || op.DstBuf() == x {
+			if f := op.Footprint(); f.Read.Buf != x || f.Write.Buf == x {
 				return false
 			}
 		}
 	}
 	for j := i + 2; j < len(regions); j++ {
-		if readsBuf(regions[j], x) {
+		if touches(regions[j], x, false) {
 			return false
 		}
 		if coversBuf(prog, regions[j], x) {
@@ -111,82 +111,52 @@ func coversBuf(prog *Program, r *Region, x Buf) bool {
 	n := prog.BufLen(x)
 	written := make([]bool, n)
 	cnt := 0
-	mark := func(off, stride, count int) {
-		for k := 0; k < count; k++ {
-			d := off + k*stride
-			if d >= 0 && d < n && !written[d] {
-				written[d] = true
-				cnt++
-			}
-		}
-	}
 	for _, ops := range r.Workers {
 		for _, op := range ops {
-			if op.DstBuf() != x {
-				continue
-			}
-			switch t := op.(type) {
-			case CodeletCall:
-				mark(t.DOff, t.DS, t.Tree.N)
-			case CodeletGenCall:
-				mark(t.DOff, t.DS, t.Tree.N)
-			case Transpose:
-				mark(t.DOff+t.Lo*t.Rows, 1, (t.Hi-t.Lo)*t.Rows)
-			case WHTCall:
-				for i := 0; i < t.N; i++ {
-					mark(t.DOff+i*t.DS, 1, t.Width())
-				}
-			case Scale:
-				mark(t.Off, 1, len(t.W))
-			case Permute:
-				mark(t.Lo, 1, len(t.Idx))
-			case Copy:
-				mark(t.DOff, 1, t.N)
-			case Generic:
-				mark(t.DOff, 1, t.F.Size())
+			if f := op.Footprint(); f.Write.Buf == x {
+				f.Write.each(func(d int) {
+					if d >= 0 && d < n && !written[d] {
+						written[d] = true
+						cnt++
+					}
+				})
 			}
 		}
 	}
 	return cnt == n
 }
 
-// soleDst returns the single buffer region r writes, or -1.
-func soleDst(r *Region) Buf {
-	d := Buf(-1)
+// side returns the buffer op writes (write) or reads.
+func side(op Op, write bool) Buf {
+	f := op.Footprint()
+	if write {
+		return f.Write.Buf
+	}
+	return f.Read.Buf
+}
+
+// soleBuf returns the single buffer region r writes (write) or reads, or -1.
+func soleBuf(r *Region, write bool) Buf {
+	b := Buf(-1)
 	for _, ops := range r.Workers {
 		for _, op := range ops {
-			if d == -1 {
-				d = op.DstBuf()
-			} else if op.DstBuf() != d {
+			if x := side(op, write); b == -1 {
+				b = x
+			} else if x != b {
 				return -1
 			}
 		}
 	}
-	return d
+	return b
 }
 
-// soleSrc returns the single buffer region r reads, or -1.
-func soleSrc(r *Region) Buf {
-	s := Buf(-1)
-	for _, ops := range r.Workers {
-		for _, op := range ops {
-			if s == -1 {
-				s = op.SrcBuf()
-			} else if op.SrcBuf() != s {
-				return -1
-			}
-		}
-	}
-	return s
-}
-
-// writesBuf reports whether any op of r writes x. Used to reject folds that
-// would leave a region reading and writing the same buffer concurrently
+// touches reports whether any op of r writes (write) or reads x. Folds use
+// it to reject a region that would read and write one buffer concurrently
 // (workers would race on positions they don't own).
-func writesBuf(r *Region, x Buf) bool {
+func touches(r *Region, x Buf, write bool) bool {
 	for _, ops := range r.Workers {
 		for _, op := range ops {
-			if op.DstBuf() == x {
+			if side(op, write) == x {
 				return true
 			}
 		}
@@ -194,23 +164,12 @@ func writesBuf(r *Region, x Buf) bool {
 	return false
 }
 
-// readsBuf reports whether any op of r reads x.
-func readsBuf(r *Region, x Buf) bool {
-	for _, ops := range r.Workers {
-		for _, op := range ops {
-			if op.SrcBuf() == x {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func allPermute(r *Region) bool {
+// every reports whether keep holds for every op of r; an empty region fails.
+func every(r *Region, keep func(Op) bool) bool {
 	any := false
 	for _, ops := range r.Workers {
 		for _, op := range ops {
-			if _, ok := op.(Permute); !ok {
+			if !keep(op) {
 				return false
 			}
 			any = true
@@ -219,34 +178,15 @@ func allPermute(r *Region) bool {
 	return any
 }
 
-func allScale(r *Region) bool {
-	any := false
-	for _, ops := range r.Workers {
-		for _, op := range ops {
-			if _, ok := op.(Scale); !ok {
-				return false
-			}
-			any = true
-		}
-	}
-	return any
+// is reports whether op is a T.
+func is[T Op](op Op) bool {
+	_, ok := op.(T)
+	return ok
 }
 
-// allCalls reports whether r consists solely of codelet/WHT calls.
-func allCalls(r *Region) bool {
-	any := false
-	for _, ops := range r.Workers {
-		for _, op := range ops {
-			switch op.(type) {
-			case CodeletCall, WHTCall:
-				any = true
-			default:
-				return false
-			}
-		}
-	}
-	return any
-}
+// isCall reports whether op is a codelet or WHT call: the ops whose gather
+// and scatter strides the folds may rewrite.
+func isCall(op Op) bool { return is[CodeletCall](op) || is[WHTCall](op) }
 
 // permMap materializes a permutation region's full output←source map over
 // buffer x (length n). Returns nil unless every element of x is written
@@ -304,15 +244,15 @@ func affine(n, v int, f func(i, u int) int) (base, stride int, ok bool) {
 // one, keeping the consumer's worker partition.
 func foldPermPerm(prog *Program, regions []*Region, i int) bool {
 	a, b := regions[i], regions[i+1]
-	if !allPermute(a) || !allPermute(b) {
+	if !every(a, is[Permute]) || !every(b, is[Permute]) {
 		return false
 	}
-	x := soleDst(a)
+	x := soleBuf(a, true)
 	if x == -1 || !soleLink(prog, regions, i, x) {
 		return false
 	}
-	src := soleSrc(a)
-	if src == -1 || writesBuf(b, src) {
+	src := soleBuf(a, false)
+	if src == -1 || touches(b, src, true) {
 		return false
 	}
 	tbl := permMap(a, prog.BufLen(x))
@@ -338,15 +278,15 @@ func foldPermPerm(prog *Program, regions []*Region, i int) bool {
 // merge of formula (14)). Every rewritten access pattern must stay affine.
 func foldPermIntoGathers(prog *Program, regions []*Region, i int) bool {
 	a, b := regions[i], regions[i+1]
-	if !allPermute(a) || !allCalls(b) {
+	if !every(a, is[Permute]) || !every(b, isCall) {
 		return false
 	}
-	x := soleDst(a)
+	x := soleBuf(a, true)
 	if x == -1 || !soleLink(prog, regions, i, x) {
 		return false
 	}
-	src := soleSrc(a)
-	if src == -1 || writesBuf(b, src) {
+	src := soleBuf(a, false)
+	if src == -1 || touches(b, src, true) {
 		return false
 	}
 	tbl := permMap(a, prog.BufLen(x))
@@ -354,22 +294,22 @@ func foldPermIntoGathers(prog *Program, regions []*Region, i int) bool {
 		return false
 	}
 	// Dry-run the affine checks before mutating anything.
-	type rewrite struct{ soff, ss int }
-	rws := make(map[[2]int]rewrite)
+	rws := make(map[[2]int]Footprint)
 	for w, ops := range b.Workers {
 		for j, op := range ops {
-			soff, ss, n, v := callSrc(op)
-			base, stride, ok := affine(n, v, func(i, u int) int { return int(tbl[soff+i*ss+u]) })
+			f := op.Footprint()
+			s := f.Read.Spans[0]
+			base, stride, ok := affine(s.Rows, s.Width, func(i, u int) int { return int(tbl[s.Off+i*s.Stride+u]) })
 			if !ok {
 				return false
 			}
-			rws[[2]int{w, j}] = rewrite{base, stride}
+			f.Read.Buf, f.Read.Spans[0].Off, f.Read.Spans[0].Stride = src, base, stride
+			rws[[2]int{w, j}] = f
 		}
 	}
 	for w, ops := range b.Workers {
 		for j, op := range ops {
-			rw := rws[[2]int{w, j}]
-			b.Workers[w][j] = withCallSrc(op, src, rw.soff, rw.ss)
+			b.Workers[w][j] = op.Moved(rws[[2]int{w, j}])
 		}
 	}
 	clearRegion(a)
@@ -381,38 +321,33 @@ func foldPermIntoGathers(prog *Program, regions []*Region, i int) bool {
 // merge of formula (14)), via the permutation's inverse.
 func foldScatterPerm(prog *Program, regions []*Region, i int) bool {
 	a, b := regions[i], regions[i+1]
-	if !allCalls(a) || !allPermute(b) {
+	if !every(a, isCall) || !every(b, is[Permute]) {
 		return false
 	}
-	x := soleDst(a)
+	x := soleBuf(a, true)
 	if x == -1 || !soleLink(prog, regions, i, x) {
 		return false
 	}
-	out := soleDst(b)
-	if out == -1 || readsBuf(a, out) {
+	out := soleBuf(b, true)
+	if out == -1 || touches(a, out, false) {
 		return false
 	}
 	n := prog.BufLen(x)
 	// a must define every element of x: b reads all of it, and positions a
 	// left stale would silently vanish from the folded program.
 	written := make([]bool, n)
-	wcnt := 0
+	wcnt, twice := 0, false
 	for _, ops := range a.Workers {
 		for _, op := range ops {
-			doff, ds, cn, v := callDst(op)
-			for k := 0; k < cn; k++ {
-				for u := 0; u < v; u++ {
-					d := doff + k*ds + u
-					if written[d] {
-						return false
-					}
-					written[d] = true
-					wcnt++
-				}
-			}
+			f := op.Footprint()
+			f.Write.each(func(d int) {
+				twice = twice || written[d]
+				written[d] = true
+				wcnt++
+			})
 		}
 	}
-	if wcnt != n {
+	if twice || wcnt != n {
 		return false
 	}
 	// Invert: b computes out[Lo+t] = x[Idx[t]], so x[j] lands at inv[j].
@@ -435,22 +370,22 @@ func foldScatterPerm(prog *Program, regions []*Region, i int) bool {
 	if cnt != n {
 		return false
 	}
-	type rewrite struct{ doff, ds int }
-	rws := make(map[[2]int]rewrite)
+	rws := make(map[[2]int]Footprint)
 	for w, ops := range a.Workers {
 		for j, op := range ops {
-			doff, ds, cn, v := callDst(op)
-			base, stride, ok := affine(cn, v, func(i, u int) int { return int(inv[doff+i*ds+u]) })
+			f := op.Footprint()
+			s := f.Write.Spans[0]
+			base, stride, ok := affine(s.Rows, s.Width, func(i, u int) int { return int(inv[s.Off+i*s.Stride+u]) })
 			if !ok {
 				return false
 			}
-			rws[[2]int{w, j}] = rewrite{base, stride}
+			f.Write.Buf, f.Write.Spans[0].Off, f.Write.Spans[0].Stride = out, base, stride
+			rws[[2]int{w, j}] = f
 		}
 	}
 	for w, ops := range a.Workers {
 		for j, op := range ops {
-			rw := rws[[2]int{w, j}]
-			a.Workers[w][j] = withCallDst(op, out, rw.doff, rw.ds)
+			a.Workers[w][j] = op.Moved(rws[[2]int{w, j}])
 		}
 	}
 	clearRegion(b)
@@ -461,29 +396,19 @@ func foldScatterPerm(prog *Program, regions []*Region, i int) bool {
 // the following codelet calls (D ⊕∥ D folded into stage-2 twiddle vectors).
 func foldScaleIntoCalls(prog *Program, regions []*Region, i int) bool {
 	a, b := regions[i], regions[i+1]
-	if !allScale(a) {
+	if !every(a, is[Scale]) {
 		return false
 	}
-	x := soleDst(a)
+	x := soleBuf(a, true)
 	if x == -1 || !soleLink(prog, regions, i, x) {
 		return false
 	}
-	src := soleSrc(a)
-	if src == -1 || writesBuf(b, src) {
+	src := soleBuf(a, false)
+	if src == -1 || touches(b, src, true) {
 		return false
 	}
 	// Consumers must all be codelet calls with a free Tw slot.
-	any := false
-	for _, ops := range b.Workers {
-		for _, op := range ops {
-			c, ok := op.(CodeletCall)
-			if !ok || c.Tw != nil {
-				return false
-			}
-			any = true
-		}
-	}
-	if !any {
+	if !every(b, func(op Op) bool { c, ok := op.(CodeletCall); return ok && c.Tw == nil }) {
 		return false
 	}
 	// Materialize the full diagonal; a must cover x completely, or b would
@@ -524,53 +449,6 @@ func foldScaleIntoCalls(prog *Program, regions []*Region, i int) bool {
 
 // ---------------------------------------------------------------------------
 // Helpers
-
-// callSrc and callDst return a call's access pattern on its source or
-// destination: n rows at offset off + i·stride, each v contiguous points
-// (v = 1 for everything but a row-form WHT).
-func callSrc(op Op) (soff, ss, n, v int) {
-	switch c := op.(type) {
-	case CodeletCall:
-		return c.SOff, c.SS, c.Tree.N, 1
-	case WHTCall:
-		return c.SOff, c.SS, c.N, c.Width()
-	}
-	panic("ir: callSrc on non-call op")
-}
-
-func callDst(op Op) (doff, ds, n, v int) {
-	switch c := op.(type) {
-	case CodeletCall:
-		return c.DOff, c.DS, c.Tree.N, 1
-	case WHTCall:
-		return c.DOff, c.DS, c.N, c.Width()
-	}
-	panic("ir: callDst on non-call op")
-}
-
-func withCallSrc(op Op, src Buf, soff, ss int) Op {
-	switch c := op.(type) {
-	case CodeletCall:
-		c.Src, c.SOff, c.SS = src, soff, ss
-		return c
-	case WHTCall:
-		c.Src, c.SOff, c.SS = src, soff, ss
-		return c
-	}
-	panic("ir: withCallSrc on non-call op")
-}
-
-func withCallDst(op Op, dst Buf, doff, ds int) Op {
-	switch c := op.(type) {
-	case CodeletCall:
-		c.Dst, c.DOff, c.DS = dst, doff, ds
-		return c
-	case WHTCall:
-		c.Dst, c.DOff, c.DS = dst, doff, ds
-		return c
-	}
-	panic("ir: withCallDst on non-call op")
-}
 
 func clearRegion(r *Region) {
 	for w := range r.Workers {
@@ -614,12 +492,8 @@ func compactTemps(p *Program) {
 	for _, r := range p.Regions() {
 		for _, ops := range r.Workers {
 			for _, op := range ops {
-				if op.DstBuf().IsTemp() {
-					used[op.DstBuf()] = true
-				}
-				if op.SrcBuf().IsTemp() {
-					used[op.SrcBuf()] = true
-				}
+				f := op.Footprint()
+				used[f.Write.Buf], used[f.Read.Buf] = true, true
 			}
 		}
 	}
@@ -642,32 +516,9 @@ func compactTemps(p *Program) {
 	for _, r := range p.Regions() {
 		for w, ops := range r.Workers {
 			for j, op := range ops {
-				switch c := op.(type) {
-				case CodeletCall:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				case CodeletGenCall:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				case Transpose:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				case WHTCall:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				case Scale:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				case Permute:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				case Copy:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				case Generic:
-					c.Dst, c.Src = mapBuf(c.Dst), mapBuf(c.Src)
-					r.Workers[w][j] = c
-				}
+				f := op.Footprint()
+				f.Write.Buf, f.Read.Buf = mapBuf(f.Write.Buf), mapBuf(f.Read.Buf)
+				r.Workers[w][j] = op.Moved(f)
 			}
 		}
 	}

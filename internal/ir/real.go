@@ -75,27 +75,19 @@ func plainComplex(p *Program) error {
 	return nil
 }
 
-// srcToDst retargets an op's reads of BufSrc to BufDst. It covers the ops
-// the DFT lowerings emit.
+// srcToDst retargets an op's reads of BufSrc to BufDst. Only the ops the DFT
+// lowerings emit are known to run correctly in place.
 func srcToDst(op Op) (Op, error) {
-	switch t := op.(type) {
-	case CodeletCall:
-		if t.Src == BufSrc {
-			t.Src = BufDst
-		}
-		return t, nil
-	case CodeletGenCall:
-		if t.Src == BufSrc {
-			t.Src = BufDst
-		}
-		return t, nil
-	case Transpose:
-		if t.Src == BufSrc {
-			t.Src = BufDst
-		}
-		return t, nil
+	switch op.(type) {
+	case CodeletCall, CodeletGenCall, Transpose:
+	default:
+		return nil, fmt.Errorf("ir: RealInverse cannot retarget op %s", op)
 	}
-	return nil, fmt.Errorf("ir: RealInverse cannot retarget op %s", op)
+	f := op.Footprint()
+	if f.Read.Buf == BufSrc {
+		f.Read.Buf = BufDst
+	}
+	return op.Moved(f), nil
 }
 
 // untangleRegion splits the H/2+1 bin pairs of an Untangle over p workers

@@ -21,91 +21,13 @@ func (p *Program) TraceStages() int { return len(p.Regions()) }
 func (p *Program) TraceStageName(s int) string { return p.Regions()[s].Name }
 
 // TraceAccesses reports every shared-buffer access worker w performs in
-// stage s, in program order.
+// stage s: op by op in program order, each op's footprint reads and then its
+// writes.
 func (p *Program) TraceAccesses(s, w int, visit func(buf Buf, idx int, write bool)) {
 	for _, op := range p.Regions()[s].Workers[w] {
-		switch t := op.(type) {
-		case CodeletCall:
-			n := t.Tree.N
-			for i := 0; i < n; i++ {
-				visit(t.Src, t.SOff+i*t.SS, false)
-			}
-			for i := 0; i < n; i++ {
-				visit(t.Dst, t.DOff+i*t.DS, true)
-			}
-		case CodeletGenCall:
-			n := t.Tree.N
-			for i := 0; i < n; i++ {
-				visit(t.Src, t.SOff+i*t.SS, false)
-			}
-			for i := 0; i < n; i++ {
-				visit(t.Dst, t.DOff+i*t.DS, true)
-			}
-		case Transpose:
-			for j := t.Lo; j < t.Hi; j++ {
-				for i := 0; i < t.Rows; i++ {
-					visit(t.Src, t.SOff+i*t.Cols+j, false)
-				}
-				for i := 0; i < t.Rows; i++ {
-					visit(t.Dst, t.DOff+j*t.Rows+i, true)
-				}
-			}
-		case WHTCall:
-			v := t.Width()
-			for i := 0; i < t.N; i++ {
-				for u := 0; u < v; u++ {
-					visit(t.Src, t.SOff+i*t.SS+u, false)
-				}
-			}
-			for i := 0; i < t.N; i++ {
-				for u := 0; u < v; u++ {
-					visit(t.Dst, t.DOff+i*t.DS+u, true)
-				}
-			}
-		case Untangle:
-			for k := t.Lo; k < t.Hi; k++ {
-				// Pair k covers elements k and H-k on both sides; for k = 0
-				// the packed side (src forward, dst inverse) has only 0.
-				for _, write := range [2]bool{false, true} {
-					b := t.Src
-					if write {
-						b = t.Dst
-					}
-					visit(b, k, write)
-					if packed := write == t.Inverse; k != t.H-k && !(k == 0 && packed) {
-						visit(b, t.H-k, write)
-					}
-				}
-			}
-		case Scale:
-			for i := range t.W {
-				visit(t.Src, t.Off+i, false)
-			}
-			for i := range t.W {
-				visit(t.Dst, t.Off+i, true)
-			}
-		case Permute:
-			for i, s := range t.Idx {
-				visit(t.Src, int(s), false)
-				visit(t.Dst, t.Lo+i, true)
-			}
-		case Copy:
-			for i := 0; i < t.N; i++ {
-				visit(t.Src, t.SOff+i, false)
-			}
-			for i := 0; i < t.N; i++ {
-				visit(t.Dst, t.DOff+i, true)
-			}
-		case Generic:
-			// Conservative: the whole block read, the whole block written.
-			n := t.F.Size()
-			for i := 0; i < n; i++ {
-				visit(t.Src, t.SOff+i, false)
-			}
-			for i := 0; i < n; i++ {
-				visit(t.Dst, t.DOff+i, true)
-			}
-		}
+		f := op.Footprint()
+		f.Read.each(func(i int) { visit(f.Read.Buf, i, false) })
+		f.Write.each(func(i int) { visit(f.Write.Buf, i, true) })
 	}
 }
 

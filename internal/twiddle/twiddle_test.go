@@ -204,7 +204,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if c.Size() != 3 || c.Elems() != 48 {
 		t.Fatalf("size %d elems %d", c.Size(), c.Elems())
 	}
-	c.Columns(4, 4) // touch A: B is now the oldest
+	c.Columns(4, 4)  // touch A: B is now the oldest
 	c.Columns(16, 1) // D displaces B
 	if !c.Contains(4, 4) || !c.Contains(8, 2) || !c.Contains(16, 1) {
 		t.Errorf("wrong survivors: size=%d", c.Size())

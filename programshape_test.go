@@ -16,7 +16,12 @@ import (
 // (the four-step tier forced down to 2^16), and every plan perfbench builds
 // under its own planner, PlannerEstimate, with the inverse program pinned
 // where a workload runs it. At these sizes the estimate planner ships the
-// default planner's DFT programs, so those cases share their goldens.
+// default planner's DFT programs, so those cases share their goldens. The
+// sequential estimate cases pin the estimate pick itself: at 1024 and 360 it
+// differs from the default planner's radix tree ((256 x 4), (12 x (10 x 3))),
+// and at 195 the first candidate with the least rounded modeled duration,
+// (3 x (5 x 13)), ties a float cost.Model.Tree pick, (13 x (3 x 5)), to the
+// nanosecond.
 var programShapeCases = []struct {
 	golden string
 	family string // "dft", "real" or "wht"
@@ -33,6 +38,9 @@ var programShapeCases = []struct {
 	{"program_real4096_p2", "real", 4096, Options{Workers: 2, Planner: PlannerEstimate}, true},
 	{"program_wht4096_p2", "wht", 4096, Options{Workers: 2, Planner: PlannerEstimate}, false},
 	{"program_fourstep65536_p2", "dft", 1 << 16, Options{Workers: 2, Planner: PlannerEstimate, LargeNThreshold: 1 << 16}, false},
+	{"program_dft1024_p1_estimate", "dft", 1024, Options{Workers: 1, Planner: PlannerEstimate}, false},
+	{"program_dft360_p1_estimate", "dft", 360, Options{Workers: 1, Planner: PlannerEstimate}, false},
+	{"program_dft195_p1_estimate", "dft", 195, Options{Workers: 1, Planner: PlannerEstimate}, false},
 }
 
 // buildShapeCase builds a case's plan and returns the core that holds its
@@ -109,11 +117,13 @@ func programShape(p *ir.Program) string {
 	return b.String()
 }
 
-// The inverse program runs the forward stages re-parameterized: the same
-// regions, barriers and per-worker op counts, on the plan's own backend.
+// The inverse program of a parallel plan runs the forward stages
+// re-parameterized: the same regions, barriers and per-worker op counts, on
+// the plan's own backend. (A sequential plan lowers its inverse from the
+// tree as a two-stage program; the p1 cases pin only the forward pick.)
 func TestInverseProgramsShareForwardShape(t *testing.T) {
 	for _, c := range programShapeCases {
-		if c.family != "dft" {
+		if c.family != "dft" || c.opt.Workers < 2 {
 			continue
 		}
 		p, err := NewPlan(c.n, &c.opt)

@@ -263,7 +263,7 @@ func TestWisdomSchemaDirectives(t *testing.T) {
 	for _, ok := range []string{
 		"#%spiralfft-wisdom v1\n64 (8 x 8)\n",
 		"#%spiralfft-wisdom v2\ndft n=64 (8 x 8)\n",
-		"#%host somewhere/amd64/4cpu\n64 (8 x 8)\n", // header host is informational
+		"#%host somewhere/amd64/4cpu\n64 (8 x 8)\n",  // header host is informational
 		"#%future-directive with args\n64 (8 x 8)\n", // unknown directives ignored
 	} {
 		if err := NewWisdom().Import(ok); err != nil {

@@ -20,11 +20,16 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}{
 		{"sequential", nil, 0},
 		{"parallel-pool", &Options{Workers: 2}, 0},
+		{"four-step", &Options{LargeNThreshold: 1024}, 0},
+		{"four-step-parallel", &Options{Workers: 2, LargeNThreshold: 1024}, 0},
 	}
 	for _, c := range cases {
 		p, err := NewPlan(1024, c.opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if four := c.opts != nil && c.opts.LargeNThreshold > 0; p.IsFourStep() != four {
+			t.Fatalf("%s: four-step %v, want %v", c.name, p.IsFourStep(), four)
 		}
 		x := complexvec.Random(1024, 1)
 		y := make([]complex128, 1024)
@@ -36,6 +41,16 @@ func TestSteadyStateAllocations(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { p.Inverse(y, x) }); got > c.max {
 			t.Errorf("%s Inverse: %.1f allocs/op, want ≤ %.0f", c.name, got, c.max)
+		}
+		// In place: a four-step plan runs its aliased program, built by the
+		// warm-up call; after that it allocates nothing either.
+		p.Forward(y, y)
+		p.Inverse(y, y)
+		if got := testing.AllocsPerRun(100, func() { p.Forward(y, y) }); got > c.max {
+			t.Errorf("%s Forward in place: %.1f allocs/op, want ≤ %.0f", c.name, got, c.max)
+		}
+		if got := testing.AllocsPerRun(100, func() { p.Inverse(y, y) }); got > c.max {
+			t.Errorf("%s Inverse in place: %.1f allocs/op, want ≤ %.0f", c.name, got, c.max)
 		}
 		p.Close()
 	}
@@ -79,8 +94,8 @@ func TestSteadyStateAllocations(t *testing.T) {
 		t.Errorf("WHT Inverse: %.1f allocs/op", got)
 	}
 
-	// Real plans, sequential and parallel, both directions.
-	for _, opts := range []*Options{nil, {Workers: 2}} {
+	// Real plans, sequential, parallel and four-step, both directions.
+	for _, opts := range []*Options{nil, {Workers: 2}, {Workers: 2, LargeNThreshold: 512}} {
 		rp, err := NewRealPlan(1024, opts)
 		if err != nil {
 			t.Fatal(err)

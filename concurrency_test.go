@@ -103,6 +103,20 @@ func TestConcurrentParallelPlanSpawn(t *testing.T) {
 	stressComplexPlan(t, p, 1024, 20)
 }
 
+// TestConcurrentFourStepPlan: the large-N tier's two-pass program shared by
+// 8 goroutines on the pool backend, forced on at n=1024.
+func TestConcurrentFourStepPlan(t *testing.T) {
+	p, err := fft.NewPlan(1024, &fft.Options{Workers: 2, Backend: fft.BackendPool, LargeNThreshold: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if !p.IsFourStep() || !p.IsParallel() {
+		t.Fatalf("plan is not a parallel four-step plan: %s", p.Tree())
+	}
+	stressComplexPlan(t, p, 1024, 20)
+}
+
 // TestConcurrentSharedCache: goroutines concurrently resolve a mix of
 // sizes through one cache while using the returned (shared) plans.
 func TestConcurrentSharedCache(t *testing.T) {

@@ -406,10 +406,10 @@ func Run(cfg RunConfig) (*Snapshot, error) {
 		}
 	}
 
-	// Blocked-transpose bandwidth (full grid only): the redistribution
-	// kernel the four-step tier stands on, measured in isolation — one
-	// ir.Transpose op over a 1024×1024 complex matrix (16 MiB per buffer,
-	// far beyond L2), reported as the effective streamed bandwidth.
+	// Blocked-transpose bandwidth (full grid only): one ir.Transpose op over
+	// a 1024×1024 complex matrix (16 MiB per buffer, far beyond L2),
+	// reported as the effective streamed bandwidth: the memory system's
+	// redistribution reference.
 	if !cfg.Quick {
 		const rows, cols = 1024, 1024
 		const tn = rows * cols

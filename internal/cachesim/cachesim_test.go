@@ -151,6 +151,36 @@ func TestProductionIRIsFalseSharingFree(t *testing.T) {
 	}
 }
 
+// TestFourStepIRIsFalseSharingFree audits the large-N tier's two-pass
+// program the same way (Definition 1 at µ = 4): every panel of both passes
+// is whole cache lines owned by one worker, forward and inverse, with and
+// without the InPlace temp. When n1/µ and n2/µ split evenly over p the
+// passes are also balanced.
+func TestFourStepIRIsFalseSharingFree(t *testing.T) {
+	for _, c := range []struct{ n, n1, p int }{
+		{4096, 64, 2}, {4096, 64, 4}, {3072, 256, 2}, {3072, 256, 4}, {1 << 16, 256, 2},
+	} {
+		for _, cfg := range []ir.FourStepConfig{
+			{P: c.p, Mu: 4}, {P: c.p, Mu: 4, Inverse: true}, {P: c.p, Mu: 4, InPlace: true},
+		} {
+			prog, err := ir.LowerFourStep(c.n, c.n1, cfg)
+			if err != nil {
+				t.Fatalf("LowerFourStep(%+v, %+v): %v", c, cfg, err)
+			}
+			rep := AnalyzeProgram(prog, 4)
+			if rep.TotalFalseSharedLines() != 0 {
+				t.Errorf("%+v %+v: four-step IR false-shares:\n%s", c, cfg, rep.String())
+			}
+			if got := len(rep.Stages); got != 2 {
+				t.Errorf("%+v %+v: %d stages, want the two panel passes", c, cfg, got)
+			}
+			if n2 := c.n / c.n1; (c.n1/4)%c.p == 0 && (n2/4)%c.p == 0 && rep.MaxImbalance() != 1.0 {
+				t.Errorf("%+v %+v: imbalance %v, want 1.0", c, cfg, rep.MaxImbalance())
+			}
+		}
+	}
+}
+
 // TestFoldedFormulaIRIsClean verifies the same claim for the formula path
 // lowered through the IR and folded: loop merging must not introduce
 // sharing or imbalance.

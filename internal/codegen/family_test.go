@@ -67,6 +67,8 @@ func TestEmitterRejectsUnsupportedPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	genCall := &ir.Program{Name: "gen", N: 8, P: 1, Nodes: []ir.Node{&ir.Region{Name: "r",
+		Workers: [][]ir.Op{{ir.CodeletGenCall{Dst: ir.BufDst, DS: 1, Src: ir.BufSrc, SS: 1, Tree: xexec.LeafTree(8), TwDen: 64, TwRow: 1}}}}}}
 	whtInv, err := ir.LowerWHTInverse(64, 1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +90,8 @@ func TestEmitterRejectsUnsupportedPrograms(t *testing.T) {
 		want string
 	}{
 		{generic, "generic formula op"},
-		{fourStep, "runtime-generated twiddle call"},
+		{fourStep, "panel codelet call"},
+		{genCall, "runtime-generated twiddle call"},
 		{whtInv, "scaled WHT call"},
 		{realInv, "retangle pass"},
 		{oversize, "exceeds limit"},

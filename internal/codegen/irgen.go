@@ -35,6 +35,9 @@ func (e *emitter) emitAll(entry string) error {
 func (e *emitter) prepareOp(op ir.Op) error {
 	switch t := op.(type) {
 	case ir.CodeletCall:
+		if t.V > 1 {
+			return fmt.Errorf("codegen: program %q contains a panel codelet call (%s); the four-step large-N tier is executor-only", e.prog.Name, t)
+		}
 		if _, ok := e.roots[t.Tree]; !ok {
 			capped := capLeaves(t.Tree)
 			e.roots[t.Tree] = codeletFn{name: e.emitNode(capped), leaf: capped.Leaf}

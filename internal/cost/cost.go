@@ -330,16 +330,14 @@ func (m *Model) Parallel(n, mSplit, p int, left, right *exec.Tree) float64 {
 }
 
 // FourStep returns the modeled runtime in nanoseconds of the four-step
-// large-N schedule (ir.LowerFourStep) for DFT_n with split n = n1·(n/n1),
-// transpose tile edge `tile` (0 = executor default), on p workers with the
-// given sub-trees (nil means balanced radix trees). Inadmissible splits
-// return +Inf. The schedule is too large to trace through cachesim — that is
-// the point of the tier — so the score is purely structural: stage
-// arithmetic from the sequential tree model, a per-element gather penalty
-// for the strided column reads, blocked-transpose line traffic that degrades
-// when a tile pair no longer fits in L1, and the barrier/communication terms
-// for p > 1.
-func (m *Model) FourStep(n, n1, p, tile int, col, row *exec.Tree) float64 {
+// large-N schedule (ir.LowerFourStep) for DFT_n with split n = n1·(n/n1) on
+// p workers with the given sub-trees (nil means balanced radix trees).
+// Inadmissible splits return +Inf. The schedule is too large to trace
+// through cachesim — that is the point of the tier — so the score is purely
+// structural: stage arithmetic from the sequential tree model, the two
+// passes' memory traffic, the repeated visits to each µ-wide panel's
+// lines, and the barrier/communication terms for p > 1.
+func (m *Model) FourStep(n, n1, p int, col, row *exec.Tree) float64 {
 	if p < 1 || n1 < 2 || n%n1 != 0 || n/n1 < 2 {
 		return math.Inf(1)
 	}
@@ -348,10 +346,7 @@ func (m *Model) FourStep(n, n1, p, tile int, col, row *exec.Tree) float64 {
 	if p > 1 && (n1%pr.Mu != 0 || n2%pr.Mu != 0 || n1 < p || n2 < p) {
 		return math.Inf(1)
 	}
-	if tile <= 0 {
-		tile = ir.DefaultTransposeTile
-	}
-	key := fmt.Sprintf("4step/%d/%d/%d/%d/%s/%s", n, n1, p, tile, treeKey(col), treeKey(row))
+	key := fmt.Sprintf("4step/%d/%d/%d/%s/%s", n, n1, p, treeKey(col), treeKey(row))
 	m.mu.Lock()
 	if c, ok := m.pars[key]; ok {
 		m.mu.Unlock()
@@ -367,48 +362,40 @@ func (m *Model) FourStep(n, n1, p, tile int, col, row *exec.Tree) float64 {
 	}
 	nf := float64(n)
 	mu := float64(pr.Mu)
-	// Column stage: n1 sub-DFT_{n2} with contiguous output panels, each
-	// gathering its input at stride n1. The gathers are not independent:
-	// call i reads src[i + t·n1] and call i+1 the adjacent addresses, so µ
-	// consecutive calls share every fetched line — full line reuse, as long
-	// as one call's footprint (n2 lines) stays cache-resident until its µ-1
-	// neighbours replay it. This is the term that breaks the n1 ↔ n2
-	// symmetry: a skewed split with small n2 gathers out of L1, a small n1
-	// re-fetches the whole buffer from memory µ times over.
-	gatherExtra := 0.0
-	switch foot := 64 * float64(n2); {
-	case foot <= float64(pr.L1Bytes):
-		// Lines survive in L1 across the µ reusing calls: no extra traffic
-		// beyond the contiguous read the Tree term already charges.
-	case foot <= float64(pr.L2Bytes):
-		gatherExtra = nf * (mu - 1) / mu * pr.L2LineCycles
-	default:
-		gatherExtra = nf * (mu - 1) / mu * pr.MemLineCycles
+	lines := nf / mu
+	// Each pass streams the whole buffer through memory once each way: the
+	// column pass reads src and writes dst, the row pass reads and writes
+	// dst in place.
+	passes := 2 * 2 * lines * pr.MemLineCycles
+	// A panel of µ sub-DFTs of size s visits its s rows (one line each)
+	// more than once: the row pass gathers them into a block of s·µ
+	// elements in worker scratch and scatters them back, and the column
+	// pass's µ lanes read the same lines in turn. Both are priced as two
+	// more visits per line, at L1 speed while the s·µ elements fit in L2
+	// (the lines stay cached between visits), from memory beyond. The
+	// sub-DFTs themselves are priced by the tree model. The two passes are
+	// priced alike, so the split's cost is symmetric in n1 ↔ n2 up to the
+	// twiddle rows, and a tie goes to the larger n1 (see
+	// search.RankFourStep).
+	block := func(s int) float64 {
+		lc := pr.L1LineCycles
+		if 16*float64(s)*mu > float64(pr.L2Bytes) {
+			lc = pr.MemLineCycles
+		}
+		return 2 * lines * lc
 	}
-	colC := float64(n1)*m.Tree(col)*pr.FreqGHz + gatherExtra
-	// Row stage: n2 twiddled sub-DFT_{n1} with contiguous I/O. The twiddle
-	// row is generated into scratch: ~6 flops/element for the hi·lo products
-	// plus 6 for the fused complex multiply.
-	rowC := float64(n2)*m.Tree(row)*pr.FreqGHz + 12*nf/pr.FlopsPerCycle
-	// Two blocked transposes. A tile pair held in cache (2 · tile² · 16
-	// bytes) fetches each line once and uses it fully: 2·n/µ lines per
-	// transpose. L2 residency is enough for that reuse — the scattered
-	// side's lines only need to survive one tile's worth of rows — so tiles
-	// degrade to one line per element only past L2.
-	perTranspose := 2 * nf / mu * pr.MemLineCycles
-	if 32*tile*tile > pr.L2Bytes {
-		perTranspose = (nf + nf/mu) * pr.MemLineCycles
-	}
-	// Tiny tiles pay the blocked loop's per-tile overhead.
-	perTranspose += nf / float64(tile*tile) * pr.CallCycles
-	transC := 2 * perTranspose
+	colC := float64(n1)*m.Tree(col)*pr.FreqGHz + block(n2)
+	// The row pass's twiddle rows are generated into scratch: ~6
+	// flops/element for the hi·lo products plus 6 for the fused complex
+	// multiply.
+	rowC := float64(n2)*m.Tree(row)*pr.FreqGHz + 12*nf/pr.FlopsPerCycle + block(n1)
 
-	cycles := (colC + rowC + transC) / float64(p)
+	cycles := (colC + rowC + passes) / float64(p)
 	if p > 1 {
-		// Three barriers separate the four stages; each redistribution moves
-		// (p-1)/p of the panel's lines between caches once.
-		cycles += 3 * pr.BarrierCycles
-		cycles += 3 * nf / mu * float64(p-1) / float64(p) * pr.LineTransferCycles / 8
+		// One barrier separates the two passes; the row pass reads (p-1)/p
+		// of the intermediate's lines from other cores once.
+		cycles += pr.BarrierCycles
+		cycles += lines * float64(p-1) / float64(p) * pr.LineTransferCycles / 8
 	}
 	ns := cycles / pr.FreqGHz
 	m.mu.Lock()

@@ -88,11 +88,14 @@ type compiledOp struct {
 	idx      []int32      // opPermute
 	fn       BlockFn      // opGeneric
 	// opTranspose geometry: rows×cols source, destination columns [lo,hi),
-	// tile×tile cache blocking. opWHT: cols is the row width V.
+	// tile×tile cache blocking.
 	rows, cols     int
 	lo, hi, tile   int
 	den, row, roff int     // opCodeletGen: generated twiddle row parameters
 	scale          float64 // opWHT: output scale (1 when unscaled)
+	// v is opWHT's row width and a codelet call's panel width; dv and sv
+	// are a panel's lane strides.
+	v, dv, sv int
 }
 
 type opKind uint8
@@ -140,6 +143,19 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 		dstLen:  prog.BufLen(BufDst),
 		backend: backend,
 		workers: make([][]compiledOp, prog.P),
+	}
+	// Size each worker's op list up front: its ops plus one marker per
+	// barrier, so compiling a large program does not regrow the lists.
+	for w := range e.workers {
+		size := 0
+		for _, nd := range prog.Nodes {
+			if r, ok := nd.(*Region); ok {
+				size += len(r.Workers[w])
+			} else {
+				size++
+			}
+		}
+		e.workers[w] = make([]compiledOp, 0, size)
 	}
 	seqs := make(map[*exec.Tree]*exec.Seq)
 	hasGeneric := false
@@ -212,11 +228,12 @@ func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 			doff: t.DOff, ds: t.DS,
 			soff: t.SOff, ss: t.SS,
 			n: t.Tree.N, seq: s, tw: t.Tw,
+			v: max(t.V, 1), dv: t.DV, sv: t.SV,
 		}
 		if t.Tw != nil {
-			return co, s.ScaledScratchLen(), nil
+			return co, co.panelLen() + s.ScaledScratchLen(), nil
 		}
-		return co, s.ScratchLen(), nil
+		return co, co.panelLen() + s.ScratchLen(), nil
 	case CodeletGenCall:
 		s := seqs[t.Tree]
 		if s == nil {
@@ -234,10 +251,11 @@ func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 			soff: t.SOff, ss: t.SS,
 			n: t.Tree.N, seq: s,
 			den: t.TwDen, row: t.TwRow, roff: t.TwOff,
+			v: max(t.V, 1), dv: t.DV, sv: t.SV,
 		}
-		// The generated row lives in scratch[:n], the call's own scratch
-		// after it.
-		return co, t.Tree.N + s.ScaledScratchLen(), nil
+		// The staged panel, if any, lives in scratch first, then the
+		// generated row, then the call's own scratch.
+		return co, co.panelLen() + t.Tree.N + s.ScaledScratchLen(), nil
 	case Transpose:
 		co := compiledOp{
 			kind: opTranspose,
@@ -256,7 +274,7 @@ func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 			dst:  t.Dst, src: t.Src,
 			doff: t.DOff, ds: t.DS,
 			soff: t.SOff, ss: t.SS,
-			n: t.N, cols: t.Width(), scale: 1,
+			n: t.N, v: t.Width(), scale: 1,
 		}
 		if t.Scale != 0 {
 			co.scale = t.Scale
@@ -456,7 +474,9 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 	}
 	faultinject.Region(w)
 	scratch := ctx.scratch[w]
-	for _, op := range e.workers[w] {
+	ops := e.workers[w]
+	for i := range ops {
+		op := &ops[i]
 		switch op.kind {
 		case opBarrier:
 			if e.p == 1 {
@@ -483,8 +503,16 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 			}
 			faultinject.Region(w)
 		case opCodelet:
+			if op.v > 1 {
+				runPanel(op, ctx.buf(op.dst), ctx.buf(op.src), scratch)
+				continue
+			}
 			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, ctx.buf(op.src), op.soff, op.ss, op.tw, scratch)
 		case opCodeletGen:
+			if op.v > 1 {
+				runPanel(op, ctx.buf(op.dst), ctx.buf(op.src), scratch)
+				continue
+			}
 			w := scratch[:op.n]
 			twiddle.FillRow(w, op.den, op.row, op.roff)
 			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, ctx.buf(op.src), op.soff, op.ss, w, scratch[op.n:])
@@ -513,15 +541,15 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 		case opWHT:
 			dst := ctx.buf(op.dst)[op.doff:]
 			if src := ctx.buf(op.src)[op.soff:]; &dst[0] != &src[0] || op.ds != op.ss {
-				if op.ds == op.cols && op.ss == op.cols { // packed rows: one span
-					copy(dst[:op.n*op.cols], src[:op.n*op.cols])
+				if op.ds == op.v && op.ss == op.v { // packed rows: one span
+					copy(dst[:op.n*op.v], src[:op.n*op.v])
 				} else {
 					for i := 0; i < op.n; i++ {
-						copy(dst[i*op.ds:i*op.ds+op.cols], src[i*op.ss:i*op.ss+op.cols])
+						copy(dst[i*op.ds:i*op.ds+op.v], src[i*op.ss:i*op.ss+op.v])
 					}
 				}
 			}
-			exec.WHTRowsScaled(dst, op.n, op.ds, op.cols, op.scale)
+			exec.WHTRowsScaled(dst, op.n, op.ds, op.v, op.scale)
 		case opUntangle:
 			untangle(ctx.buf(op.dst), ctx.buf(op.src), op.n, op.lo, op.hi, op.tw)
 		case opRetangle:
@@ -542,5 +570,83 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 		case opGeneric:
 			op.fn(ctx.buf(op.dst)[op.doff:op.doff+op.n], ctx.buf(op.src)[op.soff:op.soff+op.n])
 		}
+	}
+}
+
+// panelLen is the scratch a panel call stages its rows sides in: one block
+// of n rows of v elements (none for a plain call).
+func (op *compiledOp) panelLen() int {
+	if op.v > 1 {
+		return op.n * op.v
+	}
+	return 0
+}
+
+// runPanel runs a panel codelet call (see CodeletCall). A rows side is
+// staged through g, a block in scratch holding the side's n rows of v
+// elements packed (lane l at g[l::v]): every row is copied in before the
+// first transform and out after the last, so the call may run in place,
+// and each copy moves a row's adjacent elements together. A lanes side is
+// read or written where it lies, and so is a rows input whose output is
+// lanes in another buffer: there the lanes read the same lines in turn,
+// which a panel's n rows keep in cache. Lane l of a generated call scales
+// by twiddle row row+l.
+func runPanel(op *compiledOp, dst, src, scratch []complex128) {
+	n, v := op.n, op.v
+	g, rest := scratch[:n*v], scratch[n*v:]
+	w := op.tw
+	if op.kind == opCodeletGen {
+		w, rest = rest[:n], rest[n:]
+	}
+	rowsIn, rowsOut := abs(op.sv) == 1, abs(op.dv) == 1
+	rowsIn = rowsIn && (rowsOut || &dst[0] == &src[0])
+	if rowsIn {
+		packRows(g, src, op.soff, op.ss, op.sv, v)
+	}
+	for l := 0; l < v; l++ {
+		if op.kind == opCodeletGen {
+			twiddle.FillRow(w, op.den, op.row+l, op.roff)
+		}
+		in, ioff, is := src, op.soff+l*op.sv, op.ss
+		if rowsIn {
+			in, ioff, is = g, l, v
+		}
+		out, ooff, os := dst, op.doff+l*op.dv, op.ds
+		if rowsOut {
+			out, ooff, os = g, l, v
+		}
+		op.seq.TransformStrided(out, ooff, os, in, ioff, is, w, rest)
+	}
+	if rowsOut {
+		unpackRows(dst, g, op.doff, op.ds, op.dv, v)
+	}
+}
+
+// packRows copies the rows of a rows side into g, row j to g[j·v : (j+1)·v]
+// with lane l at g[j·v + l]: row j's lanes are x[off + j·s + l·ls], ls = ±1.
+func packRows(g, x []complex128, off, s, ls, v int) {
+	for j := 0; j < len(g); j += v {
+		if ls == 1 {
+			copy(g[j:j+v], x[off:off+v])
+		} else {
+			for l := range g[j : j+v] {
+				g[j+l] = x[off-l]
+			}
+		}
+		off += s
+	}
+}
+
+// unpackRows is packRows' inverse: it copies g's rows back out to x.
+func unpackRows(x, g []complex128, off, s, ls, v int) {
+	for j := 0; j < len(g); j += v {
+		if ls == 1 {
+			copy(x[off:off+v], g[j:j+v])
+		} else {
+			for l, c := range g[j : j+v] {
+				x[off-l] = c
+			}
+		}
+		off += s
 	}
 }

@@ -16,8 +16,10 @@ import (
 // randomOp draws one op of the given kind with random geometry: offsets may
 // fall outside the buffers, strides may be negative, WHTs may take the row
 // form, and buffer ids may not exist. Some draws break an op's own
-// invariants (a WHT stride below its row width); callers skip those.
-func randomOp(rng *rand.Rand, kind, nbufs int) Op {
+// invariants (a WHT stride below its row width); callers skip those. Half
+// the codelet calls become panels, drawn from panels, a generator of their
+// own so the other draws stay what they were.
+func randomOp(rng, panels *rand.Rand, kind, nbufs int) Op {
 	buf := func() Buf { return Buf(rng.Intn(nbufs+2) - 1) }
 	off := func() int { return rng.Intn(48) - 4 }
 	stride := func() int { return rng.Intn(9) - 4 }
@@ -36,11 +38,22 @@ func randomOp(rng *rand.Rand, kind, nbufs int) Op {
 		if rng.Intn(2) == 0 {
 			c.Tw = tw(t.N)
 		}
+		if panels.Intn(2) == 0 {
+			c.V = 2 + panels.Intn(2)
+			c.DS, c.DV = panelSide(panels, t.N, c.V)
+			c.SS, c.SV = panelSide(panels, t.N, c.V)
+		}
 		return c
 	case 1:
 		t := trees[rng.Intn(len(trees))]
-		return CodeletGenCall{Dst: buf(), Src: buf(), DOff: off(), DS: stride(), SOff: off(), SS: stride(), Tree: t,
+		c := CodeletGenCall{Dst: buf(), Src: buf(), DOff: off(), DS: stride(), SOff: off(), SS: stride(), Tree: t,
 			TwDen: 1 + rng.Intn(64), TwRow: rng.Intn(8), TwOff: rng.Intn(8)}
+		if panels.Intn(2) == 0 {
+			c.V = 2 + panels.Intn(2)
+			c.DS, c.DV = panelSide(panels, t.N, c.V)
+			c.SS, c.SV = panelSide(panels, t.N, c.V)
+		}
+		return c
 	case 2:
 		return WHTCall{Dst: buf(), Src: buf(), DOff: off(), DS: rng.Intn(8) - 2, SOff: off(), SS: rng.Intn(8) - 2, N: 1 << (1 + rng.Intn(3)), V: rng.Intn(4)}
 	case 3:
@@ -67,7 +80,33 @@ func randomOp(rng *rand.Rand, kind, nbufs int) Op {
 	}
 }
 
+// panelSide draws the point and lane strides of one side of a v-lane panel
+// of n-point sub-DFTs: rows, lanes, or (one draw in five) any small pair,
+// which the op's own check mostly rejects.
+func panelSide(rng *rand.Rand, n, v int) (s, l int) {
+	sign := func() int { return 1 - 2*rng.Intn(2) }
+	switch rng.Intn(5) {
+	case 0, 1:
+		return sign() * (v + rng.Intn(3)), sign()
+	case 2, 3:
+		return sign(), sign() * (n + rng.Intn(3))
+	default:
+		return rng.Intn(9) - 4, rng.Intn(9) - 4
+	}
+}
+
 const numOpKinds = 9
+
+// isPanel reports whether op is a codelet call of more than one lane.
+func isPanel(op Op) bool {
+	switch c := op.(type) {
+	case CodeletCall:
+		return c.V > 1
+	case CodeletGenCall:
+		return c.V > 1
+	}
+	return false
+}
 
 // inBounds reports whether every index op's footprint visits lies in a
 // buffer of prog.
@@ -87,8 +126,8 @@ func inBounds(prog *Program) bool {
 // executor without an index panic, writes nothing outside the footprint's
 // writes, and reads nothing outside its reads.
 func TestFootprintDrift(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	accepted := make([]int, numOpKinds)
+	rng, panels := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+	accepted, panelsAccepted := make([]int, numOpKinds), 0
 	for trial := 0; trial < 30000; trial++ {
 		kind := trial % numOpKinds
 		prog := &Program{N: 1 + rng.Intn(40), P: 1, Mu: 1}
@@ -101,7 +140,7 @@ func TestFootprintDrift(t *testing.T) {
 		for i := rng.Intn(3); i > 0; i-- {
 			prog.Temps = append(prog.Temps, 1+rng.Intn(40))
 		}
-		op := randomOp(rng, kind, prog.NumBufs())
+		op := randomOp(rng, panels, kind, prog.NumBufs())
 		if op.check() != nil {
 			continue
 		}
@@ -124,12 +163,18 @@ func TestFootprintDrift(t *testing.T) {
 			continue
 		}
 		accepted[kind]++
+		if isPanel(op) {
+			panelsAccepted++
+		}
 		runWithinFootprint(t, prog, op)
 	}
 	for kind, n := range accepted {
 		if n < 20 {
 			t.Errorf("op kind %d: only %d accepted programs drawn", kind, n)
 		}
+	}
+	if panelsAccepted < 20 {
+		t.Errorf("only %d accepted panel calls drawn", panelsAccepted)
 	}
 }
 

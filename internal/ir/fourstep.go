@@ -7,57 +7,59 @@ import (
 	"spiralfft/internal/smp"
 )
 
-// This file lowers the four-step (six-step with both transposes explicit)
-// decomposition of enormous 1-D DFTs. For N = n1·n2,
+// This file lowers the four-step decomposition of enormous 1-D DFTs. For
+// N = n1·n2,
 //
 //	DFT_N = (DFT_{n1} ⊗ I_{n2}) · D_{n1,n2} · (I_{n1} ⊗ DFT_{n2}) · L^N_{n1}
 //
-// is the same rule (1) the tree planner applies, but scheduled so every
-// sub-FFT reads and writes contiguous memory: the initial stride permutation
-// is fused into the column-FFT gathers, and the two remaining
-// redistributions are explicit cache-blocked transposes. At sizes whose
-// stage buffers dwarf every cache this wins over the tree schedule, whose
-// stage-2 column walks (stride n2) fetch one line per element across the
-// whole N-element buffer; the blocked transpose pays that redistribution
-// once, µ elements per line. The twiddle diagonal D_{n1,n2} is never
-// materialized: each row-FFT op generates its n1-element row chunk into
-// worker scratch (CodeletGenCall → twiddle.FillRow), so resident twiddle
-// state is O(n1 + n2) rather than O(N).
+// is the same rule (1) the tree planner applies, scheduled as two passes
+// over memory in µ-wide panels, the ⊗ I_µ form of the paper's formula (14)
+// and Definition 1. The column pass gathers µ adjacent columns of the input
+// at once (one cache line per row), so the stride permutation L^N_{n1} costs
+// no pass of its own; the row pass works in place on µ adjacent columns of
+// the n1×n2 intermediate, so no transpose is left at all. Both passes stage
+// their rows through O(n·µ) worker scratch (see CodeletCall). The twiddle
+// diagonal D_{n1,n2} is never materialized: each row-pass panel generates
+// its µ twiddle rows into worker scratch (CodeletGenCall →
+// twiddle.FillRow), so resident twiddle state is O(n1 + n2).
 
 // FourStepConfig configures LowerFourStep.
 type FourStepConfig struct {
 	// P is the processor count (≥ 1).
 	P int
-	// Mu is the cache-line length µ in complex128 elements (default 4).
+	// Mu is the cache-line length µ in complex128 elements (default 4), the
+	// panel width of both passes.
 	Mu int
-	// Tile is the transpose tile edge (0 = executor default).
-	Tile int
 	// ColTree and RowTree override the sub-plan factorizations of the
 	// column (DFT_{n2}) and row (DFT_{n1}) stages (default RadixTree).
 	ColTree, RowTree *exec.Tree
-	// Inverse lowers the unitary inverse with the same four regions (see
+	// Inverse lowers the unitary inverse with the same two regions (see
 	// inverseScale in lower.go): the column FFTs scale their loads by
-	// ω_{n2}^r/n, row j's FFT generates twiddle row j+1 and writes row
-	// n2-1-j reversed; the transposes are unchanged.
+	// ω_{n2}^r/n and write their rows reversed, and the row FFT of
+	// intermediate column c generates twiddle row n2-c and writes that
+	// column reversed.
 	Inverse bool
+	// InPlace lowers a program that allows dst == src: the column pass
+	// writes an n-element temp instead of dst, and the row pass reads it.
+	// Without it the program has no temp, and dst must not overlap src.
+	InPlace bool
 }
 
-// LowerFourStep lowers DFT_n with split n = n1·n2 as the four-step schedule:
+// LowerFourStep lowers DFT_n with split n = n1·n2 as two regions in panels
+// of µ columns:
 //
-//	region col-fft:       t0[i·n2 : (i+1)·n2) = DFT_{n2}(src[i :: n1]),  i < n1
+//	region col-fft: dst[i·n2 + j] = DFT_{n2}(src[i :: n1])_j,            i < n1
 //	barrier
-//	region transpose:     dst[j·n1 + i] = t0[i·n2 + j]                   (t0 is n1×n2)
-//	barrier
-//	region row-fft:       t0[j·n1 : (j+1)·n1) = DFT_{n1}(ω_n^{j·i} ⊙ dst[j·n1 : (j+1)·n1))
-//	barrier
-//	region transpose-out: dst[t·n2 + j] = t0[j·n1 + t]                   (t0 is n2×n1)
+//	region row-fft: dst[t·n2 + j] = DFT_{n1}(ω_n^{j·i} ⊙ dst[i·n2 + j])_t, j < n2
 //
-// which is element-for-element the map LowerCT computes for the same split
-// (the cross-validation tests demand bit-identical output). dst == src is
-// allowed: dst is first written after src is fully consumed. Workers
-// partition rows of each stage; for P > 1 both factors must be multiples of
-// µ (rows are then line-aligned, so worker boundaries never split a line)
-// and at least P.
+// The column op for panel a gathers src[a..a+µ) at stride n1 and writes
+// dst[a·n2 : (a+µ)·n2); the row op for panel d gathers dst[d..d+µ) at
+// stride n2, generates twiddle rows d..d+µ and scatters back to the same
+// elements. This is element for element the map LowerCT computes for the
+// same split. Workers partition the panels of each pass; for P > 1 both
+// factors must be multiples of µ (every panel is then whole lines, so
+// worker boundaries never split a line) and at least P. For P = 1 a factor
+// that is not a multiple of µ ends in a narrower panel.
 func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("ir: LowerFourStep with P=%d", cfg.P)
@@ -69,9 +71,10 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 		return nil, fmt.Errorf("ir: invalid four-step split %d = %d · %d", n, n1, n/n1)
 	}
 	n2 := n / n1
+	mu := cfg.Mu
 	if cfg.P > 1 {
-		if n1%cfg.Mu != 0 || n2%cfg.Mu != 0 {
-			return nil, fmt.Errorf("ir: four-step split %d·%d not µ-aligned (µ=%d)", n1, n2, cfg.Mu)
+		if n1%mu != 0 || n2%mu != 0 {
+			return nil, fmt.Errorf("ir: four-step split %d·%d not µ-aligned (µ=%d)", n1, n2, mu)
 		}
 		if n1 < cfg.P || n2 < cfg.P {
 			return nil, fmt.Errorf("ir: four-step split %d·%d too small for p=%d", n1, n2, cfg.P)
@@ -90,57 +93,68 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 	}
 	// The inverse: input x[i + n1·r] carries ω_n^i·ω_{n2}^r/n. Column op i
 	// loads x[i::n1], so ω_{n2}^r/n is one shared scale; the constant ω_n^i
-	// passes through DFT_{n2} and the transpose into element i of every
-	// row, where the row twiddle ω_n^{j·i} becomes ω_n^{(j+1)·i}. Output
-	// t·n2 + j must land at n-1-(t·n2 + j), which is where the second
-	// transpose carries element n1-1-t of row n2-1-j.
+	// passes through DFT_{n2} into element i of every row, where the row
+	// twiddle ω_n^{j·i} becomes ω_n^{(j+1)·i}. Output t·n2 + j must land at
+	// n-1-(t·n2 + j) = (n1-1-t)·n2 + (n2-1-j). The column pass writes
+	// DFT_{n2} output j to column n2-1-j, so the row pass reads column c =
+	// n2-1-j, generates row j+1 = n2-c, and writes its output t to row
+	// n1-1-t of the same column: each op stays in place on its panel. Its
+	// lanes run right to left (lane stride -1), so the twiddle rows of one
+	// panel still ascend with the lane.
 	var colScale []complex128
 	if cfg.Inverse {
 		colScale = inverseScale(n2, 1/float64(n))
 	}
-	t0 := TempBuf(0)
+	mid, temps := BufDst, []int(nil)
+	if cfg.InPlace {
+		mid, temps = TempBuf(0), []int{n}
+	}
 	colFFT := &Region{Name: "col-fft", Workers: make([][]Op, cfg.P)}
-	transA := &Region{Name: "transpose", Workers: make([][]Op, cfg.P)}
 	rowFFT := &Region{Name: "row-fft", Workers: make([][]Op, cfg.P)}
-	transB := &Region{Name: "transpose-out", Workers: make([][]Op, cfg.P)}
 	for w := 0; w < cfg.P; w++ {
-		// Column FFTs: iteration i gathers src[i :: n1] (the fused L^N_{n1})
-		// and writes the contiguous row i of the n1×n2 panel t0.
-		lo, hi := smp.BlockRange(n1, cfg.P, w)
-		for i := lo; i < hi; i++ {
-			colFFT.Workers[w] = append(colFFT.Workers[w],
-				CodeletCall{Dst: t0, DOff: i * n2, DS: 1, Src: BufSrc, SOff: i, SS: n1, Tree: ct, Tw: colScale})
-		}
-		// Transpose t0 (n1×n2) into dst as n2×n1; workers own destination
-		// row bands [lo,hi) ⊆ [0,n2), so writes are contiguous.
-		lo, hi = smp.BlockRange(n2, cfg.P, w)
-		if hi > lo {
-			transA.Workers[w] = append(transA.Workers[w],
-				Transpose{Dst: BufDst, Src: t0, Rows: n1, Cols: n2, Lo: lo, Hi: hi, Tile: cfg.Tile})
-		}
-		// Row FFTs: row j is contiguous in dst; the twiddle row
-		// ω_n^{j·i} (i < n1) is generated into scratch, never tabulated.
-		for j := lo; j < hi; j++ {
-			c := CodeletGenCall{Dst: t0, DOff: j * n1, DS: 1, Src: BufDst, SOff: j * n1, SS: 1,
-				Tree: rt, TwDen: n, TwRow: j}
+		// Column panel [a, a+v): rows of v adjacent src elements at stride
+		// n1 (the fused L^N_{n1}), each lane written as one contiguous row
+		// of the n1×n2 intermediate.
+		lo, hi := panelRange(n1, mu, cfg.P, w)
+		for a := lo; a < hi; a += mu {
+			v := min(mu, hi-a)
+			c := CodeletCall{Dst: mid, DOff: a * n2, DS: 1, DV: n2, Src: BufSrc, SOff: a, SS: n1, SV: 1,
+				V: v, Tree: ct, Tw: colScale}
 			if cfg.Inverse {
-				c.DOff, c.DS, c.TwRow = (n2-j)*n1-1, -1, j+1
+				c.DOff, c.DS = a*n2+n2-1, -1
+			}
+			colFFT.Workers[w] = append(colFFT.Workers[w], c)
+		}
+		// Row panel [d, d+v): v adjacent columns of the intermediate,
+		// rows of v elements at stride n2, in place.
+		lo, hi = panelRange(n2, mu, cfg.P, w)
+		for d := lo; d < hi; d += mu {
+			v := min(mu, hi-d)
+			c := CodeletGenCall{Dst: BufDst, DOff: d, DS: n2, DV: 1, Src: mid, SOff: d, SS: n2, SV: 1,
+				V: v, Tree: rt, TwDen: n, TwRow: d}
+			if cfg.Inverse {
+				last := d + v - 1
+				c.SOff, c.SV = last, -1
+				c.DOff, c.DS, c.DV = (n1-1)*n2+last, -n2, -1
+				c.TwRow = n2 - last
 			}
 			rowFFT.Workers[w] = append(rowFFT.Workers[w], c)
-		}
-		// Transpose t0 (now n2×n1) into dst: dst[t·n2+j] = t0[j·n1+t].
-		lo, hi = smp.BlockRange(n1, cfg.P, w)
-		if hi > lo {
-			transB.Workers[w] = append(transB.Workers[w],
-				Transpose{Dst: BufDst, Src: t0, Rows: n2, Cols: n1, Lo: lo, Hi: hi, Tile: cfg.Tile})
 		}
 	}
 	return &Program{
 		Name:  dirName("four-step", cfg.Inverse),
 		N:     n,
 		P:     cfg.P,
-		Mu:    cfg.Mu,
-		Temps: []int{n},
-		Nodes: []Node{colFFT, Barrier{}, transA, Barrier{}, rowFFT, Barrier{}, transB},
+		Mu:    mu,
+		Temps: temps,
+		Nodes: []Node{colFFT, Barrier{}, rowFFT},
 	}, nil
+}
+
+// panelRange returns the columns [lo, hi) of worker w's panels: the µ-wide
+// panels of [0, n) split over p workers in contiguous blocks. When µ does
+// not divide n, the last panel is the narrower remainder.
+func panelRange(n, mu, p, w int) (lo, hi int) {
+	lo, hi = smp.BlockRange((n+mu-1)/mu, p, w)
+	return lo * mu, min(hi*mu, n)
 }

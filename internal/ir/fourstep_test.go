@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -66,13 +65,20 @@ func TestLowerFourStepMatchesSeq(t *testing.T) {
 		if re := relError(want, got); re > 1e-12 {
 			t.Errorf("n=%d n1=%d: rel error %g vs sequential tree", tc.n, tc.n1, re)
 		}
-		// In place: dst aliasing src must give the same answer (dst is first
-		// written after src is fully consumed).
-		inpl := append([]complex128(nil), src...)
-		e.Transform(inpl, inpl)
-		if re := relError(want, inpl); re > 1e-12 {
-			t.Errorf("n=%d n1=%d: in-place rel error %g", tc.n, tc.n1, re)
+		// In place: the InPlace program allows dst aliasing src and must
+		// give the same answer bit for bit (its column pass writes a temp,
+		// so dst is first written after src is fully consumed).
+		ip, err := LowerFourStep(tc.n, tc.n1, FourStepConfig{P: 1, InPlace: true})
+		if err != nil {
+			t.Fatalf("LowerFourStep(%d,%d) in place: %v", tc.n, tc.n1, err)
 		}
+		ie, err := NewExecutor(ip, nil)
+		if err != nil {
+			t.Fatalf("NewExecutor in place: %v", err)
+		}
+		inpl := append([]complex128(nil), src...)
+		ie.Transform(inpl, inpl)
+		requireIdentical(t, got, inpl, fmt.Sprintf("four-step n=%d n1=%d in place", tc.n, tc.n1))
 	}
 }
 
@@ -170,20 +176,131 @@ func TestTransposeOpTiling(t *testing.T) {
 	}
 }
 
-// The four-step program must never allocate an N-element twiddle table: its
-// per-worker scratch requirement stays O(n1 + sub-plan scratch).
+// The four-step program must never allocate an N-element twiddle table or
+// stage more than a panel: per-worker scratch stays O(n·µ) for the longer
+// sub-FFT n = max(n1, n2) (the staged panel, one generated twiddle row and
+// the sub-plan's own scratch), nowhere near N.
 func TestFourStepScratchStaysSmall(t *testing.T) {
-	n, n1 := 1<<16, 1<<8
-	prog, err := LowerFourStep(n, n1, FourStepConfig{P: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ n, n1, p int }{{1 << 16, 1 << 8, 1}, {1 << 16, 1 << 10, 2}, {1 << 22, 1 << 14, 2}} {
+		for _, inverse := range []bool{false, true} {
+			prog, err := LowerFourStep(c.n, c.n1, FourStepConfig{P: c.p, Inverse: inverse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend := smp.NewSpawn(c.p)
+			e, err := NewExecutor(prog, backend)
+			backend.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			long := max(c.n1, c.n/c.n1)
+			if bound := (4 + 4) * long; e.need > bound {
+				t.Errorf("n=%d n1=%d p=%d inverse=%v: scratch need %d > %d = (µ+4)·%d; twiddle table leaked into scratch?",
+					c.n, c.n1, c.p, inverse, e.need, bound, long)
+			}
+		}
 	}
-	e, err := NewExecutor(prog, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// The out-of-place four-step program is the two panel passes and nothing
+// else: no temp, no transpose, one barrier, µ-wide panels on both sides.
+// The InPlace program differs only in its one n-element temp between the
+// passes.
+func TestFourStepProgramHasNoTempOrTranspose(t *testing.T) {
+	for _, p := range []int{1, 2, 4} {
+		for _, cfg := range []FourStepConfig{{P: p}, {P: p, Inverse: true}, {P: p, InPlace: true}, {P: p, Inverse: true, InPlace: true}} {
+			prog, err := LowerFourStep(4096, 64, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTemps := 0
+			if cfg.InPlace {
+				wantTemps = 1
+			}
+			if len(prog.Temps) != wantTemps || wantTemps == 1 && prog.Temps[0] != 4096 {
+				t.Errorf("%+v: temps %v", cfg, prog.Temps)
+			}
+			if len(prog.Nodes) != 3 || len(prog.Regions()) != 2 {
+				t.Errorf("%+v: %d nodes, %d regions; want col-fft, barrier, row-fft", cfg, len(prog.Nodes), len(prog.Regions()))
+			}
+			ops := 0
+			for _, r := range prog.Regions() {
+				for _, wops := range r.Workers {
+					for _, op := range wops {
+						ops++
+						if !isPanel(op) {
+							t.Fatalf("%+v: region %q holds %s, not a µ-wide panel call", cfg, r.Name, op)
+						}
+					}
+				}
+			}
+			// 64/4 column panels and 64/4 row panels.
+			if ops != 32 {
+				t.Errorf("%+v: %d ops, want 32 panels", cfg, ops)
+			}
+		}
 	}
-	// Generous bound: a few multiples of the row length, nowhere near N.
-	if e.need > 8*n1+4*int(math.Sqrt(float64(n))) {
-		t.Errorf("four-step scratch need %d for n=%d n1=%d; twiddle table leaked into scratch?", e.need, n, n1)
+}
+
+// A panel call is the V lane calls it stands for, bit for bit, in every
+// side form: rows or lanes, forward or reversed strides, in place where
+// allowed or not, with a table scale or a generated twiddle row.
+func TestPanelCallMatchesLaneCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	tree := exec.SplitTree(exec.LeafTree(4), exec.LeafTree(3))
+	const n, v = 12, 3
+	type side struct{ off, s, l int }
+	rows := []side{{0, v, 1}, {v - 1, v, -1}, {(n - 1) * v, -v, 1}}
+	lanes := []side{{0, 1, n}, {n - 1, -1, n}, {(v - 1) * n, 1, -n}}
+	for _, in := range append(rows, lanes...) {
+		for _, out := range append(rows, lanes...) {
+			for _, gen := range []bool{false, true} {
+				var panel, lane func(l int) Op
+				if gen {
+					panel = func(int) Op {
+						return CodeletGenCall{Dst: BufDst, DOff: out.off, DS: out.s, DV: out.l, Src: BufSrc, SOff: in.off, SS: in.s, SV: in.l,
+							V: v, Tree: tree, TwDen: 97, TwRow: 5, TwOff: 2}
+					}
+					lane = func(l int) Op {
+						return CodeletGenCall{Dst: BufDst, DOff: out.off + l*out.l, DS: out.s, Src: BufSrc, SOff: in.off + l*in.l, SS: in.s,
+							Tree: tree, TwDen: 97, TwRow: 5 + l, TwOff: 2}
+					}
+				} else {
+					w := randVec(n, rng)
+					panel = func(int) Op {
+						return CodeletCall{Dst: BufDst, DOff: out.off, DS: out.s, DV: out.l, Src: BufSrc, SOff: in.off, SS: in.s, SV: in.l,
+							V: v, Tree: tree, Tw: w}
+					}
+					lane = func(l int) Op {
+						return CodeletCall{Dst: BufDst, DOff: out.off + l*out.l, DS: out.s, Src: BufSrc, SOff: in.off + l*in.l, SS: in.s, Tree: tree, Tw: w}
+					}
+				}
+				var laneOps []Op
+				for l := 0; l < v; l++ {
+					laneOps = append(laneOps, lane(l))
+				}
+				run := func(ops []Op, dst, src []complex128) {
+					prog := &Program{Name: "panel", N: n * v, P: 1, Mu: 4, Nodes: []Node{&Region{Name: "r", Workers: [][]Op{ops}}}}
+					e, err := NewExecutor(prog, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", ops[0], err)
+					}
+					e.Transform(dst, src)
+				}
+				src := randVec(n*v, rng)
+				want, got := make([]complex128, n*v), make([]complex128, n*v)
+				run(laneOps, want, src)
+				run([]Op{panel(0)}, got, src)
+				requireIdentical(t, want, got, fmt.Sprint(panel(0)))
+				// Every side here covers all n·v elements, so the panel may
+				// run in place when either side is rows (|l| = 1) or the
+				// two sides are the same.
+				if in == out || abs(in.l) == 1 || abs(out.l) == 1 {
+					inpl := append([]complex128(nil), src...)
+					run([]Op{panel(0)}, inpl, inpl)
+					requireIdentical(t, want, inpl, fmt.Sprint(panel(0), " in place"))
+				}
+			}
+		}
 	}
 }

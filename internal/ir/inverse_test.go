@@ -70,38 +70,44 @@ func TestInverseLoweringsMatchNaiveIDFT(t *testing.T) {
 	type tc struct {
 		name string
 		prog func() (*Program, error)
+		// alias, when non-nil, lowers the program the in-place check runs:
+		// the four-step program needs dst apart from src, its InPlace twin
+		// allows dst == src.
+		alias func() (*Program, error)
 	}
 	ct := func(n, m, p int, sched Schedule) func() (*Program, error) {
 		return func() (*Program, error) {
 			return LowerCT(n, m, CTConfig{P: p, Mu: 4, Schedule: sched, Inverse: true})
 		}
 	}
-	fs := func(n, n1, p, tile int) func() (*Program, error) {
+	fs := func(n, n1, p int, inPlace bool) func() (*Program, error) {
 		return func() (*Program, error) {
-			return LowerFourStep(n, n1, FourStepConfig{P: p, Mu: 4, Tile: tile, Inverse: true})
+			return LowerFourStep(n, n1, FourStepConfig{P: p, Mu: 4, Inverse: true, InPlace: inPlace})
 		}
 	}
 	tree := func(t *exec.Tree) func() (*Program, error) {
 		return func() (*Program, error) { return LowerTreeInverse(t) }
 	}
 	cases := []tc{
-		{"tree leaf 1", tree(exec.LeafTree(1))},
-		{"tree leaf 8", tree(exec.LeafTree(8))},
-		{"tree leaf 13 (naive)", tree(exec.LeafTree(13))},
-		{"tree leaf 1009 (bluestein)", tree(exec.LeafTree(1009))},
-		{"tree radix 1024", tree(exec.RadixTree(1024))},
-		{"tree composite 360", tree(exec.SplitTree(exec.LeafTree(12), exec.SplitTree(exec.LeafTree(5), exec.LeafTree(6))))},
-		{"ct 64=8·8 p=1", ct(64, 8, 1, ScheduleBlock)},
-		{"ct 1024=32·32 p=2", ct(1024, 32, 2, ScheduleBlock)},
-		{"ct 4096=64·64 p=2", ct(4096, 64, 2, ScheduleBlock)},
-		{"ct 4096=128·32 p=4", ct(4096, 128, 4, ScheduleBlock)},
-		{"ct 256=16·16 p=2 cyclic", ct(256, 16, 2, ScheduleCyclic)},
-		{"four-step 256=16·16 p=1", fs(256, 16, 1, 0)},
-		{"four-step 1024=32·32 p=2", fs(1024, 32, 2, 16)},
-		{"four-step 4096=64·64 p=2", fs(4096, 64, 2, 0)},
-		{"four-step 2048=128·16 p=2", fs(2048, 128, 2, 32)},
-		{"batch 16×4 p=2", func() (*Program, error) { return LowerBatchInverse(exec.RadixTree(16), 4, 2) }},
-		{"batch 12×3 p=1", func() (*Program, error) { return LowerBatchInverse(exec.LeafTree(12), 3, 1) }},
+		{"tree leaf 1", tree(exec.LeafTree(1)), nil},
+		{"tree leaf 8", tree(exec.LeafTree(8)), nil},
+		{"tree leaf 13 (naive)", tree(exec.LeafTree(13)), nil},
+		{"tree leaf 1009 (bluestein)", tree(exec.LeafTree(1009)), nil},
+		{"tree radix 1024", tree(exec.RadixTree(1024)), nil},
+		{"tree composite 360", tree(exec.SplitTree(exec.LeafTree(12), exec.SplitTree(exec.LeafTree(5), exec.LeafTree(6)))), nil},
+		{"ct 64=8·8 p=1", ct(64, 8, 1, ScheduleBlock), nil},
+		{"ct 1024=32·32 p=2", ct(1024, 32, 2, ScheduleBlock), nil},
+		{"ct 4096=64·64 p=2", ct(4096, 64, 2, ScheduleBlock), nil},
+		{"ct 4096=128·32 p=4", ct(4096, 128, 4, ScheduleBlock), nil},
+		{"ct 256=16·16 p=2 cyclic", ct(256, 16, 2, ScheduleCyclic), nil},
+		{"four-step 256=16·16 p=1", fs(256, 16, 1, false), fs(256, 16, 1, true)},
+		{"four-step 1024=32·32 p=2", fs(1024, 32, 2, false), fs(1024, 32, 2, true)},
+		{"four-step 4096=64·64 p=2", fs(4096, 64, 2, false), fs(4096, 64, 2, true)},
+		{"four-step 2048=128·16 p=2", fs(2048, 128, 2, false), fs(2048, 128, 2, true)},
+		{"four-step 360=60·6 p=1 (ragged row panel)", fs(360, 60, 1, false), fs(360, 60, 1, true)},
+		{"four-step 360=90·4 p=1 (ragged column panel)", fs(360, 90, 1, false), fs(360, 90, 1, true)},
+		{"batch 16×4 p=2", func() (*Program, error) { return LowerBatchInverse(exec.RadixTree(16), 4, 2) }, nil},
+		{"batch 12×3 p=1", func() (*Program, error) { return LowerBatchInverse(exec.LeafTree(12), 3, 1) }, nil},
 	}
 	for _, c := range cases {
 		prog, err := c.prog()
@@ -118,7 +124,14 @@ func TestInverseLoweringsMatchNaiveIDFT(t *testing.T) {
 				want = append(want, naiveIDFT(src[s:s+sig])...)
 			}
 		}
-		out, in := runProgram(t, prog, src, true)
+		out, in := runProgram(t, prog, src, c.alias == nil)
+		if c.alias != nil {
+			alias, err := c.alias()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			_, in = runProgram(t, alias, src, true)
+		}
 		bound := 4 * math.Log2(float64(n)+1) * 0x1p-52
 		if e := relError(want, out); e > bound {
 			t.Errorf("%s: rel error %.3g > %.3g", c.name, e, bound)

@@ -159,21 +159,35 @@ func (a *Access) bounds() (lo, hi int) {
 // absorbed into the call, the paper's loop merging). The executor fuses it
 // into the leaf kernel when the tree root is a leaf and pre-scales into
 // scratch otherwise — exactly the strategy of the recursive executor.
+//
+// V > 1 is the panel DFT_n ⊗ I_V: lane v < V transforms
+// src[SOff + v·SV + j·SS] into dst[DOff + v·DV + i·DS], every lane with the
+// same Tw. Each side is rows or lanes. Rows (lane stride ±1, point stride at
+// least V in size) hold point j as V adjacent elements, so a µ-wide panel
+// touches each cache line once; the executor stages such a side through
+// worker scratch (an input only when the output is rows too or dst is
+// src), gathering every lane before the first transform and scattering
+// after the last. Lanes (point stride ±1, lane stride at least n in size)
+// hold each lane as one run, read or written in place. dst may be src when
+// either side is rows (it is then staged) or the two sides are the same. V
+// 0 or 1 is the plain call (SV and DV unused).
 type CodeletCall struct {
 	Dst, Src Buf
 	DOff, DS int
 	SOff, SS int
 	Tree     *exec.Tree
 	Tw       []complex128
+	V        int
+	DV, SV   int
 }
 
 func (c CodeletCall) Footprint() Footprint {
-	return strided(c.Dst, Span{c.DOff, c.DS, c.Tree.N, 1}, c.Src, Span{c.SOff, c.SS, c.Tree.N, 1})
+	return strided(c.Dst, panelSpan(c.DOff, c.DS, c.DV, c.Tree.N, c.V), c.Src, panelSpan(c.SOff, c.SS, c.SV, c.Tree.N, c.V))
 }
 
 func (c CodeletCall) Moved(f Footprint) Op {
-	c.Dst, c.DOff, c.DS = f.Write.at()
-	c.Src, c.SOff, c.SS = f.Read.at()
+	c.Dst, c.DOff, c.DS, c.DV = movedPanel(&f.Write, c.DS, c.DV, c.Tree.N, c.V)
+	c.Src, c.SOff, c.SS, c.SV = movedPanel(&f.Read, c.SS, c.SV, c.Tree.N, c.V)
 	return c
 }
 
@@ -187,6 +201,9 @@ func (c CodeletCall) check() error {
 	if c.Tw != nil && len(c.Tw) != c.Tree.N {
 		return fmt.Errorf("op %s: tw length %d, want %d", c, len(c.Tw), c.Tree.N)
 	}
+	if !panelOK(c.DS, c.DV, c.SS, c.SV, c.Tree.N, c.V) {
+		return fmt.Errorf("op %s: a panel side is neither rows nor lanes", c)
+	}
 	return nil
 }
 
@@ -198,7 +215,74 @@ func (c CodeletCall) String() string {
 	if c.Tw != nil {
 		tw = " ⊙tw"
 	}
-	return fmt.Sprintf("dft%s %s[%d:%d] ← %s[%d:%d]%s", c.Tree, c.Dst, c.DOff, c.DS, c.Src, c.SOff, c.SS, tw)
+	return fmt.Sprintf("dft%s%s %s ← %s%s", c.Tree, panelName(c.V),
+		sideString(c.Dst, c.DOff, c.DS, c.DV, c.V), sideString(c.Src, c.SOff, c.SS, c.SV, c.V), tw)
+}
+
+// panelSpan is the span one side of a sub-DFT call covers: n points at
+// stride s from off, each point a row of v lanes at lane stride l when
+// v > 1 (see CodeletCall).
+func panelSpan(off, s, l, n, v int) Span {
+	switch {
+	case v <= 1:
+		return Span{off, s, n, 1}
+	case l == 1 || l == -1: // rows
+		return Span{min(off, off+(v-1)*l), s, n, v}
+	default: // lanes
+		return Span{min(off, off+(n-1)*s), l, v, n}
+	}
+}
+
+// movedPanel inverts panelSpan for a side whose first span now starts at
+// a.Spans[0]: it returns the side's buffer, offset, point and lane stride.
+func movedPanel(a *Access, s, l, n, v int) (Buf, int, int, int) {
+	b, off, stride := a.at()
+	switch {
+	case v <= 1:
+		return b, off, stride, l
+	case l == 1 || l == -1:
+		return b, off - min(0, (v-1)*l), stride, l
+	default:
+		return b, off - min(0, (n-1)*s), s, stride
+	}
+}
+
+// panelOK reports whether both sides of a v-lane panel of n-point
+// sub-DFTs are rows or lanes; any other side's elements would overlap or
+// leave the span panelSpan reports.
+func panelOK(ds, dv, ss, sv, n, v int) bool {
+	return v <= 1 || panelSideOK(ds, dv, n, v) && panelSideOK(ss, sv, n, v)
+}
+
+// panelSideOK reports whether a panel side with point stride s and lane
+// stride l is rows or lanes.
+func panelSideOK(s, l, n, v int) bool {
+	s, l = abs(s), abs(l)
+	return l == 1 && s >= v || s == 1 && l >= n
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// panelName renders a panel width as its ⊗ I_V factor.
+func panelName(v int) string {
+	if v > 1 {
+		return fmt.Sprintf("⊗I%d", v)
+	}
+	return ""
+}
+
+// sideString renders one side of a sub-DFT call: buffer, offset, point
+// stride and, for a panel, lane stride.
+func sideString(b Buf, off, s, l, v int) string {
+	if v > 1 {
+		return fmt.Sprintf("%s[%d:%d:%d]", b, off, s, l)
+	}
+	return fmt.Sprintf("%s[%d:%d]", b, off, s)
 }
 
 // WHTCall runs a 2^k-point Walsh-Hadamard transform with strided I/O:
@@ -472,9 +556,9 @@ func (c Generic) String() string {
 //
 // The executor runs it cache-blocked with Tile×Tile tiles (0 means the
 // default tile). Workers partition destination rows, so each worker's
-// writes are contiguous runs — the blocked transpose between the column and
-// row FFT stages of the four-step large-N decomposition, with false sharing
-// confined to at most one line per worker boundary.
+// writes are contiguous runs, with false sharing confined to at most one
+// line per worker boundary. No lowering emits it; the benchmarks time it as
+// the memory system's redistribution reference.
 type Transpose struct {
 	Dst, Src   Buf
 	DOff, SOff int
@@ -522,7 +606,8 @@ func (c Transpose) String() string {
 // (TwDen = n1·n2) produced into per-worker scratch by twiddle.FillRow. The
 // four-step large-N lowering uses it for the twiddled row-FFT stage so a
 // DFT_{n1·n2} plan never materializes an N-element twiddle table — resident
-// twiddle state is O(n1) per worker.
+// twiddle state is O(n1) per worker. V, DV and SV make it a panel as on
+// CodeletCall; lane v scales by row TwRow + v.
 type CodeletGenCall struct {
 	Dst, Src Buf
 	DOff, DS int
@@ -531,15 +616,17 @@ type CodeletGenCall struct {
 	TwDen    int // modulus of the generated roots (the full transform size)
 	TwRow    int // row of the diagonal (the panel index)
 	TwOff    int // starting column offset within the row
+	V        int
+	DV, SV   int
 }
 
 func (c CodeletGenCall) Footprint() Footprint {
-	return strided(c.Dst, Span{c.DOff, c.DS, c.Tree.N, 1}, c.Src, Span{c.SOff, c.SS, c.Tree.N, 1})
+	return strided(c.Dst, panelSpan(c.DOff, c.DS, c.DV, c.Tree.N, c.V), c.Src, panelSpan(c.SOff, c.SS, c.SV, c.Tree.N, c.V))
 }
 
 func (c CodeletGenCall) Moved(f Footprint) Op {
-	c.Dst, c.DOff, c.DS = f.Write.at()
-	c.Src, c.SOff, c.SS = f.Read.at()
+	c.Dst, c.DOff, c.DS, c.DV = movedPanel(&f.Write, c.DS, c.DV, c.Tree.N, c.V)
+	c.Src, c.SOff, c.SS, c.SV = movedPanel(&f.Read, c.SS, c.SV, c.Tree.N, c.V)
 	return c
 }
 
@@ -556,6 +643,9 @@ func (c CodeletGenCall) check() error {
 	if c.TwRow < 0 || c.TwOff < 0 {
 		return fmt.Errorf("op %s: negative twiddle index row=%d off=%d", c, c.TwRow, c.TwOff)
 	}
+	if !panelOK(c.DS, c.DV, c.SS, c.SV, c.Tree.N, c.V) {
+		return fmt.Errorf("op %s: a panel side is neither rows nor lanes", c)
+	}
 	return nil
 }
 
@@ -563,8 +653,8 @@ func (c CodeletGenCall) check() error {
 func (c CodeletGenCall) N() int { return c.Tree.N }
 
 func (c CodeletGenCall) String() string {
-	return fmt.Sprintf("dft%s %s[%d:%d] ← %s[%d:%d] ⊙ω_%d^{%d·(%d+k)}",
-		c.Tree, c.Dst, c.DOff, c.DS, c.Src, c.SOff, c.SS, c.TwDen, c.TwRow, c.TwOff)
+	return fmt.Sprintf("dft%s%s %s ← %s ⊙ω_%d^{%d·(%d+k)}", c.Tree, panelName(c.V),
+		sideString(c.Dst, c.DOff, c.DS, c.DV, c.V), sideString(c.Src, c.SOff, c.SS, c.SV, c.V), c.TwDen, c.TwRow, c.TwOff)
 }
 
 // ---------------------------------------------------------------------------

@@ -407,8 +407,9 @@ func foldScaleIntoCalls(prog *Program, regions []*Region, i int) bool {
 	if src == -1 || touches(b, src, true) {
 		return false
 	}
-	// Consumers must all be codelet calls with a free Tw slot.
-	if !every(b, func(op Op) bool { c, ok := op.(CodeletCall); return ok && c.Tw == nil }) {
+	// Consumers must all be plain codelet calls with a free Tw slot (a
+	// panel's lanes would each need their own scale).
+	if !every(b, func(op Op) bool { c, ok := op.(CodeletCall); return ok && c.Tw == nil && c.V <= 1 }) {
 		return false
 	}
 	// Materialize the full diagonal; a must cover x completely, or b would

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spiralfft/internal/exec"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/smp"
 	"spiralfft/internal/spl"
@@ -241,4 +242,32 @@ func TestFoldLeavesUnfoldableProgramsIntact(t *testing.T) {
 	if d := maxDiff(want, got); d > 1e-9 {
 		t.Fatalf("folded program deviates by %g", d)
 	}
+}
+
+// A diagonal stage ahead of a panel call stays a stage: one fused input
+// scale cannot give each lane of the panel its own weights.
+func TestFoldKeepsScaleAheadOfPanel(t *testing.T) {
+	const n, v = 8, 2
+	rng := rand.New(rand.NewSource(10))
+	w := randVec(n*v, rng)
+	prog := &Program{Name: "scale-panel", N: n * v, P: 1, Mu: 1, Temps: []int{n * v}, Nodes: []Node{
+		&Region{Name: "scale", Workers: [][]Op{{Scale{Dst: TempBuf(0), Src: BufSrc, W: w}}}},
+		Barrier{},
+		&Region{Name: "panel", Workers: [][]Op{{CodeletCall{Dst: BufDst, DS: v, DV: 1, Src: TempBuf(0), SS: v, SV: 1,
+			V: v, Tree: exec.LeafTree(n)}}}},
+	}}
+	folded, err := Fold(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(p *Program) []complex128 {
+		e, err := NewExecutor(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]complex128, n*v)
+		e.Transform(out, w)
+		return out
+	}
+	requireIdentical(t, run(prog), run(folded), "folded scale ahead of a panel")
 }

@@ -79,7 +79,7 @@ func plainComplex(p *Program) error {
 // lowerings emit are known to run correctly in place.
 func srcToDst(op Op) (Op, error) {
 	switch op.(type) {
-	case CodeletCall, CodeletGenCall, Transpose:
+	case CodeletCall, CodeletGenCall:
 	default:
 		return nil, fmt.Errorf("ir: RealInverse cannot retarget op %s", op)
 	}

@@ -51,11 +51,11 @@ func opWork(op Op) float64 {
 		if t.Tw != nil {
 			f += 6 * float64(t.Tree.N)
 		}
-		return f
+		return f * float64(max(t.V, 1))
 	case CodeletGenCall:
 		// The generated row costs the same 6 flops/element as a fused table
 		// scale (the sincos generation itself is amortized hi/lo products).
-		return exec.FlopCount(t.Tree.N) + 6*float64(t.Tree.N)
+		return (exec.FlopCount(t.Tree.N) + 6*float64(t.Tree.N)) * float64(max(t.V, 1))
 	case Transpose:
 		return float64((t.Hi - t.Lo) * t.Rows) // element moves
 	case WHTCall:

@@ -5,7 +5,7 @@ import "testing"
 // Validate runs on every plan build (NewExecutor); these pin its cost on the
 // large-N and in-cache programs the benchmark workloads build.
 func BenchmarkValidate(b *testing.B) {
-	large, err := LowerFourStep(1<<22, 16384, FourStepConfig{P: 2, Mu: 4, Tile: 64})
+	large, err := LowerFourStep(1<<22, 16384, FourStepConfig{P: 2, Mu: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

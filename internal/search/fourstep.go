@@ -13,9 +13,9 @@ import (
 	"spiralfft/internal/smp"
 )
 
-// Four-step (large-N) tuning. Candidates are (n1, tile) pairs: the top-level
-// split n = n1·n2 of ir.LowerFourStep and the transpose tile edge. The
-// analytic model (cost.Model.FourStep) ranks every pair once, in
+// Four-step (large-N) tuning. Candidates are the top-level splits
+// n = n1·n2 of ir.LowerFourStep. The analytic model (cost.Model.FourStep)
+// ranks every split once, in
 // RankFourStep; model-only planners take the head of that list and
 // BestFourStepCtx measures a prefix of it. The measurement shortlist is
 // smaller than DefaultTopK because one transform at the sizes this tier
@@ -26,28 +26,23 @@ import (
 // search (Tuner.TopK applies when it is smaller).
 const FourStepTopK = 2
 
-// TransposeTiles are the tile-edge candidates ranked for the blocked
-// transposes: the model penalizes pairs whose 2·tile² footprint misses L2 and
-// tiles small enough to pay per-tile loop overhead, so the larger candidates
-// usually rank ahead and the smallest stays as insurance for tiny caches.
-var TransposeTiles = []int{16, 32, 64}
-
-// FourStepCandidate is one admissible (n1, tile) pair with its modeled cost.
+// FourStepCandidate is one admissible split n = N1·n2 with its modeled
+// cost.
 type FourStepCandidate struct {
-	N1, Tile int
+	N1 int
 	// Score is the modeled runtime in nanoseconds (cost.Model.FourStep).
 	Score float64
 }
 
-// RankFourStep lists every admissible (n1, tile) pair of the four-step
+// RankFourStep lists every admissible split n1 of the four-step
 // schedule for DFT_n on p workers with cache-line length mu, cheapest first
 // under the model (nil means cost.Default()). A split n = n1·n2 is
 // admissible when both factors are at least 2 and, for p > 1, multiples of µ
 // and at least p. A model tie goes to the larger n1 — the row stage carries
 // the twiddle work and profits from longer contiguous sub-FFTs, an effect
-// below the model's resolution but consistent in measurement — and then to
-// the smaller tile. The list is empty when no split is admissible (n prime,
-// or no µ-aligned pair for p workers).
+// below the model's resolution but consistent in measurement. The list is
+// empty when no split is admissible (n prime, or no µ-aligned pair for p
+// workers).
 func RankFourStep(model *cost.Model, n, p, mu int) []FourStepCandidate {
 	if model == nil {
 		model = cost.Default()
@@ -61,9 +56,7 @@ func RankFourStep(model *cost.Model, n, p, mu int) []FourStepCandidate {
 		if p > 1 && (n1%mu != 0 || n2%mu != 0 || n1 < p || n2 < p) {
 			return
 		}
-		for _, tile := range TransposeTiles {
-			out = append(out, FourStepCandidate{N1: n1, Tile: tile, Score: model.FourStep(n, n1, p, tile, nil, nil)})
-		}
+		out = append(out, FourStepCandidate{N1: n1, Score: model.FourStep(n, n1, p, nil, nil)})
 	}
 	for d := 2; d*d <= n; d++ {
 		if n%d != 0 {
@@ -79,10 +72,7 @@ func RankFourStep(model *cost.Model, n, p, mu int) []FourStepCandidate {
 		if a.Score != b.Score {
 			return a.Score < b.Score
 		}
-		if a.N1 != b.N1 {
-			return a.N1 > b.N1
-		}
-		return a.Tile < b.Tile
+		return a.N1 > b.N1
 	})
 	return out
 }
@@ -90,8 +80,8 @@ func RankFourStep(model *cost.Model, n, p, mu int) []FourStepCandidate {
 // FourStepChoice is the outcome of a four-step search.
 type FourStepChoice struct {
 	N int
-	// N1 and Tile are the winning split (n = N1 · n2) and transpose tile.
-	N1, Tile int
+	// N1 is the winning split, n = N1 · n2.
+	N1 int
 	// Prog and Exe are the winning lowered program and its compiled executor
 	// (referencing the backend handed to the search; the caller owns both).
 	Prog *ir.Program
@@ -104,7 +94,7 @@ type FourStepChoice struct {
 	Time time.Duration
 	// Measured reports whether Time is a measurement.
 	Measured bool
-	// Candidates is how many (n1, tile) pairs were considered.
+	// Candidates is how many splits were considered.
 	Candidates int
 }
 
@@ -156,7 +146,7 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 		c.col = t.bestTree(n / c.N1).Tree
 		c.row = t.bestTree(c.N1).Tree
 		prog, err := finish.Apply(ir.LowerFourStep(n, c.N1, ir.FourStepConfig{
-			P: p, Mu: mu, Tile: c.Tile, ColTree: c.col, RowTree: c.row,
+			P: p, Mu: mu, ColTree: c.col, RowTree: c.row,
 		}))
 		if err != nil {
 			return err
@@ -187,7 +177,7 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 	win, d, ok := pick(t, cands, scan[*cand]{
 		kind:  "fourstep-",
 		n:     n,
-		label: func(c *cand) string { return fmt.Sprintf("%d·%d tile=%d", c.N1, n/c.N1, c.Tile) },
+		label: func(c *cand) string { return fmt.Sprintf("%d·%d", c.N1, n/c.N1) },
 		score: func(c *cand) float64 { return c.Score },
 		topK:  k,
 		build: func(c *cand) (func(), error) {
@@ -209,9 +199,9 @@ func (t *Tuner) BestFourStepCtx(ctx context.Context, n, p, mu int, backend smp.B
 		}
 	}
 	best := FourStepChoice{
-		N: n, N1: win.N1, Tile: win.Tile, Prog: win.prog, Exe: win.exe,
+		N: n, N1: win.N1, Prog: win.prog, Exe: win.exe,
 		ColTree: win.col, RowTree: win.row, Time: d, Measured: ok, Candidates: len(cands),
 	}
-	t.trace("fourstep-winner", n, fmt.Sprintf("%d·%d tile=%d", best.N1, n/best.N1, best.Tile), best.Time)
+	t.trace("fourstep-winner", n, fmt.Sprintf("%d·%d", best.N1, n/best.N1), best.Time)
 	return best, nil
 }

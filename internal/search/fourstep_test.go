@@ -41,9 +41,6 @@ func TestBestFourStepChoosesValidSplit(t *testing.T) {
 	if choice.N1 < 2 || n%choice.N1 != 0 || n/choice.N1 < 2 {
 		t.Fatalf("invalid split n1=%d for n=%d", choice.N1, n)
 	}
-	if choice.Tile < 1 {
-		t.Fatalf("invalid tile %d", choice.Tile)
-	}
 	if !choice.Measured {
 		t.Error("expected a measured winner with no budget set")
 	}
@@ -121,39 +118,39 @@ func TestBestFourStepRejectsBadArgs(t *testing.T) {
 }
 
 // TestRankFourStepHeadGolden pins the head of the four-step ranking to the
-// (n1, tile) pick the planner made before the ranking was unified, so the
+// split n1 the planner picked before the ranking was unified, so the
 // model-only plans of every tier-sized transform stay what they were.
 func TestRankFourStepHeadGolden(t *testing.T) {
-	golden := []struct{ n, p, mu, n1, tile int }{
-		{1 << 16, 1, 2, 256, 64}, {1 << 16, 1, 4, 256, 64},
-		{1 << 16, 2, 2, 256, 64}, {1 << 16, 2, 4, 256, 64},
-		{1 << 16, 4, 2, 256, 64}, {1 << 16, 4, 4, 256, 64},
-		{1 << 20, 1, 2, 16384, 64}, {1 << 20, 1, 4, 16384, 64},
-		{1 << 20, 2, 2, 16384, 64}, {1 << 20, 2, 4, 16384, 64},
-		{1 << 20, 4, 2, 16384, 64}, {1 << 20, 4, 4, 16384, 64},
-		{1 << 22, 1, 2, 16384, 64}, {1 << 22, 1, 4, 16384, 64},
-		{1 << 22, 2, 2, 16384, 64}, {1 << 22, 2, 4, 16384, 64},
-		{1 << 22, 4, 2, 16384, 64}, {1 << 22, 4, 4, 16384, 64},
-		{1 << 24, 1, 2, 4096, 64}, {1 << 24, 1, 4, 4096, 64},
-		{1 << 24, 2, 2, 4096, 64}, {1 << 24, 2, 4, 4096, 64},
-		{1 << 24, 4, 2, 4096, 64}, {1 << 24, 4, 4, 4096, 64},
-		{3 << 20, 1, 2, 12288, 64}, {3 << 20, 1, 4, 12288, 64},
-		{3 << 20, 2, 2, 12288, 64}, {3 << 20, 2, 4, 12288, 64},
-		{3 << 20, 4, 2, 12288, 64}, {3 << 20, 4, 4, 12288, 64},
+	golden := []struct{ n, p, mu, n1 int }{
+		{1 << 16, 1, 2, 256}, {1 << 16, 1, 4, 256},
+		{1 << 16, 2, 2, 256}, {1 << 16, 2, 4, 256},
+		{1 << 16, 4, 2, 256}, {1 << 16, 4, 4, 256},
+		{1 << 20, 1, 2, 16384}, {1 << 20, 1, 4, 16384},
+		{1 << 20, 2, 2, 16384}, {1 << 20, 2, 4, 16384},
+		{1 << 20, 4, 2, 16384}, {1 << 20, 4, 4, 16384},
+		{1 << 22, 1, 2, 16384}, {1 << 22, 1, 4, 16384},
+		{1 << 22, 2, 2, 16384}, {1 << 22, 2, 4, 16384},
+		{1 << 22, 4, 2, 16384}, {1 << 22, 4, 4, 16384},
+		{1 << 24, 1, 2, 4096}, {1 << 24, 1, 4, 4096},
+		{1 << 24, 2, 2, 4096}, {1 << 24, 2, 4, 4096},
+		{1 << 24, 4, 2, 4096}, {1 << 24, 4, 4, 4096},
+		{3 << 20, 1, 2, 12288}, {3 << 20, 1, 4, 12288},
+		{3 << 20, 2, 2, 12288}, {3 << 20, 2, 4, 12288},
+		{3 << 20, 4, 2, 12288}, {3 << 20, 4, 4, 12288},
 	}
 	for _, g := range golden {
 		ranked := RankFourStep(cost.Default(), g.n, g.p, g.mu)
 		if len(ranked) == 0 {
 			t.Fatalf("n=%d p=%d µ=%d: no admissible split", g.n, g.p, g.mu)
 		}
-		if h := ranked[0]; h.N1 != g.n1 || h.Tile != g.tile {
-			t.Errorf("n=%d p=%d µ=%d: head %d tile=%d, want %d tile=%d", g.n, g.p, g.mu, h.N1, h.Tile, g.n1, g.tile)
+		if h := ranked[0]; h.N1 != g.n1 {
+			t.Errorf("n=%d p=%d µ=%d: head %d, want %d", g.n, g.p, g.mu, h.N1, g.n1)
 		}
 	}
 }
 
-// The ranking lists each admissible (n1, tile) pair exactly once, in model
-// order with ties to the larger n1 and then the smaller tile.
+// The ranking lists each admissible split n1 exactly once, in model order
+// with ties to the larger n1.
 func TestRankFourStepListsAdmissiblePairsInOrder(t *testing.T) {
 	for _, c := range []struct{ n, p, mu int }{{1 << 12, 1, 4}, {1 << 12, 2, 4}, {3 * 5 * 64, 2, 2}, {36, 1, 4}} {
 		ranked := RankFourStep(nil, c.n, c.p, c.mu)
@@ -161,23 +158,23 @@ func TestRankFourStepListsAdmissiblePairsInOrder(t *testing.T) {
 		for n1 := 2; n1*2 <= c.n; n1++ {
 			n2 := c.n / n1
 			if c.n%n1 == 0 && (c.p == 1 || n1%c.mu == 0 && n2%c.mu == 0 && n1 >= c.p && n2 >= c.p) {
-				want += len(TransposeTiles)
+				want++
 			}
 		}
 		if len(ranked) != want {
 			t.Fatalf("%+v: %d candidates, want %d", c, len(ranked), want)
 		}
-		seen := map[[2]int]bool{}
+		seen := map[int]bool{}
 		for i, r := range ranked {
-			if seen[[2]int{r.N1, r.Tile}] {
-				t.Fatalf("%+v: %d tile=%d listed twice", c, r.N1, r.Tile)
+			if seen[r.N1] {
+				t.Fatalf("%+v: %d listed twice", c, r.N1)
 			}
-			seen[[2]int{r.N1, r.Tile}] = true
+			seen[r.N1] = true
 			if i == 0 {
 				continue
 			}
 			q := ranked[i-1]
-			if q.Score > r.Score || q.Score == r.Score && (q.N1 < r.N1 || q.N1 == r.N1 && q.Tile > r.Tile) {
+			if q.Score > r.Score || q.Score == r.Score && q.N1 < r.N1 {
 				t.Fatalf("%+v: %+v ranked ahead of %+v", c, q, r)
 			}
 		}

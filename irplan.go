@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"spiralfft/internal/ir"
 	"spiralfft/internal/metrics"
@@ -38,6 +39,15 @@ type planCore struct {
 	// inverse.
 	lowerInverse func(workers int) (*ir.Program, error)
 	inv          lazyExecutor
+	// lowerAliased, when set, lowers the program a transform runs when its
+	// dst overlaps src, for plans whose own programs need the two apart
+	// (the four-step tier): the forward or the inverse one, for the given
+	// worker count. A nil program means the direction's own program
+	// already runs in place. aliased holds the two executors, each built
+	// on its first aliased call, so callers that never alias build and
+	// hold nothing for them.
+	lowerAliased func(workers int, inverse bool) (*ir.Program, error)
+	aliased      [2]lazyExecutor
 	// closed is set by release; every transform then fails with ErrClosed.
 	closed atomic.Bool
 	// inner, when set, is the wrapped plan that carries the parallelism;
@@ -70,7 +80,11 @@ func (c *planCore) open() error {
 // run executes the plan's forward program on dst/src. A nil ctx runs the
 // transform without cancellation checks.
 func (c *planCore) run(ctx context.Context, dst, src []complex128) error {
-	return c.exe.TransformCtx(ctx, dst, src)
+	e, err := c.forAlias(c.exe, false, dst, src)
+	if err != nil {
+		return err
+	}
+	return e.TransformCtx(ctx, dst, src)
 }
 
 // runInverse executes the plan's inverse program, with the forward
@@ -83,10 +97,47 @@ func (c *planCore) runInverse(ctx context.Context, dst, src []complex128) error 
 		}
 		return ir.NewExecutor(prog, c.exe.Backend())
 	})
+	if err == nil {
+		e, err = c.forAlias(e, true, dst, src)
+	}
 	if err != nil {
 		return err
 	}
 	return e.TransformCtx(ctx, dst, src)
+}
+
+// forAlias returns the executor a transform in one direction runs: e, or
+// when dst overlaps src and the plan has aliased programs, the direction's
+// aliased executor, built on first use with e's workers and backend.
+func (c *planCore) forAlias(e *ir.Executor, inverse bool, dst, src []complex128) (*ir.Executor, error) {
+	if c.lowerAliased == nil || !overlaps(dst, src) {
+		return e, nil
+	}
+	i := 0
+	if inverse {
+		i = 1
+	}
+	a, err := c.aliased[i].get(func() (*ir.Executor, error) {
+		prog, err := c.lowerAliased(e.Workers(), inverse)
+		if err != nil || prog == nil {
+			return nil, err
+		}
+		return ir.NewExecutor(prog, e.Backend())
+	})
+	if a == nil {
+		return e, err
+	}
+	return a, err
+}
+
+// overlaps reports whether two slices share any memory.
+func overlaps(a, b []complex128) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(complex128(0))
+	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return a0 < b0+uintptr(len(b))*size && b0 < a0+uintptr(len(a))*size
 }
 
 // lazyExecutor is an executor built on first use; a build error is kept and

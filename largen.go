@@ -14,13 +14,17 @@ import (
 // recursive schedule stops making sense: its stage-2 column walks stride
 // across the whole N-element buffer (one memory line per element) and its
 // root twiddle diagonal is an O(N) resident table. This tier lowers such
-// sizes through the four-step decomposition instead (ir.LowerFourStep):
-// contiguous column and row sub-FFTs around explicit cache-blocked
-// transposes, with every twiddle row generated on the fly into O(n1) worker
-// scratch. The sub-FFTs reuse the ordinary tree planner, so the whole
-// codelet tier and tuning machinery carries over; the (n1, tile) choice
-// itself is ranked by the analytic model, and only the measuring planners
-// time the top candidates inside PlanBudget (search.BestFourStepCtx).
+// sizes through the four-step decomposition instead (ir.LowerFourStep): two
+// passes over memory in µ-wide panels of column and row sub-FFTs, with no
+// transpose and no n-sized temp, and every twiddle row generated on the fly
+// into O(n1·µ) worker scratch. The sub-FFTs reuse the ordinary tree
+// planner, so the whole codelet tier and tuning machinery carries over; the
+// split n1 itself is ranked by the analytic model, and only the measuring
+// planners time the top candidates inside PlanBudget
+// (search.BestFourStepCtx). The two-pass program needs dst apart from src;
+// a call with dst overlapping src runs the InPlace lowering instead, built
+// on first use (planCore.aliased), so only callers that alias pay for its
+// n-sized temp.
 //
 // The tier deliberately does not feed the Wisdom store, nor consult it for
 // the full size: wisdom slots hold factorization trees, and recording a tree
@@ -41,7 +45,7 @@ var errNoFourStepSplit = errors.New("spiralfft: no admissible four-step split")
 
 // fourStepInfo records the large-N tier's choice on the plan.
 type fourStepInfo struct {
-	n1, tile int
+	n1 int
 }
 
 // bestFourStep is the measuring planners' four-step search (a variable so
@@ -49,7 +53,7 @@ type fourStepInfo struct {
 var bestFourStep = (*search.Tuner).BestFourStepCtx
 
 // planFourStep builds the plan through the large-N tier. Every planner reads
-// one ranking of the admissible (n1, tile) pairs (search.RankFourStep).
+// one ranking of the admissible splits n1 (search.RankFourStep).
 // Model-only planners (PlannerFixed, PlannerEstimate) take its head, with
 // sub-trees from planTree as on the tree tier, and run no transform.
 // Measuring planners time a prefix of it (search.BestFourStepCtx) and adopt
@@ -69,11 +73,11 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 	if len(ranked) == 0 {
 		return errNoFourStepSplit
 	}
-	fs := fourStepInfo{n1: ranked[0].N1, tile: ranked[0].Tile}
+	fs := fourStepInfo{n1: ranked[0].N1}
 	var col, row *exec.Tree
 	build := compiled(func() (*ir.Program, error) {
 		return p.finisher().Apply(ir.LowerFourStep(n, fs.n1, ir.FourStepConfig{
-			P: workers, Mu: mu, Tile: fs.tile, ColTree: col, RowTree: row,
+			P: workers, Mu: mu, ColTree: col, RowTree: row,
 		}))
 	})
 	if opt.Planner == PlannerFixed || opt.Planner == PlannerEstimate {
@@ -84,7 +88,7 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 		// one worker); the plan ships that very executor.
 		build = func(b smp.Backend) (*ir.Executor, error) {
 			choice, err := bestFourStep(tuner, context.Background(), n, workers, mu, b, p.finisher())
-			fs, col, row = fourStepInfo{n1: choice.N1, tile: choice.Tile}, choice.ColTree, choice.RowTree
+			fs, col, row = fourStepInfo{n1: choice.N1}, choice.ColTree, choice.RowTree
 			return choice.Exe, err
 		}
 	}
@@ -95,5 +99,6 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 	}
 	p.fourStep = &fs
 	p.m, p.ltree, p.rtree = fs.n1, row, col
+	p.lowerAliased = p.aliasedProgram
 	return nil
 }

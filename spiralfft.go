@@ -91,8 +91,8 @@ const (
 	// PlannerFixed plans deterministically and runs no transform. Default.
 	// Trees are the greedy radix factorization (largest codelet first), a
 	// parallel plan uses the balanced pµ-admissible split, and the four-step
-	// tier takes the head of the cost model's (n1, tile) ranking with radix
-	// sub-trees.
+	// tier takes the head of the cost model's ranking of splits n1 with
+	// radix sub-trees.
 	PlannerFixed Planner = iota
 	// PlannerEstimate searches with the analytic cost model and runs no
 	// transform. Trees are the model's cheapest, a parallel plan uses the
@@ -281,16 +281,14 @@ func (p *Plan) finisher() search.Finish {
 
 // inverseProgram lowers the plan's inverse for the given worker count: the
 // forward schedule (the same tier, split and sub-trees) with the inverse
-// folded into its stages, completed like the forward.
+// folded into its stages, completed like the forward. A real plan's inverse
+// runs its DFT in place on dst, so its four-step program is the InPlace one.
 func (p *Plan) inverseProgram(workers int) (*ir.Program, error) {
 	var prog *ir.Program
 	var err error
 	switch {
 	case p.fourStep != nil:
-		prog, err = ir.LowerFourStep(p.n, p.fourStep.n1, ir.FourStepConfig{
-			P: workers, Mu: p.opt.CacheLineComplex, Tile: p.fourStep.tile,
-			ColTree: p.rtree, RowTree: p.ltree, Inverse: true,
-		})
+		prog, err = p.fourStepProgram(workers, true, p.real)
 	case workers > 1:
 		prog, err = ir.LowerCT(p.n, p.m, ir.CTConfig{
 			P: workers, Mu: p.opt.CacheLineComplex,
@@ -303,6 +301,30 @@ func (p *Plan) inverseProgram(workers int) (*ir.Program, error) {
 		return prog, err
 	}
 	return ir.RealInverse(prog)
+}
+
+// fourStepProgram lowers the plan's four-step schedule for the given worker
+// count and direction, as the InPlace program (dst may overlap src) when
+// inPlace is set.
+func (p *Plan) fourStepProgram(workers int, inverse, inPlace bool) (*ir.Program, error) {
+	return ir.LowerFourStep(p.n, p.fourStep.n1, ir.FourStepConfig{
+		P: workers, Mu: p.opt.CacheLineComplex,
+		ColTree: p.rtree, RowTree: p.ltree, Inverse: inverse, InPlace: inPlace,
+	})
+}
+
+// aliasedProgram lowers the program a four-step plan runs when dst overlaps
+// src: the InPlace form of its forward, completed like the forward, or of
+// its complex inverse. A real plan's inverse program already runs in place,
+// so it has no aliased twin (nil).
+func (p *Plan) aliasedProgram(workers int, inverse bool) (*ir.Program, error) {
+	if inverse {
+		if p.real {
+			return nil, nil
+		}
+		return p.fourStepProgram(workers, true, true)
+	}
+	return p.finisher().Apply(p.fourStepProgram(workers, false, true))
 }
 
 // newTuner returns the search a constructor plans with (a variable so tests
@@ -472,8 +494,8 @@ func (p *Plan) Split() (m, k int) {
 // "(16 x 16)" or "parallel p=2: left=(8 x 2), right=16".
 func (p *Plan) Tree() string {
 	if fs := p.fourStep; fs != nil {
-		return fmt.Sprintf("four-step p=%d: %d·%d tile=%d, row=%s, col=%s",
-			p.Workers(), fs.n1, p.n/fs.n1, fs.tile, p.ltree.String(), p.rtree.String())
+		return fmt.Sprintf("four-step p=%d: %d·%d, row=%s, col=%s",
+			p.Workers(), fs.n1, p.n/fs.n1, p.ltree.String(), p.rtree.String())
 	}
 	if !p.parallel() {
 		return p.tree.String()
@@ -491,9 +513,9 @@ func (p *Plan) Program() *ir.Program { return p.program() }
 // plans, or the plain Cooley-Tukey formula for sequential ones.
 func (p *Plan) Formula() string {
 	if fs := p.fourStep; fs != nil {
-		// The four-step schedule in the paper's notation: both
-		// redistributions are explicit transposes, the twiddle diagonal is
-		// generated, never tabulated.
+		// The four-step schedule in the paper's notation. The program runs
+		// it as two panel passes: the column pass fuses L into its gathers,
+		// the row pass generates the twiddle diagonal, never tabulated.
 		n1 := fs.n1
 		n2 := p.n / n1
 		return fmt.Sprintf("(DFT_%d ⊗ I_%d) · T^%d_%d · (I_%d ⊗ DFT_%d) · L^%d_%d",

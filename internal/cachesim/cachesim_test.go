@@ -155,10 +155,13 @@ func TestProductionIRIsFalseSharingFree(t *testing.T) {
 // program the same way (Definition 1 at µ = 4): every panel of both passes
 // is whole cache lines owned by one worker, forward and inverse, with and
 // without the InPlace temp. When n1/µ and n2/µ split evenly over p the
-// passes are also balanced.
+// passes are also balanced. 3072 = 256·12 and 2^16 = 1024·64 widen their
+// column ops past µ (ir.PanelWidth), inside the same µ-aligned worker
+// ranges.
 func TestFourStepIRIsFalseSharingFree(t *testing.T) {
 	for _, c := range []struct{ n, n1, p int }{
 		{4096, 64, 2}, {4096, 64, 4}, {3072, 256, 2}, {3072, 256, 4}, {1 << 16, 256, 2},
+		{1 << 16, 1024, 2}, {1 << 16, 1024, 4},
 	} {
 		for _, cfg := range []ir.FourStepConfig{
 			{P: c.p, Mu: 4}, {P: c.p, Mu: 4, Inverse: true}, {P: c.p, Mu: 4, InPlace: true},

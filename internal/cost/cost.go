@@ -335,7 +335,7 @@ func (m *Model) Parallel(n, mSplit, p int, left, right *exec.Tree) float64 {
 // Inadmissible splits return +Inf. The schedule is too large to trace
 // through cachesim — that is the point of the tier — so the score is purely
 // structural: stage arithmetic from the sequential tree model, the two
-// passes' memory traffic, the repeated visits to each µ-wide panel's
+// passes' memory traffic, the repeated visits to each panel op's staged
 // lines, and the barrier/communication terms for p > 1.
 func (m *Model) FourStep(n, n1, p int, col, row *exec.Tree) float64 {
 	if p < 1 || n1 < 2 || n%n1 != 0 || n/n1 < 2 {
@@ -367,28 +367,33 @@ func (m *Model) FourStep(n, n1, p int, col, row *exec.Tree) float64 {
 	// column pass reads src and writes dst, the row pass reads and writes
 	// dst in place.
 	passes := 2 * 2 * lines * pr.MemLineCycles
-	// A panel of µ sub-DFTs of size s visits its s rows (one line each)
-	// more than once: the row pass gathers them into a block of s·µ
-	// elements in worker scratch and scatters them back, and the column
-	// pass's µ lanes read the same lines in turn. Both are priced as two
-	// more visits per line, at L1 speed while the s·µ elements fit in L2
-	// (the lines stay cached between visits), from memory beyond. The
-	// sub-DFTs themselves are priced by the tree model. The two passes are
-	// priced alike, so the split's cost is symmetric in n1 ↔ n2 up to the
+	// A pass runs its sub-DFTs of size s in panel ops W columns wide
+	// (ir.PanelWidth: up to 16µ on the short side of a lopsided split, µ
+	// on the long side). Each op gathers its s rows into a lane-major
+	// block of s·W elements in worker scratch, taking W/µ adjacent lines
+	// per row visit, and the lane FFTs read the block again; the row pass
+	// also scatters it back. Beyond the two memory streams above, that is
+	// priced as two more visits per line, at L1 speed while the s·W block
+	// fits in L2 (the lines stay cached between visits), from memory
+	// beyond. The per-visit cost is not priced by W: an extra memory line
+	// per row visit (n/W of them) would make the lopsided splits of 2^24
+	// cheaper than the square one the planner picks. The sub-DFTs
+	// themselves are priced by the tree model. The two passes are priced
+	// alike, so the split's cost is symmetric in n1 ↔ n2 up to the
 	// twiddle rows, and a tie goes to the larger n1 (see
 	// search.RankFourStep).
-	block := func(s int) float64 {
+	block := func(s, w int) float64 {
 		lc := pr.L1LineCycles
-		if 16*float64(s)*mu > float64(pr.L2Bytes) {
+		if 16*float64(s)*float64(w) > float64(pr.L2Bytes) {
 			lc = pr.MemLineCycles
 		}
 		return 2 * lines * lc
 	}
-	colC := float64(n1)*m.Tree(col)*pr.FreqGHz + block(n2)
+	colC := float64(n1)*m.Tree(col)*pr.FreqGHz + block(n2, ir.PanelWidth(n1, n2, pr.Mu))
 	// The row pass's twiddle rows are generated into scratch: ~6
 	// flops/element for the hi·lo products plus 6 for the fused complex
 	// multiply.
-	rowC := float64(n2)*m.Tree(row)*pr.FreqGHz + 12*nf/pr.FlopsPerCycle + block(n1)
+	rowC := float64(n2)*m.Tree(row)*pr.FreqGHz + 12*nf/pr.FlopsPerCycle + block(n1, ir.PanelWidth(n2, n1, pr.Mu))
 
 	cycles := (colC + rowC + passes) / float64(p)
 	if p > 1 {

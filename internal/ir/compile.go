@@ -574,7 +574,7 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 }
 
 // panelLen is the scratch a panel call stages its rows sides in: one block
-// of n rows of v elements (none for a plain call).
+// of v lanes of n elements (none for a plain call).
 func (op *compiledOp) panelLen() int {
 	if op.v > 1 {
 		return op.n * op.v
@@ -583,14 +583,13 @@ func (op *compiledOp) panelLen() int {
 }
 
 // runPanel runs a panel codelet call (see CodeletCall). A rows side is
-// staged through g, a block in scratch holding the side's n rows of v
-// elements packed (lane l at g[l::v]): every row is copied in before the
-// first transform and out after the last, so the call may run in place,
-// and each copy moves a row's adjacent elements together. A lanes side is
-// read or written where it lies, and so is a rows input whose output is
-// lanes in another buffer: there the lanes read the same lines in turn,
-// which a panel's n rows keep in cache. Lane l of a generated call scales
-// by twiddle row row+l.
+// staged through g, a block in scratch holding the side's v lanes
+// lane-major (lane l contiguous at g[l·n : (l+1)·n]): a rows input is
+// gathered before the first transform and a rows output scattered after
+// the last, so the call may run in place, every row is visited once, and
+// each lane transform runs at stride 1 on its side of g. A lanes side is
+// read or written where it lies. Lane l of a generated call scales by
+// twiddle row row+l.
 func runPanel(op *compiledOp, dst, src, scratch []complex128) {
 	n, v := op.n, op.v
 	g, rest := scratch[:n*v], scratch[n*v:]
@@ -599,9 +598,8 @@ func runPanel(op *compiledOp, dst, src, scratch []complex128) {
 		w, rest = rest[:n], rest[n:]
 	}
 	rowsIn, rowsOut := abs(op.sv) == 1, abs(op.dv) == 1
-	rowsIn = rowsIn && (rowsOut || &dst[0] == &src[0])
 	if rowsIn {
-		packRows(g, src, op.soff, op.ss, op.sv, v)
+		gatherLanes(g, src, op.soff, op.ss, op.sv, n)
 	}
 	for l := 0; l < v; l++ {
 		if op.kind == opCodeletGen {
@@ -609,44 +607,84 @@ func runPanel(op *compiledOp, dst, src, scratch []complex128) {
 		}
 		in, ioff, is := src, op.soff+l*op.sv, op.ss
 		if rowsIn {
-			in, ioff, is = g, l, v
+			in, ioff, is = g, l*n, 1
 		}
 		out, ooff, os := dst, op.doff+l*op.dv, op.ds
 		if rowsOut {
-			out, ooff, os = g, l, v
+			out, ooff, os = g, l*n, 1
 		}
 		op.seq.TransformStrided(out, ooff, os, in, ioff, is, w, rest)
 	}
 	if rowsOut {
-		unpackRows(dst, g, op.doff, op.ds, op.dv, v)
+		scatterLanes(dst, g, op.doff, op.ds, op.dv, n)
 	}
 }
 
-// packRows copies the rows of a rows side into g, row j to g[j·v : (j+1)·v]
-// with lane l at g[j·v + l]: row j's lanes are x[off + j·s + l·ls], ls = ±1.
-func packRows(g, x []complex128, off, s, ls, v int) {
-	for j := 0; j < len(g); j += v {
-		if ls == 1 {
-			copy(g[j:j+v], x[off:off+v])
-		} else {
-			for l := range g[j : j+v] {
-				g[j+l] = x[off-l]
-			}
+// gatherLanes copies the n rows of a rows side into g lane-major: lane l
+// of row j, x[off + j·s + l·ls] with ls = ±1, goes to g[l·n + j]. It moves
+// four rows at a time, so each lane receives four adjacent elements, one
+// whole 64-byte line of complex128, per visit.
+func gatherLanes(g, x []complex128, off, s, ls, n int) {
+	v := len(g) / n
+	off, first, step := laneOrder(off, ls, v, n)
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		b := off + j*s
+		r0 := x[b : b+v]
+		r1 := x[b+s : b+s+v][:len(r0)]
+		r2 := x[b+2*s : b+2*s+v][:len(r0)]
+		r3 := x[b+3*s : b+3*s+v][:len(r0)]
+		gi := first + j
+		for k := range r0 {
+			d := g[gi : gi+4 : gi+4]
+			d[0], d[1], d[2], d[3] = r0[k], r1[k], r2[k], r3[k]
+			gi += step
 		}
-		off += s
+	}
+	for ; j < n; j++ {
+		gi := first + j
+		for _, c := range x[off+j*s : off+j*s+v] {
+			g[gi] = c
+			gi += step
+		}
 	}
 }
 
-// unpackRows is packRows' inverse: it copies g's rows back out to x.
-func unpackRows(x, g []complex128, off, s, ls, v int) {
-	for j := 0; j < len(g); j += v {
-		if ls == 1 {
-			copy(x[off:off+v], g[j:j+v])
-		} else {
-			for l, c := range g[j : j+v] {
-				x[off-l] = c
-			}
+// scatterLanes is gatherLanes' inverse: it copies g's lanes back out to
+// the rows of x.
+func scatterLanes(x, g []complex128, off, s, ls, n int) {
+	v := len(g) / n
+	off, first, step := laneOrder(off, ls, v, n)
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		b := off + j*s
+		r0 := x[b : b+v]
+		r1 := x[b+s : b+s+v][:len(r0)]
+		r2 := x[b+2*s : b+2*s+v][:len(r0)]
+		r3 := x[b+3*s : b+3*s+v][:len(r0)]
+		gi := first + j
+		for k := range r0 {
+			d := g[gi : gi+4 : gi+4]
+			r0[k], r1[k], r2[k], r3[k] = d[0], d[1], d[2], d[3]
+			gi += step
 		}
-		off += s
 	}
+	for ; j < n; j++ {
+		gi := first + j
+		r := x[off+j*s : off+j*s+v]
+		for k := range r {
+			r[k] = g[gi]
+			gi += step
+		}
+	}
+}
+
+// laneOrder walks a rows side of v lanes (lane stride ls = ±1) in memory
+// order: row j's elements are x[off + j·s : +v] for the returned off, and
+// the k-th of them belongs at g[first + j + k·step].
+func laneOrder(off, ls, v, n int) (int, int, int) {
+	if ls < 0 {
+		return off - (v - 1), (v - 1) * n, -n
+	}
+	return off, 0, n
 }

@@ -13,22 +13,28 @@ import (
 //	DFT_N = (DFT_{n1} ⊗ I_{n2}) · D_{n1,n2} · (I_{n1} ⊗ DFT_{n2}) · L^N_{n1}
 //
 // is the same rule (1) the tree planner applies, scheduled as two passes
-// over memory in µ-wide panels, the ⊗ I_µ form of the paper's formula (14)
-// and Definition 1. The column pass gathers µ adjacent columns of the input
-// at once (one cache line per row), so the stride permutation L^N_{n1} costs
-// no pass of its own; the row pass works in place on µ adjacent columns of
-// the n1×n2 intermediate, so no transpose is left at all. Both passes stage
-// their rows through O(n·µ) worker scratch (see CodeletCall). The twiddle
-// diagonal D_{n1,n2} is never materialized: each row-pass panel generates
-// its µ twiddle rows into worker scratch (CodeletGenCall →
-// twiddle.FillRow), so resident twiddle state is O(n1 + n2).
+// over memory in panels, the ⊗ I_µ form of the paper's formula (14) and
+// Definition 1. Each worker owns a µ-aligned range of columns, so worker
+// boundaries never split a cache line; inside its range a pass runs panel
+// ops W columns wide (PanelWidth): µ on the long side, up to 16µ on the
+// short side of a lopsided split, so a row visit there reads up to 16
+// adjacent lines. The column pass gathers adjacent columns of the input
+// at once, so the stride permutation L^N_{n1} costs no pass of its own;
+// the row pass works in place on adjacent columns of the n1×n2
+// intermediate, so no transpose is left at all. Both passes stage their
+// rows lane-major through O(µ·max(n1, n2)) worker scratch, so every lane
+// FFT runs at stride 1 (see CodeletCall). The twiddle diagonal D_{n1,n2}
+// is never materialized: each row-pass op generates its twiddle rows into
+// worker scratch (CodeletGenCall → twiddle.FillRow), so resident twiddle
+// state is O(n1 + n2).
 
 // FourStepConfig configures LowerFourStep.
 type FourStepConfig struct {
 	// P is the processor count (≥ 1).
 	P int
-	// Mu is the cache-line length µ in complex128 elements (default 4), the
-	// panel width of both passes.
+	// Mu is the cache-line length µ in complex128 elements (default 4): the
+	// grain of the workers' column ranges, and the unit of the panel ops'
+	// widths (PanelWidth).
 	Mu int
 	// ColTree and RowTree override the sub-plan factorizations of the
 	// column (DFT_{n2}) and row (DFT_{n1}) stages (default RadixTree).
@@ -45,21 +51,23 @@ type FourStepConfig struct {
 	InPlace bool
 }
 
-// LowerFourStep lowers DFT_n with split n = n1·n2 as two regions in panels
-// of µ columns:
+// LowerFourStep lowers DFT_n with split n = n1·n2 as two regions of panel
+// ops:
 //
 //	region col-fft: dst[i·n2 + j] = DFT_{n2}(src[i :: n1])_j,            i < n1
 //	barrier
 //	region row-fft: dst[t·n2 + j] = DFT_{n1}(ω_n^{j·i} ⊙ dst[i·n2 + j])_t, j < n2
 //
-// The column op for panel a gathers src[a..a+µ) at stride n1 and writes
-// dst[a·n2 : (a+µ)·n2); the row op for panel d gathers dst[d..d+µ) at
-// stride n2, generates twiddle rows d..d+µ and scatters back to the same
-// elements. This is element for element the map LowerCT computes for the
-// same split. Workers partition the panels of each pass; for P > 1 both
-// factors must be multiples of µ (every panel is then whole lines, so
-// worker boundaries never split a line) and at least P. For P = 1 a factor
-// that is not a multiple of µ ends in a narrower panel.
+// A column op of width v at a gathers src[a..a+v) at stride n1 and writes
+// dst[a·n2 : (a+v)·n2); a row op at d gathers dst[d..d+v) at stride n2,
+// generates twiddle rows d..d+v and scatters back to the same elements.
+// This is element for element the map LowerCT computes for the same split.
+// Workers partition each pass's µ-wide panels in contiguous blocks
+// (panelRange), and each worker cuts its block into ops PanelWidth wide,
+// the last one possibly narrower. For P > 1 both factors must be multiples
+// of µ (every range is then whole lines, so worker boundaries never split
+// a line) and at least P. For P = 1 a factor that is not a multiple of µ
+// ends in a narrower op.
 func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("ir: LowerFourStep with P=%d", cfg.P)
@@ -109,15 +117,16 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 	if cfg.InPlace {
 		mid, temps = TempBuf(0), []int{n}
 	}
+	colW, rowW := PanelWidth(n1, n2, mu), PanelWidth(n2, n1, mu)
 	colFFT := &Region{Name: "col-fft", Workers: make([][]Op, cfg.P)}
 	rowFFT := &Region{Name: "row-fft", Workers: make([][]Op, cfg.P)}
 	for w := 0; w < cfg.P; w++ {
-		// Column panel [a, a+v): rows of v adjacent src elements at stride
+		// Column op [a, a+v): rows of v adjacent src elements at stride
 		// n1 (the fused L^N_{n1}), each lane written as one contiguous row
 		// of the n1×n2 intermediate.
 		lo, hi := panelRange(n1, mu, cfg.P, w)
-		for a := lo; a < hi; a += mu {
-			v := min(mu, hi-a)
+		for a := lo; a < hi; a += colW {
+			v := min(colW, hi-a)
 			c := CodeletCall{Dst: mid, DOff: a * n2, DS: 1, DV: n2, Src: BufSrc, SOff: a, SS: n1, SV: 1,
 				V: v, Tree: ct, Tw: colScale}
 			if cfg.Inverse {
@@ -125,11 +134,11 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 			}
 			colFFT.Workers[w] = append(colFFT.Workers[w], c)
 		}
-		// Row panel [d, d+v): v adjacent columns of the intermediate,
+		// Row op [d, d+v): v adjacent columns of the intermediate,
 		// rows of v elements at stride n2, in place.
 		lo, hi = panelRange(n2, mu, cfg.P, w)
-		for d := lo; d < hi; d += mu {
-			v := min(mu, hi-d)
+		for d := lo; d < hi; d += rowW {
+			v := min(rowW, hi-d)
 			c := CodeletGenCall{Dst: BufDst, DOff: d, DS: n2, DV: 1, Src: mid, SOff: d, SS: n2, SV: 1,
 				V: v, Tree: rt, TwDen: n, TwRow: d}
 			if cfg.Inverse {
@@ -149,6 +158,17 @@ func LowerFourStep(n, n1 int, cfg FourStepConfig) (*Program, error) {
 		Temps: temps,
 		Nodes: []Node{colFFT, Barrier{}, rowFFT},
 	}, nil
+}
+
+// PanelWidth returns the width of a four-step pass's panel ops: the pass
+// runs sub-FFTs of length s over the m columns of the other factor, and
+// its ops are W = µ·min(16, ⌊max(m, s)/s⌋) columns wide. The short side
+// of a lopsided split thus reads up to 16 lines per row visit while its
+// staged panel, s·W elements, stays within µ·max(m, s) like the long
+// side's µ-wide one; a square split keeps µ on both passes. Worker ranges
+// stay µ-aligned (panelRange); only the ops inside them widen.
+func PanelWidth(m, s, mu int) int {
+	return mu * min(16, max(m, s)/s)
 }
 
 // panelRange returns the columns [lo, hi) of worker w's panels: the µ-wide

@@ -203,7 +203,8 @@ func TestFourStepScratchStaysSmall(t *testing.T) {
 }
 
 // The out-of-place four-step program is the two panel passes and nothing
-// else: no temp, no transpose, one barrier, µ-wide panels on both sides.
+// else: no temp, no transpose, one barrier, and at this square split
+// µ-wide panels on both sides.
 // The InPlace program differs only in its one n-element temp between the
 // passes.
 func TestFourStepProgramHasNoTempOrTranspose(t *testing.T) {
@@ -242,13 +243,87 @@ func TestFourStepProgramHasNoTempOrTranspose(t *testing.T) {
 	}
 }
 
+// TestFourStepPanelWidths pins the op width of each pass at the splits the
+// planner picks for tier-sized transforms (search.TestRankFourStepHeadGolden):
+// a lopsided split widens its column ops to 16µ, a square one keeps µ on
+// both passes, and the row ops stay µ wide. Each worker's ops tile exactly
+// its µ-aligned panelRange, left to right, every op W wide but the last.
+func TestFourStepPanelWidths(t *testing.T) {
+	for _, c := range []struct{ n, n1, colW, rowW int }{ // widths in units of µ
+		{1 << 16, 256, 1, 1},
+		{1 << 20, 16384, 16, 1},
+		{1 << 22, 16384, 16, 1},
+		{1 << 24, 4096, 1, 1},
+		{3 << 20, 12288, 16, 1},
+	} {
+		for _, mu := range []int{2, 4} {
+			for _, p := range []int{1, 2, 4} {
+				for _, inverse := range []bool{false, true} {
+					prog, err := LowerFourStep(c.n, c.n1, FourStepConfig{P: p, Mu: mu, Inverse: inverse})
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("n=%d n1=%d µ=%d p=%d inverse=%v", c.n, c.n1, mu, p, inverse)
+					regions := prog.Regions()
+					checkPanelWidths(t, label+" col-fft", regions[0], c.n1, mu, c.colW*mu)
+					checkPanelWidths(t, label+" row-fft", regions[1], c.n/c.n1, mu, c.rowW*mu)
+				}
+			}
+		}
+	}
+}
+
+// checkPanelWidths checks that the panel ops of each worker of r cover the
+// columns panelRange(m, µ, p, w) left to right in ops of width w, the last
+// of a range possibly narrower.
+func checkPanelWidths(t *testing.T, label string, r *Region, m, mu, w int) {
+	t.Helper()
+	for wk, ops := range r.Workers {
+		lo, hi := panelRange(m, mu, len(r.Workers), wk)
+		next := lo
+		for i, op := range ops {
+			var first, v int
+			switch c := op.(type) {
+			case CodeletCall:
+				first, v = min(c.SOff, c.SOff+(c.V-1)*c.SV), c.V
+			case CodeletGenCall:
+				first, v = min(c.SOff, c.SOff+(c.V-1)*c.SV), c.V
+			default:
+				t.Fatalf("%s: worker %d holds %s", label, wk, op)
+			}
+			if first != next || v < 1 || v > w || v < w && i != len(ops)-1 {
+				t.Fatalf("%s: worker %d op %d covers [%d, %d); want width %d from %d", label, wk, i, first, first+v, w, next)
+			}
+			next += v
+		}
+		if next != hi {
+			t.Fatalf("%s: worker %d covers [%d, %d), want panelRange [%d, %d)", label, wk, lo, next, lo, hi)
+		}
+	}
+}
+
 // A panel call is the V lane calls it stands for, bit for bit, in every
 // side form: rows or lanes, forward or reversed strides, in place where
-// allowed or not, with a table scale or a generated twiddle row.
+// allowed or not, with a table scale or a generated twiddle row. Rows in
+// and lanes out is the column pass's form; the widths cover a µ-sized
+// panel, a wide one (V = 8) and a ragged one (V = 10), and n = 6 leaves
+// the staging a two-row tail after its four-row blocks.
 func TestPanelCallMatchesLaneCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	tree := exec.SplitTree(exec.LeafTree(4), exec.LeafTree(3))
-	const n, v = 12, 3
+	for _, c := range []struct {
+		tree *exec.Tree
+		v    int
+	}{
+		{exec.SplitTree(exec.LeafTree(4), exec.LeafTree(3)), 3},
+		{exec.SplitTree(exec.LeafTree(4), exec.LeafTree(3)), 8},
+		{exec.SplitTree(exec.LeafTree(2), exec.LeafTree(3)), 10},
+	} {
+		testPanelCallMatchesLaneCalls(t, rng, c.tree, c.v)
+	}
+}
+
+func testPanelCallMatchesLaneCalls(t *testing.T, rng *rand.Rand, tree *exec.Tree, v int) {
+	n := tree.N
 	type side struct{ off, s, l int }
 	rows := []side{{0, v, 1}, {v - 1, v, -1}, {(n - 1) * v, -v, 1}}
 	lanes := []side{{0, 1, n}, {n - 1, -1, n}, {(v - 1) * n, 1, -n}}

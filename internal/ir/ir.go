@@ -163,14 +163,14 @@ func (a *Access) bounds() (lo, hi int) {
 // V > 1 is the panel DFT_n ⊗ I_V: lane v < V transforms
 // src[SOff + v·SV + j·SS] into dst[DOff + v·DV + i·DS], every lane with the
 // same Tw. Each side is rows or lanes. Rows (lane stride ±1, point stride at
-// least V in size) hold point j as V adjacent elements, so a µ-wide panel
-// touches each cache line once; the executor stages such a side through
-// worker scratch (an input only when the output is rows too or dst is
-// src), gathering every lane before the first transform and scattering
-// after the last. Lanes (point stride ±1, lane stride at least n in size)
-// hold each lane as one run, read or written in place. dst may be src when
-// either side is rows (it is then staged) or the two sides are the same. V
-// 0 or 1 is the plain call (SV and DV unused).
+// least V in size) hold point j as V adjacent elements, so a panel touches
+// each of a row's V/µ cache lines once; the executor stages such a side
+// through worker scratch lane-major (lane v contiguous), gathering every
+// row before the first transform and scattering after the last, so each
+// lane transform runs at stride 1. Lanes (point stride ±1, lane stride at
+// least n in size) hold each lane as one run, read or written in place.
+// dst may be src when either side is rows (it is then staged) or the two
+// sides are the same. V 0 or 1 is the plain call (SV and DV unused).
 type CodeletCall struct {
 	Dst, Src Buf
 	DOff, DS int

@@ -15,9 +15,10 @@ import (
 // across the whole N-element buffer (one memory line per element) and its
 // root twiddle diagonal is an O(N) resident table. This tier lowers such
 // sizes through the four-step decomposition instead (ir.LowerFourStep): two
-// passes over memory in µ-wide panels of column and row sub-FFTs, with no
-// transpose and no n-sized temp, and every twiddle row generated on the fly
-// into O(n1·µ) worker scratch. The sub-FFTs reuse the ordinary tree
+// passes over memory in panels of column and row sub-FFTs (µ-aligned worker
+// ranges, ops up to 16µ wide on the short side), with no transpose and no
+// n-sized temp, and every twiddle row generated on the fly into
+// O(µ·max(n1, n2)) worker scratch. The sub-FFTs reuse the ordinary tree
 // planner, so the whole codelet tier and tuning machinery carries over; the
 // split n1 itself is ranked by the analytic model, and only the measuring
 // planners time the top candidates inside PlanBudget

@@ -22,8 +22,8 @@ import (
 // it (Cache.Close) and the last reference is gone, so in-flight transforms
 // are never pulled out from under a goroutine.
 //
-// The zero value is ready to use. The package-level CachedPlan and
-// CachedRealPlan helpers use the process-wide DefaultCache.
+// The zero value is ready to use. The package-level Acquire and Release
+// use the process-wide DefaultCache.
 type Cache struct {
 	shards  [cacheShardCount]cacheShard
 	hits    atomic.Int64
@@ -484,18 +484,3 @@ func Release[T Cacheable](p T) {
 	}
 	any(p).(interface{ Close() }).Close()
 }
-
-// CachedPlan returns a shared DFT plan of size n from the process-wide
-// cache, planning it on first use. The plan is safe for concurrent use;
-// Close it exactly once when done (the plan itself survives until the
-// cache and all other holders release it).
-//
-// Deprecated: use Acquire[*Plan] with Release, the generic checkout surface
-// that covers every cacheable family. CachedPlan remains supported.
-func CachedPlan(n int, o *Options) (*Plan, error) { return defaultCache.Plan(n, o) }
-
-// CachedRealPlan is CachedPlan for real-input plans.
-//
-// Deprecated: use Acquire[*RealPlan] with Release. CachedRealPlan remains
-// supported.
-func CachedRealPlan(n int, o *Options) (*RealPlan, error) { return defaultCache.RealPlan(n, o) }

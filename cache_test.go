@@ -206,21 +206,21 @@ func TestCacheRealPlan(t *testing.T) {
 	rp2.Close()
 }
 
-// TestCachedPlanHelpers exercises the package-level DefaultCache helpers
-// and checks the cached plan against the naive-DFT oracle.
+// TestCachedPlanHelpers exercises the package-level DefaultCache checkout
+// (Acquire/Release) and checks the cached plan against the naive-DFT oracle.
 func TestCachedPlanHelpers(t *testing.T) {
-	p1, err := fft.CachedPlan(32, nil)
+	p1, err := fft.Acquire[*fft.Plan](32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p1.Close()
-	p2, err := fft.CachedPlan(32, nil)
+	defer fft.Release(p1)
+	p2, err := fft.Acquire[*fft.Plan](32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p2.Close()
+	defer fft.Release(p2)
 	if p1 != p2 {
-		t.Fatal("CachedPlan re-planned on a hit")
+		t.Fatal("Acquire re-planned on a hit")
 	}
 	if fft.DefaultCache().Stats().Misses < 1 {
 		t.Fatal("DefaultCache stats not wired")
@@ -243,11 +243,11 @@ func TestCachedPlanHelpers(t *testing.T) {
 		}
 	}
 
-	rp, err := fft.CachedRealPlan(32, nil)
+	rp, err := fft.Acquire[*fft.RealPlan](32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp.Close()
+	fft.Release(rp)
 }
 
 // TestCacheErrors: invalid requests surface the sentinel errors and do not
@@ -329,18 +329,18 @@ func TestAcquireGenericSurface(t *testing.T) {
 }
 
 // TestAcquireDefaultCache: the package-level fft.Acquire goes through
-// DefaultCache, like the deprecated helpers.
+// DefaultCache.
 func TestAcquireDefaultCache(t *testing.T) {
 	p, err := fft.Acquire[*fft.Plan](32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := fft.CachedPlan(32, nil)
+	q, err := fft.DefaultCache().Plan(32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p != q {
-		t.Error("fft.Acquire and fft.CachedPlan disagree on the default cache")
+		t.Error("fft.Acquire and DefaultCache().Plan disagree")
 	}
 	fft.Release(p)
 	q.Close()

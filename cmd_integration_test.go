@@ -29,6 +29,12 @@ func TestCommandLineTools(t *testing.T) {
 			want: []string{"formula (14)", "⊗∥", "rule(7)", "rule(11)"},
 		},
 		{
+			// A one-codelet plan's formula is the transform itself.
+			name: "spiralgen-formula-leaf",
+			args: []string{"run", "./cmd/spiralgen", "-n", "256", "-p", "1", "-formula"},
+			want: []string{"µ=4:\n\n  DFT_256\n"},
+		},
+		{
 			name: "spiralgen-code",
 			args: []string{"run", "./cmd/spiralgen", "-n", "64", "-p", "1"},
 			want: []string{"Code generated", "func DFT64"},

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/metrics"
 	"spiralfft/internal/twiddle"
 )
@@ -64,6 +65,11 @@ func (p *DCTPlan) N() int { return p.n }
 
 // IsParallel reports whether the inner DFT plan runs on multiple workers.
 func (p *DCTPlan) IsParallel() bool { return p.inner.IsParallel() }
+
+// Program returns the lowered IR program of the inner n-point DFT that
+// Forward runs between Makhoul's reordering and the quarter-sample rotation.
+// The program is shared — callers must not mutate it.
+func (p *DCTPlan) Program() *ir.Program { return p.inner.Program() }
 
 // Forward computes the unnormalized DCT-II of src into dst (both length n).
 // Forward is safe for concurrent use.

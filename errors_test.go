@@ -24,7 +24,7 @@ func TestInvalidSizeSentinel(t *testing.T) {
 		{"NewSTFTPlan(odd frame)", func() error { _, err := fft.NewSTFTPlan(7, 2, fft.WindowHann, nil); return err }},
 		{"NewSTFTPlan(bad hop)", func() error { _, err := fft.NewSTFTPlan(8, 0, fft.WindowHann, nil); return err }},
 		{"NewWHTPlan(non-pow2)", func() error { _, err := fft.NewWHTPlan(6, nil); return err }},
-		{"CachedPlan(0)", func() error { _, err := fft.CachedPlan(0, nil); return err }},
+		{"Acquire(0)", func() error { _, err := fft.Acquire[*fft.Plan](0, nil); return err }},
 	}
 	for _, c := range cases {
 		err := c.err()

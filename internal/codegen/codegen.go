@@ -1,8 +1,9 @@
 // Package codegen is the program-generation backend: it emits a standalone,
 // dependency-free Go source file implementing one public plan family — the
-// equivalent of Spiral's C output. Each family is lowered to the stage-plan
-// IR (internal/ir) exactly as its plan constructor lowers it, and one walker
-// emits that ir.Program (irgen.go). The emitted file contains
+// equivalent of Spiral's C output. The caller hands it the stage-plan IR
+// program (internal/ir) that the family's plan built and runs, and one
+// walker emits that ir.Program (irgen.go); codegen itself neither lowers nor
+// tunes. The emitted file contains
 //
 //   - one unrolled straight-line kernel per distinct codelet size (with
 //     constant-folded twiddle literals) and one loop function per inner node

@@ -10,54 +10,83 @@ import (
 	"testing"
 
 	xexec "spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 )
 
 // compositeLeft is 256 = 16·16 with a composite left child: at p=2, µ=2 the
 // root split is admissible and stage 2 takes the pre-scale path.
 var compositeLeft = xexec.SplitTree(xexec.SplitTree(xexec.LeafTree(4), xexec.LeafTree(4)), xexec.LeafTree(16))
 
-// generate emits the dft family for spec, whose Tree (when set) fixes the
-// factorization.
-func generate(t *testing.T, spec FamilySpec, cfg Config) string {
+// treeCase is a DFT of a fixed factorization tree on p workers with
+// cache-line length µ (default 4).
+type treeCase struct {
+	tree    *xexec.Tree
+	workers int
+	mu      int
+}
+
+// lower lowers c as a plan with that factorization does: a root split that
+// is pµ-admissible lowers as formula (14) with the root's children as
+// sub-trees, any other tree as one sequential call.
+func (c treeCase) lower(t *testing.T) *ir.Program {
 	t.Helper()
-	spec.Family = "dft"
-	src, err := GenerateFamily(spec, cfg)
+	mu := c.mu
+	if mu == 0 {
+		mu = 4
+	}
+	var prog *ir.Program
+	var err error
+	if q := c.workers * mu; c.workers > 1 && !c.tree.Leaf && c.tree.M()%q == 0 && c.tree.K()%q == 0 {
+		prog, err = ir.LowerCT(c.tree.N, c.tree.M(), ir.CTConfig{P: c.workers, Mu: mu, LeftTree: c.tree.Left, RightTree: c.tree.Right})
+	} else {
+		prog, err = ir.LowerTree(c.tree)
+	}
 	if err != nil {
-		t.Fatalf("GenerateFamily(dft, n=%d, tree %v): %v", spec.N, spec.Tree, err)
+		t.Fatalf("lower tree %s: %v", c.tree, err)
+	}
+	return prog
+}
+
+// generate emits the dft family for c's lowered tree.
+func generate(t *testing.T, c treeCase, cfg Config) string {
+	t.Helper()
+	src, err := GenerateFamily(FamilySpec{Family: "dft", N: c.tree.N}, c.lower(t), cfg)
+	if err != nil {
+		t.Fatalf("GenerateFamily(dft, tree %s): %v", c.tree, err)
 	}
 	return src
 }
 
 func TestGeneratedSourceParses(t *testing.T) {
 	cases := []struct {
-		spec FamilySpec
+		tc   treeCase
 		cfg  Config
 		want []string
 	}{
-		{FamilySpec{N: 8, Tree: xexec.LeafTree(8)}, Config{}, nil},
-		{FamilySpec{N: 64, Tree: xexec.RadixTree(64)}, Config{}, nil},
-		{FamilySpec{N: 256, Tree: xexec.SplitTree(xexec.LeafTree(16), xexec.LeafTree(16)), Workers: 2}, Config{EmitMain: true}, nil},
-		{FamilySpec{N: 256, Tree: compositeLeft, Workers: 2, Mu: 2}, Config{}, nil},
-		{FamilySpec{N: 100, Tree: xexec.RadixTree(100)}, Config{PackageName: "gen", FuncName: "Transform"},
+		{treeCase{tree: xexec.LeafTree(8)}, Config{}, nil},
+		{treeCase{tree: xexec.RadixTree(64)}, Config{}, nil},
+		{treeCase{tree: xexec.SplitTree(xexec.LeafTree(16), xexec.LeafTree(16)), workers: 2}, Config{EmitMain: true}, nil},
+		{treeCase{tree: compositeLeft, workers: 2, mu: 2}, Config{}, nil},
+		{treeCase{tree: xexec.RadixTree(100)}, Config{PackageName: "gen", FuncName: "Transform"},
 			[]string{"package gen\n", "func Transform(dst, src []complex128)"}},
 	}
 	fset := token.NewFileSet()
 	for _, c := range cases {
-		src := generate(t, c.spec, c.cfg)
+		src := generate(t, c.tc, c.cfg)
 		if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
 			t.Errorf("tree %s: generated source does not parse: %v\nfirst lines:\n%s",
-				c.spec.Tree, err, firstLines(src, 30))
+				c.tc.tree, err, firstLines(src, 30))
 		}
 		for _, want := range c.want {
 			if !strings.Contains(src, want) {
-				t.Errorf("tree %s: generated source missing %q", c.spec.Tree, want)
+				t.Errorf("tree %s: generated source missing %q", c.tc.tree, want)
 			}
 		}
 	}
 }
 
 func TestGeneratedSourceStructure(t *testing.T) {
-	src := generate(t, FamilySpec{N: 256, Tree: xexec.SplitTree(xexec.LeafTree(16), xexec.LeafTree(16)), Workers: 2},
+	src := generate(t, treeCase{tree: xexec.SplitTree(xexec.LeafTree(16), xexec.LeafTree(16)), workers: 2},
 		Config{EmitMain: true})
 	for _, want := range []string{
 		"package main",
@@ -77,7 +106,7 @@ func TestGeneratedSourceStructure(t *testing.T) {
 }
 
 func TestKernelConstantFolding(t *testing.T) {
-	src := generate(t, FamilySpec{N: 4}, Config{})
+	src := generate(t, treeCase{tree: xexec.LeafTree(4)}, Config{})
 	// A 4-point kernel must not contain any complex constant multiplies:
 	// all twiddles are ±1 or ±i and must be folded.
 	body := src[strings.Index(src, "func kernel4("):]
@@ -88,36 +117,25 @@ func TestKernelConstantFolding(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	if _, err := GenerateFamily(FamilySpec{Family: "dft", N: 1 << 15}, Config{}); err == nil {
+	oversize := treeCase{tree: xexec.RadixTree(1 << 15)}
+	if _, err := GenerateFamily(FamilySpec{Family: "dft", N: 1 << 15}, oversize.lower(t), Config{}); err == nil {
 		t.Error("accepted oversized transform")
 	}
-	bad := &xexec.Tree{N: 8, Left: xexec.LeafTree(2), Right: xexec.LeafTree(2)}
-	if _, err := GenerateFamily(FamilySpec{Family: "dft", N: 8, Tree: bad}, Config{}); err == nil {
-		t.Error("accepted invalid tree")
-	}
-	if _, err := GenerateFamily(FamilySpec{Family: "dft", N: 32, Tree: xexec.RadixTree(16)}, Config{}); err == nil {
-		t.Error("accepted a tree of the wrong size")
-	}
-	if _, err := GenerateFamily(FamilySpec{Family: "real", N: 32, Tree: xexec.RadixTree(16)}, Config{}); err == nil {
-		t.Error("accepted a tree for a family other than dft")
-	}
-	// 64 = 32·2: pµ = 8 does not divide 2, so the tree runs sequentially,
-	// as a plan with that factorization would.
-	src := generate(t, FamilySpec{N: 64, Tree: xexec.RadixTree(64), Workers: 2}, Config{})
-	if strings.Contains(src, "sync") || !strings.Contains(src, "p=1") {
-		t.Errorf("non-admissible tree did not fall back to the sequential program:\n%s", firstLines(src, 12))
+	dft16 := treeCase{tree: xexec.RadixTree(16)}
+	if _, err := GenerateFamily(FamilySpec{Family: "dft", N: 32}, dft16.lower(t), Config{}); err == nil {
+		t.Error("accepted a program of the wrong size")
 	}
 }
 
 // TestGeneratedProgramRuns compiles and runs emitted DFTs of fixed trees end
 // to end: the generated main self-tests against the naive DFT and prints OK.
 func TestGeneratedProgramRuns(t *testing.T) {
-	for _, spec := range []FamilySpec{
-		{N: 64, Tree: xexec.RadixTree(64)},
-		{N: 256, Tree: xexec.SplitTree(xexec.LeafTree(16), xexec.LeafTree(16)), Workers: 2},
-		{N: 256, Tree: compositeLeft, Workers: 2, Mu: 2},
+	for _, c := range []treeCase{
+		{tree: xexec.RadixTree(64)},
+		{tree: xexec.SplitTree(xexec.LeafTree(16), xexec.LeafTree(16)), workers: 2},
+		{tree: compositeLeft, workers: 2, mu: 2},
 	} {
-		runGenerated(t, generate(t, spec, Config{EmitMain: true}))
+		runGenerated(t, generate(t, c, Config{EmitMain: true}))
 	}
 }
 

@@ -293,11 +293,11 @@ func TestExposeExpvar(t *testing.T) {
 
 	// Put something in the default cache and run a transform so every
 	// exported map has content.
-	p, err := CachedPlan(64, nil)
+	p, err := Acquire[*Plan](64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	defer Release(p)
 	x := complexvec.Random(64, 1)
 	y := make([]complex128, 64)
 	p.Forward(y, x)

@@ -7,6 +7,7 @@ import (
 	"spiralfft/internal/exec"
 	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
+	"spiralfft/internal/spl"
 )
 
 // Plan2D computes two-dimensional DFTs of rows×cols arrays stored row-major
@@ -84,12 +85,29 @@ func (p *Plan2D) Program() *ir.Program { return p.program() }
 // Formula returns the SPL formula of the parallel schedule (Derive2D's
 // output) or the plain tensor formula for sequential plans.
 func (p *Plan2D) Formula() string {
-	if p.parallel() {
-		if f, _, err := rewrite.Derive2D(p.rows, p.cols, p.exe.Workers(), p.opt.CacheLineComplex); err == nil {
-			return f.String()
-		}
+	if f, _, ok := p.derive(); ok {
+		return f.String()
 	}
 	return fmt.Sprintf("(DFT_%d ⊗ DFT_%d)", p.rows, p.cols)
+}
+
+// Derivation returns the rewriting derivation of the parallel schedule's
+// formula (sequential plans return the empty string).
+func (p *Plan2D) Derivation() string {
+	if _, trace, ok := p.derive(); ok {
+		return trace.String()
+	}
+	return ""
+}
+
+// derive runs Derive2D for a parallel plan's workers; ok is false for a
+// sequential plan.
+func (p *Plan2D) derive() (spl.Formula, rewrite.Trace, bool) {
+	if !p.parallel() {
+		return nil, rewrite.Trace{}, false
+	}
+	f, trace, err := rewrite.Derive2D(p.rows, p.cols, p.exe.Workers(), p.opt.CacheLineComplex)
+	return f, trace, err == nil
 }
 
 // Forward computes the 2D DFT of src into dst (both length rows·cols,

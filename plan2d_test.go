@@ -68,6 +68,9 @@ func TestPlan2DParallelUsedWhenPreconditionsHold(t *testing.T) {
 			t.Errorf("Formula %q missing %q", f, want)
 		}
 	}
+	if d := p.Derivation(); !strings.Contains(d, "row-column") || !strings.HasSuffix(d, "= "+f+"\n") {
+		t.Errorf("Derivation does not derive the formula by the row-column rule:\n%s", d)
+	}
 	// Odd columns break the µ precondition: sequential fallback.
 	q, err := NewPlan2D(64, 63, &Options{Workers: 2})
 	if err != nil {
@@ -77,8 +80,8 @@ func TestPlan2DParallelUsedWhenPreconditionsHold(t *testing.T) {
 	if q.IsParallel() {
 		t.Error("expected sequential fallback for cols=63")
 	}
-	if !strings.Contains(q.Formula(), "(DFT_64 ⊗ DFT_63)") {
-		t.Errorf("sequential formula %q", q.Formula())
+	if !strings.Contains(q.Formula(), "(DFT_64 ⊗ DFT_63)") || q.Derivation() != "" {
+		t.Errorf("sequential formula %q, derivation %q", q.Formula(), q.Derivation())
 	}
 }
 

@@ -37,8 +37,8 @@
 // occupy all of the plan's workers, so concurrent calls on the pooled
 // backend serialize internally (use BackendSpawn for overlapping parallel
 // regions). Expensive planning is best amortized through the process-wide
-// plan cache: CachedPlan(n, opts) returns a shared, ref-counted plan and
-// only plans each (size, options) fingerprint once.
+// plan cache: Acquire[*Plan](n, opts) returns a shared, ref-counted plan
+// and only plans each (size, options) fingerprint once.
 //
 // Constructors report failures as wrapped sentinel errors (ErrInvalidSize,
 // ErrInvalidOptions); transform methods report slice-length problems as
@@ -510,7 +510,8 @@ func (p *Plan) Program() *ir.Program { return p.program() }
 
 // Formula returns the SPL formula the plan implements, in the paper's
 // notation: the multicore Cooley-Tukey FFT (formula (14)) for parallel
-// plans, or the plain Cooley-Tukey formula for sequential ones.
+// plans, the Cooley-Tukey formula of the tree's root split for sequential
+// ones, and DFT_n for a plan that runs one codelet.
 func (p *Plan) Formula() string {
 	if fs := p.fourStep; fs != nil {
 		// The four-step schedule in the paper's notation. The program runs
@@ -525,8 +526,10 @@ func (p *Plan) Formula() string {
 		if f, _, err := rewrite.DeriveMulticoreCT(p.n, p.m, p.exe.Workers(), p.opt.CacheLineComplex); err == nil {
 			return f.String()
 		}
-	} else if g, ok := rewrite.CooleyTukey(firstSplit(p.tree)).Apply(spl.NewDFT(p.n)); ok {
-		return g.String()
+	} else if !p.tree.Leaf {
+		if g, ok := rewrite.CooleyTukey(p.tree.M()).Apply(spl.NewDFT(p.n)); ok {
+			return g.String()
+		}
 	}
 	return fmt.Sprintf("DFT_%d", p.n)
 }
@@ -583,7 +586,7 @@ func (p *Plan) InverseCtx(ctx context.Context, dst, src []complex128) error {
 // it shuts down the worker pool (if any) and is idempotent; later
 // transforms fail with ErrClosed, while introspection and Snapshot keep
 // reporting the plan as built. For a plan obtained from a Cache it releases
-// one reference — call Close exactly once per CachedPlan/Cache.Plan call.
+// one reference — call Close exactly once per Acquire/Cache.Plan call.
 func (p *Plan) Close() {
 	if p.onClose != nil {
 		p.onClose()
@@ -621,11 +624,4 @@ func Inverse(x []complex128) ([]complex128, error) {
 		return nil, err
 	}
 	return y, nil
-}
-
-func firstSplit(t *exec.Tree) int {
-	if t.Leaf {
-		return 2
-	}
-	return t.M()
 }

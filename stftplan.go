@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"spiralfft/internal/exec"
+	"spiralfft/internal/ir"
 	"spiralfft/internal/metrics"
 )
 
@@ -115,6 +116,11 @@ func (p *STFTPlan) Hop() int { return p.hop }
 
 // Bins returns the per-frame spectrum length, frame/2 + 1.
 func (p *STFTPlan) Bins() int { return p.frame/2 + 1 }
+
+// Program returns the lowered IR program of the real-input DFT that Forward
+// runs on each windowed frame (see RealPlan.Program). The program is shared
+// — callers must not mutate it.
+func (p *STFTPlan) Program() *ir.Program { return p.rp.Program() }
 
 // NumFrames returns how many complete frames Analyze extracts from a signal
 // of the given length (frames that would run past the end are dropped).

@@ -7,6 +7,7 @@ import (
 	"spiralfft/internal/ir"
 	"spiralfft/internal/rewrite"
 	"spiralfft/internal/smp"
+	"spiralfft/internal/spl"
 )
 
 // WHTPlan computes the Walsh-Hadamard transform of size n = 2^k. The WHT
@@ -116,19 +117,34 @@ func (p *WHTPlan) InverseCtx(ctx context.Context, dst, src []complex128) error {
 // derived with ir.WHTSplit, the split the program runs, so its WHT_{n/p}
 // and WHT_p leaves are the program's two stages.
 func (p *WHTPlan) Formula() string {
+	if f, _, ok := p.derive(); ok {
+		return f.String()
+	}
+	return fmt.Sprintf("WHT_%d", p.n)
+}
+
+// Derivation returns the rewriting derivation of the plan's formula
+// (parallel plans only; sequential plans return the empty string).
+func (p *WHTPlan) Derivation() string {
+	if _, trace, ok := p.derive(); ok {
+		return trace.String()
+	}
+	return ""
+}
+
+// derive derives a parallel plan's formula with the split its program runs;
+// ok is false for a sequential plan.
+func (p *WHTPlan) derive() (spl.Formula, rewrite.Trace, bool) {
 	if !p.parallel() {
-		return fmt.Sprintf("WHT_%d", p.n)
+		return nil, rewrite.Trace{}, false
 	}
 	a, _ := ir.WHTSplit(p.n, p.opt.Workers, p.opt.CacheLineComplex)
 	k := 0
 	for v := p.n; v > 1; v >>= 1 {
 		k++
 	}
-	f, _, err := rewrite.DeriveMulticoreWHT(k, a, p.opt.Workers, p.opt.CacheLineComplex)
-	if err != nil {
-		return fmt.Sprintf("WHT_%d", p.n)
-	}
-	return f.String()
+	f, trace, err := rewrite.DeriveMulticoreWHT(k, a, p.opt.Workers, p.opt.CacheLineComplex)
+	return f, trace, err == nil
 }
 
 // Close releases the worker pool (if any). Idempotent; later transforms

@@ -76,14 +76,17 @@ func TestWHTPlanParallelAndFormula(t *testing.T) {
 			t.Errorf("Formula %q missing %q", f, want)
 		}
 	}
+	if d := p.Derivation(); !strings.HasPrefix(d, "    [WHT_1024]_smp(2,4)\n") || !strings.HasSuffix(d, "= "+f+"\n") {
+		t.Errorf("Derivation does not derive the formula from WHT_1024:\n%s", d)
+	}
 	// Sequential formula is the bare transform.
 	s, err := NewWHTPlan(16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Formula() != "WHT_16" {
-		t.Errorf("sequential formula %q", s.Formula())
+	if s.Formula() != "WHT_16" || s.Derivation() != "" {
+		t.Errorf("sequential formula %q, derivation %q", s.Formula(), s.Derivation())
 	}
 }
 

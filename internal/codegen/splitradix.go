@@ -1,9 +1,9 @@
 package codegen
 
-// Split-radix codelet generator (ROADMAP item 1): emits the straight-line
-// conjugate-pair split-radix kernels and the composed radix-16 kernels that
-// form internal/codelet's generated tier (zsplitradix.go). Each size comes in
-// two flavors:
+// Split-radix codelet generator: emits the straight-line conjugate-pair
+// split-radix kernels and the composed radix-16 kernels that form
+// internal/codelet's generated tier (zsplitradix*.go, zsplitradix_amd64.s).
+// Each size comes in two flavors:
 //
 //   - srNn: no-twiddle leaf kernel, the base case of an untwiddled stage;
 //   - srNw: fused-twiddle kernel taking a *strided* scale vector, so the
@@ -30,6 +30,17 @@ package codegen
 // two-stage Cooley-Tukey loops over the straight-line kernels with the
 // D_{m,k} diagonal fused into stage 2 — the same loop merging the executor
 // performs, frozen into the codelet.
+//
+// The scheduled body is a list of typed ops (srop: load, twiddled load,
+// store, add, sub, neg, ±i rotation, constant multiply) with two
+// backends. printGo renders it as Go statements: the straight-line kernels
+// of zsplitradix_generic.go, built for other architectures and under the
+// purego tag, and the CI smoke programs. The amd64 backend
+// (splitradix_asm.go) lowers the same list to SSE2 assembly with one XMM
+// register per live value (zsplitradix_amd64.s), called through Go
+// wrappers that check every slice's first and last index
+// (zsplitradix_amd64.go). Its arithmetic is Go's, so both builds produce
+// the same bits.
 
 import (
 	"fmt"
@@ -57,70 +68,98 @@ func SplitRadixSizes() []int {
 	return out
 }
 
-// srop is one recorded arithmetic assignment: name := expr, reading args.
+// opKind is the kind of one op of a straight-line kernel's SSA program.
+type opKind uint8
+
+const (
+	opLoad     opKind = iota // v := src[soff+j·ss]
+	opLoadW                  // v := src[soff+j·ss] * w[woff+j·ws]
+	opStore                  // dst[doff+j·ds] = a
+	opAdd                    // v := a + b
+	opSub                    // v := a - b
+	opNeg                    // v := -a
+	opMulNegI                // v := a·(-i)
+	opMulPosI                // v := a·(+i)
+	opMulConst               // v := c·a
+)
+
+// srop is one op of a kernel's SSA program. Values are numbered in creation
+// order and printed as v<number>; the Go printer (printGo) and the amd64
+// backend (splitradix_asm.go) read the same scheduled op list.
 type srop struct {
-	name, expr string
-	args       []string
+	kind opKind
+	v    int        // value defined; unused by opStore
+	a, b int        // operands
+	j    int        // element index of a load or store
+	c    complex128 // opMulConst's constant
 }
 
-// srgen records a straight-line body: the input loads by name and one
-// SSA-style assignment per arithmetic operation, in recursion order.
+// args returns the values op reads.
+func (op srop) args() []int {
+	switch op.kind {
+	case opLoad, opLoadW:
+		return nil
+	case opAdd, opSub:
+		return []int{op.a, op.b}
+	}
+	return []int{op.a}
+}
+
+// srgen records a straight-line body: the input loads by value and one
+// SSA-style op per arithmetic operation, in recursion order.
 type srgen struct {
-	loads map[string]string // value name -> load expression
+	loads map[int]srop // value -> its load
 	ops   []srop
 	v     int
 }
 
-func (g *srgen) name() string {
-	name := fmt.Sprintf("v%d", g.v)
+func (g *srgen) name() int {
 	g.v++
-	return name
+	return g.v - 1
 }
 
 // load records an input load; schedule emits it at its first use.
-func (g *srgen) load(expr string) string {
-	name := g.name()
-	g.loads[name] = expr
-	return name
+func (g *srgen) load(j int, twiddled bool) int {
+	op := srop{kind: opLoad, v: g.name(), j: j}
+	if twiddled {
+		op.kind = opLoadW
+	}
+	g.loads[op.v] = op
+	return op.v
 }
 
-func (g *srgen) assign(expr string, args ...string) string {
-	name := g.name()
-	g.ops = append(g.ops, srop{name, expr, args})
-	return name
+func (g *srgen) assign(op srop) int {
+	op.v = g.name()
+	g.ops = append(g.ops, op)
+	return op.v
 }
 
-func (g *srgen) add(a, b string) string { return g.assign(a+" + "+b, a, b) }
-func (g *srgen) sub(a, b string) string { return g.assign(a+" - "+b, a, b) }
+func (g *srgen) add(a, b int) int { return g.assign(srop{kind: opAdd, a: a, b: b}) }
+func (g *srgen) sub(a, b int) int { return g.assign(srop{kind: opSub, a: a, b: b}) }
 
 // mulNegI emits a·(-i): (x+iy)(-i) = y - ix.
-func (g *srgen) mulNegI(a string) string {
-	return g.assign(fmt.Sprintf("complex(imag(%s), -real(%s))", a, a), a)
-}
+func (g *srgen) mulNegI(a int) int { return g.assign(srop{kind: opMulNegI, a: a}) }
 
 // mulPosI emits a·(+i): (x+iy)(i) = -y + ix.
-func (g *srgen) mulPosI(a string) string {
-	return g.assign(fmt.Sprintf("complex(-imag(%s), real(%s))", a, a), a)
-}
+func (g *srgen) mulPosI(a int) int { return g.assign(srop{kind: opMulPosI, a: a}) }
 
 // mulOmega emits a·ω_n^e with the trivial twiddles (±1, ±i) folded away.
-func (g *srgen) mulOmega(n, e int, a string) string {
+func (g *srgen) mulOmega(n, e int, a int) int {
 	e = ((e % n) + n) % n
 	switch {
 	case e == 0:
 		return a
 	case 2*e == n:
-		return g.assign("-"+a, a)
+		return g.assign(srop{kind: opNeg, a: a})
 	case 4*e == n:
 		return g.mulNegI(a)
 	case 4*e == 3*n:
 		return g.mulPosI(a)
 	}
-	w := twiddle.Omega(n, e)
-	return g.assign(fmt.Sprintf("complex(%.17g, %.17g) * %s", real(w), imag(w), a), a)
+	return g.assign(srop{kind: opMulConst, a: a, c: twiddle.Omega(n, e)})
 }
 
-// dft records a DFT of the named values and returns the output value names.
+// dft records a DFT of the given values and returns the output values.
 // Base cases are the 2- and 4-point butterflies; everything larger uses the
 // conjugate-pair split-radix step
 //
@@ -130,29 +169,29 @@ func (g *srgen) mulOmega(n, e int, a string) string {
 //	X_{k+3n/4} = U_{k+n/4} + i·(ω^k·Z_k - ω^{-k}·Z'_k)
 //
 // with U = DFT_{n/2}(evens), Z = DFT_{n/4}(x_{4m+1}), Z' = DFT_{n/4}(x_{4m-1}).
-func (g *srgen) dft(x []string) []string {
+func (g *srgen) dft(x []int) []int {
 	n := len(x)
 	switch n {
 	case 1:
 		return x
 	case 2:
-		return []string{g.add(x[0], x[1]), g.sub(x[0], x[1])}
+		return []int{g.add(x[0], x[1]), g.sub(x[0], x[1])}
 	case 4:
 		t0 := g.add(x[0], x[2])
 		t1 := g.sub(x[0], x[2])
 		t2 := g.add(x[1], x[3])
 		t3 := g.mulNegI(g.sub(x[1], x[3]))
-		return []string{g.add(t0, t2), g.add(t1, t3), g.sub(t0, t2), g.sub(t1, t3)}
+		return []int{g.add(t0, t2), g.add(t1, t3), g.sub(t0, t2), g.sub(t1, t3)}
 	}
 	if n%4 != 0 {
 		panic(fmt.Sprintf("codegen: split radix needs 4 | n, got %d", n))
 	}
-	ev := make([]string, n/2)
+	ev := make([]int, n/2)
 	for i := range ev {
 		ev[i] = x[2*i]
 	}
-	z := make([]string, n/4)
-	zp := make([]string, n/4)
+	z := make([]int, n/4)
+	zp := make([]int, n/4)
 	for i := range z {
 		z[i] = x[4*i+1]
 		zp[i] = x[((4*i-1)%n+n)%n]
@@ -160,7 +199,7 @@ func (g *srgen) dft(x []string) []string {
 	u := g.dft(ev)
 	zz := g.dft(z)
 	zzp := g.dft(zp)
-	out := make([]string, n)
+	out := make([]int, n)
 	for k := 0; k < n/4; k++ {
 		wz := g.mulOmega(n, k, zz[k])
 		wzp := g.mulOmega(n, -k, zzp[k])
@@ -186,51 +225,82 @@ func strideIndex(base, stride string, j int) string {
 	}
 }
 
-// schedule renders the recorded body for registers: each load just before
-// the first assignment that reads it, and the store of each output right
-// after the assignment that computes it (out[k] goes to dst[doff+k·ds]).
-// Each load is emitted once and dropped from g.loads.
-func (g *srgen) schedule(out []string) string {
-	stores := make(map[string][]int, len(out))
+// schedule orders the recorded body for registers: each load just before
+// the first op that reads it, and the store of each output right after the
+// op that computes it (out[k] goes to dst[doff+k·ds]). Each load is
+// scheduled once and dropped from g.loads.
+func (g *srgen) schedule(out []int) []srop {
+	stores := make(map[int][]int, len(out))
 	for k, v := range out {
 		stores[v] = append(stores[v], k)
 	}
-	var b strings.Builder
-	emit := func(name, expr string) {
-		fmt.Fprintf(&b, "\t%s := %s\n", name, expr)
-		for _, k := range stores[name] {
-			fmt.Fprintf(&b, "\tdst[%s] = %s\n", strideIndex("doff", "ds", k), name)
+	var prog []srop
+	emit := func(op srop) {
+		prog = append(prog, op)
+		for _, k := range stores[op.v] {
+			prog = append(prog, srop{kind: opStore, a: op.v, j: k})
 		}
 	}
 	for _, op := range g.ops {
-		for _, a := range op.args {
-			if expr, ok := g.loads[a]; ok {
-				emit(a, expr)
+		for _, a := range op.args() {
+			if load, ok := g.loads[a]; ok {
+				emit(load)
 				delete(g.loads, a)
 			}
 		}
-		emit(op.name, op.expr)
+		emit(op)
 	}
-	return b.String()
+	return prog
 }
 
-// srBody emits the scheduled body of one straight-line kernel: loads
-// (scaled by the strided w when twiddled), the DFT network, and the stores.
-func srBody(n int, twiddled bool) string {
-	g := &srgen{loads: make(map[string]string, n)}
-	x := make([]string, n)
-	for j := 0; j < n; j++ {
-		load := fmt.Sprintf("src[%s]", strideIndex("soff", "ss", j))
-		if twiddled {
-			load += fmt.Sprintf(" * w[%s]", strideIndex("woff", "ws", j))
-		}
-		x[j] = g.load(load)
+// srProgram records and schedules one straight-line kernel: loads (scaled
+// by the strided w when twiddled), the DFT network, and the stores.
+func srProgram(n int, twiddled bool) []srop {
+	g := &srgen{loads: make(map[int]srop, n)}
+	x := make([]int, n)
+	for j := range x {
+		x[j] = g.load(j, twiddled)
 	}
 	return g.schedule(g.dft(x))
 }
 
-// emitStraight writes the three functions for one straight-line size: the
-// plain kernel, the fused-twiddle kernel, and the codelet.Func wrapper.
+// printGo renders a scheduled program as Go statements.
+func printGo(prog []srop) string {
+	var b strings.Builder
+	for _, op := range prog {
+		b.WriteByte('\t')
+		switch op.kind {
+		case opLoad:
+			fmt.Fprintf(&b, "v%d := src[%s]", op.v, strideIndex("soff", "ss", op.j))
+		case opLoadW:
+			fmt.Fprintf(&b, "v%d := src[%s] * w[%s]", op.v, strideIndex("soff", "ss", op.j), strideIndex("woff", "ws", op.j))
+		case opStore:
+			fmt.Fprintf(&b, "dst[%s] = v%d", strideIndex("doff", "ds", op.j), op.a)
+		case opAdd:
+			fmt.Fprintf(&b, "v%d := v%d + v%d", op.v, op.a, op.b)
+		case opSub:
+			fmt.Fprintf(&b, "v%d := v%d - v%d", op.v, op.a, op.b)
+		case opNeg:
+			fmt.Fprintf(&b, "v%d := -v%d", op.v, op.a)
+		case opMulNegI:
+			fmt.Fprintf(&b, "v%d := complex(imag(v%d), -real(v%d))", op.v, op.a, op.a)
+		case opMulPosI:
+			fmt.Fprintf(&b, "v%d := complex(-imag(v%d), real(v%d))", op.v, op.a, op.a)
+		case opMulConst:
+			fmt.Fprintf(&b, "v%d := complex(%.17g, %.17g) * v%d", op.v, real(op.c), imag(op.c), op.a)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// srBody emits the scheduled body of one straight-line kernel as Go.
+func srBody(n int, twiddled bool) string {
+	return printGo(srProgram(n, twiddled))
+}
+
+// emitStraight writes the Go plain and fused-twiddle kernels of one
+// straight-line size.
 func emitStraight(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "// sr%dn computes a no-twiddle %d-point conjugate-pair split-radix DFT.\n", n, n)
 	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
@@ -240,7 +310,24 @@ func emitStraight(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
 	b.WriteString(srBody(n, true))
 	b.WriteString("}\n\n")
-	emitWrapper(b, n)
+}
+
+// emitAsmWrappers writes the amd64 entry points of one straight-line size:
+// each checks the first and the last index of every slice it is handed,
+// then calls its SSE2 kernel with pointers to the first elements.
+func emitAsmWrappers(b *strings.Builder, n int) {
+	fmt.Fprintf(b, "// sr%dn computes a no-twiddle %d-point conjugate-pair split-radix DFT.\n", n, n)
+	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
+	fmt.Fprintf(b, "\t_ = dst[srLast(doff, ds, %d)]\n\t_ = src[srLast(soff, ss, %d)]\n", n, n)
+	fmt.Fprintf(b, "\tsr%dnSSE2(&dst[doff], ds, &src[soff], ss)\n}\n\n", n)
+	fmt.Fprintf(b, "// sr%dw is sr%dn with a strided per-input scale vector fused into the loads.\n", n, n)
+	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
+	fmt.Fprintf(b, "\t_ = dst[srLast(doff, ds, %d)]\n\t_ = src[srLast(soff, ss, %d)]\n\t_ = w[srLast(woff, ws, %d)]\n", n, n, n)
+	fmt.Fprintf(b, "\tsr%dwSSE2(&dst[doff], ds, &src[soff], ss, &w[woff], ws)\n}\n\n", n)
+	b.WriteString("//go:noescape\n")
+	fmt.Fprintf(b, "func sr%dnSSE2(dst *complex128, ds int, src *complex128, ss int)\n\n", n)
+	b.WriteString("//go:noescape\n")
+	fmt.Fprintf(b, "func sr%dwSSE2(dst *complex128, ds int, src *complex128, ss int, w *complex128, ws int)\n\n", n)
 }
 
 // emitWrapper writes the codelet.Func entry point dispatching on w.
@@ -285,18 +372,35 @@ func emitComposedStage2(b *strings.Builder, m, k int, table string) {
 	b.WriteString("\t}\n")
 }
 
-// SplitRadixFile renders the complete generated source file for the
-// internal/codelet package, gofmt-formatted.
-func SplitRadixFile() ([]byte, error) {
-	var b strings.Builder
-	b.WriteString(`// Code generated by "go run spiralfft/cmd/codeletgen"; DO NOT EDIT.
+// GeneratedFile is one file of the generated codelet tier.
+type GeneratedFile struct {
+	Name string // base name within internal/codelet
+	Data []byte
+}
 
-// Generated split-radix codelet tier (see internal/codegen/splitradix.go):
+const generatedHeader = "// Code generated by \"go run spiralfft/cmd/codeletgen\"; DO NOT EDIT.\n\n"
+
+// SplitRadixFiles renders the generated tier of the internal/codelet
+// package, Go files gofmt-formatted, and returns the amd64 backend's counts
+// for each straight-line kernel:
+//
+//   - zsplitradix.go: the registry entries, the codelet.Func wrappers and
+//     the composed kernels, for every build;
+//   - zsplitradix_generic.go: the straight-line kernels in Go, the build
+//     for other architectures and for the purego tag;
+//   - zsplitradix_amd64.go and zsplitradix_amd64.s: the same kernels in
+//     SSE2 assembly behind bounds-checking Go wrappers.
+func SplitRadixFiles() ([]GeneratedFile, []AsmStats, error) {
+	var b strings.Builder
+	b.WriteString(generatedHeader)
+	b.WriteString(`// Generated split-radix codelet tier (see internal/codegen/splitradix.go):
 // straight-line conjugate-pair split-radix kernels for n ∈ {8, 16, 32, 64}
 // and two-stage radix-16 kernels for n ∈ {128, 256}, each with a no-twiddle
 // flavor (srNn) and a fused strided-twiddle flavor (srNw). They are the only
 // kernels registered for these sizes, so they serve them everywhere codelets
-// are used.
+// are used. The straight-line kernels are SSE2 assembly on amd64
+// (zsplitradix_amd64.s) and Go elsewhere and under the purego build tag
+// (zsplitradix_generic.go); both builds compute the same bits.
 
 package codelet
 
@@ -314,12 +418,98 @@ import "spiralfft/internal/twiddle"
 	}
 	b.WriteString("}\n\n")
 	for _, n := range SplitRadixStraight {
-		emitStraight(&b, n)
+		emitWrapper(&b, n)
 	}
 	for _, c := range SplitRadixComposed {
 		emitComposed(&b, c[0], c[1], c[2])
 	}
-	return format.Source([]byte(b.String()))
+
+	var gen strings.Builder
+	gen.WriteString(generatedHeader)
+	gen.WriteString(`//go:build !amd64 || purego
+
+// The straight-line split-radix kernels in Go: the build for architectures
+// other than amd64 and for the purego tag. zsplitradix_amd64.s holds the
+// same kernels, lowered from the same scheduled SSA, in SSE2 assembly.
+
+package codelet
+
+`)
+	for _, n := range SplitRadixStraight {
+		emitStraight(&gen, n)
+	}
+
+	var wrap strings.Builder
+	wrap.WriteString(generatedHeader)
+	wrap.WriteString(`//go:build !purego
+
+// The amd64 entry points of the straight-line split-radix kernels, whose
+// bodies are SSE2 assembly (zsplitradix_amd64.s). Each wrapper checks the
+// first and the last index of dst, src and w before the assembly runs:
+// every index of a strided run lies between the two, so a bad call panics
+// with a runtime bounds error and writes nothing.
+
+package codelet
+
+import "math"
+
+// srLast returns off + (n-1)·s, the index of the last element of a strided
+// run of n, or -1, which no slice accepts, when (n-1)·|s| exceeds
+// math.MaxInt/2 and the sum could overflow.
+func srLast(off, s, n int) int {
+	if lim := math.MaxInt / 2 / (n - 1); s > lim || s < -lim {
+		return -1
+	}
+	return off + (n-1)*s
+}
+
+`)
+	for _, n := range SplitRadixStraight {
+		emitAsmWrappers(&wrap, n)
+	}
+
+	consts := newAsmConsts()
+	var text strings.Builder
+	var stats []AsmStats
+	for _, n := range SplitRadixStraight {
+		for _, tw := range []bool{false, true} {
+			body, st := asmKernel(n, tw, consts)
+			fmt.Fprintf(&text, "\n// %s\n%s", st, body)
+			stats = append(stats, st)
+		}
+	}
+	var asm strings.Builder
+	asm.WriteString(generatedHeader)
+	asm.WriteString(`//go:build !purego
+
+// SSE2 split-radix kernels, one complex128 per XMM register, lowered by
+// internal/codegen/splitradix_asm.go from the scheduled SSA that
+// zsplitradix_generic.go prints as Go. Arguments are pointers to the first
+// element of dst, src and w and the element strides; zsplitradix_amd64.go
+// checks the bounds. Only SSE2 instructions are used, and every output is
+// bit-identical to the Go kernel's.
+
+#include "textflag.h"
+
+// srconst<>: sign masks, then (c, c) and (-d, d) per constant multiplier c+id.
+`)
+	consts.write(&asm)
+	asm.WriteString(text.String())
+
+	files := []GeneratedFile{
+		{Name: "zsplitradix.go", Data: []byte(b.String())},
+		{Name: "zsplitradix_generic.go", Data: []byte(gen.String())},
+		{Name: "zsplitradix_amd64.go", Data: []byte(wrap.String())},
+	}
+	for i := range files {
+		src, err := format.Source(files[i].Data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("codegen: %s: %w", files[i].Name, err)
+		}
+		files[i].Data = src
+	}
+	files = append(files, GeneratedFile{Name: "zsplitradix_amd64.s", Data: []byte(asm.String())})
+	return files, stats, nil
 }
 
 // SplitRadixStandalone renders a self-contained package main that runs the

@@ -9,19 +9,22 @@ import (
 	"testing"
 )
 
-// The committed generated tier must match the generator byte for byte, so a
-// generator change without `go generate ./internal/codelet` fails CI.
+// The committed generated tier, Go and assembly, must match the generator
+// byte for byte, so a generator change without `go generate
+// ./internal/codelet` fails CI.
 func TestSplitRadixFileUpToDate(t *testing.T) {
-	want, err := SplitRadixFile()
+	files, _, err := SplitRadixFiles()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile("../codelet/zsplitradix.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("internal/codelet/zsplitradix.go is stale: run go generate ./internal/codelet")
+	for _, f := range files {
+		got, err := os.ReadFile("../codelet/" + f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, f.Data) {
+			t.Errorf("internal/codelet/%s is stale: run go generate ./internal/codelet", f.Name)
+		}
 	}
 }
 
@@ -191,6 +194,50 @@ func TestSplitRadixRegisterPressure(t *testing.T) {
 			t.Logf("n=%d tw=%v: excess pressure area %d, loads-first/stores-last %d", n, tw, got, base)
 			if 10*got > 6*base {
 				t.Errorf("n=%d tw=%v: excess pressure area %d > 0.6 × %d", n, tw, got, base)
+			}
+		}
+	}
+}
+
+// The amd64 backend's counts describe the text it emits: one load per
+// input (two with the fused scale), one store per output, one instruction
+// per counted line, a 16-byte frame slot per value it spilled at once, and
+// no spills in sr8, whose live values fit the sixteen XMM registers.
+func TestSplitRadixAsmCounts(t *testing.T) {
+	consts := newAsmConsts()
+	for _, n := range SplitRadixStraight {
+		for _, tw := range []bool{false, true} {
+			text, st := asmKernel(n, tw, consts)
+			loads := n
+			if tw {
+				loads = 2 * n
+			}
+			if st.Loads != loads || st.Stores != n {
+				t.Errorf("n=%d tw=%v: %d loads and %d stores, want %d and %d", n, tw, st.Loads, st.Stores, loads, n)
+			}
+			lines := strings.Split(strings.TrimSpace(text), "\n")
+			var ins, spills, reloads int
+			for _, l := range lines {
+				if !strings.HasPrefix(l, "\t") {
+					continue
+				}
+				ins++
+				switch {
+				case strings.HasPrefix(l, "\tMOVUPD X") && strings.HasSuffix(l, "(SP)"):
+					spills++
+				case strings.HasPrefix(l, "\tMOVUPD ") && strings.Contains(l, "(SP), X"):
+					reloads++
+				}
+			}
+			if ins != st.Instructions || spills != st.Spills || reloads != st.Reloads {
+				t.Errorf("n=%d tw=%v: text has %d instructions, %d spills, %d reloads; counted %d, %d, %d",
+					n, tw, ins, spills, reloads, st.Instructions, st.Spills, st.Reloads)
+			}
+			if st.Reloads < st.Spills || st.Frame > 16*st.Spills {
+				t.Errorf("n=%d tw=%v: %d spills, %d reloads, %d-byte frame", n, tw, st.Spills, st.Reloads, st.Frame)
+			}
+			if n == 8 && st.Spills != 0 {
+				t.Errorf("sr8 tw=%v spills %d values", tw, st.Spills)
 			}
 		}
 	}

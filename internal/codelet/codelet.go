@@ -21,6 +21,16 @@
 // kernels gather into a stack buffer first. Partially overlapping index
 // sets (the same buffer at other offsets or strides) are not supported;
 // the executor ping-pongs between buffers instead.
+//
+// On amd64 the generated tier's straight-line kernels (n = 8, 16, 32, 64,
+// which the composed 128 and 256 call) are SSE2 assembly, one complex128
+// per XMM register (zsplitradix_amd64.s), lowered by internal/codegen from
+// the same scheduled SSA that zsplitradix_generic.go prints as Go. The Go
+// kernels are the build for other architectures and for the purego build
+// tag; both builds compute the same output bits. The assembly checks no
+// index itself: its Go wrappers check the first and the last index of
+// dst, src and w, so a bad call panics with a runtime bounds error before
+// anything is written.
 package codelet
 
 import (
@@ -30,8 +40,8 @@ import (
 	"spiralfft/internal/twiddle"
 )
 
-// The generated split-radix tier lives in zsplitradix.go; regenerate after
-// changing internal/codegen/splitradix.go.
+// The generated split-radix tier lives in zsplitradix*.go and
+// zsplitradix_amd64.s; regenerate after changing internal/codegen.
 //go:generate go run spiralfft/cmd/codeletgen -o zsplitradix.go
 
 // Func is the strided twiddled DFT kernel signature shared by all codelets.

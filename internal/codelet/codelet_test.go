@@ -288,15 +288,36 @@ func TestQuickKernelParseval(t *testing.T) {
 	}
 }
 
+var benchSink complex128
+
+// BenchmarkCodelets times every registered kernel in the shapes the
+// executor calls: unit strides, and the stage-1 gather of a two-stage
+// n = m·k transform with m = 32, which reads its input at stride m and, in
+// the fused flavor, its scale vector at stride m too. Apply runs with
+// w == nil; ApplyW with a strided scale vector, as the fused stages do.
 func BenchmarkCodelets(b *testing.B) {
+	const m = 32
 	for _, n := range Sizes() {
 		k, _ := ForSize(n)
-		x := complexvec.Random(n, 1)
-		y := make([]complex128, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.Apply(y, 0, 1, x, 0, 1, nil)
+		src := complexvec.Random(n*m, 1)
+		w := complexvec.Random(n*m, 2)
+		dst := make([]complex128, n)
+		for _, ss := range []int{1, m} {
+			b.Run(fmt.Sprintf("n=%d/Apply/ss=%d", n, ss), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.Apply(dst, 0, 1, src, 0, ss, nil)
+				}
+				benchSink = dst[0]
+			})
+			if k.ApplyW == nil {
+				continue
 			}
-		})
+			b.Run(fmt.Sprintf("n=%d/ApplyW/ss=%d", n, ss), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.ApplyW(dst, 0, 1, src, 0, ss, w, 0, ss)
+				}
+				benchSink = dst[0]
+			})
+		}
 	}
 }

@@ -4,8 +4,9 @@
 // whereas the FFTW-style strategy (fresh threads per transform, µ-oblivious
 // block-cyclic loops) needs sizes beyond 2^13.
 //
-// It measures the break-even size on the host and evaluates the model for
-// the paper's four machines, printing both next to the paper's numbers.
+// It measures the break-even size on the host, from the per-size medians of
+// several sweeps, and evaluates the model for the paper's four machines,
+// printing both next to the paper's numbers.
 package main
 
 import (
@@ -19,6 +20,11 @@ import (
 	"spiralfft/internal/machine"
 	"spiralfft/internal/search"
 )
+
+// hostSamples is the number of host sweeps. One sweep's crossover moves
+// from run to run on a shared host; the host row reads the median of every
+// series point and of the FFTW-style thread count over the sweeps.
+const hostSamples = 5
 
 func main() {
 	var (
@@ -41,20 +47,25 @@ func main() {
 			cross(res, "FFTW pthreads", "FFTW sequential"))
 	}
 
-	// Host measurement.
-	fmt.Fprintf(os.Stderr, "\nmeasuring host (p=%d)...\n", *p)
-	res := bench.RunMeasured(bench.Config{
-		MinLogN: *minLogN, MaxLogN: *maxLogN, P: *p, Mu: *mu,
-		Timer: search.TimerConfig{MinTime: *minTime, Repeats: 3},
-	})
+	// Host measurement: the median of hostSamples sweeps at every size.
+	fmt.Fprintf(os.Stderr, "\nmeasuring host (p=%d, %d sweeps)...\n", *p, hostSamples)
+	runs := make([]bench.Result, hostSamples)
+	for i := range runs {
+		runs[i] = bench.RunMeasured(bench.Config{
+			MinLogN: *minLogN, MaxLogN: *maxLogN, P: *p, Mu: *mu,
+			Timer: search.TimerConfig{MinTime: *minTime, Repeats: 3},
+		})
+	}
+	res := bench.Median(runs)
 	fftw := "none in range"
 	if c := res.FFTWThreadCrossover(); c >= 0 {
 		fftw = fmt.Sprintf("2^%d", c)
 	}
 	fmt.Printf("%-28s %-18s %-18s\n", fmt.Sprintf("host (measured, p=%d)", *p),
 		cross(res, "Spiral pthreads", "Spiral sequential"), fftw)
-	fmt.Println("(host FFTW column: first size at which the FFTW-style planner measured")
-	fmt.Println(" a second thread as profitable and enabled it)")
+	fmt.Printf("(host row: per-size medians of %d sweeps; host FFTW column: first size at\n", hostSamples)
+	fmt.Println(" which the FFTW-style planner measured a second thread as profitable and")
+	fmt.Println(" enabled it)")
 
 	fmt.Println()
 	fmt.Println("Paper (Section 4): Spiral speeds up from N = 2^8 (Core Duo, in-L1, <10k cycles);")

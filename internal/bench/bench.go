@@ -15,6 +15,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -75,6 +76,33 @@ func (r Result) Get(name string) (SeriesData, bool) {
 		}
 	}
 	return SeriesData{}, false
+}
+
+// Median returns the per-point median of runs of the same sweep: each
+// series point and each FFTW-style thread count is the middle value of the
+// runs' (the upper middle for an even count). The runs must list the same
+// series and sizes in the same order.
+func Median(runs []Result) Result {
+	out := Result{Title: runs[0].Title}
+	mid := func(pick func(r Result) float64) float64 {
+		v := make([]float64, len(runs))
+		for i, r := range runs {
+			v[i] = pick(r)
+		}
+		sort.Float64s(v)
+		return v[len(v)/2]
+	}
+	for s, series := range runs[0].Series {
+		m := SeriesData{Name: series.Name}
+		for i, p := range series.Points {
+			m.Points = append(m.Points, Point{p.LogN, mid(func(r Result) float64 { return r.Series[s].Points[i].Mflops })})
+		}
+		out.Series = append(out.Series, m)
+	}
+	for i, p := range runs[0].FFTWThreads {
+		out.FFTWThreads = append(out.FFTWThreads, Point{p.LogN, mid(func(r Result) float64 { return r.FFTWThreads[i].Mflops })})
+	}
+	return out
 }
 
 // Crossover returns the smallest logN at which series a exceeds series b by

@@ -246,6 +246,20 @@ func TestFFTWThreadCrossover(t *testing.T) {
 	}
 }
 
+// Median takes each point's middle value over the runs, series by series,
+// and the FFTW-style thread count likewise.
+func TestMedian(t *testing.T) {
+	run := func(a, b float64, threads float64) Result {
+		return Result{Title: "t", Series: []SeriesData{{Name: "s", Points: []Point{{6, a}, {7, b}}}},
+			FFTWThreads: []Point{{6, threads}}}
+	}
+	m := Median([]Result{run(1, 30, 1), run(5, 10, 2), run(3, 20, 2)})
+	s, _ := m.Get("s")
+	if s.At(6) != 3 || s.At(7) != 20 || m.FFTWThreads[0] != (Point{6, 2}) || m.Title != "t" {
+		t.Errorf("median = %+v", m)
+	}
+}
+
 // TestModeledFigure3Golden pins the modeled Figure 3 (experiments E1–E4 and
 // E10) byte for byte: the CSV of every paper platform over 2^6..2^20, as
 // `go run ./cmd/benchfig3 -platform <key> -max 20 -format csv` prints it.

@@ -31,16 +31,24 @@ package codegen
 // D_{m,k} diagonal fused into stage 2 — the same loop merging the executor
 // performs, frozen into the codelet.
 //
+// Each straight-line size also has a two-lane form, srNn2 and srNw2: the
+// paper's vectorization rule DFT_n ⊗ I_ν at ν = 2, two adjacent calls of
+// the same kernel with lane 1 at its own dst and src offsets and its own
+// scale vector. The executor's stage loops and the composed kernels' loops
+// run their iterations in such pairs.
+//
 // The scheduled body is a list of typed ops (srop: load, twiddled load,
 // store, add, sub, neg, ±i rotation, constant multiply) with two
 // backends. printGo renders it as Go statements: the straight-line kernels
 // of zsplitradix_generic.go, built for other architectures and under the
-// purego tag, and the CI smoke programs. The amd64 backend
-// (splitradix_asm.go) lowers the same list to SSE2 assembly with one XMM
-// register per live value (zsplitradix_amd64.s), called through Go
-// wrappers that check every slice's first and last index
-// (zsplitradix_amd64.go). Its arithmetic is Go's, so both builds produce
-// the same bits.
+// purego tag (where a two-lane kernel is two calls), and the CI smoke
+// programs. The amd64 backend (splitradix_asm.go) lowers the same list to
+// SSE2 assembly with one XMM register per live value, and a second time to
+// AVX assembly with one YMM register per pair of lane values
+// (zsplitradix_amd64.s), called through Go wrappers that check every run's
+// first and last index (zsplitradix_amd64.go) and take the AVX kernel only
+// when the CPU has AVX. Its arithmetic is Go's, so every build produces the
+// same bits.
 
 import (
 	"fmt"
@@ -300,7 +308,7 @@ func srBody(n int, twiddled bool) string {
 }
 
 // emitStraight writes the Go plain and fused-twiddle kernels of one
-// straight-line size.
+// straight-line size, and their two-lane forms as two single-lane calls.
 func emitStraight(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "// sr%dn computes a no-twiddle %d-point conjugate-pair split-radix DFT.\n", n, n)
 	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
@@ -310,11 +318,28 @@ func emitStraight(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
 	b.WriteString(srBody(n, true))
 	b.WriteString("}\n\n")
+	fmt.Fprintf(b, "// sr%dn2 runs sr%dn on two lanes, lane 1 at doff+dl and soff+sl.\n", n, n)
+	fmt.Fprintf(b, "func sr%dn2(%s) {\n", n, pairParams(false))
+	fmt.Fprintf(b, "\tsr%dn(dst, doff, ds, src, soff, ss)\n\tsr%dn(dst, doff+dl, ds, src, soff+sl, ss)\n}\n\n", n, n)
+	fmt.Fprintf(b, "// sr%dw2 runs sr%dw on two lanes, lane 1 at doff+dl and soff+sl with the\n// scale vector w1 from w1off.\n", n, n)
+	fmt.Fprintf(b, "func sr%dw2(%s) {\n", n, pairParams(true))
+	fmt.Fprintf(b, "\tsr%dw(dst, doff, ds, src, soff, ss, w0, w0off, ws)\n\tsr%dw(dst, doff+dl, ds, src, soff+sl, ss, w1, w1off, ws)\n}\n\n", n, n)
+}
+
+// pairParams is the parameter list of the two-lane kernels srNn2 and srNw2.
+func pairParams(twiddled bool) string {
+	p := "dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int"
+	if twiddled {
+		p += ", w0 []complex128, w0off int, w1 []complex128, w1off, ws int"
+	}
+	return p
 }
 
 // emitAsmWrappers writes the amd64 entry points of one straight-line size:
-// each checks the first and the last index of every slice it is handed,
-// then calls its SSE2 kernel with pointers to the first elements.
+// each checks the first and the last index of every run it is handed, then
+// calls its assembly kernel with pointers to the first elements. The
+// two-lane entry points run one AVX call when the CPU has AVX and two SSE2
+// calls when it has not.
 func emitAsmWrappers(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "// sr%dn computes a no-twiddle %d-point conjugate-pair split-radix DFT.\n", n, n)
 	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
@@ -324,10 +349,25 @@ func emitAsmWrappers(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
 	fmt.Fprintf(b, "\t_ = dst[srLast(doff, ds, %d)]\n\t_ = src[srLast(soff, ss, %d)]\n\t_ = w[srLast(woff, ws, %d)]\n", n, n, n)
 	fmt.Fprintf(b, "\tsr%dwSSE2(&dst[doff], ds, &src[soff], ss, &w[woff], ws)\n}\n\n", n)
+	fmt.Fprintf(b, "// sr%dn2 runs sr%dn on two lanes, lane 1 at doff+dl and soff+sl.\n", n, n)
+	fmt.Fprintf(b, "func sr%dn2(%s) {\n", n, pairParams(false))
+	fmt.Fprintf(b, "\td1, s1 := srLanes(dst, doff, ds, dl, %d), srLanes(src, soff, ss, sl, %d)\n", n, n)
+	fmt.Fprintf(b, "\tif hasAVX {\n\t\tsr%dn2AVX(&dst[doff], ds, &src[soff], ss, &dst[d1], &src[s1])\n\t\treturn\n\t}\n", n)
+	fmt.Fprintf(b, "\tsr%dnSSE2(&dst[doff], ds, &src[soff], ss)\n\tsr%dnSSE2(&dst[d1], ds, &src[s1], ss)\n}\n\n", n, n)
+	fmt.Fprintf(b, "// sr%dw2 runs sr%dw on two lanes, lane 1 at doff+dl and soff+sl with the\n// scale vector w1 from w1off.\n", n, n)
+	fmt.Fprintf(b, "func sr%dw2(%s) {\n", n, pairParams(true))
+	fmt.Fprintf(b, "\td1, s1 := srLanes(dst, doff, ds, dl, %d), srLanes(src, soff, ss, sl, %d)\n", n, n)
+	fmt.Fprintf(b, "\tsrRun(w0, w0off, ws, %d)\n\tsrRun(w1, w1off, ws, %d)\n", n, n)
+	fmt.Fprintf(b, "\tif hasAVX {\n\t\tsr%dw2AVX(&dst[doff], ds, &src[soff], ss, &w0[w0off], ws, &dst[d1], &src[s1], &w1[w1off])\n\t\treturn\n\t}\n", n)
+	fmt.Fprintf(b, "\tsr%dwSSE2(&dst[doff], ds, &src[soff], ss, &w0[w0off], ws)\n\tsr%dwSSE2(&dst[d1], ds, &src[s1], ss, &w1[w1off], ws)\n}\n\n", n, n)
 	b.WriteString("//go:noescape\n")
 	fmt.Fprintf(b, "func sr%dnSSE2(dst *complex128, ds int, src *complex128, ss int)\n\n", n)
 	b.WriteString("//go:noescape\n")
 	fmt.Fprintf(b, "func sr%dwSSE2(dst *complex128, ds int, src *complex128, ss int, w *complex128, ws int)\n\n", n)
+	b.WriteString("//go:noescape\n")
+	fmt.Fprintf(b, "func sr%dn2AVX(dst *complex128, ds int, src *complex128, ss int, dst1, src1 *complex128)\n\n", n)
+	b.WriteString("//go:noescape\n")
+	fmt.Fprintf(b, "func sr%dw2AVX(dst *complex128, ds int, src *complex128, ss int, w *complex128, ws int, dst1, src1, w1 *complex128)\n\n", n)
 }
 
 // emitWrapper writes the codelet.Func entry point dispatching on w.
@@ -340,26 +380,43 @@ func emitWrapper(b *strings.Builder, n int) {
 	b.WriteString("\t}\n}\n\n")
 }
 
+// emitPairWrappers writes the codelet.Func2 and codelet.FuncW2 entry points
+// of a straight-line size over its two-lane kernels.
+func emitPairWrappers(b *strings.Builder, n int) {
+	fmt.Fprintf(b, "func sr%dPair(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w0, w1 []complex128) {\n", n)
+	b.WriteString("\tif w0 == nil {\n")
+	fmt.Fprintf(b, "\t\tsr%dn2(dst, doff, ds, dl, src, soff, ss, sl)\n", n)
+	b.WriteString("\t} else {\n")
+	fmt.Fprintf(b, "\t\tsr%dw2(dst, doff, ds, dl, src, soff, ss, sl, w0, 0, w1, 0, 1)\n", n)
+	b.WriteString("\t}\n}\n\n")
+	fmt.Fprintf(b, "func sr%dwPair(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, woff, ws, wl int) {\n", n)
+	fmt.Fprintf(b, "\tsr%dw2(dst, doff, ds, dl, src, soff, ss, sl, w, woff, w, woff+wl, ws)\n}\n\n", n)
+}
+
 // emitComposed writes the two-stage kernel n = m·k: stage 1 runs m fused
 // DFT_k gathers (input scale folded in when present), stage 2 runs k fused
 // DFT_m column transforms with the D_{m,k} diagonal from the package-level
-// table — no separate twiddle pass in either flavor.
+// table — no separate twiddle pass in either flavor. Each stage runs its
+// adjacent iterations in pairs through the two-lane kernels.
 func emitComposed(b *strings.Builder, n, m, k int) {
+	if m%2 != 0 || k%2 != 0 {
+		panic(fmt.Sprintf("codegen: composed kernel %d = %d·%d pairs its iterations, want both even", n, m, k))
+	}
 	table := fmt.Sprintf("srtw%dx%d", m, k)
 	fmt.Fprintf(b, "// sr%dn computes DFT_%d = (DFT_%d ⊗ I_%d) · D_{%d,%d} · (I_%d ⊗ DFT_%d) · L^%d_%d\n", n, n, m, k, m, k, m, k, n, m)
 	fmt.Fprintf(b, "// over the straight-line kernels, with the diagonal fused into stage 2.\n")
 	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
 	fmt.Fprintf(b, "\tvar t [%d]complex128\n", n)
-	fmt.Fprintf(b, "\tfor i := 0; i < %d; i++ {\n", m)
-	fmt.Fprintf(b, "\t\tsr%dn(t[:], %d*i, 1, src, soff+i*ss, %d*ss)\n", k, k, m)
+	fmt.Fprintf(b, "\tfor i := 0; i < %d; i += 2 {\n", m)
+	fmt.Fprintf(b, "\t\tsr%dn2(t[:], %d*i, 1, %d, src, soff+i*ss, %d*ss, ss)\n", k, k, k, m)
 	b.WriteString("\t}\n")
 	emitComposedStage2(b, m, k, table)
 	b.WriteString("}\n\n")
 	fmt.Fprintf(b, "// sr%dw is sr%dn with a strided input scale fused into stage 1.\n", n, n)
 	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
 	fmt.Fprintf(b, "\tvar t [%d]complex128\n", n)
-	fmt.Fprintf(b, "\tfor i := 0; i < %d; i++ {\n", m)
-	fmt.Fprintf(b, "\t\tsr%dw(t[:], %d*i, 1, src, soff+i*ss, %d*ss, w, woff+i*ws, %d*ws)\n", k, k, m, m)
+	fmt.Fprintf(b, "\tfor i := 0; i < %d; i += 2 {\n", m)
+	fmt.Fprintf(b, "\t\tsr%dw2(t[:], %d*i, 1, %d, src, soff+i*ss, %d*ss, ss, w, woff+i*ws, w, woff+(i+1)*ws, %d*ws)\n", k, k, k, m, m)
 	b.WriteString("\t}\n")
 	emitComposedStage2(b, m, k, table)
 	b.WriteString("}\n\n")
@@ -367,8 +424,8 @@ func emitComposed(b *strings.Builder, n, m, k int) {
 }
 
 func emitComposedStage2(b *strings.Builder, m, k int, table string) {
-	fmt.Fprintf(b, "\tfor j := 0; j < %d; j++ {\n", k)
-	fmt.Fprintf(b, "\t\tsr%dw(dst, doff+j*ds, %d*ds, t[:], j, %d, %s, %d*j, 1)\n", m, k, k, table, m)
+	fmt.Fprintf(b, "\tfor j := 0; j < %d; j += 2 {\n", k)
+	fmt.Fprintf(b, "\t\tsr%dw2(dst, doff+j*ds, %d*ds, ds, t[:], j, %d, 1, %s, %d*j, %s, %d*j+%d, 1)\n", m, k, k, table, m, table, m, m)
 	b.WriteString("\t}\n")
 }
 
@@ -398,9 +455,12 @@ func SplitRadixFiles() ([]GeneratedFile, []AsmStats, error) {
 // and two-stage radix-16 kernels for n ∈ {128, 256}, each with a no-twiddle
 // flavor (srNn) and a fused strided-twiddle flavor (srNw). They are the only
 // kernels registered for these sizes, so they serve them everywhere codelets
-// are used. The straight-line kernels are SSE2 assembly on amd64
-// (zsplitradix_amd64.s) and Go elsewhere and under the purego build tag
-// (zsplitradix_generic.go); both builds compute the same bits.
+// are used. Each straight-line size also has two-lane entry points
+// (Apply2, ApplyW2: DFT_n ⊗ I_2 over two adjacent calls), and the composed
+// kernels run their stages in such pairs. The straight-line kernels are
+// SSE2 assembly on amd64 and their two-lane forms AVX assembly
+// (zsplitradix_amd64.s), and Go elsewhere and under the purego build tag
+// (zsplitradix_generic.go); every build computes the same bits.
 
 package codelet
 
@@ -413,12 +473,16 @@ import "spiralfft/internal/twiddle"
 	}
 	b.WriteString(")\n\n")
 	b.WriteString("func init() {\n")
-	for _, n := range SplitRadixSizes() {
-		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw})\n", n, n, n, n)
+	for _, n := range SplitRadixStraight {
+		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw, Apply2: sr%dPair, ApplyW2: sr%dwPair})\n", n, n, n, n, n, n)
+	}
+	for _, c := range SplitRadixComposed {
+		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw})\n", c[0], c[0], c[0], c[0])
 	}
 	b.WriteString("}\n\n")
 	for _, n := range SplitRadixStraight {
 		emitWrapper(&b, n)
+		emitPairWrappers(&b, n)
 	}
 	for _, c := range SplitRadixComposed {
 		emitComposed(&b, c[0], c[1], c[2])
@@ -430,7 +494,8 @@ import "spiralfft/internal/twiddle"
 
 // The straight-line split-radix kernels in Go: the build for architectures
 // other than amd64 and for the purego tag. zsplitradix_amd64.s holds the
-// same kernels, lowered from the same scheduled SSA, in SSE2 assembly.
+// same kernels, lowered from the same scheduled SSA, in SSE2 assembly. A
+// two-lane kernel is two single-lane calls here.
 
 package codelet
 
@@ -444,10 +509,12 @@ package codelet
 	wrap.WriteString(`//go:build !purego
 
 // The amd64 entry points of the straight-line split-radix kernels, whose
-// bodies are SSE2 assembly (zsplitradix_amd64.s). Each wrapper checks the
-// first and the last index of dst, src and w before the assembly runs:
-// every index of a strided run lies between the two, so a bad call panics
-// with a runtime bounds error and writes nothing.
+// bodies are SSE2 assembly, and of their two-lane forms, whose bodies are
+// AVX assembly (zsplitradix_amd64.s) when the CPU has AVX and two SSE2
+// calls when it has not. Each wrapper checks the first and the last index
+// of every run of dst, src and w, both lanes' at two lanes, before the
+// assembly runs: every index of a strided run lies between the two, so a
+// bad call panics with a runtime bounds error and writes nothing.
 
 package codelet
 
@@ -463,6 +530,20 @@ func srLast(off, s, n int) int {
 	return off + (n-1)*s
 }
 
+// srRun panics with a runtime bounds error unless the run of n from off at
+// stride s lies within x.
+func srRun(x []complex128, off, s, n int) {
+	_, _ = x[off], x[srLast(off, s, n)]
+}
+
+// srLanes checks the runs of two lanes, from off and off+l, as srRun does,
+// and returns lane 1's offset.
+func srLanes(x []complex128, off, s, l, n int) int {
+	srRun(x, off, s, n)
+	srRun(x, off+l, s, n)
+	return off + l
+}
+
 `)
 	for _, n := range SplitRadixStraight {
 		emitAsmWrappers(&wrap, n)
@@ -472,26 +553,32 @@ func srLast(off, s, n int) int {
 	var text strings.Builder
 	var stats []AsmStats
 	for _, n := range SplitRadixStraight {
-		for _, tw := range []bool{false, true} {
-			body, st := asmKernel(n, tw, consts)
-			fmt.Fprintf(&text, "\n// %s\n%s", st, body)
-			stats = append(stats, st)
+		for _, lanes := range []int{1, 2} {
+			for _, tw := range []bool{false, true} {
+				body, st := asmKernel(n, tw, lanes, consts)
+				fmt.Fprintf(&text, "\n// %s\n%s", st, body)
+				stats = append(stats, st)
+			}
 		}
 	}
 	var asm strings.Builder
 	asm.WriteString(generatedHeader)
 	asm.WriteString(`//go:build !purego
 
-// SSE2 split-radix kernels, one complex128 per XMM register, lowered by
-// internal/codegen/splitradix_asm.go from the scheduled SSA that
-// zsplitradix_generic.go prints as Go. Arguments are pointers to the first
-// element of dst, src and w and the element strides; zsplitradix_amd64.go
-// checks the bounds. Only SSE2 instructions are used, and every output is
+// Split-radix kernels lowered by internal/codegen/splitradix_asm.go from
+// the scheduled SSA that zsplitradix_generic.go prints as Go, at two
+// widths: srNnSSE2 and srNwSSE2 hold one complex128 per XMM register and
+// use SSE2 alone; srNn2AVX and srNw2AVX run DFT_n ⊗ I_2, two adjacent calls
+// with lane 0 in the low and lane 1 in the high half of each YMM register,
+// and use AVX1 without FMA. Arguments are pointers to the first element of
+// dst, src and w (and of lane 1's) and the element strides;
+// zsplitradix_amd64.go checks the bounds. Every output, in either lane, is
 // bit-identical to the Go kernel's.
 
 #include "textflag.h"
 
-// srconst<>: sign masks, then (c, c) and (-d, d) per constant multiplier c+id.
+// srconst<>: sign masks, then (c, c) and (-d, d) per constant multiplier
+// c+id, each entry 32 bytes: its 16-byte pair twice.
 `)
 	consts.write(&asm)
 	asm.WriteString(text.String())

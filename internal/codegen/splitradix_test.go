@@ -199,46 +199,84 @@ func TestSplitRadixRegisterPressure(t *testing.T) {
 	}
 }
 
-// The amd64 backend's counts describe the text it emits: one load per
-// input (two with the fused scale), one store per output, one instruction
-// per counted line, a 16-byte frame slot per value it spilled at once, and
-// no spills in sr8, whose live values fit the sixteen XMM registers.
+// The amd64 backend's counts describe the text it emits at both widths:
+// one load per input and lane (two with the fused scale), one store per
+// output and lane, one instruction per counted line, a frame slot of one
+// register's width per value it spilled at once, no multiply in any
+// address, and no spills in sr8, whose live values fit the sixteen
+// registers.
 func TestSplitRadixAsmCounts(t *testing.T) {
 	consts := newAsmConsts()
 	for _, n := range SplitRadixStraight {
-		for _, tw := range []bool{false, true} {
-			text, st := asmKernel(n, tw, consts)
-			loads := n
-			if tw {
-				loads = 2 * n
-			}
-			if st.Loads != loads || st.Stores != n {
-				t.Errorf("n=%d tw=%v: %d loads and %d stores, want %d and %d", n, tw, st.Loads, st.Stores, loads, n)
-			}
-			lines := strings.Split(strings.TrimSpace(text), "\n")
-			var ins, spills, reloads int
-			for _, l := range lines {
-				if !strings.HasPrefix(l, "\t") {
-					continue
+		for _, lanes := range []int{1, 2} {
+			for _, tw := range []bool{false, true} {
+				text, st := asmKernel(n, tw, lanes, consts)
+				loads := n * lanes
+				if tw {
+					loads *= 2
 				}
-				ins++
-				switch {
-				case strings.HasPrefix(l, "\tMOVUPD X") && strings.HasSuffix(l, "(SP)"):
-					spills++
-				case strings.HasPrefix(l, "\tMOVUPD ") && strings.Contains(l, "(SP), X"):
-					reloads++
+				if st.Loads != loads || st.Stores != n*lanes {
+					t.Errorf("%s: %d loads and %d stores, want %d and %d", st.Name, st.Loads, st.Stores, loads, n*lanes)
+				}
+				lines := strings.Split(strings.TrimSpace(text), "\n")
+				var ins, spills, reloads, leas int
+				for _, l := range lines {
+					if !strings.HasPrefix(l, "\t") {
+						continue
+					}
+					ins++
+					switch {
+					case strings.Contains(l, "MUL") && strings.Contains(l, "Q "):
+						t.Errorf("%s: %q multiplies an address", st.Name, l)
+					case strings.HasPrefix(l, "\tLEAQ "):
+						leas++
+					case strings.Contains(l, "MOVUPD X") || strings.Contains(l, "MOVUPD Y"):
+						if strings.HasSuffix(l, "(SP)") {
+							spills++
+						}
+					case strings.Contains(l, "(SP), "):
+						reloads++
+					}
+				}
+				if ins != st.Instructions || spills != st.Spills || reloads != st.Reloads || leas != st.Addrs {
+					t.Errorf("%s: text has %d instructions, %d spills, %d reloads, %d LEAQs; counted %d, %d, %d, %d",
+						st.Name, ins, spills, reloads, leas, st.Instructions, st.Spills, st.Reloads, st.Addrs)
+				}
+				if st.Reloads < st.Spills || st.Frame > 16*lanes*st.Spills {
+					t.Errorf("%s: %d spills, %d reloads, %d-byte frame", st.Name, st.Spills, st.Reloads, st.Frame)
+				}
+				if n == 8 && st.Spills != 0 {
+					t.Errorf("%s spills %d values", st.Name, st.Spills)
 				}
 			}
-			if ins != st.Instructions || spills != st.Spills || reloads != st.Reloads {
-				t.Errorf("n=%d tw=%v: text has %d instructions, %d spills, %d reloads; counted %d, %d, %d",
-					n, tw, ins, spills, reloads, st.Instructions, st.Spills, st.Reloads)
+		}
+	}
+}
+
+// Every stride multiple an address of a run of up to 64 takes has a LEAQ
+// recipe of at most four steps from the stride alone.
+func TestLeaRecipes(t *testing.T) {
+	for j := 1; j < 64; j++ {
+		k, _ := scaled(j)
+		if k == 1 {
+			continue
+		}
+		steps := leaRecipe(map[int]string{1: "CX"}, k)
+		if steps == nil {
+			t.Fatalf("no recipe for %d", k)
+		}
+		v := 0
+		for _, s := range steps {
+			val := func(x int) int {
+				if x < 0 {
+					return v
+				}
+				return x
 			}
-			if st.Reloads < st.Spills || st.Frame > 16*st.Spills {
-				t.Errorf("n=%d tw=%v: %d spills, %d reloads, %d-byte frame", n, tw, st.Spills, st.Reloads, st.Frame)
-			}
-			if n == 8 && st.Spills != 0 {
-				t.Errorf("sr8 tw=%v spills %d values", tw, st.Spills)
-			}
+			v = val(s.a) + val(s.b)*s.m
+		}
+		if v != k {
+			t.Errorf("recipe for %d builds %d", k, v)
 		}
 	}
 }

@@ -25,7 +25,9 @@ func inverseMod(x uint64) uint64 {
 // assembly runs. Every bad call must panic with a runtime bounds error and
 // leave dst as it was: a run one past the end by its offset or by its
 // stride, a negative stride that runs below index 0, and a stride whose
-// (n-1)·stride wraps around to an index inside the slice.
+// (n-1)·stride wraps around to an index inside the slice. The pair entry
+// points check both lanes: lane 1's runs, through its lane offsets, are
+// checked as lane 0's before either lane's assembly runs.
 func TestSSE2KernelsBoundsChecked(t *testing.T) {
 	for _, n := range []int{8, 16, 32, 64} {
 		k, _ := ForSize(n)
@@ -90,5 +92,65 @@ func TestSSE2KernelsBoundsChecked(t *testing.T) {
 		dst := make([]complex128, size)
 		src := complexvec.Random(size, 1)
 		k.ApplyW(dst, 0, stride, src, 0, stride, src, 0, stride)
+
+		// The pair entry points check lane 1's runs as lane 0's: lane 0
+		// fits at offset 1, and a lane offset runs lane 1 one past the end,
+		// below 0, or past math.MaxInt, where the offset wraps.
+		for side, short := range map[string]bool{"dst": false, "src": false, "w": false, "w1 slice": true} {
+			for name, l := range map[string]int{
+				"lane offset one past the end":  1,
+				"lane offset below 0":           -2,
+				"lane offset that wraps around": math.MaxInt,
+			} {
+				if short && l != 1 {
+					continue
+				}
+				dl, sl, wl := 0, 0, 0
+				switch side {
+				case "dst":
+					dl = l
+				case "src":
+					sl = l
+				case "w":
+					wl = l
+				}
+				for _, flavor := range []string{"Apply2", "Apply2 with w", "ApplyW2"} {
+					if (side == "w" && flavor != "ApplyW2") || (short && flavor != "Apply2 with w") {
+						continue
+					}
+					src := complexvec.Random(size+1, uint64(n))
+					w := complexvec.Random(size+1, uint64(n)+1)
+					w1 := w[1:]
+					if short {
+						w1 = w[:n-1]
+					}
+					dst := make([]complex128, size+1)
+					for i := range dst {
+						dst[i] = complex(math.NaN(), 0)
+					}
+					func() {
+						defer func() {
+							err, _ := recover().(runtime.Error)
+							if err == nil || !strings.Contains(err.Error(), "index out of range") {
+								t.Errorf("%s %s %s %s: recovered %v, want a runtime bounds error", k.Name, flavor, side, name, err)
+							}
+						}()
+						switch flavor {
+						case "Apply2":
+							k.Apply2(dst, 1, stride, dl, src, 1, stride, sl, nil, nil)
+						case "Apply2 with w":
+							k.Apply2(dst, 1, stride, dl, src, 1, stride, sl, w, w1)
+						default:
+							k.ApplyW2(dst, 1, stride, dl, src, 1, stride, sl, w, 1, stride, wl)
+						}
+					}()
+					for i := range dst {
+						if !math.IsNaN(real(dst[i])) || imag(dst[i]) != 0 {
+							t.Fatalf("%s %s %s %s: dst[%d] written", k.Name, flavor, side, name, i)
+						}
+					}
+				}
+			}
+		}
 	}
 }

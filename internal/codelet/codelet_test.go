@@ -295,6 +295,8 @@ var benchSink complex128
 // n = m·k transform with m = 32, which reads its input at stride m and, in
 // the fused flavor, its scale vector at stride m too. Apply runs with
 // w == nil; ApplyW with a strided scale vector, as the fused stages do.
+// Apply2 and ApplyW2 run the pair calls of both stages: one pair does the
+// work of two single calls.
 func BenchmarkCodelets(b *testing.B) {
 	const m = 32
 	for _, n := range Sizes() {
@@ -319,5 +321,25 @@ func BenchmarkCodelets(b *testing.B) {
 				benchSink = dst[0]
 			})
 		}
+		// The pair calls of incache-p2's two stages (DFT_1024 as 32·32):
+		// stage 1 gathers at stride m into contiguous blocks, lane 1 one
+		// element on in src and n on in dst; stage 2 transforms columns one
+		// apart at stride m with twiddle columns m apart.
+		wide := make([]complex128, n*m)
+		b.Run(fmt.Sprintf("n=%d/Apply2/stage1", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.Apply2(wide, 0, 1, n, src, 0, m, 1, nil, nil)
+			}
+			benchSink = wide[0]
+		})
+		if k.ApplyW2 == nil {
+			continue
+		}
+		b.Run(fmt.Sprintf("n=%d/ApplyW2/stage2", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.ApplyW2(wide, 0, m, 1, src, 0, m, 1, w, 0, 1, m)
+			}
+			benchSink = wide[0]
+		})
 	}
 }

@@ -96,15 +96,24 @@ func (nd *node) apply(dst []complex128, doff, ds int, src []complex128, soff, ss
 	// from offset i·ss and writes the contiguous block t[i·k : (i+1)·k).
 	// A fused input scale rides along: iteration i's inputs are the overall
 	// inputs i, i+m, i+2m, …, so its twiddle window starts at woff + i·ws
-	// with stride m·ws.
+	// with stride m·ws. A leaf runs iterations i and i+1 as one pair
+	// (DFT_k ⊗ I_2): they read and write disjoint elements, and t is
+	// neither src nor dst.
 	if nd.right.leaf {
 		kr := nd.right.kernel
+		i := 0
 		if w == nil {
-			for i := 0; i < m; i++ {
+			for ; i+1 < m; i += 2 {
+				kr.Apply2(t, i*k, 1, k, src, soff+i*ss, m*ss, ss, nil, nil)
+			}
+			if i < m {
 				kr.Apply(t, i*k, 1, src, soff+i*ss, m*ss, nil)
 			}
 		} else {
-			for i := 0; i < m; i++ {
+			for ; i+1 < m; i += 2 {
+				kr.ApplyW2(t, i*k, 1, k, src, soff+i*ss, m*ss, ss, w, woff+i*ws, m*ws, ws)
+			}
+			if i < m {
 				kr.ApplyW(t, i*k, 1, src, soff+i*ss, m*ss, w, woff+i*ws, m*ws)
 			}
 		}
@@ -119,15 +128,23 @@ func (nd *node) apply(dst []complex128, doff, ds int, src []complex128, soff, ss
 	}
 	// Stage 2: (DFT_m ⊗ I_k) · D_{m,k} — iteration j reads column j of t at
 	// stride k, scales by twiddle column j (fused into the kernels or the
-	// subtree whenever possible), writes dst at stride k·ds.
+	// subtree whenever possible), writes dst at stride k·ds. A leaf runs
+	// columns j and j+1 as one pair.
 	if nd.left.leaf {
 		kl := nd.left.kernel
+		j := 0
 		if kl.ApplyW != nil {
-			for j := 0; j < k; j++ {
+			for ; j+1 < k; j += 2 {
+				kl.ApplyW2(dst, doff+j*ds, k*ds, ds, t, j, k, 1, nd.tw, j*m, 1, m)
+			}
+			if j < k {
 				kl.ApplyW(dst, doff+j*ds, k*ds, t, j, k, nd.tw, j*m, 1)
 			}
 		} else {
-			for j := 0; j < k; j++ {
+			for ; j+1 < k; j += 2 {
+				kl.Apply2(dst, doff+j*ds, k*ds, ds, t, j, k, 1, nd.tw[j*m:(j+1)*m], nd.tw[(j+1)*m:(j+2)*m])
+			}
+			if j < k {
 				kl.Apply(dst, doff+j*ds, k*ds, t, j, k, nd.tw[j*m:(j+1)*m])
 			}
 		}
@@ -184,6 +201,12 @@ func (s *Seq) N() int { return s.n }
 
 // Tree returns the factorization tree the plan was compiled from.
 func (s *Seq) Tree() *Tree { return s.tree }
+
+// Leaf returns the kernel of a single-codelet plan; ok is false when the
+// plan's tree is not a leaf.
+func (s *Seq) Leaf() (k codelet.Kernel, ok bool) {
+	return s.root.kernel, s.root.leaf
+}
 
 // ScratchLen returns the scratch length Transform and an unscaled
 // TransformStrided require.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"spiralfft/internal/codelet"
 	"spiralfft/internal/exec"
 	"spiralfft/internal/faultinject"
 	"spiralfft/internal/metrics"
@@ -94,20 +95,25 @@ type compiledOp struct {
 	den, row, roff int     // opCodeletGen: generated twiddle row parameters
 	scale          float64 // opWHT: output scale (1 when unscaled)
 	// v is opWHT's row width and a codelet call's panel width; dv and sv
-	// are a panel's lane strides.
+	// are a panel's lane strides, and a pair's lane offsets.
 	v, dv, sv int
+	// opCodeletPair: the leaf kernel's two-lane entry point and lane 1's
+	// input scale (tw is lane 0's).
+	pair codelet.Func2
+	tw1  []complex128
 }
 
 type opKind uint8
 
 const (
-	opBarrier    opKind = iota
-	opCodelet           // strided sub-DFT with its input scale Tw, if any
-	opCodeletGen        // sub-DFT scaled by a runtime-generated twiddle row
-	opWHT               // WHT_N ⊗ I_V: copy rows, butterflies in place
-	opTranspose         // cache-blocked tile transpose
-	opUntangle          // real-input spectrum untangling over bin pairs
-	opRetangle          // its inverse
+	opBarrier     opKind = iota
+	opCodelet            // strided sub-DFT with its input scale Tw, if any
+	opCodeletPair        // two adjacent leaf opCodelets as DFT_n ⊗ I_2
+	opCodeletGen         // sub-DFT scaled by a runtime-generated twiddle row
+	opWHT                // WHT_N ⊗ I_V: copy rows, butterflies in place
+	opTranspose          // cache-blocked tile transpose
+	opUntangle           // real-input spectrum untangling over bin pairs
+	opRetangle           // its inverse
 	opScale
 	opPermute
 	opCopy
@@ -168,7 +174,10 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 			}
 		case *Region:
 			for w, ops := range t.Workers {
-				for _, op := range ops {
+				for i, op := range ops {
+					if i > 0 && pairOps(e.workers[w], ops[i-1], op) {
+						continue
+					}
 					co, need, err := compileOp(op, seqs)
 					if err != nil {
 						return nil, fmt.Errorf("ir: region %q worker %d: %w", t.Name, w, err)
@@ -205,6 +214,61 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 	}
 	e.body = func(w int) { e.runWorker(w, e.cur) }
 	return e, nil
+}
+
+// pairOps folds op into the last op of list, the compiled form of prev, as
+// lane 1 of one pair call (DFT_n ⊗ I_2) and reports whether it did. Both
+// must be single-lane calls of one leaf tree on the same buffers at the
+// same strides, both with or without an input scale, and neither may write
+// what the other reads or writes: the pair then computes what the two
+// calls do in order. The lane offsets are the differences of the two
+// calls' offsets.
+func pairOps(list []compiledOp, prev, op Op) bool {
+	a, ok1 := prev.(CodeletCall)
+	b, ok2 := op.(CodeletCall)
+	last := &list[len(list)-1]
+	if !ok1 || !ok2 || last.kind != opCodelet || a.Tree != b.Tree || !a.Tree.Leaf || a.V > 1 || b.V > 1 ||
+		a.Dst != b.Dst || a.Src != b.Src || a.DS != b.DS || a.SS != b.SS || (a.Tw == nil) != (b.Tw == nil) {
+		return false
+	}
+	fa, fb := a.Footprint(), b.Footprint()
+	if overlaps(&fa.Write, &fb.Read) || overlaps(&fa.Write, &fb.Write) || overlaps(&fb.Write, &fa.Read) {
+		return false
+	}
+	k, _ := last.seq.Leaf()
+	last.kind, last.pair, last.tw1 = opCodeletPair, k.Apply2, b.Tw
+	last.dv, last.sv = b.DOff-a.DOff, b.SOff-a.SOff
+	return true
+}
+
+// overlaps reports whether two accesses share an element, reading BufSrc
+// and BufDst as one buffer: a transform may run in place.
+func overlaps(x, y *Access) bool {
+	class := func(b Buf) Buf {
+		if b == BufSrc {
+			return BufDst
+		}
+		return b
+	}
+	if class(x.Buf) != class(y.Buf) {
+		return false
+	}
+	if xs, ys := x.Spans[0], y.Spans[0]; x.Spans[1].Rows == 0 && y.Spans[1].Rows == 0 && x.Idx == nil && y.Idx == nil &&
+		xs.Width == 1 && ys.Width == 1 && xs.Stride == ys.Stride && xs.Stride != 0 {
+		// Two runs at one stride meet when their offsets differ by k
+		// strides with -ys.Rows < k < xs.Rows.
+		d := ys.Off - xs.Off
+		k := d / xs.Stride
+		return d%xs.Stride == 0 && k > -ys.Rows && k < xs.Rows
+	}
+	if xlo, xhi := x.bounds(); xlo <= xhi {
+		if ylo, yhi := y.bounds(); ylo > yhi || xhi < ylo || yhi < xlo {
+			return false
+		}
+	}
+	hit := false
+	x.each(func(i int) { hit = hit || y.has(i) })
+	return hit
 }
 
 // compileOp lowers one IR op to its dispatch-ready form and reports the
@@ -508,6 +572,8 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 				continue
 			}
 			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, ctx.buf(op.src), op.soff, op.ss, op.tw, scratch)
+		case opCodeletPair:
+			op.pair(ctx.buf(op.dst), op.doff, op.ds, op.dv, ctx.buf(op.src), op.soff, op.ss, op.sv, op.tw, op.tw1)
 		case opCodeletGen:
 			if op.v > 1 {
 				runPanel(op, ctx.buf(op.dst), ctx.buf(op.src), scratch)

@@ -135,6 +135,29 @@ func (a *Access) each(f func(idx int)) {
 	}
 }
 
+// has reports whether the access visits index i.
+func (a *Access) has(i int) bool {
+	for _, s := range a.Spans {
+		if s.Width == 1 && s.Stride != 0 { // a strided run: one division
+			if d := i - s.Off; d%s.Stride == 0 && d/s.Stride >= 0 && d/s.Stride < s.Rows {
+				return true
+			}
+			continue
+		}
+		for r := 0; r < s.Rows; r++ {
+			if u := i - s.Off - r*s.Stride; u >= 0 && u < s.Width {
+				return true
+			}
+		}
+	}
+	for _, x := range a.Idx {
+		if int(x) == i {
+			return true
+		}
+	}
+	return false
+}
+
 // bounds returns the least and greatest index the access visits; lo > hi
 // when it visits none.
 func (a *Access) bounds() (lo, hi int) {

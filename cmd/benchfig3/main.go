@@ -4,7 +4,8 @@
 //
 // Two modes:
 //
-//	-platform host                measure on this machine (real wall clock)
+//	-platform host                measure on this machine (real wall clock):
+//	                              per-size medians of bench.HostSweeps sweeps
 //	-platform coreduo|opteron|pentiumd|xeonmp|all
 //	                              evaluate the analytic model of the paper's
 //	                              machine (hardware substitution; DESIGN.md)
@@ -54,13 +55,17 @@ func main() {
 	var results []bench.Result
 	switch *platform {
 	case "host":
-		fmt.Fprintf(os.Stderr, "measuring on host (%d workers, µ=%d, 2^%d..2^%d)...\n", *p, *mu, *minLogN, *maxLogN)
+		fmt.Fprintf(os.Stderr, "measuring on host (%d workers, µ=%d, 2^%d..2^%d, %d sweeps)...\n", *p, *mu, *minLogN, *maxLogN, bench.HostSweeps)
 		cfg := bench.Config{
 			MinLogN: *minLogN, MaxLogN: *maxLogN, P: *p, Mu: *mu, Tune: *tune,
 			Timer:   timing.Config(),
 			Verbose: func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
 		}
-		results = append(results, bench.RunMeasured(cfg))
+		runs := make([]bench.Result, bench.HostSweeps)
+		for i := range runs {
+			runs[i] = bench.RunMeasured(cfg)
+		}
+		results = append(results, bench.Median(runs))
 	case "all":
 		for _, pl := range machine.Platforms() {
 			results = append(results, bench.RunModeled(pl, *minLogN, *maxLogN))

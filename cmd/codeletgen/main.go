@@ -1,13 +1,14 @@
-// Command codeletgen emits the generated split-radix codelet tier
-// (internal/codelet/zsplitradix*.go and zsplitradix_amd64.s) from the
-// generator in internal/codegen.
+// Command codeletgen emits the generated codelets of internal/codelet from
+// the generator in internal/codegen: the split-radix tier
+// (zsplitradix*.go, zsplitradix_amd64.s) and the WHT pass kernels (zwht*.go,
+// zwht_amd64.s).
 //
 // Modes:
 //
 //	codeletgen -o zsplitradix.go          write the tier's files into the
 //	                                      directory of -o (go:generate)
 //	codeletgen -verify                    exit 1 if a committed file drifted;
-//	                                      print each SSE2 kernel's counts
+//	                                      print each assembly kernel's counts
 //	codeletgen -standalone -n 32 -flavor plain -o main.go
 //	                                      emit a self-testing package main for
 //	                                      one straight-line kernel (CI smoke)
@@ -66,7 +67,7 @@ func runStandalone(out string, n int, flavor string) error {
 }
 
 func runTier(dir string, verify bool) error {
-	files, stats, err := codegen.SplitRadixFiles()
+	files, stats, err := codegen.CodeletFiles()
 	if err != nil {
 		return err
 	}

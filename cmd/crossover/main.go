@@ -21,11 +21,6 @@ import (
 	"spiralfft/internal/search"
 )
 
-// hostSamples is the number of host sweeps. One sweep's crossover moves
-// from run to run on a shared host; the host row reads the median of every
-// series point and of the FFTW-style thread count over the sweeps.
-const hostSamples = 5
-
 func main() {
 	var (
 		p       = flag.Int("p", runtime.NumCPU(), "workers for host measurement")
@@ -47,9 +42,10 @@ func main() {
 			cross(res, "FFTW pthreads", "FFTW sequential"))
 	}
 
-	// Host measurement: the median of hostSamples sweeps at every size.
-	fmt.Fprintf(os.Stderr, "\nmeasuring host (p=%d, %d sweeps)...\n", *p, hostSamples)
-	runs := make([]bench.Result, hostSamples)
+	// Host measurement: the median of bench.HostSweeps sweeps at every
+	// size, series point and FFTW-style thread count alike.
+	fmt.Fprintf(os.Stderr, "\nmeasuring host (p=%d, %d sweeps)...\n", *p, bench.HostSweeps)
+	runs := make([]bench.Result, bench.HostSweeps)
 	for i := range runs {
 		runs[i] = bench.RunMeasured(bench.Config{
 			MinLogN: *minLogN, MaxLogN: *maxLogN, P: *p, Mu: *mu,
@@ -63,7 +59,7 @@ func main() {
 	}
 	fmt.Printf("%-28s %-18s %-18s\n", fmt.Sprintf("host (measured, p=%d)", *p),
 		cross(res, "Spiral pthreads", "Spiral sequential"), fftw)
-	fmt.Printf("(host row: per-size medians of %d sweeps; host FFTW column: first size at\n", hostSamples)
+	fmt.Printf("(host row: per-size medians of %d sweeps; host FFTW column: first size at\n", bench.HostSweeps)
 	fmt.Println(" which the FFTW-style planner measured a second thread as profitable and")
 	fmt.Println(" enabled it)")
 

@@ -78,6 +78,11 @@ func (r Result) Get(name string) (SeriesData, bool) {
 	return SeriesData{}, false
 }
 
+// HostSweeps is the number of host sweeps cmd/crossover and cmd/benchfig3
+// take the per-point Median of: one sweep's point moves from run to run on
+// a shared host.
+const HostSweeps = 5
+
 // Median returns the per-point median of runs of the same sweep: each
 // series point and each FFTW-style thread count is the middle value of the
 // runs' (the upper middle for an even count). The runs must list the same

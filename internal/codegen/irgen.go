@@ -105,9 +105,11 @@ func (e *emitter) permTable(idx []int32) string {
 }
 
 // emitWHTRowsHelper emits the Walsh-Hadamard transform once, in the row
-// form every WHTCall lowers to (v = 1 is the plain strided transform). Like
-// the executor's exec.WHTRowsScaled it runs the radix-2 stages in fused
-// pairs (radix-4 passes) plus one radix-2 pass when log2 n is odd.
+// form every WHTCall lowers to (v = 1 is the plain strided transform). It
+// runs the radix-2 stages in fused pairs (radix-4 passes) plus one radix-2
+// pass when log2 n is odd; the executor's exec.WHTRows runs radix-8 passes,
+// and both add in the radix-2 loop's order, so their outputs agree bit for
+// bit.
 func (e *emitter) emitWHTRowsHelper() {
 	if e.whtRows {
 		return

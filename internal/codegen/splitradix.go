@@ -3,6 +3,8 @@ package codegen
 // Split-radix codelet generator: emits the straight-line conjugate-pair
 // split-radix kernels and the composed radix-16 kernels that form
 // internal/codelet's generated tier (zsplitradix*.go, zsplitradix_amd64.s).
+// The WHT pass kernels (wht.go) are recorded, scheduled and lowered by the
+// same machinery below.
 // Each size comes in two flavors:
 //
 //   - srNn: no-twiddle leaf kernel, the base case of an untwiddled stage;
@@ -38,8 +40,8 @@ package codegen
 // run their iterations in such pairs.
 //
 // The scheduled body is a list of typed ops (srop: load, twiddled load,
-// store, add, sub, neg, ±i rotation, constant multiply) with two
-// backends. printGo renders it as Go statements: the straight-line kernels
+// store, add, sub, neg, ±i rotation, constant multiply, real scale) with
+// two backends. printGo renders it as Go statements: the straight-line kernels
 // of zsplitradix_generic.go, built for other architectures and under the
 // purego tag (where a two-lane kernel is two calls), and the CI smoke
 // programs. The amd64 backend (splitradix_asm.go) lowers the same list to
@@ -89,6 +91,7 @@ const (
 	opMulNegI                // v := a·(-i)
 	opMulPosI                // v := a·(+i)
 	opMulConst               // v := c·a
+	opScale                  // v := a·s, s real (two real multiplies)
 )
 
 // srop is one op of a kernel's SSA program. Values are numbered in creation
@@ -272,18 +275,25 @@ func srProgram(n int, twiddled bool) []srop {
 	return g.schedule(g.dft(x))
 }
 
-// printGo renders a scheduled program as Go statements.
-func printGo(prog []srop) string {
+// goRuns names the Go offset and stride variables of the dst, src and w
+// runs printGo indexes element j of.
+type goRuns struct{ doff, ds, soff, ss, woff, ws string }
+
+// srRuns are the split-radix kernels' runs.
+var srRuns = goRuns{"doff", "ds", "soff", "ss", "woff", "ws"}
+
+// printGo renders a scheduled program as Go statements over the runs ix.
+func printGo(prog []srop, ix goRuns) string {
 	var b strings.Builder
 	for _, op := range prog {
 		b.WriteByte('\t')
 		switch op.kind {
 		case opLoad:
-			fmt.Fprintf(&b, "v%d := src[%s]", op.v, strideIndex("soff", "ss", op.j))
+			fmt.Fprintf(&b, "v%d := src[%s]", op.v, strideIndex(ix.soff, ix.ss, op.j))
 		case opLoadW:
-			fmt.Fprintf(&b, "v%d := src[%s] * w[%s]", op.v, strideIndex("soff", "ss", op.j), strideIndex("woff", "ws", op.j))
+			fmt.Fprintf(&b, "v%d := src[%s] * w[%s]", op.v, strideIndex(ix.soff, ix.ss, op.j), strideIndex(ix.woff, ix.ws, op.j))
 		case opStore:
-			fmt.Fprintf(&b, "dst[%s] = v%d", strideIndex("doff", "ds", op.j), op.a)
+			fmt.Fprintf(&b, "dst[%s] = v%d", strideIndex(ix.doff, ix.ds, op.j), op.a)
 		case opAdd:
 			fmt.Fprintf(&b, "v%d := v%d + v%d", op.v, op.a, op.b)
 		case opSub:
@@ -296,6 +306,8 @@ func printGo(prog []srop) string {
 			fmt.Fprintf(&b, "v%d := complex(-imag(v%d), real(v%d))", op.v, op.a, op.a)
 		case opMulConst:
 			fmt.Fprintf(&b, "v%d := complex(%.17g, %.17g) * v%d", op.v, real(op.c), imag(op.c), op.a)
+		case opScale:
+			fmt.Fprintf(&b, "v%d := complex(real(v%d)*s, imag(v%d)*s)", op.v, op.a, op.a)
 		}
 		b.WriteByte('\n')
 	}
@@ -304,7 +316,7 @@ func printGo(prog []srop) string {
 
 // srBody emits the scheduled body of one straight-line kernel as Go.
 func srBody(n int, twiddled bool) string {
-	return printGo(srProgram(n, twiddled))
+	return printGo(srProgram(n, twiddled), srRuns)
 }
 
 // emitStraight writes the Go plain and fused-twiddle kernels of one
@@ -597,6 +609,21 @@ func srLanes(x []complex128, off, s, l, n int) int {
 	}
 	files = append(files, GeneratedFile{Name: "zsplitradix_amd64.s", Data: []byte(asm.String())})
 	return files, stats, nil
+}
+
+// CodeletFiles renders every generated file of internal/codelet, the
+// split-radix tier's and the WHT pass kernels', with the amd64 backend's
+// counts for each of their kernels.
+func CodeletFiles() ([]GeneratedFile, []AsmStats, error) {
+	files, stats, err := SplitRadixFiles()
+	if err != nil {
+		return nil, nil, err
+	}
+	wfiles, wstats, err := WHTFiles()
+	if err != nil {
+		return nil, nil, err
+	}
+	return append(files, wfiles...), append(stats, wstats...), nil
 }
 
 // SplitRadixStandalone renders a self-contained package main that runs the

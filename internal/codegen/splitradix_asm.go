@@ -12,6 +12,11 @@ package codegen
 //     high one; everything between is the one-lane program on Y registers,
 //     in the three-operand VEX forms.
 //
+// The WHT pass kernels (wht.go) reuse the same lowering inside their loops,
+// with two more forms: two lanes that are adjacent elements of one run,
+// moved by one 32-byte VMOVUPD, and one lane in the VEX forms (the AVX
+// kernel's tail).
+//
 // Registers are assigned by a linear scan over the scheduled order. A value
 // keeps its register from its definition to its last use; an op whose
 // operand dies there computes its result in that operand's register. When
@@ -46,11 +51,11 @@ import (
 type AsmStats struct {
 	Name         string
 	Instructions int // every instruction, prologue and RET included
-	Loads        int // reads of src and w, one per lane
-	Stores       int // writes of dst, one per lane
+	Loads        int // instructions reading src and w
+	Stores       int // instructions writing dst
 	Spills       int // stores of a value to its frame slot
 	Reloads      int // loads of a value from its frame slot
-	Addrs        int // LEAQs building stride multiples
+	Addrs        int // LEAQs building stride multiples and lane bases
 	Frame        int // frame bytes
 }
 
@@ -112,9 +117,10 @@ func (t *asmConsts) write(b *strings.Builder) {
 }
 
 const (
-	numXMM  = 16
-	regFree = -1
-	regTemp = -2
+	numXMM   = 16
+	regFree  = -1
+	regTemp  = -2
+	regFixed = -3 // reserved for the whole kernel
 )
 
 // strideMult is k times the byte stride in the register stride.
@@ -125,20 +131,26 @@ type strideMult struct {
 
 // asmGen lowers one scheduled program at one width.
 type asmGen struct {
-	lanes  int // 1: SSE2 on X registers; 2: AVX on Y registers
-	consts *asmConsts
-	body   strings.Builder
-	stats  AsmStats
-	pos    int           // index of the op being lowered
-	uses   map[int][]int // value -> positions of the ops reading it, ascending
-	reg    map[int]int   // value -> vector register holding it
-	slot   map[int]int   // value -> frame slot holding a copy of it
-	owner  [numXMM]int   // vector register -> value, regFree or regTemp
-	free   []int         // unused frame slots
-	slots  int           // frame slots allocated
+	lanes int // values per register: 1 on X registers, 2 on Y registers
+	// vex selects the three-operand AVX forms (always at two lanes);
+	// adjacent says that a register's two lanes are adjacent elements of
+	// one run, moved as one 32-byte VMOVUPD, rather than elements of two
+	// lane bases.
+	vex, adjacent bool
+	consts        *asmConsts
+	body          strings.Builder
+	stats         AsmStats
+	pos           int           // index of the op being lowered
+	uses          map[int][]int // value -> positions of the ops reading it, ascending
+	reg           map[int]int   // value -> vector register holding it
+	slot          map[int]int   // value -> frame slot holding a copy of it
+	owner         [numXMM]int   // vector register -> value, regFree, regTemp or regFixed
+	free          []int         // unused frame slots
+	slots         int           // frame slots allocated
 	// bases are the lane base registers of dst, src and w; lane 1's is
-	// empty at one lane.
+	// empty at one lane. ss is the register holding src's byte stride.
 	dst, src, w [2]string
+	ss          string
 	// spare lists the general-purpose registers free for stride multiples,
 	// held what each of them holds; needs lists the multiples the kernel's
 	// addresses take, in order, and next indexes the next of them.
@@ -153,6 +165,12 @@ func (g *asmGen) ins(format string, args ...any) {
 	fmt.Fprintf(&g.body, format, args...)
 	g.body.WriteByte('\n')
 	g.stats.Instructions++
+}
+
+// lea emits an address LEAQ.
+func (g *asmGen) lea(operands string) {
+	g.ins("LEAQ %s", operands)
+	g.stats.Addrs++
 }
 
 // v renders vector register r at the kernel's width.
@@ -214,7 +232,7 @@ func (g *asmGen) alloc(pinned ...int) int {
 
 // mov is the unaligned full-width move.
 func (g *asmGen) mov() string {
-	if g.lanes == 2 {
+	if g.vex {
 		return "VMOVUPD"
 	}
 	return "MOVUPD"
@@ -335,8 +353,7 @@ func (g *asmGen) multiple(stride string, k int) string {
 		if s.b >= 0 {
 			b = have[s.b]
 		}
-		g.ins("LEAQ (%s)(%s*%d), %s", a, b, s.m, t)
-		g.stats.Addrs++
+		g.lea(fmt.Sprintf("(%s)(%s*%d), %s", a, b, s.m, t))
 	}
 	g.held[t] = strideMult{stride, k}
 	return t
@@ -396,8 +413,8 @@ func leaRecipe(have map[int]string, k int) []leaStep {
 // element, and at two lanes lane 1's in the high half.
 func (g *asmGen) load(bases [2]string, stride string, j, r int) {
 	idx := g.index(stride, j)
-	if g.lanes == 1 {
-		g.ins("MOVUPD (%s)%s, X%d", bases[0], idx, r)
+	if g.lanes == 1 || g.adjacent {
+		g.ins("%s (%s)%s, %s", g.mov(), bases[0], idx, g.v(r))
 		g.stats.Loads++
 		return
 	}
@@ -409,8 +426,8 @@ func (g *asmGen) load(bases [2]string, stride string, j, r int) {
 // store writes r to element j of dst, each lane to its own base.
 func (g *asmGen) store(j, r int) {
 	idx := g.index("DX", j)
-	if g.lanes == 1 {
-		g.ins("MOVUPD X%d, (%s)%s", r, g.dst[0], idx)
+	if g.lanes == 1 || g.adjacent {
+		g.ins("%s %s, (%s)%s", g.mov(), g.v(r), g.dst[0], idx)
 		g.stats.Stores++
 		return
 	}
@@ -420,11 +437,11 @@ func (g *asmGen) store(j, r int) {
 }
 
 // arith emits r = a IN b for IN one of ADDPD, SUBPD, MULPD, XORPD, b a
-// register or a memory operand. One lane copies a into r first (r ≠ b);
-// two lanes use the three-operand VEX form.
+// register or a memory operand. SSE2 copies a into r first (r ≠ b); VEX
+// uses the three-operand form.
 func (g *asmGen) arith(in, b string, a, r int) {
-	if g.lanes == 2 {
-		g.ins("V%s %s, Y%d, Y%d", in, b, a, r)
+	if g.vex {
+		g.ins("V%s %s, %s, %s", in, b, g.v(a), g.v(r))
 		return
 	}
 	if r != a {
@@ -435,8 +452,8 @@ func (g *asmGen) arith(in, b string, a, r int) {
 
 // swap emits r = (y, x) for a = (x, y), in each lane.
 func (g *asmGen) swap(a, r int) {
-	if g.lanes == 2 {
-		g.ins("VPERMILPD $5, Y%d, Y%d", a, r)
+	if g.vex {
+		g.ins("VPERMILPD $5, %s, %s", g.v(a), g.v(r))
 		return
 	}
 	if r != a {
@@ -474,21 +491,21 @@ func (g *asmGen) lower(op srop) {
 	switch op.kind {
 	case opLoad:
 		r = g.temp()
-		g.load(g.src, "CX", op.j, r)
+		g.load(g.src, g.ss, op.j, r)
 	case opLoadW:
 		r = g.temp()
 		t, u := g.temp(), g.temp()
 		g.load(g.w, "R9", op.j, t) // (wr, wi)
-		if g.lanes == 2 {
-			g.ins("VPERMILPD $15, Y%d, Y%d", t, u) // (wi, wi)
-			g.ins("VMOVDDUP Y%d, Y%d", t, t)       // (wr, wr)
+		if g.vex {
+			g.ins("VPERMILPD $15, %s, %s", g.v(t), g.v(u)) // (wi, wi)
+			g.ins("VMOVDDUP %s, %s", g.v(t), g.v(t))       // (wr, wr)
 		} else {
 			g.ins("MOVAPD X%d, X%d", t, u)
 			g.ins("UNPCKLPD X%d, X%d", t, t) // (wr, wr)
 			g.ins("UNPCKHPD X%d, X%d", u, u) // (wi, wi)
 		}
 		g.arith("XORPD", mem(signLo), u, u)
-		g.load(g.src, "CX", op.j, r)   // (sr, si)
+		g.load(g.src, g.ss, op.j, r)   // (sr, si)
 		g.arith("MULPD", g.v(r), t, t) // (sr·wr, si·wr)
 		g.swap(r, r)                   // (si, sr)
 		g.arith("MULPD", g.v(u), r, r) // (−si·wi, sr·wi)
@@ -508,7 +525,7 @@ func (g *asmGen) lower(op srop) {
 		case op.kind == opAdd && dies(op.b):
 			r = rb
 			g.arith(in, g.v(ra), rb, r)
-		case g.lanes == 2 && dies(op.b):
+		case g.vex && dies(op.b):
 			r = rb
 			g.arith(in, g.v(rb), ra, r)
 		default:
@@ -535,6 +552,9 @@ func (g *asmGen) lower(op srop) {
 		g.arith("MULPD", g.consts.pair(c, c), ra, r) // (xc, yc)
 		g.arith("MULPD", g.consts.pair(-d, d), t, t) // (−yd, xd)
 		g.arith("ADDPD", g.v(t), r, r)
+	case opScale:
+		r = g.dest(op.a, dies(op.a), args)
+		g.arith("MULPD", g.v(scaleReg), g.reg[op.a], r)
 	}
 	for _, a := range args {
 		if dies(a) {
@@ -552,6 +572,48 @@ func (g *asmGen) lower(op srop) {
 			g.release(op.v)
 		}
 	}
+}
+
+// scan records where prog reads each value and which stride multiples its
+// addresses take, in order.
+func (g *asmGen) scan(prog []srop) {
+	g.uses = map[int][]int{}
+	g.held = map[string]strideMult{}
+	need := func(stride string, j int) {
+		if k, _ := scaled(j); j > 0 && k > 1 {
+			g.needs = append(g.needs, strideMult{stride, k})
+		}
+	}
+	for i, op := range prog {
+		for _, a := range op.args() {
+			g.uses[a] = append(g.uses[a], i)
+		}
+		switch op.kind {
+		case opLoad:
+			need(g.ss, op.j)
+		case opLoadW:
+			need("R9", op.j)
+			need(g.ss, op.j)
+		case opStore:
+			need("DX", op.j)
+		}
+	}
+}
+
+// lowerAll lowers prog with every vector register free but the fixed ones,
+// and raises the frame to hold its spill slots.
+func (g *asmGen) lowerAll(prog []srop) {
+	g.reg, g.slot, g.free, g.slots, g.next = map[int]int{}, map[int]int{}, nil, 0, 0
+	for i, v := range g.owner {
+		if v != regFixed {
+			g.owner[i] = regFree
+		}
+	}
+	for i, op := range prog {
+		g.pos = i
+		g.lower(op)
+	}
+	g.stats.Frame = max(g.stats.Frame, 16*g.lanes*g.slots)
 }
 
 // asmKernel lowers the straight-line kernel srNn (srNw when twiddled) at
@@ -573,15 +635,13 @@ func asmKernel(n int, twiddled bool, lanes int, consts *asmConsts) (string, AsmS
 	prog := srProgram(n, twiddled)
 	g := &asmGen{
 		lanes:  lanes,
+		vex:    lanes == 2,
 		consts: consts,
-		uses:   map[int][]int{},
-		reg:    map[int]int{},
-		slot:   map[int]int{},
-		held:   map[string]strideMult{},
 		stats:  AsmStats{Name: kernel},
 		dst:    [2]string{"DI", "R10"},
 		src:    [2]string{"SI", "R11"},
 		w:      [2]string{"R8", "R12"},
+		ss:     "CX",
 		spare:  []string{"AX", "BX", "R13"},
 	}
 	if !twiddled {
@@ -593,32 +653,8 @@ func asmKernel(n int, twiddled bool, lanes int, consts *asmConsts) (string, AsmS
 			g.spare = append(g.spare, "R12")
 		}
 	}
-	for i := range g.owner {
-		g.owner[i] = regFree
-	}
-	need := func(stride string, j int) {
-		if k, _ := scaled(j); j > 0 && k > 1 {
-			g.needs = append(g.needs, strideMult{stride, k})
-		}
-	}
-	for i, op := range prog {
-		for _, a := range op.args() {
-			g.uses[a] = append(g.uses[a], i)
-		}
-		switch op.kind {
-		case opLoad:
-			need("CX", op.j)
-		case opLoadW:
-			need("R9", op.j)
-			need("CX", op.j)
-		case opStore:
-			need("DX", op.j)
-		}
-	}
-	for i, op := range prog {
-		g.pos = i
-		g.lower(op)
-	}
+	g.scan(prog)
+	g.lowerAll(prog)
 	if lanes == 2 {
 		g.ins("VZEROUPPER")
 	}
@@ -646,7 +682,6 @@ func asmKernel(n int, twiddled bool, lanes int, consts *asmConsts) (string, AsmS
 		}
 		args += " *complex128"
 	}
-	g.stats.Frame = 16 * lanes * g.slots
 	var b strings.Builder
 	fmt.Fprintf(&b, "// func %s(%s)\n", name, args)
 	fmt.Fprintf(&b, "TEXT ·%s(SB), $%d-%d\n", name, g.stats.Frame, argSize)

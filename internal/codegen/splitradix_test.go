@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// The committed generated tier, Go and assembly, must match the generator
-// byte for byte, so a generator change without `go generate
-// ./internal/codelet` fails CI.
+// The committed generated files, Go and assembly, split-radix and WHT, must
+// match the generator byte for byte, so a generator change without `go
+// generate ./internal/codelet` fails CI.
 func TestSplitRadixFileUpToDate(t *testing.T) {
-	files, _, err := SplitRadixFiles()
+	files, _, err := CodeletFiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,38 +218,45 @@ func TestSplitRadixAsmCounts(t *testing.T) {
 				if st.Loads != loads || st.Stores != n*lanes {
 					t.Errorf("%s: %d loads and %d stores, want %d and %d", st.Name, st.Loads, st.Stores, loads, n*lanes)
 				}
-				lines := strings.Split(strings.TrimSpace(text), "\n")
-				var ins, spills, reloads, leas int
-				for _, l := range lines {
-					if !strings.HasPrefix(l, "\t") {
-						continue
-					}
-					ins++
-					switch {
-					case strings.Contains(l, "MUL") && strings.Contains(l, "Q "):
-						t.Errorf("%s: %q multiplies an address", st.Name, l)
-					case strings.HasPrefix(l, "\tLEAQ "):
-						leas++
-					case strings.Contains(l, "MOVUPD X") || strings.Contains(l, "MOVUPD Y"):
-						if strings.HasSuffix(l, "(SP)") {
-							spills++
-						}
-					case strings.Contains(l, "(SP), "):
-						reloads++
-					}
-				}
-				if ins != st.Instructions || spills != st.Spills || reloads != st.Reloads || leas != st.Addrs {
-					t.Errorf("%s: text has %d instructions, %d spills, %d reloads, %d LEAQs; counted %d, %d, %d, %d",
-						st.Name, ins, spills, reloads, leas, st.Instructions, st.Spills, st.Reloads, st.Addrs)
-				}
-				if st.Reloads < st.Spills || st.Frame > 16*lanes*st.Spills {
-					t.Errorf("%s: %d spills, %d reloads, %d-byte frame", st.Name, st.Spills, st.Reloads, st.Frame)
-				}
+				checkAsmCounts(t, text, st, lanes)
 				if n == 8 && st.Spills != 0 {
 					t.Errorf("%s spills %d values", st.Name, st.Spills)
 				}
 			}
 		}
+	}
+}
+
+// checkAsmCounts checks a kernel's counts against its text: one
+// instruction per counted line, no multiply in any address, and a frame
+// slot of lanes·16 bytes per value it spilled at once.
+func checkAsmCounts(t *testing.T, text string, st AsmStats, lanes int) {
+	t.Helper()
+	var ins, spills, reloads, leas int
+	for _, l := range strings.Split(strings.TrimSpace(text), "\n") {
+		if !strings.HasPrefix(l, "\t") {
+			continue
+		}
+		ins++
+		switch {
+		case strings.Contains(l, "MUL") && strings.Contains(l, "Q "):
+			t.Errorf("%s: %q multiplies an address", st.Name, l)
+		case strings.HasPrefix(l, "\tLEAQ "):
+			leas++
+		case strings.Contains(l, "MOVUPD X") || strings.Contains(l, "MOVUPD Y"):
+			if strings.HasSuffix(l, "(SP)") {
+				spills++
+			}
+		case strings.Contains(l, "(SP), "):
+			reloads++
+		}
+	}
+	if ins != st.Instructions || spills != st.Spills || reloads != st.Reloads || leas != st.Addrs {
+		t.Errorf("%s: text has %d instructions, %d spills, %d reloads, %d LEAQs; counted %d, %d, %d, %d",
+			st.Name, ins, spills, reloads, leas, st.Instructions, st.Spills, st.Reloads, st.Addrs)
+	}
+	if st.Reloads < st.Spills || st.Frame > 16*lanes*st.Spills {
+		t.Errorf("%s: %d spills, %d reloads, %d-byte frame", st.Name, st.Spills, st.Reloads, st.Frame)
 	}
 }
 

@@ -154,3 +154,69 @@ func TestSSE2KernelsBoundsChecked(t *testing.T) {
 		}
 	}
 }
+
+// WHTPass checks a pass's first and last index before its assembly runs.
+// Every bad pass must panic with a runtime bounds error and leave dst as it
+// was: an offset, block stride, leg stride or leg width one past the end,
+// dst or src one element short, a negative offset, block stride or leg
+// stride, no blocks, and a block or leg stride whose multiple wraps around
+// to an index inside the slices.
+func TestWHTPassBoundsChecked(t *testing.T) {
+	for _, r := range []int{2, 4, 8} {
+		good := whtShape{0, 4, 2 * r, 2, 2}
+		size := good.size(r)
+		legWrap := math.MaxInt // r = 2: off + leg overflows
+		if r > 2 {
+			legWrap = int(inverseMod(uint64(r-1)) * 2) // (r-1)·leg ≡ 2
+		}
+		cases := map[string]whtShape{
+			"offset one past the end":       {1, 4, 2 * r, 2, 2},
+			"block stride one past the end": {0, 4, 2*r + 1, 2, 2},
+			"leg stride one past the end":   {0, 4, 2 * r, 3, 2},
+			"leg width one past the end":    {0, 4, 2 * r, 2, 3},
+			"negative offset":               {-1, 4, 2 * r, 2, 2},
+			"negative block stride":         {1, 4, -1, 0, 1},     // block 3 at -2
+			"negative leg stride":           {r - 2, 1, 0, -1, 1}, // leg r-1 at -1
+			"no blocks":                     {0, 0, 2 * r, 2, 2},
+			"block stride that wraps":       {0, 4, int(inverseMod(3) * 2), 2, 2}, // 3·bs ≡ 2
+			"leg stride that wraps":         {0, 1, 0, legWrap, 1},
+		}
+		short := map[string]whtShape{"dst one short": good, "src one short": good}
+		for name, g := range cases {
+			short[name] = g
+		}
+		for name, g := range short {
+			for _, s := range []float64{1, 0.5} {
+				src := complexvec.Random(size, uint64(r))
+				dst := make([]complex128, size)
+				for i := range dst {
+					dst[i] = complex(math.NaN(), 0)
+				}
+				d, sr := dst, src
+				switch name {
+				case "dst one short":
+					d = dst[:size-1]
+				case "src one short":
+					sr = src[:size-1]
+				}
+				func() {
+					defer func() {
+						err, _ := recover().(runtime.Error)
+						if err == nil || !strings.Contains(err.Error(), "index out of range") {
+							t.Errorf("r=%d s=%g %s: recovered %v, want a runtime bounds error", r, s, name, err)
+						}
+					}()
+					WHTPass(d, sr, r, g.off, g.b, g.bs, g.leg, g.w, s)
+				}()
+				for i := range dst {
+					if !math.IsNaN(real(dst[i])) || imag(dst[i]) != 0 {
+						t.Fatalf("r=%d s=%g %s: dst[%d] written", r, s, name, i)
+					}
+				}
+			}
+		}
+		// The same slices at the good shape are in range.
+		dst, src := make([]complex128, size), complexvec.Random(size, 1)
+		WHTPass(dst, src, r, good.off, good.b, good.bs, good.leg, good.w, 1)
+	}
+}

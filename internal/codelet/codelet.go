@@ -35,6 +35,11 @@
 // assembly checks no index itself: its Go wrappers check the first and the
 // last index of every run of dst, src and w, both lanes', so a bad call
 // panics with a runtime bounds error before anything is written.
+//
+// The package also holds the Walsh-Hadamard transform's generated pass
+// kernels (zwht*.go, zwht_amd64.s): WHTPass runs s·(I_b ⊗ WHT_r ⊗ I_w) for
+// r = 2, 4, 8 in one call, as SSE2 or AVX assembly on amd64 and Go
+// elsewhere, with the same bits as the radix-2 loop's stages.
 package codelet
 
 import (
@@ -45,7 +50,8 @@ import (
 )
 
 // The generated split-radix tier lives in zsplitradix*.go and
-// zsplitradix_amd64.s; regenerate after changing internal/codegen.
+// zsplitradix_amd64.s, the WHT pass kernels in zwht*.go and zwht_amd64.s;
+// regenerate after changing internal/codegen.
 //go:generate go run spiralfft/cmd/codeletgen -o zsplitradix.go
 
 // Func is the strided twiddled DFT kernel signature shared by all codelets.

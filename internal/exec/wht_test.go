@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -140,8 +141,62 @@ func TestWHTRowsScaledSplitsWHTInPlace(t *testing.T) {
 	}
 }
 
+// The generated pass kernels, run through WHTRows's ladder, give the
+// radix-2 loop's bits on every column of the rows, each output scaled by s
+// as two real multiplies: every n from 2 to 2^14, packed rows (stride = v)
+// and rows with gaps (stride > v) of v ∈ {1, 2, 3, 4, 1024} points (v =
+// 1024 up to n = 2^8), out of place and in place, s = 1 and 1/n. Out of
+// place, the gaps between rows of dst keep what they held.
+func TestWHTPassKernelsMatchRadix2(t *testing.T) {
+	for _, v := range []int{1, 2, 3, 4, 1024} {
+		for _, stride := range []int{v, v + 3} {
+			for k := 1; k <= 14; k++ {
+				n := 1 << uint(k)
+				if v == 1024 && k > 8 {
+					break
+				}
+				size := (n-1)*stride + v
+				x := complexvec.Random(size, uint64(1000*k+stride))
+				col := make([]complex128, n)
+				for _, s := range []float64{1, 1 / float64(n)} {
+					for _, inPlace := range []bool{false, true} {
+						dst := complexvec.Clone(x)
+						if !inPlace {
+							for i := range dst {
+								dst[i] = complex(math.NaN(), float64(i))
+							}
+						}
+						want := complexvec.Clone(dst)
+						for c := 0; c < v; c++ {
+							for i := range col {
+								col[i] = x[i*stride+c]
+							}
+							whtRadix2(col)
+							for i, z := range col {
+								want[i*stride+c] = complex(real(z)*s, imag(z)*s)
+							}
+						}
+						src := x
+						if inPlace {
+							src = dst
+						}
+						WHTRows(dst, src, n, stride, v, s)
+						for i := range want {
+							if math.Float64bits(real(dst[i])) != math.Float64bits(real(want[i])) ||
+								math.Float64bits(imag(dst[i])) != math.Float64bits(imag(want[i])) {
+								t.Fatalf("n=%d v=%d stride=%d s=%g in place=%v: element %d = %v, want %v",
+									n, v, stride, s, inPlace, i, dst[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkWHT(b *testing.B) {
-	for _, k := range []int{10, 14} {
+	for _, k := range []int{10, 11, 12, 14} {
 		buf := complexvec.Random(1<<uint(k), 1)
 		b.Run(fmt.Sprintf("seq/logN=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -154,4 +209,12 @@ func BenchmarkWHT(b *testing.B) {
 			}
 		})
 	}
+	// WHT_2 ⊗ I_1024 over two rows 2048 apart: one worker's stage-2 op of
+	// the two-worker WHT_4096 program.
+	buf := complexvec.Random(2*2048, 1)
+	b.Run("rows/WHT_2xI_1024/stride=2048", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			WHTRowsScaled(buf, 2, 2048, 1024, 1)
+		}
+	})
 }

@@ -110,7 +110,7 @@ const (
 	opCodelet            // strided sub-DFT with its input scale Tw, if any
 	opCodeletPair        // two adjacent leaf opCodelets as DFT_n ⊗ I_2
 	opCodeletGen         // sub-DFT scaled by a runtime-generated twiddle row
-	opWHT                // WHT_N ⊗ I_V: copy rows, butterflies in place
+	opWHT                // WHT_N ⊗ I_V: the first pass reads src, the rest run in place
 	opTranspose          // cache-blocked tile transpose
 	opUntangle           // real-input spectrum untangling over bin pairs
 	opRetangle           // its inverse
@@ -605,17 +605,14 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 				}
 			}
 		case opWHT:
-			dst := ctx.buf(op.dst)[op.doff:]
-			if src := ctx.buf(op.src)[op.soff:]; &dst[0] != &src[0] || op.ds != op.ss {
-				if op.ds == op.v && op.ss == op.v { // packed rows: one span
-					copy(dst[:op.n*op.v], src[:op.n*op.v])
-				} else {
-					for i := 0; i < op.n; i++ {
-						copy(dst[i*op.ds:i*op.ds+op.v], src[i*op.ss:i*op.ss+op.v])
-					}
+			dst, src := ctx.buf(op.dst)[op.doff:], ctx.buf(op.src)[op.soff:]
+			if op.ds != op.ss { // rows at two strides: gather them into dst
+				for i := 0; i < op.n; i++ {
+					copy(dst[i*op.ds:i*op.ds+op.v], src[i*op.ss:i*op.ss+op.v])
 				}
+				src = dst
 			}
-			exec.WHTRowsScaled(dst, op.n, op.ds, op.v, op.scale)
+			exec.WHTRows(dst, src, op.n, op.ds, op.v, op.scale)
 		case opUntangle:
 			untangle(ctx.buf(op.dst), ctx.buf(op.src), op.n, op.lo, op.hi, op.tw)
 		case opRetangle:

@@ -1,6 +1,7 @@
 package spiralfft
 
 import (
+	"fmt"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -193,6 +194,28 @@ func TestWHTPlanProgramShape(t *testing.T) {
 		}
 		if complexvec.MaxError(got, want) != 0 || complexvec.MaxError(in, want) != 0 {
 			t.Errorf("%s: differs from WHTInPlaceScaled", c.name)
+		}
+	}
+}
+
+// BenchmarkWHTPlan times the forward WHT at one and two workers, n = 256
+// through 16384: the pairs item 7's p1/p2 ratios are read from.
+func BenchmarkWHTPlan(b *testing.B) {
+	for n := 256; n <= 16384; n *= 2 {
+		x := complexvec.Random(n, 1)
+		y := make([]complex128, n)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/p=%d", n, workers), func(b *testing.B) {
+				p, err := NewWHTPlan(n, &Options{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer p.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Transform(y, x)
+				}
+			})
 		}
 	}
 }

@@ -33,24 +33,24 @@ package codegen
 // D_{m,k} diagonal fused into stage 2 — the same loop merging the executor
 // performs, frozen into the codelet.
 //
-// Each straight-line size also has a two-lane form, srNn2 and srNw2: the
-// paper's vectorization rule DFT_n ⊗ I_ν at ν = 2, two adjacent calls of
-// the same kernel with lane 1 at its own dst and src offsets and its own
-// scale vector. The executor's stage loops and the composed kernels' loops
-// run their iterations in such pairs.
+// Each straight-line size also has a loop entry, srNLoop: the paper's
+// DFT_n ⊗ I_ν taken literally, m calls of the same kernel at lane offsets
+// (dl, sl, wl) in one call, as FFTW3's codelets take a vector count and
+// vector strides. The executor's stage loops, the IR executor's runs of
+// adjacent calls and the composed kernels' stages each make one such call.
 //
 // The scheduled body is a list of typed ops (srop: load, twiddled load,
 // store, add, sub, neg, ±i rotation, constant multiply, real scale) with
-// two backends. printGo renders it as Go statements: the straight-line kernels
-// of zsplitradix_generic.go, built for other architectures and under the
-// purego tag (where a two-lane kernel is two calls), and the CI smoke
-// programs. The amd64 backend (splitradix_asm.go) lowers the same list to
-// SSE2 assembly with one XMM register per live value, and a second time to
-// AVX assembly with one YMM register per pair of lane values
-// (zsplitradix_amd64.s), called through Go wrappers that check every run's
-// first and last index (zsplitradix_amd64.go) and take the AVX kernel only
-// when the CPU has AVX. Its arithmetic is Go's, so every build produces the
-// same bits.
+// two backends. printGo renders it as Go statements: the straight-line
+// kernels of zsplitradix_generic.go, built for other architectures and
+// under the purego tag (where a loop entry is a loop of single calls), and
+// the CI smoke programs. The amd64 backend (splitradix_asm.go) lowers the
+// same list at one, two and four lanes per register, SSE2, AVX and
+// AVX-512, into one assembly loop per kernel and a one-lane single call
+// (zsplitradix_amd64.s), called
+// through Go wrappers that check the first and the last lane's runs
+// (zsplitradix_amd64.go) and pass the widest form the CPU runs. Its
+// arithmetic is Go's, so every build produces the same bits.
 
 import (
 	"fmt"
@@ -319,8 +319,11 @@ func srBody(n int, twiddled bool) string {
 	return printGo(srProgram(n, twiddled), srRuns)
 }
 
+// loopParams is the parameter list of a loop entry, codelet's LoopFunc.
+const loopParams = "dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, woff, ws, wl, m int"
+
 // emitStraight writes the Go plain and fused-twiddle kernels of one
-// straight-line size, and their two-lane forms as two single-lane calls.
+// straight-line size, and its loop entry as a loop of single calls.
 func emitStraight(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "// sr%dn computes a no-twiddle %d-point conjugate-pair split-radix DFT.\n", n, n)
 	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
@@ -330,56 +333,40 @@ func emitStraight(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
 	b.WriteString(srBody(n, true))
 	b.WriteString("}\n\n")
-	fmt.Fprintf(b, "// sr%dn2 runs sr%dn on two lanes, lane 1 at doff+dl and soff+sl.\n", n, n)
-	fmt.Fprintf(b, "func sr%dn2(%s) {\n", n, pairParams(false))
-	fmt.Fprintf(b, "\tsr%dn(dst, doff, ds, src, soff, ss)\n\tsr%dn(dst, doff+dl, ds, src, soff+sl, ss)\n}\n\n", n, n)
-	fmt.Fprintf(b, "// sr%dw2 runs sr%dw on two lanes, lane 1 at doff+dl and soff+sl with the\n// scale vector w1 from w1off.\n", n, n)
-	fmt.Fprintf(b, "func sr%dw2(%s) {\n", n, pairParams(true))
-	fmt.Fprintf(b, "\tsr%dw(dst, doff, ds, src, soff, ss, w0, w0off, ws)\n\tsr%dw(dst, doff+dl, ds, src, soff+sl, ss, w1, w1off, ws)\n}\n\n", n, n)
-}
-
-// pairParams is the parameter list of the two-lane kernels srNn2 and srNw2.
-func pairParams(twiddled bool) string {
-	p := "dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int"
-	if twiddled {
-		p += ", w0 []complex128, w0off int, w1 []complex128, w1off, ws int"
-	}
-	return p
+	fmt.Fprintf(b, "// sr%dLoop runs m calls of sr%dn, or of sr%dw when w is non-nil, call i at\n// doff+i·dl, soff+i·sl and woff+i·wl.\n", n, n, n)
+	fmt.Fprintf(b, "func sr%dLoop(%s) {\n", n, loopParams)
+	fmt.Fprintf(b, "\tfor i := 0; i < m; i++ {\n\t\tif w == nil {\n\t\t\tsr%dn(dst, doff+i*dl, ds, src, soff+i*sl, ss)\n", n)
+	fmt.Fprintf(b, "\t\t} else {\n\t\t\tsr%dw(dst, doff+i*dl, ds, src, soff+i*sl, ss, w, woff+i*wl, ws)\n\t\t}\n\t}\n}\n\n", n)
 }
 
 // emitAsmWrappers writes the amd64 entry points of one straight-line size:
-// each checks the first and the last index of every run it is handed, then
-// calls its assembly kernel with pointers to the first elements. The
-// two-lane entry points run one AVX call when the CPU has AVX and two SSE2
-// calls when it has not.
+// each checks the first and the last index of every run it is handed, the
+// first and the last lane's in a loop, then calls the size's single-call
+// kernel or its assembly loop with pointers to the first elements.
 func emitAsmWrappers(b *strings.Builder, n int) {
 	fmt.Fprintf(b, "// sr%dn computes a no-twiddle %d-point conjugate-pair split-radix DFT.\n", n, n)
 	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
-	fmt.Fprintf(b, "\t_ = dst[srLast(doff, ds, %d)]\n\t_ = src[srLast(soff, ss, %d)]\n", n, n)
+	fmt.Fprintf(b, "\tsrRun(dst, doff, ds, %d)\n\tsrRun(src, soff, ss, %d)\n", n, n)
 	fmt.Fprintf(b, "\tsr%dnSSE2(&dst[doff], ds, &src[soff], ss)\n}\n\n", n)
 	fmt.Fprintf(b, "// sr%dw is sr%dn with a strided per-input scale vector fused into the loads.\n", n, n)
 	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
-	fmt.Fprintf(b, "\t_ = dst[srLast(doff, ds, %d)]\n\t_ = src[srLast(soff, ss, %d)]\n\t_ = w[srLast(woff, ws, %d)]\n", n, n, n)
+	fmt.Fprintf(b, "\tsrRun(dst, doff, ds, %d)\n\tsrRun(src, soff, ss, %d)\n\tsrRun(w, woff, ws, %d)\n", n, n, n)
 	fmt.Fprintf(b, "\tsr%dwSSE2(&dst[doff], ds, &src[soff], ss, &w[woff], ws)\n}\n\n", n)
-	fmt.Fprintf(b, "// sr%dn2 runs sr%dn on two lanes, lane 1 at doff+dl and soff+sl.\n", n, n)
-	fmt.Fprintf(b, "func sr%dn2(%s) {\n", n, pairParams(false))
-	fmt.Fprintf(b, "\td1, s1 := srLanes(dst, doff, ds, dl, %d), srLanes(src, soff, ss, sl, %d)\n", n, n)
-	fmt.Fprintf(b, "\tif hasAVX {\n\t\tsr%dn2AVX(&dst[doff], ds, &src[soff], ss, &dst[d1], &src[s1])\n\t\treturn\n\t}\n", n)
-	fmt.Fprintf(b, "\tsr%dnSSE2(&dst[doff], ds, &src[soff], ss)\n\tsr%dnSSE2(&dst[d1], ds, &src[s1], ss)\n}\n\n", n, n)
-	fmt.Fprintf(b, "// sr%dw2 runs sr%dw on two lanes, lane 1 at doff+dl and soff+sl with the\n// scale vector w1 from w1off.\n", n, n)
-	fmt.Fprintf(b, "func sr%dw2(%s) {\n", n, pairParams(true))
-	fmt.Fprintf(b, "\td1, s1 := srLanes(dst, doff, ds, dl, %d), srLanes(src, soff, ss, sl, %d)\n", n, n)
-	fmt.Fprintf(b, "\tsrRun(w0, w0off, ws, %d)\n\tsrRun(w1, w1off, ws, %d)\n", n, n)
-	fmt.Fprintf(b, "\tif hasAVX {\n\t\tsr%dw2AVX(&dst[doff], ds, &src[soff], ss, &w0[w0off], ws, &dst[d1], &src[s1], &w1[w1off])\n\t\treturn\n\t}\n", n)
-	fmt.Fprintf(b, "\tsr%dwSSE2(&dst[doff], ds, &src[soff], ss, &w0[w0off], ws)\n\tsr%dwSSE2(&dst[d1], ds, &src[s1], ss, &w1[w1off], ws)\n}\n\n", n, n)
+	fmt.Fprintf(b, "// sr%dLoop runs m calls of sr%dn, or of sr%dw when w is non-nil, call i at\n// doff+i·dl, soff+i·sl and woff+i·wl, in one assembly call.\n", n, n, n)
+	fmt.Fprintf(b, "func sr%dLoop(%s) {\n", n, loopParams)
+	fmt.Fprintf(b, "\tsrLanes(dst, doff, ds, dl, m, %d)\n\tsrLanes(src, soff, ss, sl, m, %d)\n", n, n)
+	fmt.Fprintf(b, "\tif w == nil {\n\t\tst := srStageFor(m, dl, sl, 1)\n")
+	fmt.Fprintf(b, "\t\tsr%dnLoop(loopISA, &dst[doff], ds, dl, &src[soff], ss, sl, m, st)\n\t\tsrStageDone(st)\n\t\treturn\n\t}\n", n)
+	fmt.Fprintf(b, "\tsrLanes(w, woff, ws, wl, m, %d)\n\tst := srStageFor(m, dl, sl, wl)\n", n)
+	fmt.Fprintf(b, "\tsr%dwLoop(loopISA, &dst[doff], ds, dl, &src[soff], ss, sl, &w[woff], ws, wl, m, st)\n\tsrStageDone(st)\n}\n\n", n)
 	b.WriteString("//go:noescape\n")
 	fmt.Fprintf(b, "func sr%dnSSE2(dst *complex128, ds int, src *complex128, ss int)\n\n", n)
 	b.WriteString("//go:noescape\n")
 	fmt.Fprintf(b, "func sr%dwSSE2(dst *complex128, ds int, src *complex128, ss int, w *complex128, ws int)\n\n", n)
 	b.WriteString("//go:noescape\n")
-	fmt.Fprintf(b, "func sr%dn2AVX(dst *complex128, ds int, src *complex128, ss int, dst1, src1 *complex128)\n\n", n)
+	fmt.Fprintf(b, "func sr%dnLoop(isa int, dst *complex128, ds, dl int, src *complex128, ss, sl, m int, stage *srStage)\n\n", n)
 	b.WriteString("//go:noescape\n")
-	fmt.Fprintf(b, "func sr%dw2AVX(dst *complex128, ds int, src *complex128, ss int, w *complex128, ws int, dst1, src1, w1 *complex128)\n\n", n)
+	fmt.Fprintf(b, "func sr%dwLoop(isa int, dst *complex128, ds, dl int, src *complex128, ss, sl int, w *complex128, ws, wl, m int, stage *srStage)\n\n", n)
 }
 
 // emitWrapper writes the codelet.Func entry point dispatching on w.
@@ -392,53 +379,25 @@ func emitWrapper(b *strings.Builder, n int) {
 	b.WriteString("\t}\n}\n\n")
 }
 
-// emitPairWrappers writes the codelet.Func2 and codelet.FuncW2 entry points
-// of a straight-line size over its two-lane kernels.
-func emitPairWrappers(b *strings.Builder, n int) {
-	fmt.Fprintf(b, "func sr%dPair(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w0, w1 []complex128) {\n", n)
-	b.WriteString("\tif w0 == nil {\n")
-	fmt.Fprintf(b, "\t\tsr%dn2(dst, doff, ds, dl, src, soff, ss, sl)\n", n)
-	b.WriteString("\t} else {\n")
-	fmt.Fprintf(b, "\t\tsr%dw2(dst, doff, ds, dl, src, soff, ss, sl, w0, 0, w1, 0, 1)\n", n)
-	b.WriteString("\t}\n}\n\n")
-	fmt.Fprintf(b, "func sr%dwPair(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, woff, ws, wl int) {\n", n)
-	fmt.Fprintf(b, "\tsr%dw2(dst, doff, ds, dl, src, soff, ss, sl, w, woff, w, woff+wl, ws)\n}\n\n", n)
-}
-
 // emitComposed writes the two-stage kernel n = m·k: stage 1 runs m fused
 // DFT_k gathers (input scale folded in when present), stage 2 runs k fused
 // DFT_m column transforms with the D_{m,k} diagonal from the package-level
-// table — no separate twiddle pass in either flavor. Each stage runs its
-// adjacent iterations in pairs through the two-lane kernels.
+// table — no separate twiddle pass in either flavor. Each stage is one call
+// of its kernel's loop entry, which runs the iterations in its widest lanes.
 func emitComposed(b *strings.Builder, n, m, k int) {
-	if m%2 != 0 || k%2 != 0 {
-		panic(fmt.Sprintf("codegen: composed kernel %d = %d·%d pairs its iterations, want both even", n, m, k))
-	}
 	table := fmt.Sprintf("srtw%dx%d", m, k)
 	fmt.Fprintf(b, "// sr%dn computes DFT_%d = (DFT_%d ⊗ I_%d) · D_{%d,%d} · (I_%d ⊗ DFT_%d) · L^%d_%d\n", n, n, m, k, m, k, m, k, n, m)
 	fmt.Fprintf(b, "// over the straight-line kernels, with the diagonal fused into stage 2.\n")
 	fmt.Fprintf(b, "func sr%dn(dst []complex128, doff, ds int, src []complex128, soff, ss int) {\n", n)
 	fmt.Fprintf(b, "\tvar t [%d]complex128\n", n)
-	fmt.Fprintf(b, "\tfor i := 0; i < %d; i += 2 {\n", m)
-	fmt.Fprintf(b, "\t\tsr%dn2(t[:], %d*i, 1, %d, src, soff+i*ss, %d*ss, ss)\n", k, k, k, m)
-	b.WriteString("\t}\n")
-	emitComposedStage2(b, m, k, table)
-	b.WriteString("}\n\n")
+	fmt.Fprintf(b, "\tsr%dLoop(t[:], 0, 1, %d, src, soff, %d*ss, ss, nil, 0, 0, 0, %d)\n", k, k, m, m)
+	fmt.Fprintf(b, "\tsr%dLoop(dst, doff, %d*ds, ds, t[:], 0, %d, 1, %s, 0, 1, %d, %d)\n}\n\n", m, k, k, table, m, k)
 	fmt.Fprintf(b, "// sr%dw is sr%dn with a strided input scale fused into stage 1.\n", n, n)
 	fmt.Fprintf(b, "func sr%dw(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int) {\n", n)
 	fmt.Fprintf(b, "\tvar t [%d]complex128\n", n)
-	fmt.Fprintf(b, "\tfor i := 0; i < %d; i += 2 {\n", m)
-	fmt.Fprintf(b, "\t\tsr%dw2(t[:], %d*i, 1, %d, src, soff+i*ss, %d*ss, ss, w, woff+i*ws, w, woff+(i+1)*ws, %d*ws)\n", k, k, k, m, m)
-	b.WriteString("\t}\n")
-	emitComposedStage2(b, m, k, table)
-	b.WriteString("}\n\n")
+	fmt.Fprintf(b, "\tsr%dLoop(t[:], 0, 1, %d, src, soff, %d*ss, ss, w, woff, %d*ws, ws, %d)\n", k, k, m, m, m)
+	fmt.Fprintf(b, "\tsr%dLoop(dst, doff, %d*ds, ds, t[:], 0, %d, 1, %s, 0, 1, %d, %d)\n}\n\n", m, k, k, table, m, k)
 	emitWrapper(b, n)
-}
-
-func emitComposedStage2(b *strings.Builder, m, k int, table string) {
-	fmt.Fprintf(b, "\tfor j := 0; j < %d; j += 2 {\n", k)
-	fmt.Fprintf(b, "\t\tsr%dw2(dst, doff+j*ds, %d*ds, ds, t[:], j, %d, 1, %s, %d*j, %s, %d*j+%d, 1)\n", m, k, k, table, m, table, m, m)
-	b.WriteString("\t}\n")
 }
 
 // GeneratedFile is one file of the generated codelet tier.
@@ -457,8 +416,9 @@ const generatedHeader = "// Code generated by \"go run spiralfft/cmd/codeletgen\
 //     the composed kernels, for every build;
 //   - zsplitradix_generic.go: the straight-line kernels in Go, the build
 //     for other architectures and for the purego tag;
-//   - zsplitradix_amd64.go and zsplitradix_amd64.s: the same kernels in
-//     SSE2 assembly behind bounds-checking Go wrappers.
+//   - zsplitradix_amd64.go and zsplitradix_amd64.s: the same kernels as
+//     one single call and one assembly loop each (quads, a pair, a single)
+//     behind bounds-checking Go wrappers.
 func SplitRadixFiles() ([]GeneratedFile, []AsmStats, error) {
 	var b strings.Builder
 	b.WriteString(generatedHeader)
@@ -467,11 +427,12 @@ func SplitRadixFiles() ([]GeneratedFile, []AsmStats, error) {
 // and two-stage radix-16 kernels for n ∈ {128, 256}, each with a no-twiddle
 // flavor (srNn) and a fused strided-twiddle flavor (srNw). They are the only
 // kernels registered for these sizes, so they serve them everywhere codelets
-// are used. Each straight-line size also has two-lane entry points
-// (Apply2, ApplyW2: DFT_n ⊗ I_2 over two adjacent calls), and the composed
-// kernels run their stages in such pairs. The straight-line kernels are
-// SSE2 assembly on amd64 and their two-lane forms AVX assembly
-// (zsplitradix_amd64.s), and Go elsewhere and under the purego build tag
+// are used. Each straight-line size also has a loop entry (Kernel.Loop:
+// DFT_n ⊗ I_m, m calls at lane offsets), and each stage of the composed
+// kernels is one such call. On amd64 the loop runs in one assembly call
+// (zsplitradix_amd64.s): four lanes per ZMM register with AVX-512, two per
+// YMM register with AVX, one per XMM register in SSE2 for the tail and
+// without AVX. It is Go elsewhere and under the purego build tag
 // (zsplitradix_generic.go); every build computes the same bits.
 
 package codelet
@@ -486,7 +447,7 @@ import "spiralfft/internal/twiddle"
 	b.WriteString(")\n\n")
 	b.WriteString("func init() {\n")
 	for _, n := range SplitRadixStraight {
-		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw, Apply2: sr%dPair, ApplyW2: sr%dwPair})\n", n, n, n, n, n, n)
+		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw, loop: sr%dLoop})\n", n, n, n, n, n)
 	}
 	for _, c := range SplitRadixComposed {
 		fmt.Fprintf(&b, "\tRegister(Kernel{N: %d, Name: \"sr%d\", Apply: sr%d, ApplyW: sr%dw})\n", c[0], c[0], c[0], c[0])
@@ -494,7 +455,6 @@ import "spiralfft/internal/twiddle"
 	b.WriteString("}\n\n")
 	for _, n := range SplitRadixStraight {
 		emitWrapper(&b, n)
-		emitPairWrappers(&b, n)
 	}
 	for _, c := range SplitRadixComposed {
 		emitComposed(&b, c[0], c[1], c[2])
@@ -506,8 +466,8 @@ import "spiralfft/internal/twiddle"
 
 // The straight-line split-radix kernels in Go: the build for architectures
 // other than amd64 and for the purego tag. zsplitradix_amd64.s holds the
-// same kernels, lowered from the same scheduled SSA, in SSE2 assembly. A
-// two-lane kernel is two single-lane calls here.
+// same kernels, lowered from the same scheduled SSA, in assembly. A loop
+// entry is a loop of single calls here.
 
 package codelet
 
@@ -520,40 +480,93 @@ package codelet
 	wrap.WriteString(generatedHeader)
 	wrap.WriteString(`//go:build !purego
 
-// The amd64 entry points of the straight-line split-radix kernels, whose
-// bodies are SSE2 assembly, and of their two-lane forms, whose bodies are
-// AVX assembly (zsplitradix_amd64.s) when the CPU has AVX and two SSE2
-// calls when it has not. Each wrapper checks the first and the last index
-// of every run of dst, src and w, both lanes' at two lanes, before the
-// assembly runs: every index of a strided run lies between the two, so a
-// bad call panics with a runtime bounds error and writes nothing.
+// The amd64 entry points of the straight-line split-radix kernels. Each
+// size and flavor has a single call in SSE2, srNnSSE2 or srNwSSE2, and one
+// assembly loop, srNnLoop or srNwLoop (zsplitradix_amd64.s), which runs m
+// calls at lane offsets in the widest form loopISA allows. Each
+// wrapper checks the first and the last index of the first and the last
+// lane's runs of dst, src and w before the assembly runs: every index of
+// every lane lies between them, so a bad call panics with a runtime bounds
+// error and writes nothing.
 
 package codelet
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
-// srLast returns off + (n-1)·s, the index of the last element of a strided
-// run of n, or -1, which no slice accepts, when (n-1)·|s| exceeds
-// math.MaxInt/2 and the sum could overflow.
-func srLast(off, s, n int) int {
-	if lim := math.MaxInt / 2 / (n - 1); s > lim || s < -lim {
-		return -1
+// srLim bounds each term of a checked index, so no sum of an offset and
+// two terms overflows.
+const srLim = math.MaxInt / 4
+
+// srTerm returns k·v and true, or false when |k·v| exceeds srLim; k < 0
+// reads as a huge count. One multiply, no division.
+func srTerm(k, v int) (int, bool) {
+	u := uint64(v)
+	if v < 0 {
+		u = -u
 	}
-	return off + (n-1)*s
+	hi, lo := bits.Mul64(u, uint64(k))
+	if hi != 0 || lo > srLim {
+		return 0, false
+	}
+	if v < 0 {
+		return -int(lo), true
+	}
+	return int(lo), true
 }
 
-// srRun panics with a runtime bounds error unless the run of n from off at
-// stride s lies within x.
+// srStage is a loop's quad stage: 64 bytes of slack to align it, then 64
+// bytes per element of src (and dst) and of w, for the largest kernel.
+`)
+	fmt.Fprintf(&wrap, "type srStage [64 + 128*%d]byte\n\n", SplitRadixStraight[len(SplitRadixStraight)-1])
+	wrap.WriteString(`// srStages keeps the stages off the goroutine's stack: a loop frame that
+// held one would make every fresh goroutine, as the spawn backend starts
+// in each region, grow its stack before its first loop.
+var srStages = sync.Pool{New: func() any { return new(srStage) }}
+
+// srStageFor returns a stage from srStages when a loop of m lanes runs
+// quads with a side whose lanes are not adjacent, else nil.
+func srStageFor(m, dl, sl, wl int) *srStage {
+	if loopISA < isaAVX512 || m < 4 || dl == 1 && sl == 1 && wl == 1 {
+		return nil
+	}
+	return srStages.Get().(*srStage)
+}
+
+// srStageDone returns a stage srStageFor handed out.
+func srStageDone(st *srStage) {
+	if st != nil {
+		srStages.Put(st)
+	}
+}
+
+// srRun panics with a runtime bounds error unless the run of n ≤ 64 from
+// off at stride s lies within x: a single call's check, two compares once
+// inlined. A stride past srLim/64 checks index -1 instead, so no sum
+// overflows; no slice is long enough for such a stride anyway.
 func srRun(x []complex128, off, s, n int) {
-	_, _ = x[off], x[srLast(off, s, n)]
+	last := off + (n-1)*s
+	if s > srLim/64 || s < -srLim/64 {
+		last = -1
+	}
+	_, _ = x[off], x[last]
 }
 
-// srLanes checks the runs of two lanes, from off and off+l, as srRun does,
-// and returns lane 1's offset.
-func srLanes(x []complex128, off, s, l, n int) int {
-	srRun(x, off, s, n)
-	srRun(x, off+l, s, n)
-	return off + l
+// srLanes panics with a runtime bounds error unless every index of m
+// lanes' runs lies within x: lane i's n elements sit at off + i·l + j·s.
+// Every such index lies between the four corners, lane 0's and lane m−1's
+// first and last elements, so those are the ones checked; m < 1, or a term
+// past srLim, checks index -1 instead.
+func srLanes(x []complex128, off, s, l, m, n int) {
+	a, okS := srTerm(n-1, s)
+	b, okL := srTerm(m-1, l)
+	if !okS || !okL || m < 1 {
+		off = -1
+	}
+	_, _, _, _ = x[off], x[off+a], x[off+b], x[off+a+b]
 }
 
 `)
@@ -565,32 +578,37 @@ func srLanes(x []complex128, off, s, l, n int) int {
 	var text strings.Builder
 	var stats []AsmStats
 	for _, n := range SplitRadixStraight {
-		for _, lanes := range []int{1, 2} {
-			for _, tw := range []bool{false, true} {
-				body, st := asmKernel(n, tw, lanes, consts)
-				fmt.Fprintf(&text, "\n// %s\n%s", st, body)
-				stats = append(stats, st)
+		for _, tw := range []bool{false, true} {
+			body, st := asmLoopKernel(n, tw, consts)
+			text.WriteByte('\n')
+			for _, s := range st {
+				fmt.Fprintf(&text, "// %s\n", s)
 			}
+			text.WriteString(body)
+			stats = append(stats, st...)
 		}
 	}
 	var asm strings.Builder
 	asm.WriteString(generatedHeader)
 	asm.WriteString(`//go:build !purego
 
-// Split-radix kernels lowered by internal/codegen/splitradix_asm.go from
-// the scheduled SSA that zsplitradix_generic.go prints as Go, at two
-// widths: srNnSSE2 and srNwSSE2 hold one complex128 per XMM register and
-// use SSE2 alone; srNn2AVX and srNw2AVX run DFT_n ⊗ I_2, two adjacent calls
-// with lane 0 in the low and lane 1 in the high half of each YMM register,
-// and use AVX1 without FMA. Arguments are pointers to the first element of
-// dst, src and w (and of lane 1's) and the element strides;
-// zsplitradix_amd64.go checks the bounds. Every output, in either lane, is
+// Split-radix loops lowered by internal/codegen/splitradix_asm.go from the
+// scheduled SSA that zsplitradix_generic.go prints as Go. srNnSSE2 and
+// srNwSSE2 run one call in SSE2. srNnLoop and srNwLoop run DFT_n ⊗ I_m, m
+// calls at lane offsets, with the kernel body at three widths: four lanes
+// per ZMM register (AVX-512F and DQ, 32 registers; a side whose lanes are
+// not adjacent goes through the stage, the last argument), two lanes per
+// YMM register (AVX1), and one per XMM register (SSE2 alone), none with
+// FMA. isa, the first argument, names the widest the loop may run. The
+// other arguments are pointers to lane 0's first element of dst, src and
+// w, the element strides, the lane offsets in elements, and m;
+// zsplitradix_amd64.go checks the bounds. Every output, in every lane, is
 // bit-identical to the Go kernel's.
 
 #include "textflag.h"
 
 // srconst<>: sign masks, then (c, c) and (-d, d) per constant multiplier
-// c+id, each entry 32 bytes: its 16-byte pair twice.
+// c+id, each entry 64 bytes: its 16-byte pair four times.
 `)
 	consts.write(&asm)
 	asm.WriteString(text.String())

@@ -1,16 +1,41 @@
 package codegen
 
 // The amd64 backend of the split-radix generator: it lowers a kernel's
-// scheduled SSA program (srProgram) to assembly twice, and counts what it
-// emits:
+// scheduled SSA program (srProgram) to assembly at three widths, and
+// counts what it emits:
 //
-//   - one lane, SSE2: one complex128 per XMM register (srNnSSE2, srNwSSE2);
+//   - one lane, SSE2: one complex128 per XMM register (the srNn body);
 //   - two lanes, AVX: DFT_n ⊗ I_2, two complex128 per YMM register, lane 0
-//     in the low half and lane 1 in the high half (srNn2AVX, srNw2AVX).
-//     Each load is a VMOVUPD of lane 0's element and a VINSERTF128 of lane
-//     1's, each store a VMOVUPD of the low half and a VEXTRACTF128 of the
-//     high one; everything between is the one-lane program on Y registers,
-//     in the three-operand VEX forms.
+//     in the low half and lane 1 in the high half (srNn2). Each load is a
+//     VMOVUPD of lane 0's element and a VINSERTF128 of lane 1's, each
+//     store a VMOVUPD of the low half and a VEXTRACTF128 of the high one;
+//     everything between is the one-lane program on Y registers, in the
+//     three-operand VEX forms;
+//   - four lanes, AVX-512: DFT_n ⊗ I_4, four complex128 per ZMM register
+//     (srNn4), over 32 registers in the EVEX forms. The four lanes of an
+//     element are adjacent, one 64-byte VMOVUPD per load and store.
+//
+// asmLoopKernel wraps the three bodies in one loop, the TEXT symbol
+// srNnLoop (srNwLoop when twiddled), that runs DFT_n ⊗ I_m at lane offsets:
+// quads while four or more lanes are left, then one pair, then one single.
+// The quad body only ever sees adjacent lanes. A quad side whose lane
+// offset is one element is read or written where it lies; any other side
+// is gathered into a 64-byte-aligned stage before the body, or scattered
+// from it after. A side whose elements are adjacent moves as 4×4 blocks, a
+// 64-byte VMOVUPD per lane and a VSHUFF64X2 transpose; any other side moves
+// one element at a time, a 16-byte move and three VINSERTF64X2 (the
+// mirror, with VEXTRACTF64X2). Each form beats the next in incache-p2's
+// geometry: staging the adjacent-lane sides too costs sr32 1.4× (stage 1)
+// and 1.7× (stage 2), and moving the adjacent-element sides one element at
+// a time 1.3× and 1.1×, on an AVX-512 Xeon.
+//
+// Both the stage and a single call's TEXT keep frames small, because a
+// frame that does not fit a fresh goroutine's stack makes it grow first:
+// the spawn backend's workers are fresh in every region. The stage is
+// therefore the caller's buffer, not the loop's frame (in the loop's frame
+// it made 2^6–2^11 spawn-backend transforms 16–35% slower), and a single
+// call has its own TEXT, srNnSSE2 (srNwSSE2), the one-lane body in a frame
+// of its spill slots alone, without the loop's state.
 //
 // The WHT pass kernels (wht.go) reuse the same lowering inside their loops,
 // with two more forms: two lanes that are adjacent elements of one run,
@@ -20,10 +45,10 @@ package codegen
 // Registers are assigned by a linear scan over the scheduled order. A value
 // keeps its register from its definition to its last use; an op whose
 // operand dies there computes its result in that operand's register. When
-// an op needs a register and all sixteen are taken, the value whose next
-// use lies furthest ahead is evicted to a frame slot of one register's
-// width (stored once, however often it is evicted) and reloaded before its
-// next use.
+// an op needs a register and all sixteen (thirty-two at four lanes) are
+// taken, the value whose next use lies furthest ahead is evicted to a frame
+// slot of one register's width (stored once, however often it is evicted)
+// and reloaded before its next use.
 //
 // Element j of a run sits at base + j·stride. The scaled-index forms reach
 // j·stride for j = 1, 2, 4, 8; any other j is k·stride scaled by the largest
@@ -36,13 +61,15 @@ package codegen
 // The arithmetic is exactly Go's. A complex multiply by c+id is
 // (x,y)·(c,c) + (y,x)·(−d,d) = (xc − yd, yc + xd), the same products and
 // the same sums as Go's (c+id)·(x+iy) up to commutation, so every output is
-// bit-identical to the Go kernel's, in either lane of either width. The
-// one-lane kernels use SSE2 alone (GOAMD64=v1): no ADDSUBPD, no MOVDDUP, no
-// FMA. The two-lane kernels use AVX1 and no FMA, and end in VZEROUPPER.
+// bit-identical to the Go kernel's, in every lane of every width. The
+// one-lane body uses SSE2 alone (GOAMD64=v1): no ADDSUBPD, no MOVDDUP, no
+// FMA. The two-lane body uses AVX1, the four-lane body AVX-512F and DQ,
+// neither FMA; a loop that ran either ends its vector part in VZEROUPPER.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -50,7 +77,7 @@ import (
 // AsmStats counts what the amd64 backend emitted for one kernel.
 type AsmStats struct {
 	Name         string
-	Instructions int // every instruction, prologue and RET included
+	Instructions int // every instruction of the body (a WHT kernel's prologue and RET included)
 	Loads        int // instructions reading src and w
 	Stores       int // instructions writing dst
 	Spills       int // stores of a value to its frame slot
@@ -66,16 +93,16 @@ func (s AsmStats) String() string {
 
 // Offsets of the sign masks at the head of the constant table.
 const (
-	signHi   = 0  // (+0, −0): flips the imaginary part
-	signLo   = 32 // (−0, +0): flips the real part
-	signBoth = 64 // (−0, −0)
+	signHi   = 0   // (+0, −0): flips the imaginary part
+	signLo   = 64  // (−0, +0): flips the real part
+	signBoth = 128 // (−0, −0)
 )
 
 // asmConsts is the file's table of constants, srconst<>: the three sign
 // masks, then (c, c) and (−d, d) for each distinct constant multiplier
-// c+id. Each entry is 32 bytes, its 16-byte pair twice, so one table serves
-// the 16-byte operands of the SSE2 kernels and the 32-byte ones of the AVX
-// kernels.
+// c+id. Each entry is 64 bytes, its 16-byte pair four times, so one table
+// serves the 16-, 32- and 64-byte operands of the one-, two- and four-lane
+// bodies.
 type asmConsts struct {
 	words [][2]uint64
 	index map[[2]uint64]int
@@ -98,7 +125,7 @@ func (t *asmConsts) offset(w [2]uint64) int {
 		t.words = append(t.words, w)
 		t.index[w] = i
 	}
-	return 32 * i
+	return 64 * i
 }
 
 func (t *asmConsts) pair(lo, hi float64) string {
@@ -107,17 +134,17 @@ func (t *asmConsts) pair(lo, hi float64) string {
 
 func (t *asmConsts) write(b *strings.Builder) {
 	for i, w := range t.words {
-		for h := 0; h < 4; h++ {
-			fmt.Fprintf(b, "DATA srconst<>+%d(SB)/8, $%#016x\n", 32*i+8*h, w[h%2])
+		for h := 0; h < 8; h++ {
+			fmt.Fprintf(b, "DATA srconst<>+%d(SB)/8, $%#016x\n", 64*i+8*h, w[h%2])
 		}
 	}
 	// A symbol of 32 bytes or more is 32-byte aligned, so every entry is an
 	// aligned 16-byte SSE2 memory operand.
-	fmt.Fprintf(b, "GLOBL srconst<>(SB), RODATA|NOPTR, $%d\n", 32*len(t.words))
+	fmt.Fprintf(b, "GLOBL srconst<>(SB), RODATA|NOPTR, $%d\n", 64*len(t.words))
 }
 
 const (
-	numXMM   = 16
+	numXMM   = 32 // vector registers with AVX-512; the VEX and SSE2 forms name 16
 	regFree  = -1
 	regTemp  = -2
 	regFixed = -3 // reserved for the whole kernel
@@ -131,11 +158,12 @@ type strideMult struct {
 
 // asmGen lowers one scheduled program at one width.
 type asmGen struct {
-	lanes int // values per register: 1 on X registers, 2 on Y registers
-	// vex selects the three-operand AVX forms (always at two lanes);
-	// adjacent says that a register's two lanes are adjacent elements of
-	// one run, moved as one 32-byte VMOVUPD, rather than elements of two
-	// lane bases.
+	lanes int // values per register: 1 on X, 2 on Y, 4 on Z registers
+	regs  int // vector registers the allocator may use: 16, or 32 at four lanes
+	// vex selects the three-operand AVX forms (always at two and four
+	// lanes); adjacent says that a register's lanes are adjacent elements
+	// of one run, moved as one VMOVUPD, rather than elements of two lane
+	// bases.
 	vex, adjacent bool
 	consts        *asmConsts
 	body          strings.Builder
@@ -175,10 +203,23 @@ func (g *asmGen) lea(operands string) {
 
 // v renders vector register r at the kernel's width.
 func (g *asmGen) v(r int) string {
-	if g.lanes == 2 {
+	switch g.lanes {
+	case 2:
 		return fmt.Sprintf("Y%d", r)
+	case 4:
+		return fmt.Sprintf("Z%d", r)
 	}
 	return fmt.Sprintf("X%d", r)
+}
+
+// laneImm repeats the 2-bit VPERMILPD selector sel for each of the
+// register's lanes.
+func (g *asmGen) laneImm(sel int) int {
+	imm := 0
+	for l := 0; l < g.lanes; l++ {
+		imm |= sel << (2 * l)
+	}
+	return imm
 }
 
 // nextUse returns the position of v's first use after the current op, or
@@ -196,13 +237,14 @@ func (g *asmGen) nextUse(v int) int {
 // the furthest next use when none is free. Registers holding a value in
 // pinned are never taken.
 func (g *asmGen) alloc(pinned ...int) int {
-	for r, v := range g.owner {
+	owner := g.owner[:max(g.regs, 16)]
+	for r, v := range owner {
 		if v == regFree {
 			return r
 		}
 	}
 	victim, far := -1, -1
-	for r, v := range g.owner {
+	for r, v := range owner {
 		if v < 0 || contains(pinned, v) {
 			continue
 		}
@@ -453,7 +495,7 @@ func (g *asmGen) arith(in, b string, a, r int) {
 // swap emits r = (y, x) for a = (x, y), in each lane.
 func (g *asmGen) swap(a, r int) {
 	if g.vex {
-		g.ins("VPERMILPD $5, %s, %s", g.v(a), g.v(r))
+		g.ins("VPERMILPD $%d, %s, %s", g.laneImm(1), g.v(a), g.v(r))
 		return
 	}
 	if r != a {
@@ -497,8 +539,8 @@ func (g *asmGen) lower(op srop) {
 		t, u := g.temp(), g.temp()
 		g.load(g.w, "R9", op.j, t) // (wr, wi)
 		if g.vex {
-			g.ins("VPERMILPD $15, %s, %s", g.v(t), g.v(u)) // (wi, wi)
-			g.ins("VMOVDDUP %s, %s", g.v(t), g.v(t))       // (wr, wr)
+			g.ins("VPERMILPD $%d, %s, %s", g.laneImm(3), g.v(t), g.v(u)) // (wi, wi)
+			g.ins("VMOVDDUP %s, %s", g.v(t), g.v(t))                     // (wr, wr)
 		} else {
 			g.ins("MOVAPD X%d, X%d", t, u)
 			g.ins("UNPCKLPD X%d, X%d", t, t) // (wr, wr)
@@ -616,38 +658,43 @@ func (g *asmGen) lowerAll(prog []srop) {
 	g.stats.Frame = max(g.stats.Frame, 16*g.lanes*g.slots)
 }
 
-// asmKernel lowers the straight-line kernel srNn (srNw when twiddled) at
-// one lane to the TEXT symbol srNnSSE2 (srNwSSE2), at two lanes to srNn2AVX
-// (srNw2AVX), and returns its text and counts. The register conventions are
-// DI/DX for dst and its byte stride, SI/CX for src, R8/R9 for w, and R10,
-// R11 and R12 for lane 1's dst, src and w; whichever of AX, BX and R8–R13
-// the kernel leaves free hold stride multiples.
-func asmKernel(n int, twiddled bool, lanes int, consts *asmConsts) (string, AsmStats) {
-	kernel := fmt.Sprintf("sr%dn", n)
+// asmBody lowers the straight-line kernel srNn (srNw when twiddled) at one,
+// two or four lanes and returns its text and counts; the name counted is
+// srNn at one lane, srNn2 and srNn4 at two and four. The register
+// conventions are DI/DX for dst and its byte stride, SI/CX for src, R8/R9
+// for w, and at two lanes R10, R11 and R12 for lane 1's dst, src and w;
+// whichever of AX, BX and R8–R13 the body leaves free hold stride
+// multiples. The body keeps no state in general-purpose registers across
+// it, so asmLoopKernel may run it in a loop.
+func asmBody(n int, twiddled bool, lanes int, consts *asmConsts) (string, AsmStats) {
+	name := fmt.Sprintf("sr%dn", n)
 	if twiddled {
-		kernel = fmt.Sprintf("sr%dw", n)
+		name = fmt.Sprintf("sr%dw", n)
 	}
-	name := kernel + "SSE2"
-	if lanes == 2 {
-		kernel += "2"
-		name = kernel + "AVX"
+	if lanes > 1 {
+		name += fmt.Sprint(lanes)
 	}
 	prog := srProgram(n, twiddled)
 	g := &asmGen{
-		lanes:  lanes,
-		vex:    lanes == 2,
-		consts: consts,
-		stats:  AsmStats{Name: kernel},
-		dst:    [2]string{"DI", "R10"},
-		src:    [2]string{"SI", "R11"},
-		w:      [2]string{"R8", "R12"},
-		ss:     "CX",
-		spare:  []string{"AX", "BX", "R13"},
+		lanes:    lanes,
+		regs:     16,
+		vex:      lanes > 1,
+		adjacent: lanes == 4,
+		consts:   consts,
+		stats:    AsmStats{Name: name},
+		dst:      [2]string{"DI", "R10"},
+		src:      [2]string{"SI", "R11"},
+		w:        [2]string{"R8", "R12"},
+		ss:       "CX",
+		spare:    []string{"AX", "BX", "R13"},
+	}
+	if lanes == 4 {
+		g.regs = 32
 	}
 	if !twiddled {
 		g.spare = append(g.spare, "R8", "R9", "R12")
 	}
-	if lanes == 1 {
+	if lanes != 2 {
 		g.spare = append(g.spare, "R10", "R11")
 		if twiddled {
 			g.spare = append(g.spare, "R12")
@@ -655,40 +702,301 @@ func asmKernel(n int, twiddled bool, lanes int, consts *asmConsts) (string, AsmS
 	}
 	g.scan(prog)
 	g.lowerAll(prog)
-	if lanes == 2 {
-		g.ins("VZEROUPPER")
-	}
-	g.ins("RET")
+	return g.body.String(), g.stats
+}
 
-	args := "dst *complex128, ds int, src *complex128, ss int"
-	prologue := []string{
-		"MOVQ dst+0(FP), DI", "MOVQ ds+8(FP), DX", "MOVQ src+16(FP), SI", "MOVQ ss+24(FP), CX",
-		"SHLQ $4, DX", "SHLQ $4, CX",
+// asmLoopKernel lowers the straight-line kernel srNn (srNw when twiddled)
+// to two TEXT symbols. srNnSSE2 (srNwSSE2) is a single call, the one-lane
+// body alone, so a single call's frame holds only its spill slots.
+// srNnLoop (srNwLoop) is the loop entry: m calls at lane offsets dl, sl
+// (and wl), DFT_n ⊗ I_m. Its first argument, isa, names the widest body
+// the loop may run: 0 runs every lane through the SSE2 body, 1 runs lanes
+// in AVX pairs first, and 2 in AVX-512 quads, then at most one pair. Its
+// last argument is the quads' stage, 64 + 128·n bytes the caller provides
+// off the goroutine's stack (nil when no quad side is staged). The loop's
+// state lives in the frame, above the bodies' spill slots: the three lane-0
+// pointers, the six byte strides and lane offsets, the lanes left, and the
+// stage's 64-byte-aligned address. It returns the text and the three
+// bodies' counts, one lane first.
+func asmLoopKernel(n int, twiddled bool, consts *asmConsts) (string, []AsmStats) {
+	flavor := "n"
+	if twiddled {
+		flavor = "w"
 	}
+	name := fmt.Sprintf("sr%d%sLoop", n, flavor)
+	var bodies [3]string
+	var stats []AsmStats
+	spill := 0
+	for i, lanes := range []int{1, 2, 4} {
+		text, st := asmBody(n, twiddled, lanes, consts)
+		bodies[i] = text
+		stats = append(stats, st)
+		spill = max(spill, st.Frame)
+	}
+	var b strings.Builder
+	ins := func(format string, args ...any) {
+		b.WriteByte('\t')
+		fmt.Fprintf(&b, format, args...)
+		b.WriteByte('\n')
+	}
+
+	// The single call, srNnSSE2 (srNwSSE2): the one-lane body in a frame
+	// of its own spill slots.
+	args := "dst *complex128, ds int, src *complex128, ss int"
 	argSize := 32
 	if twiddled {
 		args += ", w *complex128, ws int"
-		prologue = append(prologue, "MOVQ w+32(FP), R8", "MOVQ ws+40(FP), R9", "SHLQ $4, R9")
-		argSize = 48
-	}
-	if lanes == 2 {
-		args += ", dst1, src1"
-		prologue = append(prologue, fmt.Sprintf("MOVQ dst1+%d(FP), R10", argSize), fmt.Sprintf("MOVQ src1+%d(FP), R11", argSize+8))
 		argSize += 16
-		if twiddled {
-			args += ", w1"
-			prologue = append(prologue, fmt.Sprintf("MOVQ w1+%d(FP), R12", argSize))
-			argSize += 8
-		}
-		args += " *complex128"
 	}
-	var b strings.Builder
+	fmt.Fprintf(&b, "// func sr%d%sSSE2(%s)\n", n, flavor, args)
+	fmt.Fprintf(&b, "TEXT ·sr%d%sSSE2(SB), $%d-%d\n", n, flavor, stats[0].Frame, argSize)
+	ins("MOVQ dst+0(FP), DI")
+	ins("MOVQ ds+8(FP), DX")
+	ins("SHLQ $4, DX")
+	ins("MOVQ src+16(FP), SI")
+	ins("MOVQ ss+24(FP), CX")
+	ins("SHLQ $4, CX")
+	if twiddled {
+		ins("MOVQ w+32(FP), R8")
+		ins("MOVQ ws+40(FP), R9")
+		ins("SHLQ $4, R9")
+	}
+	b.WriteString(bodies[0])
+	ins("RET")
+	b.WriteByte('\n')
+
+	// Frame slots of the loop state, from state.
+	const (
+		sDst = 8 * iota
+		sSrc
+		sW
+		sDS
+		sSS
+		sWS
+		sDL
+		sSL
+		sWL
+		sM
+		sStage
+		stateLen
+	)
+	state := spill
+	at := func(slot int) string { return fmt.Sprintf("%d(SP)", state+slot) }
+	frame := state + stateLen
+
+	label := func(l string) { fmt.Fprintf(&b, "%s:\n", l) }
+	args = "isa int, dst *complex128, ds, dl int, src *complex128, ss, sl int"
+	argSize = 56
+	if twiddled {
+		args += ", w *complex128, ws, wl"
+		argSize += 24
+	}
+	args += ", m int, stage *srStage"
 	fmt.Fprintf(&b, "// func %s(%s)\n", name, args)
-	fmt.Fprintf(&b, "TEXT ·%s(SB), $%d-%d\n", name, g.stats.Frame, argSize)
-	for _, in := range prologue {
-		fmt.Fprintf(&b, "\t%s\n", in)
+	fmt.Fprintf(&b, "TEXT ·%s(SB), $%d-%d\n", name, frame, argSize+16)
+	// The state: pointers as they are, strides and lane offsets in bytes.
+	type arg struct {
+		name  string
+		slot  int
+		bytes bool
 	}
-	g.stats.Instructions += len(prologue)
-	b.WriteString(g.body.String())
-	return b.String(), g.stats
+	in := []arg{{"dst", sDst, false}, {"ds", sDS, true}, {"dl", sDL, true}, {"src", sSrc, false}, {"ss", sSS, true}, {"sl", sSL, true}}
+	if twiddled {
+		in = append(in, arg{"w", sW, false}, arg{"ws", sWS, true}, arg{"wl", sWL, true})
+	}
+	in = append(in, arg{"m", sM, false})
+	for i, a := range in {
+		ins("MOVQ %s+%d(FP), AX", a.name, 8+8*i)
+		if a.bytes {
+			ins("SHLQ $4, AX")
+		}
+		ins("MOVQ AX, %s", at(a.slot))
+	}
+	ins("MOVQ stage+%d(FP), AX", argSize+8)
+	ins("ADDQ $63, AX")
+	ins("ANDQ $-64, AX")
+	ins("MOVQ AX, %s", at(sStage))
+	ins("MOVQ isa+0(FP), AX")
+	ins("CMPQ AX, $1")
+	ins("JLT single")
+	ins("JEQ pair")
+
+	// side names one side of a call: its lane-0 pointer and byte stride
+	// slots, its lane offset slot, the registers the body reads it through
+	// (lane 1's base at two lanes), and its stage's byte offset from the
+	// aligned stage address.
+	type side struct {
+		ptr, stride, lane int
+		base, sreg, lane1 string
+		stage             int
+	}
+	srcSide := side{sSrc, sSS, sSL, "SI", "CX", "R11", 0}
+	wSide := side{sW, sWS, sWL, "R8", "R9", "R12", 64 * n}
+	dstSide := side{sDst, sDS, sDL, "DI", "DX", "R10", 0}
+	// transpose turns Z0–Z3, four rows of four complex128, into their
+	// columns, through Z4–Z7: a 4×4 transpose of 128-bit blocks.
+	transpose := func() {
+		ins("VSHUFF64X2 $0x44, Z1, Z0, Z4")
+		ins("VSHUFF64X2 $0xee, Z1, Z0, Z5")
+		ins("VSHUFF64X2 $0x44, Z3, Z2, Z6")
+		ins("VSHUFF64X2 $0xee, Z3, Z2, Z7")
+		ins("VSHUFF64X2 $0x88, Z6, Z4, Z0")
+		ins("VSHUFF64X2 $0xdd, Z6, Z4, Z1")
+		ins("VSHUFF64X2 $0x88, Z7, Z5, Z2")
+		ins("VSHUFF64X2 $0xdd, Z7, Z5, Z3")
+	}
+	// point loads a quad side's registers: the side itself when its lanes
+	// are adjacent, else its stage, gathered first when gather is set.
+	point := func(s side, tag string, gather bool) {
+		ins("MOVQ %s, %s", at(s.ptr), s.base)
+		ins("MOVQ %s, %s", at(s.stride), s.sreg)
+		ins("CMPQ %s, $16", at(s.lane))
+		ins("JEQ %sq", tag)
+		if gather {
+			// R11 walks the side, R10 the stage; AX is the lane offset and
+			// BX three of them. Lanes whose elements are adjacent move as
+			// 4×4 blocks: four 64-byte loads, one per lane, transposed
+			// into four stage rows.
+			ins("MOVQ %s, R11", s.base)
+			ins("MOVQ %s, R10", at(sStage))
+			if s.stage > 0 {
+				ins("ADDQ $%d, R10", s.stage)
+			}
+			ins("MOVQ %s, AX", at(s.lane))
+			ins("LEAQ (AX)(AX*2), BX")
+			ins("CMPQ %s, $16", s.sreg)
+			ins("JNE g%s", tag)
+			ins("MOVQ $%d, R12", n/4)
+			label("t" + tag)
+			ins("VMOVUPD (R11), Z0")
+			ins("VMOVUPD (R11)(AX*1), Z1")
+			ins("VMOVUPD (R11)(AX*2), Z2")
+			ins("VMOVUPD (R11)(BX*1), Z3")
+			transpose()
+			for r := 0; r < 4; r++ {
+				ins("VMOVUPD Z%d, %d(R10)", r, 64*r)
+			}
+			ins("ADDQ $64, R11")
+			ins("ADDQ $256, R10")
+			ins("DECQ R12")
+			ins("JNZ t%s", tag)
+			ins("JMP s%s", tag)
+			label("g" + tag)
+			ins("MOVQ $%d, R12", n)
+			label("i" + tag)
+			ins("VMOVUPD (R11), X0")
+			ins("VINSERTF64X2 $1, (R11)(AX*1), Z0, Z0")
+			ins("VINSERTF64X2 $2, (R11)(AX*2), Z0, Z0")
+			ins("VINSERTF64X2 $3, (R11)(BX*1), Z0, Z0")
+			ins("VMOVUPD Z0, (R10)")
+			ins("ADDQ %s, R11", s.sreg)
+			ins("ADDQ $64, R10")
+			ins("DECQ R12")
+			ins("JNZ i%s", tag)
+			label("s" + tag)
+		}
+		ins("MOVQ %s, %s", at(sStage), s.base)
+		if s.stage > 0 {
+			ins("ADDQ $%d, %s", s.stage, s.base)
+		}
+		ins("MOVQ $64, %s", s.sreg)
+		label(tag + "q")
+	}
+	// advance moves a side's lane-0 pointer on by k lanes.
+	advance := func(s side, k int) {
+		ins("MOVQ %s, AX", at(s.lane))
+		if k > 1 {
+			ins("SHLQ $%d, AX", bits.TrailingZeros(uint(k)))
+		}
+		ins("ADDQ AX, %s", at(s.ptr))
+	}
+	sides := []side{dstSide, srcSide}
+	if twiddled {
+		sides = append(sides, wSide)
+	}
+	next := func(k int, loop string) {
+		for _, s := range sides {
+			advance(s, k)
+		}
+		ins("SUBQ $%d, %s", k, at(sM))
+		ins("JMP %s", loop)
+	}
+
+	label("quad")
+	ins("CMPQ %s, $4", at(sM))
+	ins("JLT pair")
+	point(srcSide, "src", true)
+	if twiddled {
+		point(wSide, "w", true)
+	}
+	point(dstSide, "dst", false)
+	b.WriteString(bodies[2])
+	ins("CMPQ %s, $16", at(sDL))
+	ins("JEQ quadnext")
+	// Scatter the stage to dst: R11 walks the stage, R10 dst, R12 is dst's
+	// stride, AX the lane offset and BX three of them; adjacent elements
+	// move as transposed 4×4 blocks, as in the gather.
+	ins("MOVQ %s, R11", at(sStage))
+	ins("MOVQ %s, R10", at(sDst))
+	ins("MOVQ %s, R12", at(sDS))
+	ins("MOVQ %s, AX", at(sDL))
+	ins("LEAQ (AX)(AX*2), BX")
+	ins("CMPQ R12, $16")
+	ins("JNE xdst")
+	ins("MOVQ $%d, R13", n/4)
+	label("tdst")
+	for r := 0; r < 4; r++ {
+		ins("VMOVUPD %d(R11), Z%d", 64*r, r)
+	}
+	transpose()
+	ins("VMOVUPD Z0, (R10)")
+	ins("VMOVUPD Z1, (R10)(AX*1)")
+	ins("VMOVUPD Z2, (R10)(AX*2)")
+	ins("VMOVUPD Z3, (R10)(BX*1)")
+	ins("ADDQ $256, R11")
+	ins("ADDQ $64, R10")
+	ins("DECQ R13")
+	ins("JNZ tdst")
+	ins("JMP quadnext")
+	label("xdst")
+	ins("MOVQ $%d, R13", n)
+	label("sdst")
+	ins("VMOVUPD (R11), Z0")
+	ins("VMOVUPD X0, (R10)")
+	ins("VEXTRACTF64X2 $1, Z0, (R10)(AX*1)")
+	ins("VEXTRACTF64X2 $2, Z0, (R10)(AX*2)")
+	ins("VEXTRACTF64X2 $3, Z0, (R10)(BX*1)")
+	ins("ADDQ $64, R11")
+	ins("ADDQ R12, R10")
+	ins("DECQ R13")
+	ins("JNZ sdst")
+	label("quadnext")
+	next(4, "quad")
+
+	label("pair")
+	ins("CMPQ %s, $2", at(sM))
+	ins("JLT vzero")
+	for _, s := range sides {
+		ins("MOVQ %s, %s", at(s.ptr), s.base)
+		ins("MOVQ %s, %s", at(s.stride), s.sreg)
+		ins("MOVQ %s, %s", at(s.lane), s.lane1)
+		ins("ADDQ %s, %s", s.base, s.lane1)
+	}
+	b.WriteString(bodies[1])
+	next(2, "pair")
+	label("vzero")
+	ins("VZEROUPPER")
+
+	label("single")
+	ins("CMPQ %s, $0", at(sM))
+	ins("JEQ done")
+	for _, s := range sides {
+		ins("MOVQ %s, %s", at(s.ptr), s.base)
+		ins("MOVQ %s, %s", at(s.stride), s.sreg)
+	}
+	b.WriteString(bodies[0])
+	next(1, "single")
+	label("done")
+	ins("RET")
+	return b.String(), stats
 }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"bytes"
+	"fmt"
 	"go/format"
 	"os"
 	"regexp"
@@ -199,28 +200,73 @@ func TestSplitRadixRegisterPressure(t *testing.T) {
 	}
 }
 
-// The amd64 backend's counts describe the text it emits at both widths:
-// one load per input and lane (two with the fused scale), one store per
-// output and lane, one instruction per counted line, a frame slot of one
+// The amd64 backend's counts describe the text it emits at every width:
+// one load per input and lane (two with the fused scale) at one and two
+// lanes, one per input (two with the scale) at four adjacent lanes, and the
+// same for stores; one instruction per counted line, a frame slot of one
 // register's width per value it spilled at once, no multiply in any
 // address, and no spills in sr8, whose live values fit the sixteen
-// registers.
+// registers. With thirty-two registers the four-lane sr16 and sr32 spill
+// no more than two values' worth of moves.
 func TestSplitRadixAsmCounts(t *testing.T) {
 	consts := newAsmConsts()
 	for _, n := range SplitRadixStraight {
-		for _, lanes := range []int{1, 2} {
+		for _, lanes := range []int{1, 2, 4} {
 			for _, tw := range []bool{false, true} {
-				text, st := asmKernel(n, tw, lanes, consts)
-				loads := n * lanes
+				text, st := asmBody(n, tw, lanes, consts)
+				moves := n * lanes
+				if lanes == 4 {
+					moves = n
+				}
+				loads := moves
 				if tw {
 					loads *= 2
 				}
-				if st.Loads != loads || st.Stores != n*lanes {
-					t.Errorf("%s: %d loads and %d stores, want %d and %d", st.Name, st.Loads, st.Stores, loads, n*lanes)
+				if st.Loads != loads || st.Stores != moves {
+					t.Errorf("%s: %d loads and %d stores, want %d and %d", st.Name, st.Loads, st.Stores, loads, moves)
 				}
 				checkAsmCounts(t, text, st, lanes)
 				if n == 8 && st.Spills != 0 {
 					t.Errorf("%s spills %d values", st.Name, st.Spills)
+				}
+				if lanes == 4 && n <= 32 && st.Spills+st.Reloads > 4 {
+					t.Errorf("%s makes %d spill moves in 32 registers", st.Name, st.Spills+st.Reloads)
+				}
+			}
+		}
+	}
+}
+
+// The loop kernel's text holds its three bodies and the loop around them:
+// it ends its vector part in VZEROUPPER before the SSE2 tail, moves the
+// quads' staged sides by 4×4 transposes and by VINSERTF64X2 and
+// VEXTRACTF64X2, and keeps the stage out of its frame, which holds the
+// spill slots and the loop state alone. The single call's TEXT comes
+// first, its frame the one-lane body's spill slots.
+func TestSplitRadixLoopKernel(t *testing.T) {
+	consts := newAsmConsts()
+	for _, n := range SplitRadixStraight {
+		for _, tw := range []bool{false, true} {
+			text, stats := asmLoopKernel(n, tw, consts)
+			if len(stats) != 3 {
+				t.Fatalf("n=%d tw=%v: %d bodies", n, tw, len(stats))
+			}
+			for _, want := range []string{"VZEROUPPER", "VSHUFF64X2", "VINSERTF64X2 $3", "VEXTRACTF64X2 $3", "JLT single", "\tRET"} {
+				if !strings.Contains(text, want) {
+					t.Errorf("n=%d tw=%v: no %q in the loop kernel", n, tw, want)
+				}
+			}
+			flavor := "n"
+			if tw {
+				flavor = "w"
+			}
+			spill := max(stats[0].Frame, stats[1].Frame, stats[2].Frame)
+			for _, head := range []string{
+				fmt.Sprintf("TEXT ·sr%d%sSSE2(SB), $%d-", n, flavor, stats[0].Frame),
+				fmt.Sprintf("TEXT ·sr%d%sLoop(SB), $%d-", n, flavor, spill+88),
+			} {
+				if !strings.Contains(text, head) {
+					t.Errorf("n=%d tw=%v: no %q", n, tw, head)
 				}
 			}
 		}
@@ -233,7 +279,7 @@ func TestSplitRadixAsmCounts(t *testing.T) {
 func checkAsmCounts(t *testing.T, text string, st AsmStats, lanes int) {
 	t.Helper()
 	var ins, spills, reloads, leas int
-	for _, l := range strings.Split(strings.TrimSpace(text), "\n") {
+	for _, l := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if !strings.HasPrefix(l, "\t") {
 			continue
 		}
@@ -243,7 +289,7 @@ func checkAsmCounts(t *testing.T, text string, st AsmStats, lanes int) {
 			t.Errorf("%s: %q multiplies an address", st.Name, l)
 		case strings.HasPrefix(l, "\tLEAQ "):
 			leas++
-		case strings.Contains(l, "MOVUPD X") || strings.Contains(l, "MOVUPD Y"):
+		case strings.Contains(l, "MOVUPD X") || strings.Contains(l, "MOVUPD Y") || strings.Contains(l, "MOVUPD Z"):
 			if strings.HasSuffix(l, "(SP)") {
 				spills++
 			}

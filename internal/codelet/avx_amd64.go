@@ -2,18 +2,38 @@
 
 package codelet
 
-// hasAVX reports whether the two-lane AVX kernels may run: the CPU has AVX
-// (CPUID leaf 1, ECX bit 28) and the OS saves the YMM state on a context
-// switch (OSXSAVE, ECX bit 27, and XCR0 bits 1 and 2, read by XGETBV).
-var hasAVX = detectAVX()
+// The widest body a split-radix loop may run, its isa argument: one lane
+// per XMM register, two per YMM register, or four per ZMM register.
+const (
+	isaSSE2 = iota
+	isaAVX
+	isaAVX512
+)
 
-func detectAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
+// loopISA is the widest body this host runs, checked once at init. AVX
+// needs the CPU's AVX (CPUID leaf 1, ECX bit 28) and the OS to save the
+// YMM state (OSXSAVE, ECX bit 27, and XCR0 bits 1 and 2, read by XGETBV);
+// AVX-512 needs AVX-512F and DQ as well (leaf 7, EBX bits 16 and 17) and
+// the opmask and both halves of the ZMM state saved (XCR0 bits 5–7).
+var loopISA = detectISA()
+
+// hasAVX reports whether the AVX kernels may run.
+var hasAVX = loopISA >= isaAVX
+
+func detectISA() int {
+	const osxsave, avx, f, dq = 1 << 27, 1 << 28, 1 << 16, 1 << 17
 	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+		return isaSSE2
 	}
-	xcr0, _ := xgetbv()
-	return xcr0&6 == 6
+	top, _, _, _ := cpuid(0, 0)
+	_, ebx, _, _ := cpuid(7, 0)
+	switch xcr0, _ := xgetbv(); {
+	case xcr0&6 != 6:
+		return isaSSE2
+	case top >= 7 && ebx&(f|dq) == f|dq && xcr0&0xe6 == 0xe6:
+		return isaAVX512
+	}
+	return isaAVX
 }
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.

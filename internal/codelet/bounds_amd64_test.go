@@ -4,6 +4,9 @@ package codelet
 
 import (
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,9 +28,9 @@ func inverseMod(x uint64) uint64 {
 // assembly runs. Every bad call must panic with a runtime bounds error and
 // leave dst as it was: a run one past the end by its offset or by its
 // stride, a negative stride that runs below index 0, and a stride whose
-// (n-1)·stride wraps around to an index inside the slice. The pair entry
-// points check both lanes: lane 1's runs, through its lane offsets, are
-// checked as lane 0's before either lane's assembly runs.
+// (n-1)·stride wraps around to an index inside the slice. The loop entry
+// checks every lane: the first and the last lane's runs, through the lane
+// offsets, are checked before any lane's assembly runs.
 func TestSSE2KernelsBoundsChecked(t *testing.T) {
 	for _, n := range []int{8, 16, 32, 64} {
 		k, _ := ForSize(n)
@@ -93,38 +96,42 @@ func TestSSE2KernelsBoundsChecked(t *testing.T) {
 		src := complexvec.Random(size, 1)
 		k.ApplyW(dst, 0, stride, src, 0, stride, src, 0, stride)
 
-		// The pair entry points check lane 1's runs as lane 0's: lane 0
-		// fits at offset 1, and a lane offset runs lane 1 one past the end,
-		// below 0, or past math.MaxInt, where the offset wraps.
-		for side, short := range map[string]bool{"dst": false, "src": false, "w": false, "w1 slice": true} {
-			for name, l := range map[string]int{
-				"lane offset one past the end":  1,
-				"lane offset below 0":           -2,
-				"lane offset that wraps around": math.MaxInt,
-			} {
-				if short && l != 1 {
-					continue
-				}
-				dl, sl, wl := 0, 0, 0
-				switch side {
-				case "dst":
-					dl = l
-				case "src":
-					sl = l
-				case "w":
-					wl = l
-				}
-				for _, flavor := range []string{"Apply2", "Apply2 with w", "ApplyW2"} {
-					if (side == "w" && flavor != "ApplyW2") || (short && flavor != "Apply2 with w") {
+		// The loop entry checks the first and the last lane's runs: four
+		// lanes one element apart at stride 4 fill a buffer of 4n, and a
+		// bad offset or lane step runs the last lane or the first one past
+		// the end or below 0, or makes 3·l wrap around to 1; no lanes at
+		// all is a bad call too.
+		const m, ls = 4, 4
+		type lanes struct{ off, l, m int }
+		for name, bad := range map[string]lanes{
+			"last lane one past the end":  {1, 1, m},
+			"first lane one past the end": {4, -1, m},
+			"negative offset":             {-1, 1, m},
+			"last lane below 0":           {0, -1, m},
+			"lane step that wraps around": {0, int(inverseMod(m - 1)), m},
+			"no lanes":                    {0, 1, 0},
+		} {
+			for _, side := range []string{"dst", "src", "w"} {
+				for _, scaled := range []bool{false, true} {
+					if side == "w" && !scaled {
 						continue
 					}
-					src := complexvec.Random(size+1, uint64(n))
-					w := complexvec.Random(size+1, uint64(n)+1)
-					w1 := w[1:]
-					if short {
-						w1 = w[:n-1]
+					good := lanes{0, 1, bad.m}
+					d, sr, wl := good, good, good
+					switch side {
+					case "dst":
+						d = bad
+					case "src":
+						sr = bad
+					default:
+						wl = bad
 					}
-					dst := make([]complex128, size+1)
+					src := complexvec.Random(ls*n, uint64(n))
+					var w []complex128
+					if scaled {
+						w = complexvec.Random(ls*n, uint64(n)+1)
+					}
+					dst := make([]complex128, ls*n)
 					for i := range dst {
 						dst[i] = complex(math.NaN(), 0)
 					}
@@ -132,25 +139,55 @@ func TestSSE2KernelsBoundsChecked(t *testing.T) {
 						defer func() {
 							err, _ := recover().(runtime.Error)
 							if err == nil || !strings.Contains(err.Error(), "index out of range") {
-								t.Errorf("%s %s %s %s: recovered %v, want a runtime bounds error", k.Name, flavor, side, name, err)
+								t.Errorf("%s Loop %s %s scaled=%v: recovered %v, want a runtime bounds error", k.Name, side, name, scaled, err)
 							}
 						}()
-						switch flavor {
-						case "Apply2":
-							k.Apply2(dst, 1, stride, dl, src, 1, stride, sl, nil, nil)
-						case "Apply2 with w":
-							k.Apply2(dst, 1, stride, dl, src, 1, stride, sl, w, w1)
-						default:
-							k.ApplyW2(dst, 1, stride, dl, src, 1, stride, sl, w, 1, stride, wl)
-						}
+						k.Loop(dst, d.off, ls, d.l, src, sr.off, ls, sr.l, w, wl.off, ls, wl.l, bad.m)
 					}()
 					for i := range dst {
 						if !math.IsNaN(real(dst[i])) || imag(dst[i]) != 0 {
-							t.Fatalf("%s %s %s %s: dst[%d] written", k.Name, flavor, side, name, i)
+							t.Fatalf("%s Loop %s %s scaled=%v: dst[%d] written", k.Name, side, name, scaled, i)
 						}
 					}
 				}
 			}
+		}
+		// The same slices at the good shape are in range.
+		dst = make([]complex128, ls*n)
+		src = complexvec.Random(ls*n, 1)
+		k.Loop(dst, 0, ls, 1, src, 0, ls, 1, src, 0, ls, 1, m)
+	}
+}
+
+// The wrappers check their runs with a multiply and no division: each
+// term's bound comes from bits.Mul64, so no wrapper compiles to an IDIV,
+// as the per-call srLanes of the two-lane entry points did. The test
+// builds the package and disassembles the wrappers and their helpers.
+func TestLoopWrappersDivideNothing(t *testing.T) {
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(gobin); err != nil {
+		t.Skip("no go tool to build and disassemble with")
+	}
+	archive := filepath.Join(t.TempDir(), "codelet.a")
+	if out, err := exec.Command(gobin, "build", "-o", archive, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v: %s", err, out)
+	}
+	out, err := exec.Command(gobin, "tool", "objdump", "-s", `codelet\.(sr[0-9]+[nw]?|sr[0-9]+Loop|srRun|srLanes|srTerm)$`, archive).CombinedOutput()
+	if err != nil {
+		t.Fatalf("objdump: %v: %s", err, out)
+	}
+	text := string(out)
+	for _, fn := range []string{"srRun", "srLanes", "srTerm", "sr8Loop", "sr64Loop", "sr64n", "sr64w"} {
+		if !strings.Contains(text, "codelet."+fn+"(SB)") {
+			t.Errorf("objdump does not list %s", fn)
+		}
+	}
+	if !strings.Contains(text, "MULQ") {
+		t.Error("no wrapper multiplies: the overflow checks are gone")
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "DIVQ") {
+			t.Errorf("a bounds check divides: %s", strings.TrimSpace(line))
 		}
 	}
 }

@@ -22,19 +22,17 @@
 // sets (the same buffer at other offsets or strides) are not supported;
 // the executor ping-pongs between buffers instead.
 //
-// On amd64 the generated tier's straight-line kernels (n = 8, 16, 32, 64,
-// which the composed 128 and 256 call) are SSE2 assembly, one complex128
-// per XMM register (zsplitradix_amd64.s), lowered by internal/codegen from
-// the same scheduled SSA that zsplitradix_generic.go prints as Go. Their
-// two-lane forms (Apply2, ApplyW2) run the paper's DFT_n ⊗ I_ν at ν = 2:
-// one AVX kernel advances two adjacent calls, two complex128 per YMM
-// register, when the CPU has AVX and the OS saves the YMM state (checked
-// once at init); without AVX they are two SSE2 calls. The Go kernels are
-// the build for other architectures and for the purego build tag, where a
-// pair is two calls; every build computes the same output bits. The
-// assembly checks no index itself: its Go wrappers check the first and the
-// last index of every run of dst, src and w, both lanes', so a bad call
-// panics with a runtime bounds error before anything is written.
+// Kernel.Loop runs the paper's DFT_n ⊗ I_ν literally: m calls at lane
+// offsets in one call, as FFTW3's codelets take a vector count and vector
+// strides. On amd64 the generated straight-line kernels (n = 8–64, which
+// the composed 128 and 256 call) run it in one assembly call
+// (zsplitradix_amd64.s): four lanes per ZMM register with AVX-512, then
+// two per YMM register with AVX, then one per XMM register in SSE2. A
+// single call, Apply or ApplyW, is the SSE2 body in a TEXT of its own with
+// a small frame. Go kernels, a loop of calls, are the
+// build elsewhere and under the purego tag, with the same output bits. The
+// assembly checks no index: its Go wrappers check the first and the last
+// lane's runs, so a bad call panics before anything is written.
 //
 // The package also holds the Walsh-Hadamard transform's generated pass
 // kernels (zwht*.go, zwht_amd64.s): WHTPass runs s·(I_b ⊗ WHT_r ⊗ I_w) for
@@ -64,52 +62,44 @@ type Func func(dst []complex128, doff, ds int, src []complex128, soff, ss int, w
 // separate read/write pass for the Scale op.
 type FuncW func(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int)
 
-// Func2 runs a Func on two lanes at once, DFT_n ⊗ I_2: lane 0 computes
-// Func(dst, doff, ds, src, soff, ss, w0) and lane 1
-// Func(dst, doff+dl, ds, src, soff+sl, ss, w1). w0 and w1 are both nil or
-// both length-n. Each lane may run in place (its dst run the same elements
-// as its src run), but neither lane may write what the other reads or
-// writes: the lanes then equal the two calls in either order, bit for bit.
-type Func2 func(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w0, w1 []complex128)
-
-// FuncW2 is FuncW on two lanes, as Func2 is Func: lane 1 runs at doff+dl,
-// soff+sl and the scale vector w from woff+wl, at the same strides.
-type FuncW2 func(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, woff, ws, wl int)
-
 // Kernel is a DFT codelet of a fixed size. Apply is mandatory; ApplyW, when
 // non-nil, is the fused-twiddle variant generated codelets provide — the
 // executor uses it to push strided twiddle diagonals all the way into the
-// straight-line code. Apply2 and ApplyW2 are the two-lane forms of Apply
-// and ApplyW; Paired fills in the ones a kernel lacks as two single-lane
-// calls, and every kernel Register, ForSize, Best and Naive hand out has
-// them.
+// straight-line code. loop is the generated kernels' entry for Loop.
 type Kernel struct {
-	N       int
-	Name    string
-	Apply   Func
-	ApplyW  FuncW  // optional fused strided-twiddle entry point
-	Apply2  Func2  // two lanes of Apply
-	ApplyW2 FuncW2 // two lanes of ApplyW; nil when ApplyW is
+	N      int
+	Name   string
+	Apply  Func
+	ApplyW FuncW // optional fused strided-twiddle entry point
+	loop   func(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, woff, ws, wl, m int)
 }
 
-// Paired returns k with Apply2, and ApplyW2 when k has ApplyW, filled in
-// by two single-lane calls where k provides none.
-func Paired(k Kernel) Kernel {
-	if k.Apply2 == nil {
-		apply := k.Apply
-		k.Apply2 = func(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w0, w1 []complex128) {
-			apply(dst, doff, ds, src, soff, ss, w0)
-			apply(dst, doff+dl, ds, src, soff+sl, ss, w1)
+// Loop runs m calls of k, DFT_n ⊗ I_m at lane offsets: call i computes
+//
+//	dst[doff + i·dl + k·ds] = Σ_j ω_n^{kj} · w[woff + i·wl + j·ws] · src[soff + i·sl + j·ss]
+//
+// with no scale when w is nil (a kernel without ApplyW takes w at ws = 1
+// only). A call may run in place, but none may write what another reads
+// or writes: the loop then equals the m calls in order, bit for bit. One
+// call runs as Apply or ApplyW, whose assembly keeps a small frame.
+func (k *Kernel) Loop(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, woff, ws, wl, m int) {
+	if k.loop != nil && m != 1 {
+		k.loop(dst, doff, ds, dl, src, soff, ss, sl, w, woff, ws, wl, m)
+		return
+	}
+	for i := 0; i < m; i++ {
+		d, s := doff+i*dl, soff+i*sl
+		switch {
+		case w == nil:
+			k.Apply(dst, d, ds, src, s, ss, nil)
+		case k.ApplyW != nil:
+			k.ApplyW(dst, d, ds, src, s, ss, w, woff+i*wl, ws)
+		case ws == 1:
+			k.Apply(dst, d, ds, src, s, ss, w[woff+i*wl:])
+		default:
+			panic("codelet: strided scale vector for a kernel without ApplyW")
 		}
 	}
-	if k.ApplyW2 == nil && k.ApplyW != nil {
-		applyW := k.ApplyW
-		k.ApplyW2 = func(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, woff, ws, wl int) {
-			applyW(dst, doff, ds, src, soff, ss, w, woff, ws)
-			applyW(dst, doff+dl, ds, src, soff+sl, ss, w, woff+wl, ws)
-		}
-	}
-	return k
 }
 
 // Best returns the best available codelet for n: the registered one when it
@@ -170,7 +160,7 @@ func Naive(n int) Kernel {
 			dst[doff+k*ds] = acc
 		}
 	}
-	return Paired(Kernel{N: n, Name: fmt.Sprintf("naive%d", n), Apply: apply})
+	return Kernel{N: n, Name: fmt.Sprintf("naive%d", n), Apply: apply}
 }
 
 func dft1(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128) {

@@ -295,14 +295,14 @@ var benchSink complex128
 // n = m·k transform with m = 32, which reads its input at stride m and, in
 // the fused flavor, its scale vector at stride m too. Apply runs with
 // w == nil; ApplyW with a strided scale vector, as the fused stages do.
-// Apply2 and ApplyW2 run the pair calls of both stages: one pair does the
-// work of two single calls.
+// The loop cases run one worker's share of each stage of incache-p2
+// (DFT_1024 as 32·32 on two workers) as one Loop call of 16 lanes.
 func BenchmarkCodelets(b *testing.B) {
 	const m = 32
 	for _, n := range Sizes() {
 		k, _ := ForSize(n)
 		src := complexvec.Random(n*m, 1)
-		w := complexvec.Random(n*m, 2)
+		w := complexvec.Random(max(n, 16)*m, 2) // stage 2 reads 16 twiddle columns
 		dst := make([]complex128, n)
 		for _, ss := range []int{1, m} {
 			b.Run(fmt.Sprintf("n=%d/Apply/ss=%d", n, ss), func(b *testing.B) {
@@ -321,23 +321,22 @@ func BenchmarkCodelets(b *testing.B) {
 				benchSink = dst[0]
 			})
 		}
-		// The pair calls of incache-p2's two stages (DFT_1024 as 32·32):
-		// stage 1 gathers at stride m into contiguous blocks, lane 1 one
-		// element on in src and n on in dst; stage 2 transforms columns one
-		// apart at stride m with twiddle columns m apart.
+		// Stage 1 gathers at stride m into contiguous blocks, lanes one
+		// element apart in src and n apart in dst; stage 2 transforms
+		// columns one apart at stride m with twiddle columns m apart.
 		wide := make([]complex128, n*m)
-		b.Run(fmt.Sprintf("n=%d/Apply2/stage1", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/loop/m=16/stage1", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k.Apply2(wide, 0, 1, n, src, 0, m, 1, nil, nil)
+				k.Loop(wide, 0, 1, n, src, 0, m, 1, nil, 0, 0, 0, 16)
 			}
 			benchSink = wide[0]
 		})
-		if k.ApplyW2 == nil {
+		if k.ApplyW == nil || n > m {
 			continue
 		}
-		b.Run(fmt.Sprintf("n=%d/ApplyW2/stage2", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/loop/m=16/stage2", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k.ApplyW2(wide, 0, m, 1, src, 0, m, 1, w, 0, 1, m)
+				k.Loop(wide, 0, m, 1, src, 0, m, 1, w, 0, 1, m, 16)
 			}
 			benchSink = wide[0]
 		})

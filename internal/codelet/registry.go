@@ -20,13 +20,12 @@ var reg = struct {
 	kernels: make(map[int]Kernel),
 }
 
-// Register installs k, Paired, as the codelet for size k.N. Each size has
-// exactly one codelet: registering a second one for a size panics.
+// Register installs k as the codelet for size k.N. Each size has exactly
+// one codelet: registering a second one for a size panics.
 func Register(k Kernel) {
 	if k.N < 1 || k.Apply == nil {
 		panic(fmt.Sprintf("codelet: Register(%q) with N=%d, Apply=%v", k.Name, k.N, k.Apply))
 	}
-	k = Paired(k)
 	reg.Lock()
 	defer reg.Unlock()
 	if old, ok := reg.kernels[k.N]; ok {

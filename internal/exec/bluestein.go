@@ -111,11 +111,11 @@ func NewBluesteinKernel(n int) codelet.Kernel {
 			scratch: make([]complex128, plan.ScratchLen()),
 		}
 	}
-	return codelet.Paired(codelet.Kernel{
+	return codelet.Kernel{
 		N:     n,
 		Name:  fmt.Sprintf("bluestein%d", n),
 		Apply: b.apply,
-	})
+	}
 }
 
 func (b *bluestein) apply(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128) {

@@ -15,7 +15,9 @@ import (
 // recursively: an inner node runs the two fused loops of
 // DFT_n = (DFT_m ⊗ I_k) · D_{m,k} · (I_m ⊗ DFT_k) · L^n_m with the stride
 // permutation folded into stage-1 gathers and the twiddle diagonal folded
-// into the stage-2 kernels (Spiral's loop merging).
+// into the stage-2 kernels (Spiral's loop merging). A stage over a leaf is
+// one codelet loop call, I_m ⊗ DFT_k as one construct, which the generated
+// kernels run several lanes per vector register.
 type node struct {
 	n      int
 	kernel codelet.Kernel // leaf only
@@ -73,17 +75,7 @@ func compile(t *Tree, cache *twiddle.Cache) *node {
 // compile's scratch accounting guarantees is possible.
 func (nd *node) apply(dst []complex128, doff, ds int, src []complex128, soff, ss int, w []complex128, woff, ws int, scratch []complex128) {
 	if nd.leaf {
-		switch {
-		case w == nil:
-			nd.kernel.Apply(dst, doff, ds, src, soff, ss, nil)
-		case nd.kernel.ApplyW != nil:
-			nd.kernel.ApplyW(dst, doff, ds, src, soff, ss, w, woff, ws)
-		default:
-			if ws != 1 {
-				panic("exec: strided twiddle vector reached a kernel without ApplyW")
-			}
-			nd.kernel.Apply(dst, doff, ds, src, soff, ss, w[woff:])
-		}
+		nd.kernel.Loop(dst, doff, ds, 0, src, soff, ss, 0, w, woff, ws, 0, 1)
 		return
 	}
 	if w != nil && !nd.fuseW {
@@ -96,31 +88,11 @@ func (nd *node) apply(dst []complex128, doff, ds int, src []complex128, soff, ss
 	// from offset i·ss and writes the contiguous block t[i·k : (i+1)·k).
 	// A fused input scale rides along: iteration i's inputs are the overall
 	// inputs i, i+m, i+2m, …, so its twiddle window starts at woff + i·ws
-	// with stride m·ws. A leaf runs iterations i and i+1 as one pair
-	// (DFT_k ⊗ I_2): they read and write disjoint elements, and t is
+	// with stride m·ws. A leaf runs all m iterations as one loop call
+	// (DFT_k ⊗ I_m): they read and write disjoint elements, and t is
 	// neither src nor dst.
 	if nd.right.leaf {
-		kr := nd.right.kernel
-		i := 0
-		if w == nil {
-			for ; i+1 < m; i += 2 {
-				kr.Apply2(t, i*k, 1, k, src, soff+i*ss, m*ss, ss, nil, nil)
-			}
-			if i < m {
-				kr.Apply(t, i*k, 1, src, soff+i*ss, m*ss, nil)
-			}
-		} else {
-			for ; i+1 < m; i += 2 {
-				kr.ApplyW2(t, i*k, 1, k, src, soff+i*ss, m*ss, ss, w, woff+i*ws, m*ws, ws)
-			}
-			if i < m {
-				kr.ApplyW(t, i*k, 1, src, soff+i*ss, m*ss, w, woff+i*ws, m*ws)
-			}
-		}
-	} else if w == nil {
-		for i := 0; i < m; i++ {
-			nd.right.apply(t, i*k, 1, src, soff+i*ss, m*ss, nil, 0, 1, rest)
-		}
+		nd.right.kernel.Loop(t, 0, 1, k, src, soff, m*ss, ss, w, woff, m*ws, ws, m)
 	} else {
 		for i := 0; i < m; i++ {
 			nd.right.apply(t, i*k, 1, src, soff+i*ss, m*ss, w, woff+i*ws, m*ws, rest)
@@ -129,25 +101,9 @@ func (nd *node) apply(dst []complex128, doff, ds int, src []complex128, soff, ss
 	// Stage 2: (DFT_m ⊗ I_k) · D_{m,k} — iteration j reads column j of t at
 	// stride k, scales by twiddle column j (fused into the kernels or the
 	// subtree whenever possible), writes dst at stride k·ds. A leaf runs
-	// columns j and j+1 as one pair.
+	// all k columns as one loop call.
 	if nd.left.leaf {
-		kl := nd.left.kernel
-		j := 0
-		if kl.ApplyW != nil {
-			for ; j+1 < k; j += 2 {
-				kl.ApplyW2(dst, doff+j*ds, k*ds, ds, t, j, k, 1, nd.tw, j*m, 1, m)
-			}
-			if j < k {
-				kl.ApplyW(dst, doff+j*ds, k*ds, t, j, k, nd.tw, j*m, 1)
-			}
-		} else {
-			for ; j+1 < k; j += 2 {
-				kl.Apply2(dst, doff+j*ds, k*ds, ds, t, j, k, 1, nd.tw[j*m:(j+1)*m], nd.tw[(j+1)*m:(j+2)*m])
-			}
-			if j < k {
-				kl.Apply(dst, doff+j*ds, k*ds, t, j, k, nd.tw[j*m:(j+1)*m])
-			}
-		}
+		nd.left.kernel.Loop(dst, doff, k*ds, ds, t, 0, k, 1, nd.tw, 0, 1, m, k)
 	} else if nd.left.fuseW {
 		for j := 0; j < k; j++ {
 			nd.left.apply(dst, doff+j*ds, k*ds, t, j, k, nd.tw, j*m, 1, rest)
@@ -202,12 +158,6 @@ func (s *Seq) N() int { return s.n }
 // Tree returns the factorization tree the plan was compiled from.
 func (s *Seq) Tree() *Tree { return s.tree }
 
-// Leaf returns the kernel of a single-codelet plan; ok is false when the
-// plan's tree is not a leaf.
-func (s *Seq) Leaf() (k codelet.Kernel, ok bool) {
-	return s.root.kernel, s.root.leaf
-}
-
 // ScratchLen returns the scratch length Transform and an unscaled
 // TransformStrided require.
 func (s *Seq) ScratchLen() int { return s.root.need }
@@ -256,6 +206,20 @@ func (s *Seq) TransformStrided(dst []complex128, doff, ds int, src []complex128,
 		src, soff, ss, w, scratch = pre, 0, 1, nil, scratch[s.n:]
 	}
 	s.root.apply(dst, doff, ds, src, soff, ss, w, 0, 1, scratch)
+}
+
+// Loop runs m transforms as TransformStrided does, transform i from
+// soff+i·sl into doff+i·dl scaled by w[i·wl:] when w is non-nil: DFT_n ⊗
+// I_m. A leaf plan runs them in one call of its kernel's loop entry. No
+// transform may write what another reads or writes.
+func (s *Seq) Loop(dst []complex128, doff, ds, dl int, src []complex128, soff, ss, sl int, w []complex128, wl, m int, scratch []complex128) {
+	if s.root.leaf {
+		s.root.kernel.Loop(dst, doff, ds, dl, src, soff, ss, sl, w, 0, 1, wl, m)
+		return
+	}
+	for i := 0; i < m; i++ {
+		s.TransformStrided(dst, doff+i*dl, ds, src, soff+i*sl, ss, w[i*wl:], scratch)
+	}
 }
 
 // FlopCount returns the nominal 5·n·log2(n) flop count the paper's

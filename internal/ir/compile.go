@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"spiralfft/internal/codelet"
 	"spiralfft/internal/exec"
 	"spiralfft/internal/faultinject"
 	"spiralfft/internal/metrics"
@@ -94,21 +93,18 @@ type compiledOp struct {
 	lo, hi, tile   int
 	den, row, roff int     // opCodeletGen: generated twiddle row parameters
 	scale          float64 // opWHT: output scale (1 when unscaled)
-	// v is opWHT's row width and a codelet call's panel width; dv and sv
-	// are a panel's lane strides, and a pair's lane offsets.
-	v, dv, sv int
-	// opCodeletPair: the leaf kernel's two-lane entry point and lane 1's
-	// input scale (tw is lane 0's).
-	pair codelet.Func2
-	tw1  []complex128
+	// v is opWHT's row width, a codelet call's panel width and a loop's
+	// lane count; dv and sv are a panel's lane strides and a loop's lane
+	// offsets, and wv is a loop's lane step through tw.
+	v, dv, sv, wv int
 }
 
 type opKind uint8
 
 const (
 	opBarrier     opKind = iota
-	opCodelet            // strided sub-DFT with its input scale Tw, if any
-	opCodeletPair        // two adjacent leaf opCodelets as DFT_n ⊗ I_2
+	opCodelet            // a panel CodeletCall
+	opCodeletLoop        // v strided sub-DFTs at lane offsets with their input scales Tw, if any
 	opCodeletGen         // sub-DFT scaled by a runtime-generated twiddle row
 	opWHT                // WHT_N ⊗ I_V: the first pass reads src, the rest run in place
 	opTranspose          // cache-blocked tile transpose
@@ -174,8 +170,8 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 			}
 		case *Region:
 			for w, ops := range t.Workers {
-				for i, op := range ops {
-					if i > 0 && pairOps(e.workers[w], ops[i-1], op) {
+				for _, op := range ops {
+					if list := e.workers[w]; len(list) > 0 && extendLoop(&list[len(list)-1], op) {
 						continue
 					}
 					co, need, err := compileOp(op, seqs)
@@ -216,28 +212,39 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 	return e, nil
 }
 
-// pairOps folds op into the last op of list, the compiled form of prev, as
-// lane 1 of one pair call (DFT_n ⊗ I_2) and reports whether it did. Both
-// must be single-lane calls of one leaf tree on the same buffers at the
-// same strides, both with or without an input scale, and neither may write
-// what the other reads or writes: the pair then computes what the two
-// calls do in order. The lane offsets are the differences of the two
-// calls' offsets.
-func pairOps(list []compiledOp, prev, op Op) bool {
-	a, ok1 := prev.(CodeletCall)
-	b, ok2 := op.(CodeletCall)
-	last := &list[len(list)-1]
-	if !ok1 || !ok2 || last.kind != opCodelet || a.Tree != b.Tree || !a.Tree.Leaf || a.V > 1 || b.V > 1 ||
-		a.Dst != b.Dst || a.Src != b.Src || a.DS != b.DS || a.SS != b.SS || (a.Tw == nil) != (b.Tw == nil) {
+// extendLoop folds op into lp, the op a worker's list ends in, as one more
+// lane of lp's loop (DFT_n ⊗ I_v) and reports whether it did. op must be a
+// single call of lp's leaf tree on the same buffers at the same strides,
+// at lp's lane offsets (any offsets as its second lane), and scaled when
+// lp is, by lp's last scale vector or the window of one table just past
+// it. It must neither write what a lane of lp reads or writes nor read
+// what one writes: the loop then computes what the calls do in order.
+func extendLoop(lp *compiledOp, op Op) bool {
+	c, ok := op.(CodeletCall)
+	if !ok || lp.kind != opCodeletLoop || c.Tree != lp.seq.Tree() || !c.Tree.Leaf || c.V > 1 || c.Dst != lp.dst || c.Src != lp.src ||
+		c.DS != lp.ds || c.SS != lp.ss || (c.Tw == nil) != (lp.tw == nil) {
 		return false
 	}
-	fa, fb := a.Footprint(), b.Footprint()
-	if overlaps(&fa.Write, &fb.Read) || overlaps(&fa.Write, &fb.Write) || overlaps(&fb.Write, &fa.Read) {
+	v, n := lp.v, len(c.Tw)
+	dv, sv, wv := c.DOff-lp.doff-(v-1)*lp.dv, c.SOff-lp.soff-(v-1)*lp.sv, 0
+	if last := lp.tw[(v-1)*lp.wv:]; n > 0 && &c.Tw[0] != &last[0] {
+		if cap(last) <= n || &last[:n+1][n] != &c.Tw[0] {
+			return false
+		}
+		wv = n
+	}
+	if v > 1 && (dv != lp.dv || sv != lp.sv || wv != lp.wv) {
 		return false
 	}
-	k, _ := last.seq.Leaf()
-	last.kind, last.pair, last.tw1 = opCodeletPair, k.Apply2, b.Tw
-	last.dv, last.sv = b.DOff-a.DOff, b.SOff-a.SOff
+	fc := c.Footprint()
+	for i := 0; i < v; i++ {
+		fr := CodeletCall{Dst: lp.dst, DOff: lp.doff + i*dv, DS: lp.ds, Src: lp.src, SOff: lp.soff + i*sv, SS: lp.ss, Tree: c.Tree}.Footprint()
+		if overlaps(&fr.Write, &fc.Read) || overlaps(&fr.Write, &fc.Write) || overlaps(&fc.Write, &fr.Read) {
+			return false
+		}
+	}
+	lp.v, lp.dv, lp.sv, lp.wv = v+1, dv, sv, wv
+	lp.tw = lp.tw[:v*wv+n]
 	return true
 }
 
@@ -271,42 +278,45 @@ func overlaps(x, y *Access) bool {
 	return hit
 }
 
+// seqFor returns the Seq plan of tree, compiling it on first use.
+func seqFor(seqs map[*exec.Tree]*exec.Seq, tree *exec.Tree) (*exec.Seq, error) {
+	if s := seqs[tree]; s != nil {
+		return s, nil
+	}
+	s, err := exec.NewSeq(tree)
+	seqs[tree] = s
+	return s, err
+}
+
 // compileOp lowers one IR op to its dispatch-ready form and reports the
 // scratch it needs. Seq plans are shared across ops referring to the same
 // tree value (LowerCT emits one tree per stage).
 func compileOp(op Op, seqs map[*exec.Tree]*exec.Seq) (compiledOp, int, error) {
 	switch t := op.(type) {
 	case CodeletCall:
-		s := seqs[t.Tree]
-		if s == nil {
-			var err error
-			s, err = exec.NewSeq(t.Tree)
-			if err != nil {
-				return compiledOp{}, 0, err
-			}
-			seqs[t.Tree] = s
+		s, err := seqFor(seqs, t.Tree)
+		if err != nil {
+			return compiledOp{}, 0, err
 		}
+		// A single call is a loop of one lane, which extendLoop may widen.
 		co := compiledOp{
-			kind: opCodelet,
+			kind: opCodeletLoop,
 			dst:  t.Dst, src: t.Src,
 			doff: t.DOff, ds: t.DS,
 			soff: t.SOff, ss: t.SS,
-			n: t.Tree.N, seq: s, tw: t.Tw,
-			v: max(t.V, 1), dv: t.DV, sv: t.SV,
+			n: t.Tree.N, seq: s, tw: t.Tw, v: 1,
+		}
+		if t.V > 1 {
+			co.kind, co.v, co.dv, co.sv = opCodelet, t.V, t.DV, t.SV
 		}
 		if t.Tw != nil {
 			return co, co.panelLen() + s.ScaledScratchLen(), nil
 		}
 		return co, co.panelLen() + s.ScratchLen(), nil
 	case CodeletGenCall:
-		s := seqs[t.Tree]
-		if s == nil {
-			var err error
-			s, err = exec.NewSeq(t.Tree)
-			if err != nil {
-				return compiledOp{}, 0, err
-			}
-			seqs[t.Tree] = s
+		s, err := seqFor(seqs, t.Tree)
+		if err != nil {
+			return compiledOp{}, 0, err
 		}
 		co := compiledOp{
 			kind: opCodeletGen,
@@ -566,22 +576,10 @@ func (e *Executor) runWorker(w int, ctx *execCtx) {
 				return
 			}
 			faultinject.Region(w)
-		case opCodelet:
-			if op.v > 1 {
-				runPanel(op, ctx.buf(op.dst), ctx.buf(op.src), scratch)
-				continue
-			}
-			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, ctx.buf(op.src), op.soff, op.ss, op.tw, scratch)
-		case opCodeletPair:
-			op.pair(ctx.buf(op.dst), op.doff, op.ds, op.dv, ctx.buf(op.src), op.soff, op.ss, op.sv, op.tw, op.tw1)
-		case opCodeletGen:
-			if op.v > 1 {
-				runPanel(op, ctx.buf(op.dst), ctx.buf(op.src), scratch)
-				continue
-			}
-			w := scratch[:op.n]
-			twiddle.FillRow(w, op.den, op.row, op.roff)
-			op.seq.TransformStrided(ctx.buf(op.dst), op.doff, op.ds, ctx.buf(op.src), op.soff, op.ss, w, scratch[op.n:])
+		case opCodelet, opCodeletGen:
+			runPanel(op, ctx.buf(op.dst), ctx.buf(op.src), scratch)
+		case opCodeletLoop:
+			op.seq.Loop(ctx.buf(op.dst), op.doff, op.ds, op.dv, ctx.buf(op.src), op.soff, op.ss, op.sv, op.tw, op.wv, op.v, scratch)
 		case opTranspose:
 			dst, src := ctx.buf(op.dst), ctx.buf(op.src)
 			rows, cols, tile := op.rows, op.cols, op.tile
@@ -645,38 +643,36 @@ func (op *compiledOp) panelLen() int {
 	return 0
 }
 
-// runPanel runs a panel codelet call (see CodeletCall). A rows side is
+// runPanel runs a panel codelet call (see CodeletCall), or a generated
+// call of any width. A rows side is
 // staged through g, a block in scratch holding the side's v lanes
 // lane-major (lane l contiguous at g[l·n : (l+1)·n]): a rows input is
 // gathered before the first transform and a rows output scattered after
 // the last, so the call may run in place, every row is visited once, and
 // each lane transform runs at stride 1 on its side of g. A lanes side is
-// read or written where it lies. Lane l of a generated call scales by
-// twiddle row row+l.
+// read or written where it lies. A plain call's lanes run as one Seq.Loop;
+// lane l of a generated call scales by twiddle row row+l.
 func runPanel(op *compiledOp, dst, src, scratch []complex128) {
 	n, v := op.n, op.v
-	g, rest := scratch[:n*v], scratch[n*v:]
-	w := op.tw
-	if op.kind == opCodeletGen {
-		w, rest = rest[:n], rest[n:]
-	}
-	rowsIn, rowsOut := abs(op.sv) == 1, abs(op.dv) == 1
-	if rowsIn {
+	g, rest := scratch[:op.panelLen()], scratch[op.panelLen():]
+	in, ioff, is, il := src, op.soff, op.ss, op.sv
+	if v > 1 && abs(op.sv) == 1 {
 		gatherLanes(g, src, op.soff, op.ss, op.sv, n)
+		in, ioff, is, il = g, 0, 1, n
 	}
-	for l := 0; l < v; l++ {
-		if op.kind == opCodeletGen {
+	rowsOut := v > 1 && abs(op.dv) == 1
+	out, ooff, os, ol := dst, op.doff, op.ds, op.dv
+	if rowsOut {
+		out, ooff, os, ol = g, 0, 1, n
+	}
+	if op.kind == opCodelet {
+		op.seq.Loop(out, ooff, os, ol, in, ioff, is, il, op.tw, 0, v, rest)
+	} else {
+		w, rest := rest[:n], rest[n:]
+		for l := 0; l < v; l++ {
 			twiddle.FillRow(w, op.den, op.row+l, op.roff)
+			op.seq.TransformStrided(out, ooff+l*ol, os, in, ioff+l*il, is, w, rest)
 		}
-		in, ioff, is := src, op.soff+l*op.sv, op.ss
-		if rowsIn {
-			in, ioff, is = g, l*n, 1
-		}
-		out, ooff, os := dst, op.doff+l*op.dv, op.ds
-		if rowsOut {
-			out, ooff, os = g, l*n, 1
-		}
-		op.seq.TransformStrided(out, ooff, os, in, ioff, is, w, rest)
 	}
 	if rowsOut {
 		scatterLanes(dst, g, op.doff, op.ds, op.dv, n)
